@@ -562,6 +562,25 @@ class VPolytope:
         dirs = [vsub(v, self.vertices[0]) for v in self.vertices[1:]]
         return matrix_rank(dirs)
 
+    @cached_property
+    def chart(self) -> Chart:
+        """Lattice chart of the affine hull (the identity when full-dimensional)."""
+        return lattice_chart(list(self.vertices))
+
+    @cached_property
+    def triangulation(self) -> tuple[Simplex, ...]:
+        """Triangulation in chart coordinates, built on first use and kept."""
+        chart = self.chart
+        if chart.is_identity:
+            return tuple(triangulate(self))
+        mapped = [chart.to_chart(x) for x in self.vertices]
+        return tuple(triangulate(VPolytope._trusted(chart.dim, mapped)))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Integrals over this polytope that `quad` keeps once computed."""
+        return {}
+
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={len(self.vertices)})"
 

@@ -17,16 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import Cone, Vec, dot, vec
+from .geom import AffineForm, Cone, Vec, dot, vec
 from .quad import (
     ConstantWeight,
     DHMoments,
-    Polynomial,
     WeightFn,
+    density_expansion,
     dh_moments,
     integrate_numeric,
-    integrate_poly,
     weight_constant_value,
+    weight_evaluator,
+    weight_products,
 )
 from .spherical import PLFunction, SphericalInput
 
@@ -118,26 +119,17 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     poly = si.section_polytope_v
     n = si.rank
 
-    from .quad import weight_as_polynomial, weight_evaluator
     const = weight_constant_value(g)
     if const is not None:
         g = ConstantWeight(Fraction(1))
-    g_poly = weight_as_polynomial(g, si.projection, n)
+    weight = weight_products(g, si.projection, n)
 
-    base_form_poly = Polynomial(n, {(0,) * n: lv})
-    for i, c in enumerate(v):
-        if c != 0:
-            e = [0] * n
-            e[i] = 1
-            base_form_poly = base_form_poly + Polynomial(n, {tuple(e): c})
-
-    if _is_integer(p) and g_poly is not None:
-        pint = int(p)
-        weight = g_poly * si.dh.polynomial
-        numerator = integrate_poly(poly, weight * base_form_poly.pow_int(pint))
-        denominator = integrate_poly(poly, weight)
+    if _is_integer(p) and weight is not None:
+        density = density_expansion(poly, si.dh, weight)
+        denominator = density.mass
         if denominator <= 0:
             raise InvariantError("nonpositive density mass")
+        numerator = density.integral(((AffineForm(v, lv), int(p)),))
         return Num.from_fraction(numerator / denominator)
 
     pf = float(p)
@@ -252,8 +244,6 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
         # exact comparison key: A^p / S when S exact and p integral
         if s.is_exact and _is_integer(p) and s.exact > 0:
             keys.append((ray, ratio, a ** int(p) / s.exact))
-        elif s.is_exact and s.exact == 0:
-            keys.append((ray, ratio, None))
         else:
             keys.append((ray, ratio, None))
     value, mins = _argmin_ratios(keys)
@@ -266,10 +256,12 @@ def alpha(si: SphericalInput) -> InvariantReport:
     exact rational."""
     rows = []
     ratios = []
+    bar = tuple(b.exact for b in barycenter_g(si))
     for ray in si.candidates:
         a = _ray_log_discrepancy(si, ray)
         t = T_max(si, ray, si.section_support)
-        s = S_p(si, ray, 1, pl=si.section_support)
+        # S_1(v) = <bar, v> + l(v), exactly
+        s = Num.from_fraction(dot(bar, ray) + si.section_support(ray))
         if t <= 0:
             rows.append(RayEvaluation(ray, a, s, t, Num.from_float(float("inf"), 0.0),
                                       Fraction(0), ("vanishing-maximum",)))
@@ -428,7 +420,7 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None,
     const = weight_constant_value(g)
     if const is not None:
         g = ConstantWeight(Fraction(1))
-    m = dh_moments_with_tol(si, g, quad_tol)
+    m = dh_moments(si.section_polytope_v, si.dh, g, si.projection, tol=quad_tol)
     if m.exact:
         bary = tuple(Num.from_fraction(c) for c in m.barycenter)
     else:
@@ -496,26 +488,3 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None,
         return DingVerdict(bary, dual, None, None, ambiguous, exact=False)
     # no equality functionals and every facet certified strictly positive
     return DingVerdict(bary, dual, True, True, None, exact=False)
-
-
-def dh_moments_with_tol(si: SphericalInput, g: WeightFn, quad_tol: float) -> DHMoments:
-    from .quad import weight_as_polynomial, weight_evaluator
-    vp = si.section_polytope_v
-    n = si.rank
-    g_poly = weight_as_polynomial(g, si.projection, n)
-    if g_poly is not None or weight_constant_value(g) is not None:
-        return dh_moments(vp, si.dh, g, si.projection)
-    g_eval = weight_evaluator(g, si.projection, n)
-    dh_eval = si.dh.eval_float
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        w = g_eval(pts) * dh_eval(pts)
-        return np.column_stack([w] + [w * pts[:, i] for i in range(n)])
-
-    quad = integrate_numeric(vp, f, tol=quad_tol)
-    values = np.atleast_1d(quad.value)
-    mass = float(values[0])
-    if mass <= 0:
-        raise InvariantError("nonpositive weighted mass")
-    return DHMoments(mass=mass, first_moment=tuple(float(v) for v in values[1:]),
-                     exact=False, error_bound=quad.error_bound)

@@ -1,16 +1,27 @@
 """Integration engines over rational polytopes.
 
-Two routes share one triangulation substrate:
+Two routes share one triangulation, built once per `VPolytope` and kept on
+it (`VPolytope.triangulation`):
 
-* an exact engine for polynomials, by affine substitution onto the standard
-  simplex and the factorial formula
-  ``int_{std} prod t_i^{a_i} dt = prod a_i! / (d + sum a_i)!``;
+* an exact engine for sums of products of affine forms
+  ``c * prod_j l_j(x) ** m_j``.  On a simplex with vertices s_0..s_d each
+  form is linear in the barycentric coordinates, ``l = sum_i l(s_i) tau_i``;
+  the product is expanded in tau and integrated term by term with
+  ``int tau^a = |det| * prod a_i! / (d + |a|)!`` (Baldoni, Berline,
+  De Loera, Koppe and Vergne, "How to integrate a polynomial over a
+  simplex", Math. Comp. 80, 2011).  Densities, weights, powers of
+  (<x, v> + l(v)) and coordinates are all such products, and a general
+  `Polynomial` enters monomial by monomial.  The tau-expansion of a
+  weighted density is kept per polytope, so each further factor only
+  multiplies into it;
 * a certified numeric engine for smooth integrands, by adaptive simplicial
   cubature with embedded Grundmann-Moller rules of degrees 7 and 9.
 
 Lower-dimensional polytopes are integrated in lattice coordinates on their
 affine hull (see `geom.lattice_chart`), which is the normalization under
-which level-k lattice sums converge to these integrals.
+which level-k lattice sums converge to these integrals: the chart simplex
+gives the volume factor and the forms are evaluated at the ambient images
+of its vertices.
 """
 
 from __future__ import annotations
@@ -19,24 +30,27 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .geom import (
     AffineForm,
-    Chart,
     HPolytope,
     Simplex,
     VPolytope,
     Vec,
     dot,
-    lattice_chart,
-    triangulate,
+    unit_vec,
     vertex_enum,
-    zero_vec,
 )
+
+
+# Integrands of the exact engine: prod form ** multiplicity, and
+# coefficient * prod form ** multiplicity.
+Factors = tuple[tuple[AffineForm, int], ...]
+Product = tuple[Fraction, Factors]
 
 
 class IntegrationError(Exception):
@@ -200,13 +214,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def substitute_linear(self, rows: Sequence[Vec], target_dim: int) -> "Polynomial":
-        """Polynomial q(x) = p(rows . x): precompose with a linear map given
-        by its rows (each row has length target_dim)."""
-        origin = zero_vec(self.dim)
-        columns = [tuple(rows[i][j] for i in range(self.dim)) for j in range(target_dim)]
-        return self.compose_affine(origin, columns)
-
     def __repr__(self):
         return f"Polynomial(dim={self.dim}, terms={len(self.terms)})"
 
@@ -336,24 +343,37 @@ def weight_constant_value(g: WeightFn) -> Fraction | float | None:
     raise TypeError(f"unknown weight type {type(g)!r}")
 
 
-def weight_as_polynomial(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -> Polynomial | None:
-    """g(proj . x) as an exact Polynomial in ambient x, or None if the weight
-    is genuinely non-polynomial.  ``projection`` is given by rows."""
+def weight_products(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
+    """g(proj . x) as a sum of products of affine forms in ambient x, or None
+    if the weight is genuinely non-polynomial.  ``projection`` is given by
+    rows."""
     const = weight_constant_value(g)
     if const is not None:
         if isinstance(const, float):
             return None
-        return Polynomial.constant(ambient_dim, const)
+        return [(Fraction(const), ())]
     if isinstance(g, PolynomialWeight):
-        return g.poly.substitute_linear(projection, ambient_dim)
+        rows = [AffineForm(tuple(row), Fraction(0)) for row in projection]
+        return [(c, tuple((rows[i], k) for i, k in enumerate(e) if k))
+                for e, c in g.poly.terms.items()]
     if isinstance(g, AffinePowerWeight):
         e = g.exponent
         is_int = isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
         if is_int and int(e) >= 0:
             base = _projected_affine(g, projection, ambient_dim)
-            return Polynomial.from_affine(base).pow_int(int(e))
+            return [(Fraction(1), ((base, int(e)),))]
         return None
     raise TypeError(f"unknown weight type {type(g)!r}")
+
+
+def eval_products(products: Sequence[Product], x: Vec) -> Fraction:
+    """Exact value at x of a sum of products of affine forms."""
+    total = Fraction(0)
+    for c, factors in products:
+        for form, k in factors:
+            c *= form(x) ** k
+        total += c
+    return total
 
 
 def _projected_affine(g: AffinePowerWeight, projection: Sequence[Vec], ambient_dim: int) -> AffineForm:
@@ -370,8 +390,8 @@ def weight_evaluator(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -
         c = float(const)
         return lambda pts: np.full(len(np.atleast_2d(pts)), c)
     if isinstance(g, PolynomialWeight):
-        p = g.poly.substitute_linear(projection, ambient_dim)
-        return p.eval_float
+        rows = np.array([[float(c) for c in row] for row in projection])
+        return lambda pts: g.poly.eval_float(np.atleast_2d(pts) @ rows.T)
     if isinstance(g, AffinePowerWeight):
         base = _projected_affine(g, projection, ambient_dim)
         nrm = np.array([float(c) for c in base.normal])
@@ -400,29 +420,130 @@ def check_weight_positive(g: WeightFn, projected_vertices: Sequence[Vec]):
 
 
 # ---------------------------------------------------------------------------
-# exact integration
+# exact integration: products of affine forms in barycentric coordinates
 
 
-def _std_simplex_integral(poly: Polynomial) -> Fraction:
-    r = poly.dim
-    total = Fraction(0)
-    for e, c in poly.terms.items():
-        num = 1
-        for a in e:
-            num *= factorial(a)
-        total += c * Fraction(num, factorial(r + sum(e)))
+class TauPoly:
+    """``scale * sum_a n_a tau^a`` in the barycentric coordinates
+    tau_0..tau_d of a simplex, with integer n_a."""
+
+    __slots__ = ("scale", "terms")
+
+    def __init__(self, scale: Fraction, terms: dict[tuple[int, ...], int]):
+        self.scale = scale
+        self.terms = terms
+
+    def times(self, values: Sequence[Fraction], mult: int = 1) -> "TauPoly":
+        """Product with ``(sum_i values[i] tau_i) ** mult``: the affine form
+        whose values at the simplex vertices are ``values``."""
+        den = lcm(*(v.denominator for v in values))
+        coeffs = [(i, v.numerator * (den // v.denominator))
+                  for i, v in enumerate(values) if v]
+        terms = self.terms
+        for _ in range(mult):
+            out: dict[tuple[int, ...], int] = {}
+            for a, n in terms.items():
+                for i, c in coeffs:
+                    b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                    out[b] = out.get(b, 0) + n * c
+            terms = out
+        return TauPoly(self.scale / den ** mult, terms)
+
+    def __add__(self, other: "TauPoly") -> "TauPoly":
+        s, t = self.scale, other.scale
+        common = Fraction(gcd(s.numerator, t.numerator), lcm(s.denominator, t.denominator))
+        if common == 0:
+            return self
+        out = {a: n * int(s / common) for a, n in self.terms.items()}
+        k = int(t / common)
+        for a, n in other.terms.items():
+            out[a] = out.get(a, 0) + n * k
+        return TauPoly(common, out)
+
+    def integral(self) -> Fraction:
+        """Integral over the standard simplex, ``tau^a -> a! / (d + |a|)!``."""
+        by_degree: dict[int, int] = {}
+        for a, n in self.terms.items():
+            for k in a:
+                if k > 1:
+                    n *= factorial(k)
+            deg = sum(a)
+            by_degree[deg] = by_degree.get(deg, 0) + n
+        if not by_degree:
+            return Fraction(0)
+        d = len(next(iter(self.terms))) - 1
+        return self.scale * sum(Fraction(n, factorial(d + deg))
+                                for deg, n in by_degree.items())
+
+
+def expand_products(products: Sequence[Product], vertices: Sequence[Vec]) -> TauPoly:
+    """A sum of products of affine forms on the simplex with these (ambient)
+    vertices, expanded in its barycentric coordinates."""
+    d = len(vertices) - 1
+    total = TauPoly(Fraction(0), {})
+    for c, factors in products:
+        term = TauPoly(Fraction(c), {(0,) * (d + 1): 1})
+        for form, k in factors:
+            term = term.times([form(v) for v in vertices], k)
+        total = total + term
     return total
 
 
-def integrate_poly_simplex(s: Simplex, f: Polynomial) -> Fraction:
-    """Exact integral of f over a full-dimensional simplex."""
-    composed = f.compose_affine(s.vertices[0], s.edge_columns)
-    return s.volume_factor * _std_simplex_integral(composed)
+class Expansion:
+    """A sum of products of affine forms expanded on every simplex of a
+    polytope's triangulation, so that further factors multiply into the
+    stored expansions."""
+
+    def __init__(self, vp: VPolytope, products: Sequence[Product]):
+        chart = vp.chart
+        self.dim = vp.dim
+        self.vertices = vp.vertices
+        # simplex vertices as indices into the polytope's (ambient) vertices
+        index = {x if chart.is_identity else chart.to_chart(x): i
+                 for i, x in enumerate(vp.vertices)}
+        self.parts: list[tuple[list[int], Fraction, TauPoly]] = []
+        for s in vp.triangulation:
+            idx = [index[t] for t in s.vertices]
+            tau = expand_products(products, [vp.vertices[i] for i in idx])
+            self.parts.append((idx, s.volume_factor, tau))
+
+    def integral(self, factors: Factors = ()) -> Fraction:
+        """Integral of the expanded sum times ``prod form ** multiplicity``."""
+        values = [([form(x) for x in self.vertices], k) for form, k in factors]
+        total = Fraction(0)
+        for idx, volume, part in self.parts:
+            for vals, k in values:
+                part = part.times([vals[i] for i in idx], k)
+            total += volume * part.integral()
+        return total
+
+    @cached_property
+    def mass(self) -> Fraction:
+        return self.integral()
+
+    @cached_property
+    def moments(self) -> "DHMoments":
+        mass = self.mass
+        if mass <= 0:
+            raise ValueError("nonpositive mass: density/weight not positive on polytope")
+        moment = tuple(self.integral(((_coordinate_form(i, self.dim), 1),))
+                       for i in range(self.dim))
+        return DHMoments(mass=mass, first_moment=moment, exact=True)
+
+
+def _coordinate_form(i: int, n: int) -> AffineForm:
+    return AffineForm(unit_vec(i, n), Fraction(0))
+
+
+def _monomial_products(f: Polynomial) -> list[Product]:
+    return [(c, tuple((_coordinate_form(i, f.dim), k) for i, k in enumerate(e) if k))
+            for e, c in f.terms.items()]
 
 
 def integrate_monomial_simplex(s: Simplex, exponent: Sequence[int]) -> Fraction:
+    """Exact integral of x^exponent over a full-dimensional simplex."""
     mono = Polynomial(s.dim, {tuple(exponent): Fraction(1)})
-    return integrate_poly_simplex(s, mono)
+    return s.volume_factor * expand_products(_monomial_products(mono), s.vertices).integral()
 
 
 def _as_vpolytope(p) -> VPolytope:
@@ -433,33 +554,24 @@ def _as_vpolytope(p) -> VPolytope:
     raise TypeError("expected HPolytope or VPolytope")
 
 
-def _chart_setup(p) -> tuple[Chart, VPolytope]:
-    """Lattice chart of the affine hull and the polytope in chart coords."""
-    v = _as_vpolytope(p)
-    chart = lattice_chart(list(v.vertices))
-    if chart.is_identity:
-        return chart, v
-    mapped = [chart.to_chart(x) for x in v.vertices]
-    return chart, VPolytope._trusted(chart.dim, sorted(mapped))
-
-
 def integrate_poly(p, f: Polynomial) -> Fraction:
     """Exact integral of a polynomial over a rational polytope.
 
     Lower-dimensional polytopes are integrated against the lattice measure of
     their affine hull; a 0-dimensional polytope integrates to f(point).
     """
-    chart, vp = _chart_setup(p)
-    if chart.dim == 0:
-        return f(chart.origin)
-    if chart.is_identity:
-        f_chart = f
-    else:
-        f_chart = f.compose_affine(chart.origin, chart.basis)
-    total = Fraction(0)
-    for s in triangulate(vp):
-        total += integrate_poly_simplex(s, f_chart)
-    return total
+    return Expansion(_as_vpolytope(p), _monomial_products(f)).integral()
+
+
+def density_expansion(vp: VPolytope, dh: DHDensity, weight: Sequence[Product]) -> Expansion:
+    """The expansion of weight(x) * dh(x) over a polytope; built on first use
+    and kept in the polytope's memo."""
+    dh_factors = tuple((f.form, f.multiplicity) for f in dh.factors)
+    products = tuple((c / dh.normalization, factors + dh_factors) for c, factors in weight)
+    key = ("density", products)
+    if key not in vp.memo:
+        vp.memo[key] = Expansion(vp, products)
+    return vp.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +643,8 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
     subdivision budget runs out (then ``converged`` is False and the best
     estimate is returned).
     """
-    chart, vp = _chart_setup(p)
+    vp = _as_vpolytope(p)
+    chart = vp.chart
     n = chart.dim
     if n == 0:
         val = np.asarray(f(np.array([[float(c) for c in chart.origin]])))[0]
@@ -561,7 +674,7 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
     heap: list[tuple[float, int]] = []
     counter = 0
     total_error = 0.0
-    for s in triangulate(vp):
+    for s in vp.triangulation:
         verts = np.array([[float(c) for c in v] for v in s.vertices])
         sx = _NumSimplex(verts, float(s.volume_factor), counter)
         counter += 1
@@ -631,9 +744,11 @@ class DHMoments:
         return tuple(m / self.mass for m in self.first_moment)
 
 
-def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec]) -> DHMoments:
+def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec],
+               tol: float = 1e-12) -> DHMoments:
     """Weighted mass and first moment over a polytope; exact whenever the
-    weight expands to a polynomial, certified numeric otherwise."""
+    weight expands to a polynomial, certified numeric (to ``tol``)
+    otherwise.  Kept in the polytope's memo once computed."""
     vp = _as_vpolytope(p)
     n = vp.dim
     dh.check_positive_on(vp.vertices)
@@ -642,31 +757,25 @@ def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec]) -> DHMo
 
     # constant weights cancel in every downstream ratio; drop them for
     # exactness even when the constant itself is irrational
-    const = weight_constant_value(g)
-    if const is not None:
+    if weight_constant_value(g) is not None:
         g = ConstantWeight(Fraction(1))
+    weight = weight_products(g, projection, n)
+    if weight is not None:
+        return density_expansion(vp, dh, weight).moments
 
-    g_poly = weight_as_polynomial(g, projection, n)
-    if g_poly is not None:
-        integrand = g_poly * dh.polynomial
-        mass = integrate_poly(vp, integrand)
+    key = ("moments", dh, g, tuple(projection), tol)
+    if key not in vp.memo:
+        g_eval = weight_evaluator(g, projection, n)
+
+        def f(pts: np.ndarray) -> np.ndarray:
+            w = g_eval(pts) * dh.eval_float(pts)
+            return np.column_stack([w] + [w * pts[:, i] for i in range(n)])
+
+        quad = integrate_numeric(vp, f, tol=tol)
+        values = np.atleast_1d(quad.value)
+        mass = float(values[0])
         if mass <= 0:
             raise ValueError("nonpositive mass: density/weight not positive on polytope")
-        moment = tuple(integrate_poly(vp, integrand * Polynomial.coordinate(n, i))
-                       for i in range(n))
-        return DHMoments(mass=mass, first_moment=moment, exact=True)
-
-    g_eval = weight_evaluator(g, projection, n)
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        w = g_eval(pts) * dh.eval_float(pts)
-        return np.column_stack([w] + [w * pts[:, i] for i in range(n)])
-
-    quad = integrate_numeric(vp, f, tol=1e-12)
-    values = np.atleast_1d(quad.value)
-    mass = float(values[0])
-    if mass <= 0:
-        raise ValueError("nonpositive mass: density/weight not positive on polytope")
-    moment = tuple(float(v) for v in values[1:])
-    return DHMoments(mass=mass, first_moment=moment, exact=False,
-                     error_bound=quad.error_bound)
+        vp.memo[key] = DHMoments(mass=mass, first_moment=tuple(float(v) for v in values[1:]),
+                                 exact=False, error_bound=quad.error_bound)
+    return vp.memo[key]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 import jsonschema
 
@@ -211,10 +212,18 @@ def _ratvec(xs):
     return vec([_fraction(x) for x in xs])
 
 
+@cache
+def _validator():
+    """The schema's validator, checked against its meta-schema and built on
+    first use only."""
+    cls = jsonschema.validators.validator_for(INPUT_SCHEMA)
+    cls.check_schema(INPUT_SCHEMA)
+    return cls(INPUT_SCHEMA)
+
+
 def validate_document(doc: dict):
-    try:
-        jsonschema.validate(doc, INPUT_SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise SchemaValidationError(f"at {path}: {e.message}") from e
     if "root_system" in doc and "dh" in doc:

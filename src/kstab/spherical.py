@@ -39,9 +39,10 @@ from .quad import (
     ConstantWeight,
     DHDensity,
     WeightFn,
+    eval_products,
     weight_constant_value,
     weight_evaluator,
-    weight_as_polynomial,
+    weight_products,
 )
 
 
@@ -368,13 +369,13 @@ class SphericalInput:
         if g is None:
             g = ConstantWeight(Fraction(1))
         const = weight_constant_value(g)
-        g_exact_poly = None
+        g_exact = None
         g_eval = None
         if const is not None:
             pass
         else:
-            g_exact_poly = weight_as_polynomial(g, self.projection, self.rank)
-            if g_exact_poly is None:
+            g_exact = weight_products(g, self.projection, self.rank)
+            if g_exact is None:
                 g_eval = weight_evaluator(g, self.projection, self.rank)
         s_num = Fraction(0) if g_eval is None else 0.0
         s_den = Fraction(0) if g_eval is None else 0.0
@@ -388,8 +389,8 @@ class SphericalInput:
                 t_k = value
             if const is not None:
                 w = dim_m
-            elif g_exact_poly is not None:
-                w = g_exact_poly(tuple(c / k for c in m)) * dim_m
+            elif g_exact is not None:
+                w = eval_products(g_exact, tuple(c / k for c in m)) * dim_m
             else:
                 import numpy as np
                 w = float(g_eval(np.array([[float(c) / k for c in m]]))[0]) * float(dim_m)

@@ -356,3 +356,56 @@ def test_ding_polystable_implies_semistable(all_builtins):
         v = ding_check(si)
         if v.polystable:
             assert v.semistable
+
+
+def test_ding_quad_tol_reaches_the_moments():
+    # the numeric moments are computed at the tolerance ding_check is given
+    from kstab.quad import dh_moments
+    recs = tuple(DivisorRecord(n, vec(r), F(1), False) for n, r in
+                 [("E", [1, 0]), ("W", [-1, 0]), ("N", [0, 1]), ("S", [0, -1])])
+    si = SphericalInput(
+        rank=2, dim_x=2,
+        divisors=recs, anticanonical_divisors=recs,
+        fan=(ColoredConeData((vec([1, 0]),), ("E",)),),
+        valuation_cone=Cone(2, [vec([1, 0])]),
+        dh=DHDensity(2, ()),
+        projection=(vec([1, 0]),),
+        complete=False,
+    )
+    g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
+    for tol in (1e-4, 1e-12):
+        m = dh_moments(si.section_polytope_v, si.dh, g, si.projection, tol=tol)
+        assert m.error_bound <= tol
+        v = ding_check(si, g, quad_tol=tol)
+        assert [b.value for b in v.barycenter] == [float(c) for c in m.barycenter]
+
+
+# ---------------------------------------------------------------------------
+# rank 3
+
+
+@pytest.fixture(scope="module")
+def wonderful_rank3():
+    from kstab.fixtures import wonderful_fixture
+    from kstab.schema import parse_input_document
+    return {t: parse_input_document(wonderful_fixture(t, 3))[0] for t in "ABC"}
+
+
+def test_wonderful_a3_moments_pinned(wonderful_rank3):
+    from kstab.invariants import moments_g
+    m = moments_g(wonderful_rank3["A"])
+    assert m.exact
+    assert m.mass == F(2243664235225939, 81729648000)
+    assert m.first_moment == (
+        F(35730288167444122491719, 2928521055043584000),
+        F(38058639686425232243, 2859883842816000),
+        F(35730288167444122491719, 2928521055043584000),
+    )
+
+
+def test_s1_is_barycenter_pairing_rank3(wonderful_rank3):
+    from kstab.geom import dot
+    for si in wonderful_rank3.values():
+        bar = tuple(b.exact for b in barycenter_g(si))
+        for v in si.candidates:
+            assert S_p(si, v, 1).exact == dot(bar, v) + si.section_support(v)

@@ -2,18 +2,31 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kstab.geom import HPolytope, Simplex, VPolytope, affine_form, vec
+from kstab import geom
+from kstab.geom import (
+    AffineForm,
+    HPolytope,
+    Simplex,
+    VPolytope,
+    affine_form,
+    lattice_chart,
+    matrix_rank,
+    vec,
+    vsub,
+)
 from kstab.quad import (
     AffinePowerWeight,
     ConstantWeight,
     DHDensity,
     DHFactor,
+    Expansion,
     Polynomial,
     PolynomialWeight,
     SingularIntegrandError,
@@ -125,6 +138,68 @@ def test_poly_zero_dimensional():
     assert integrate_poly(pt, Polynomial.coordinate(1, 0)) == 3
 
 
+def test_triangulation_built_once(monkeypatch):
+    calls = []
+    real = geom.triangulate
+    monkeypatch.setattr(geom, "triangulate", lambda v: calls.append(v) or real(v))
+    square = VPolytope(2, [vec([0, 0]), vec([1, 0]), vec([0, 1]), vec([1, 1])])
+    xy = Polynomial.coordinate(2, 0) * Polynomial.coordinate(2, 1)
+    assert integrate_poly(square, xy) == F(1, 4)
+    assert integrate_poly(square, xy) == F(1, 4)
+    integrate_numeric(square, lambda pts: np.ones(len(pts)), tol=1e-12)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# barycentric kernel against the substitution route
+
+
+def _substitution_route(vertices, products) -> F:
+    """Integral over the simplex conv(vertices) by the substitution route:
+    expand the integrand in x, compose onto the lattice chart of the affine
+    hull and then onto the simplex's edge coordinates, and integrate each
+    monomial over the standard simplex."""
+    n = len(vertices[0])
+    f = Polynomial(n, {})
+    for c, factors in products:
+        term = Polynomial.constant(n, c)
+        for form, k in factors:
+            term = term * Polynomial.from_affine(form).pow_int(k)
+        f = f + term
+    chart = lattice_chart(list(vertices))
+    f = f.compose_affine(chart.origin, chart.basis)
+    s = Simplex(tuple(chart.to_chart(v) for v in vertices))
+    g = f.compose_affine(s.vertices[0], s.edge_columns)
+    return s.volume_factor * sum(
+        (c * F(prod(factorial(a) for a in e), factorial(s.dim + sum(e)))
+         for e, c in g.terms.items()), F(0))
+
+
+_RAT = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _simplex_and_products(draw):
+    d = draw(st.integers(1, 3))
+    n = d + draw(st.integers(0, 1))  # n > d: a simplex seen through its chart
+    point = st.tuples(*[_RAT] * n)
+    vertices = draw(st.lists(point, min_size=d + 1, max_size=d + 1, unique=True))
+    form = st.builds(AffineForm, st.tuples(*[_RAT] * n), _RAT)
+    factors = st.lists(st.tuples(form, st.integers(1, 3)), min_size=0, max_size=3)
+    products = draw(st.lists(st.tuples(_RAT, factors.map(tuple)), min_size=1, max_size=3))
+    return vertices, products
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simplex_and_products())
+def test_barycentric_kernel_matches_substitution_route(case):
+    vertices, products = case
+    n = len(vertices[0])
+    assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
+    simplex = VPolytope(n, vertices)
+    assert Expansion(simplex, products).integral() == _substitution_route(vertices, products)
+
+
 # ---------------------------------------------------------------------------
 # numeric cubature
 
@@ -228,6 +303,15 @@ def test_dh_moments_numeric_weight_certified():
                  - (2.0 / 3.0) * (1.5 ** 1.5 - 0.5 ** 1.5))
     assert abs(m.mass - mass) <= m.error_bound + 1e-12
     assert abs(m.first_moment[0] - mom) <= m.error_bound + 1e-12
+
+
+def test_dh_moments_kept_per_polytope_and_weight():
+    seg = VPolytope(1, [vec([-1]), vec([1])])
+    m = dh_moments(seg, PGL2_DENSITY, ConstantWeight(F(1)), [])
+    assert dh_moments(seg, PGL2_DENSITY, ConstantWeight(F(3)), []) is m
+    g = PolynomialWeight(Polynomial(1, {(1,): F(1), (0,): F(2)}))
+    mg = dh_moments(seg, PGL2_DENSITY, g, [vec([1])])
+    assert mg is not m and dh_moments(seg, PGL2_DENSITY, g, [vec([1])]) is mg
 
 
 def test_dh_moments_positive_mass_required():
