@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .invariants import (
     delta_p,
     ding_check,
 )
-from .quad import weight_constant_value
+from .quad import IntegrationError, weight_constant_value
 from .schema import SchemaValidationError, load_input, parse_weight_fn
 from .soliton import (
     MaxIterationsError,
@@ -345,14 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("KSTAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"kstab: bad KSTAB_THREADS={threads!r}", file=sys.stderr)
-            return EXIT_VALIDATION
     try:
         return args.func(args)
     except OSError as e:
@@ -365,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kstab: out of scope: {e}", file=sys.stderr)
         return EXIT_SCOPE
     except (NotQCartierError, KltViolationError, SphericalDataError,
-            InvariantError, GeometryError, MaxIterationsError,
+            InvariantError, GeometryError, IntegrationError, MaxIterationsError,
             SolitonError, ValueError) as e:
         print(f"kstab: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_MATH

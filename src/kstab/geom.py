@@ -577,6 +577,11 @@ class VPolytope:
         return tuple(triangulate(VPolytope._trusted(chart.dim, mapped)))
 
     @cached_property
+    def dual(self) -> "DualPolytope":
+        """The dual body (see `dual_polytope`), built on first use and kept."""
+        return dual_polytope(self)
+
+    @cached_property
     def memo(self) -> dict:
         """Integrals over this polytope that `quad` keeps once computed."""
         return {}
@@ -777,6 +782,11 @@ class Cone:
         return not self.facet_normals and not self.span_equations
 
     def dual(self) -> "Cone":
+        """The dual cone {m : <m, g> >= 0 for every generator g}, built once."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "Cone":
         rays, lin = self._dual_pair
         gens = list(rays)
         for l in lin:
@@ -785,6 +795,11 @@ class Cone:
         return Cone(self.dim, gens)
 
     def negated(self) -> "Cone":
+        """The cone -C, built once."""
+        return self._negated
+
+    @cached_property
+    def _negated(self) -> "Cone":
         return Cone(self.dim, [vneg(g) for g in self.generators])
 
     def contains(self, x: Vec) -> bool:

@@ -4,9 +4,10 @@ Every invariant here is a minimum over the finite candidate ray set of the
 valuation cone: the p-th-moment threshold delta^(p), the tangency threshold
 alpha, their weighted variants, and the Ding-type verdicts obtained by
 testing the weighted barycenter against the dual of the negated valuation
-cone.  Rational inputs give exact rational answers; numeric paths carry
-certified error bounds and never decide a boundary question by float
-comparison.
+cone.  Rational inputs give exact rational answers.  Non-integer moments with
+exact weights carry rigorous error bounds; non-polynomial weights go
+through adaptive cubature, whose error bounds are estimates.  No numeric
+path decides a boundary question by float comparison.
 """
 
 from __future__ import annotations
@@ -21,15 +22,24 @@ from .geom import AffineForm, Cone, Vec, dot, vec
 from .quad import (
     ConstantWeight,
     DHMoments,
+    IntegrationError,
     WeightFn,
     density_expansion,
     dh_moments,
+    enclose,
+    float_with_error,
+    half_width,
     integrate_numeric,
     weight_constant_value,
     weight_evaluator,
     weight_products,
 )
 from .spherical import PLFunction, SphericalInput
+
+
+# half-width of the enclosure of a non-integer moment, relative to
+# max(1, |S_p|)
+S_P_RTOL = 1e-12
 
 
 class InvariantError(Exception):
@@ -110,8 +120,15 @@ def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
 def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
         g: WeightFn | None = None) -> Num:
     """p-th moment of the expected vanishing order along v:
-    int g(xbar) P (.)^p / int g(xbar) P.  Exact for integer p and exact
-    weights; certified numeric otherwise."""
+    int g(xbar) P (.)^p / int g(xbar) P.
+
+    Exact for integer p and exact weights.  For non-integer p with a
+    constant or polynomial weight the numerator is a rigorous interval
+    enclosure (`quad.Expansion.integral_power`) over the exact mass, tight
+    to 1e-12 * max(1, |S|), and the error bounds the distance of the
+    reported float from the true value.  Other weights take an adaptive
+    cubature estimate, and `quad.IntegrationError` if it does not
+    converge."""
     v = vec(v)
     pl = pl or si.section_support
     lv, _ = _value_form(si, v, pl)
@@ -124,13 +141,18 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
         g = ConstantWeight(Fraction(1))
     weight = weight_products(g, si.projection, n)
 
-    if _is_integer(p) and weight is not None:
+    if weight is not None:
         density = density_expansion(poly, si.dh, weight)
-        denominator = density.mass
-        if denominator <= 0:
+        mass = density.mass
+        if mass <= 0:
             raise InvariantError("nonpositive density mass")
-        numerator = density.integral(((AffineForm(v, lv), int(p)),))
-        return Num.from_fraction(numerator / denominator)
+        form = AffineForm(v, lv)
+        if _is_integer(p):
+            return Num.from_fraction(density.integral(((form, int(p)),)) / mass)
+        ratio = enclose(
+            lambda prec: density.integral_power(form, p, prec) * mass.denominator / mass.numerator,
+            lambda s: half_width(s) <= S_P_RTOL * max(1.0, abs(float(s.mid))))
+        return Num.from_float(*float_with_error(ratio))
 
     pf = float(p)
     dh_eval = si.dh.eval_float
@@ -144,6 +166,9 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
         return np.column_stack([w * base ** pf, w])
 
     quad = integrate_numeric(poly, f, tol=1e-12)
+    if not quad.converged:
+        raise IntegrationError(
+            f"S_{p} cubature did not converge (error estimate {quad.error_bound:.3g})")
     num, den = (float(x) for x in np.atleast_1d(quad.value))
     if den <= 0:
         raise InvariantError("nonpositive density mass")
@@ -413,8 +438,9 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None,
     the dual cone of the negated valuation cone.
 
     With exact barycenters the verdict is exact.  Numeric barycenters are
-    only judged through certified enclosures; if the enclosure touches a
-    facet the verdict is indeterminate rather than guessed.
+    only judged through the enclosures their cubature error estimates
+    give; if the enclosure touches a facet the verdict is indeterminate
+    rather than guessed.
     """
     g = g or ConstantWeight(Fraction(1))
     const = weight_constant_value(g)

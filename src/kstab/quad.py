@@ -1,7 +1,7 @@
 """Integration engines over rational polytopes.
 
-Two routes share one triangulation, built once per `VPolytope` and kept on
-it (`VPolytope.triangulation`):
+Every route shares one triangulation, built once per `VPolytope` and kept
+on it (`VPolytope.triangulation`):
 
 * an exact engine for sums of products of affine forms
   ``c * prod_j l_j(x) ** m_j``.  On a simplex with vertices s_0..s_d each
@@ -14,8 +14,20 @@ it (`VPolytope.triangulation`):
   `Polynomial` enters monomial by monomial.  The tau-expansion of a
   weighted density is kept per polytope, so each further factor only
   multiplies into it;
-* a certified numeric engine for smooth integrands, by adaptive simplicial
-  cubature with embedded Grundmann-Moller rules of degrees 7 and 9.
+* closed forms for such an expansion times ``l(x) ** s`` with one affine
+  form l and a real exponent s, by the generalized Hermite-Genocchi
+  identity ``int tau^a F^(d+|a|)(sum tau_i t_i) = a! F[t_i repeated a_i + 1
+  times]``, t_i = l(s_i) (de Boor, "Divided differences", Surv. Approx.
+  Theory 1, 2005).  `Expansion.integral_power` encloses it rigorously in
+  interval arithmetic (non-integer moments S_p); for s = -k with
+  k > d + |a| the divided difference is a positive sum of reciprocal
+  powers, which `Expansion.integral_inverse_power` evaluates in floats
+  (the Reeb functional, whose P = 1 case is the volume function of
+  Martelli, Sparks and Yau, Comm. Math. Phys. 280, 2008);
+* an adaptive cubature estimate for the remaining smooth integrands
+  (weights that are not polynomials), with embedded Grundmann-Moller rules
+  of degrees 7 and 9.  Its error bound is the rules' discrepancy: an
+  estimate, not an enclosure.
 
 Lower-dimensional polytopes are integrated in lattice coordinates on their
 affine hull (see `geom.lattice_chart`), which is the normalization under
@@ -27,10 +39,12 @@ of its vertices.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from itertools import chain
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -384,21 +398,17 @@ def _projected_affine(g: AffinePowerWeight, projection: Sequence[Vec], ambient_d
 
 
 def weight_evaluator(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized float evaluator of g(proj . x) on (k, ambient_dim) arrays."""
-    const = weight_constant_value(g)
-    if const is not None:
-        c = float(const)
-        return lambda pts: np.full(len(np.atleast_2d(pts)), c)
-    if isinstance(g, PolynomialWeight):
-        rows = np.array([[float(c) for c in row] for row in projection])
-        return lambda pts: g.poly.eval_float(np.atleast_2d(pts) @ rows.T)
-    if isinstance(g, AffinePowerWeight):
-        base = _projected_affine(g, projection, ambient_dim)
-        nrm = np.array([float(c) for c in base.normal])
-        off = float(base.offset)
-        e = float(g.exponent)
-        return lambda pts: (np.atleast_2d(pts) @ nrm + off) ** e
-    raise TypeError(f"unknown weight type {type(g)!r}")
+    """Vectorized float evaluator of g(proj . x) on (k, ambient_dim) arrays,
+    for the weights that `weight_products` cannot expand: affine powers with
+    a non-integer or negative exponent."""
+    if not isinstance(g, AffinePowerWeight):
+        raise TypeError(f"no float evaluator for weight type {type(g)!r}; "
+                        "expand it with weight_products")
+    base = _projected_affine(g, projection, ambient_dim)
+    nrm = np.array([float(c) for c in base.normal])
+    off = float(base.offset)
+    e = float(g.exponent)
+    return lambda pts: (np.atleast_2d(pts) @ nrm + off) ** e
 
 
 def check_weight_positive(g: WeightFn, projected_vertices: Sequence[Vec]):
@@ -517,6 +527,78 @@ class Expansion:
             total += volume * part.integral()
         return total
 
+    def integral_power(self, form: AffineForm, s, prec: int = 64):
+        """Enclosure, as an `mpmath.iv` interval computed at ``prec`` bits,
+        of the integral of the expanded sum times ``form(x) ** s`` for a
+        real exponent s.
+
+        Each term tau^a on a simplex contributes ``a! A_r[nodes]``: the
+        divided difference of an r-fold antiderivative of t ** s
+        (r = d + |a|) on the form's values at the simplex vertices, vertex i
+        repeated a_i + 1 times.  The values are exact, so tied and zero
+        nodes are found exactly.  Raises `SingularIntegrandError` where a
+        node makes the integrand singular or, for non-integer s, negative.
+        """
+        values = [form(x) for x in self.vertices]
+        with _interval_precision(prec) as iv:
+            antiderivative = _PowerAntiderivative(iv, Fraction(s))
+            total = iv.mpf(0)
+            for idx, volume, part in self.parts:
+                nodes = [values[i] for i in idx]
+                for a, n in part.terms.items():
+                    repeated = sorted(chain.from_iterable(
+                        [t] * (k + 1) for t, k in zip(nodes, a)))
+                    weight = n * prod(factorial(k) for k in a) * volume * part.scale
+                    total += antiderivative.exact(weight) \
+                        * antiderivative.divided_difference(repeated)
+            return total
+
+    @cached_property
+    def _float_terms(self) -> list[tuple[list[int], list[tuple[float, tuple[int, ...], int]]]]:
+        """Per simplex: its vertex indices, and per term tau^a the float of
+        volume * scale * n_a * a!, the node multiplicities a_i + 1 and
+        r = d + |a|."""
+        out = []
+        for idx, volume, part in self.parts:
+            d = len(idx) - 1
+            out.append((idx, [
+                (float(volume * part.scale * n * prod(factorial(k) for k in a)),
+                 tuple(k + 1 for k in a), d + sum(a))
+                for a, n in part.terms.items()]))
+        return out
+
+    def integral_inverse_power(self, values: Sequence[float], k: int) -> tuple[float, float]:
+        """Integral of the expanded sum times ``l(x) ** -k``, for an affine
+        form l given by its float ``values`` at the polytope's vertices,
+        all positive, and k > d + |a| for every term tau^a; returned with a
+        first-order bound on its rounding error.
+
+        There the divided difference is, with y_i = 1 / t_i over the
+        repeated nodes, ``(k-r-1)! / (k-1)! * prod y_i * h_(k-r-1)(y)``,
+        h the complete homogeneous symmetric polynomial: every term has the
+        sign of its coefficient, and each is made of products and sums of
+        positive floats, with a relative rounding error below (k + 2)^2
+        units of 2^-53 to first order; the sum adds one unit per term."""
+        total = magnitude = 0.0
+        count = 0
+        for idx, terms in self._float_terms:
+            y = [1.0 / values[i] for i in idx]
+            for coef, mults, r in terms:
+                q = k - r - 1
+                if q < 0:
+                    raise IntegrationError(
+                        f"l ** -{k} against a degree-{r} term has no reciprocal-power form")
+                phi = prod(yi ** mu for yi, mu in zip(y, mults))
+                if q:
+                    phi *= _complete_homogeneous(y, mults, q) * (factorial(q) / factorial(k - 1))
+                else:
+                    phi /= factorial(k - 1)
+                term = coef * phi
+                total += term
+                magnitude += abs(term)
+                count += 1
+        return total, ((k + 2) ** 2 + count) * 2.0 ** -53 * magnitude
+
     @cached_property
     def mass(self) -> Fraction:
         return self.integral()
@@ -529,6 +611,126 @@ class Expansion:
         moment = tuple(self.integral(((_coordinate_form(i, self.dim), 1),))
                        for i in range(self.dim))
         return DHMoments(mass=mass, first_moment=moment, exact=True)
+
+
+def _complete_homogeneous(y: Sequence[float], mults: Sequence[int], q: int) -> float:
+    """h_q of the variables y_i, each repeated mults[i] times."""
+    h = [1.0] + [0.0] * q
+    for yi, mu in zip(y, mults):
+        for _ in range(mu):
+            for j in range(1, q + 1):
+                h[j] += yi * h[j - 1]
+    return h[q]
+
+
+@contextmanager
+def _interval_precision(prec: int):
+    """mpmath's interval context at ``prec`` bits, restored on exit;
+    imported on first use, so that importing kstab does not load mpmath."""
+    from mpmath import iv
+
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield iv
+    finally:
+        iv.prec = saved
+
+
+class _PowerAntiderivative:
+    """Enclosures of A_n(t), the n-fold antiderivative of t ** s, at exact
+    rational t, with A_n' = A_(n-1) throughout, as confluent divided
+    differences need:
+
+    * ``A_n = t ** (s+n) / ((s+1) ... (s+n))``, unless s = -k is a negative
+      integer and n >= k;
+    * there ``A_n = c t ** q (log t - H_q) / q!`` with q = n - k,
+      c = (-1) ** (k-1) / (k-1)! and H_q the q-th harmonic number, which
+      differs from an antiderivative of A_(n-1) by a polynomial of degree
+      below n that no n-th divided difference sees.
+    """
+
+    def __init__(self, iv, s: Fraction):
+        self.iv = iv
+        self.s = s
+        self._values: dict[tuple[Fraction, int], object] = {}
+
+    def exact(self, x: Fraction):
+        """Enclosure of a rational number."""
+        x = Fraction(x)
+        return self.iv.mpf(x.numerator) / x.denominator
+
+    def value(self, t: Fraction, n: int):
+        key = (t, n)
+        if key not in self._values:
+            self._values[key] = self._compute(t, n)
+        return self._values[key]
+
+    def _compute(self, t: Fraction, n: int):
+        iv, s = self.iv, self.s
+        if s.denominator == 1 and s < 0 and n >= -s:
+            k = int(-s)
+            q = n - k
+            if t < 0 or (t == 0 and q == 0):
+                raise SingularIntegrandError(f"t ** {s} at the node {t}")
+            if t == 0:
+                return iv.mpf(0)
+            c = Fraction((-1) ** (k - 1), factorial(k - 1) * factorial(q))
+            harmonic = sum((Fraction(1, j) for j in range(1, q + 1)), Fraction(0))
+            return self.exact(c * t ** q) * (iv.log(self.exact(t)) - self.exact(harmonic))
+        e = s + n
+        c = 1 / prod((s + j for j in range(1, n + 1)), start=Fraction(1))
+        if e.denominator == 1:
+            if t == 0 and e < 0:
+                raise SingularIntegrandError(f"t ** {s} at the node 0")
+            return self.exact(c * t ** int(e))
+        if t < 0 or (t == 0 and e < 0):
+            raise SingularIntegrandError(f"t ** {s} at the node {t}")
+        if t == 0:
+            return iv.mpf(0)
+        return self.exact(c) * iv.exp(self.exact(e) * iv.log(self.exact(t)))
+
+    def divided_difference(self, nodes: Sequence[Fraction]):
+        """A_N[nodes] for sorted nodes, N = len(nodes) - 1, by the Newton
+        table; a run of k + 1 equal nodes takes A_(N-k)(t) / k!."""
+        last = len(nodes) - 1
+        table = [self.value(t, last) for t in nodes]
+        for k in range(1, last + 1):
+            for i in range(last, k - 1, -1):
+                gap = nodes[i] - nodes[i - k]
+                if gap == 0:
+                    table[i] = self.value(nodes[i], last - k) / factorial(k)
+                else:
+                    table[i] = (table[i] - table[i - 1]) * gap.denominator / gap.numerator
+        return table[last]
+
+
+PRECISIONS = (64, 128, 256, 512, 1024, 2048, 4096)
+
+
+def enclose(evaluate: Callable[[int], object], accept: Callable[[object], bool]):
+    """``evaluate(prec)`` for the working precisions in `PRECISIONS` until
+    `accept` takes its result; `IntegrationError` if none is accepted."""
+    for prec in PRECISIONS:
+        x = evaluate(prec)
+        if accept(x):
+            return x
+    raise IntegrationError(
+        f"no enclosure tight enough at {PRECISIONS[-1]} bits of working precision")
+
+
+def half_width(x) -> float:
+    """An upper bound on the half-width of an `mpmath.iv` interval."""
+    with _interval_precision(53):
+        return float(((x.b - x.a) / 2).b)
+
+
+def float_with_error(x) -> tuple[float, float]:
+    """A float inside the interval x and an upper bound on its distance
+    from every point of x."""
+    value = float(x.mid)
+    with _interval_precision(53) as iv:
+        return value, float(abs(x - iv.mpf(value)).b)
 
 
 def _coordinate_form(i: int, n: int) -> AffineForm:
@@ -639,7 +841,8 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
 
     ``f`` maps an (k, ambient_dim) float array to shape (k,) or (k, m);
     the result value follows that shape.  The reported error bound is the
-    summed embedded-rule discrepancy, held at or below ``tol`` unless the
+    summed embedded-rule discrepancy, an estimate rather than an
+    enclosure, held at or below ``tol`` unless the
     subdivision budget runs out (then ``converged`` is False and the best
     estimate is returned).
     """
@@ -747,8 +950,9 @@ class DHMoments:
 def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec],
                tol: float = 1e-12) -> DHMoments:
     """Weighted mass and first moment over a polytope; exact whenever the
-    weight expands to a polynomial, certified numeric (to ``tol``)
-    otherwise.  Kept in the polytope's memo once computed."""
+    weight expands to a polynomial, otherwise an adaptive cubature estimate
+    to ``tol`` (`IntegrationError` if it does not converge).  Kept in the
+    polytope's memo once computed."""
     vp = _as_vpolytope(p)
     n = vp.dim
     dh.check_positive_on(vp.vertices)
@@ -772,6 +976,9 @@ def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec],
             return np.column_stack([w] + [w * pts[:, i] for i in range(n)])
 
         quad = integrate_numeric(vp, f, tol=tol)
+        if not quad.converged:
+            raise IntegrationError(
+                f"moment cubature did not converge (error estimate {quad.error_bound:.3g})")
         values = np.atleast_1d(quad.value)
         mass = float(values[0])
         if mass <= 0:

@@ -7,16 +7,33 @@ Newton iteration with a fraction-to-boundary line search.  At the minimizer
 the first moment ``int (<xi, x> + 1)^(-m-2) x P dx`` vanishes, which is the
 combinatorial certificate that the punctured canonical cone carries a
 Ricci-flat Kaehler cone structure.
+
+The functional, its gradient and its Hessian are integrals of P, x_i P and
+x_i x_j P against powers -(m+1), -(m+2) and -(m+3) of one affine form, so
+they have closed forms (`quad.Expansion.integral_inverse_power`): the
+generalized Hermite-Genocchi identity, whose P = 1 case is the volume
+function of Martelli, Sparks and Yau.  When m + 1 <= dim + deg P, which
+only a raw user density can give, the closed form carries logarithms and
+the three are enclosed in interval arithmetic instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .geom import DualPolytope, VPolytope, dual_polytope
-from .quad import DHDensity, integrate_numeric
+from .geom import AffineForm, DualPolytope, VPolytope, unit_vec
+from .quad import (
+    DHDensity,
+    Expansion,
+    density_expansion,
+    enclose,
+    float_with_error,
+    half_width,
+)
 from .spherical import SphericalInput
 
 
@@ -44,7 +61,6 @@ class MaxIterationsError(SolitonError):
 
 MAX_NEWTON_ITERATIONS = 200
 BOUNDARY_FRACTION = 0.05
-QUAD_TOL_CAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,9 +76,8 @@ class ReebProblem:
     def from_polytope(cls, delta: VPolytope, dh: DHDensity, m: int) -> "ReebProblem":
         if delta.affine_dim < delta.dim:
             raise SolitonError("section polytope must be full-dimensional")
-        dual = dual_polytope(delta)
         dh.check_positive_on(delta.vertices)
-        return cls(delta=delta, dh=dh, m=m, dual=dual)
+        return cls(delta=delta, dh=dh, m=m, dual=delta.dual)
 
     @classmethod
     def from_spherical(cls, si: SphericalInput) -> "ReebProblem":
@@ -74,6 +89,30 @@ class ReebProblem:
     @property
     def dim(self) -> int:
         return self.delta.dim
+
+    @cached_property
+    def vertex_array(self) -> np.ndarray:
+        return np.array([[float(c) for c in v] for v in self.delta.vertices])
+
+    @cached_property
+    def dual_form_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        normals = np.array([[float(c) for c in f.normal] for f in self.dual.forms])
+        offsets = np.array([float(f.offset) for f in self.dual.forms])
+        return normals, offsets
+
+    @cached_property
+    def expansions(self) -> tuple[Expansion, tuple[Expansion, ...], dict[tuple[int, int], Expansion]]:
+        """P, x_i P and x_i x_j P (i <= j) expanded on the triangulation
+        of the section polytope, built once (and kept in its memo)."""
+        n = self.dim
+        x = [AffineForm(unit_vec(i, n), Fraction(0)) for i in range(n)]
+
+        def expand(*factors):
+            return density_expansion(self.delta, self.dh, [(Fraction(1), factors)])
+
+        return (expand(),
+                tuple(expand((x[i], 1)) for i in range(n)),
+                {(i, j): expand((x[i], 1), (x[j], 1)) for i in range(n) for j in range(i, n)})
 
 
 @dataclass(frozen=True)
@@ -88,65 +127,75 @@ class ReebSolution:
 
 
 def _dual_form_values(prob: ReebProblem, xi: np.ndarray) -> np.ndarray:
-    normals = np.array([[float(c) for c in f.normal] for f in prob.dual.forms])
-    offsets = np.array([float(f.offset) for f in prob.dual.forms])
+    normals, offsets = prob.dual_form_arrays
     return normals @ xi + offsets
 
 
-def reeb_functional(prob: ReebProblem, xi, quad_tol: float = 1e-10):
-    """(value, gradient, hessian, quadrature error bound) at a strictly
-    interior point of the dual body."""
+def reeb_functional(prob: ReebProblem, xi):
+    """(value, gradient, hessian, error bound of the value) at a strictly
+    interior point of the dual body, in closed form."""
     xi = np.asarray(xi, dtype=float)
-    n = prob.dim
+    n, m = prob.dim, prob.m
     if np.min(_dual_form_values(prob, xi)) <= 0:
         raise InfeasiblePointError(f"xi={xi} is not interior to the dual body")
-    m = prob.m
-    dh_eval = prob.dh.eval_float
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        base = pts @ xi + 1.0
-        w = dh_eval(pts)
-        cols = [w * base ** (-m - 1)]
-        g = w * base ** (-m - 2)
-        for i in range(n):
-            cols.append(-(m + 1) * g * pts[:, i])
-        h = w * base ** (-m - 3)
-        for i, j in pairs:
-            cols.append((m + 1) * (m + 2) * h * pts[:, i] * pts[:, j])
-        return np.column_stack(cols)
-
-    quad = integrate_numeric(prob.delta, f, tol=quad_tol)
-    values = np.atleast_1d(quad.value)
-    value = float(values[0])
-    grad = np.array(values[1:1 + n], dtype=float)
+    one, first, second = prob.expansions
+    if prob.dim + prob.dh.degree <= m:
+        t = prob.vertex_array @ xi + 1.0
+        value, err = one.integral_inverse_power(t, m + 1)
+        grad = [e.integral_inverse_power(t, m + 2)[0] for e in first]
+        hess_entries = [e.integral_inverse_power(t, m + 3)[0] for e in second.values()]
+    else:
+        value, err, grad, hess_entries = _enclosed_functional(prob, xi)
     hess = np.zeros((n, n))
-    for (i, j), v in zip(pairs, values[1 + n:]):
-        hess[i, j] = hess[j, i] = float(v)
-    return value, grad, hess, quad.error_bound
+    for (i, j), v in zip(second, hess_entries):
+        hess[i, j] = hess[j, i] = (m + 1) * (m + 2) * v
+    return value, -(m + 1) * np.array(grad), hess, err
+
+
+def _enclosed_functional(prob: ReebProblem, xi: np.ndarray):
+    """The integrals of `reeb_functional` (value with its error bound,
+    then the unscaled gradient and Hessian entries) from interval
+    enclosures, for densities whose degree leaves no reciprocal-power form.
+
+    Each entry is tight to 2^-52 of its natural scale: with R the largest
+    coordinate size on the polytope and t_min the least value of
+    l = <xi, x> + 1 there, |int x^a P l^(-m-1-|a|)| <= (R / t_min)^|a| V,
+    V the value."""
+    m = prob.m
+    one, first, second = prob.expansions
+    form = AffineForm(tuple(Fraction(c) for c in xi), Fraction(1))
+    jobs = [(one, m + 1, 0)] + [(e, m + 2, 1) for e in first] \
+        + [(e, m + 3, 2) for e in second.values()]
+    ratio = float(np.max(np.abs(prob.vertex_array))) \
+        / float(min(form(x) for x in prob.delta.vertices))
+
+    def accept(entries):
+        scale = 2.0 ** -52 * abs(float(entries[0].mid))
+        return all(half_width(e) <= scale * ratio ** order
+                   for e, (_, _, order) in zip(entries, jobs))
+
+    entries = enclose(
+        lambda prec: [e.integral_power(form, -k, prec) for e, k, _ in jobs], accept)
+    value, err = float_with_error(entries[0])
+    rest = [float(e.mid) for e in entries[1:]]
+    return value, err, rest[:len(first)], rest[len(first):]
 
 
 def solve_reeb(prob: ReebProblem, tol: float = 1e-10) -> ReebSolution:
     """Damped Newton minimization from xi = 0 (always strictly feasible).
 
-    The inner quadrature tolerance follows the square of the current
-    gradient norm so late iterations are certified; steps are shrunk until
-    every dual form keeps at least `BOUNDARY_FRACTION` of its pre-step value
-    and the functional strictly decreases.
+    Steps are shrunk until every dual form keeps at least
+    `BOUNDARY_FRACTION` of its pre-step value and the functional strictly
+    decreases.
     """
     n = prob.dim
     xi = np.zeros(n)
-    # the endgame only needs the gradient certified somewhat below the
-    # Newton tolerance; tightening further would waste the cubature budget
-    quad_floor = max(1e-13, 0.1 * tol)
-    quad_tol = QUAD_TOL_CAP
-    value, grad, hess, _err = reeb_functional(prob, xi, quad_tol)
+    value, grad, hess, _err = reeb_functional(prob, xi)
     trace: list[tuple[float, float, float]] = [(value, float(np.linalg.norm(grad)), 0.0)]
     min_eig = float(np.min(np.linalg.eigvalsh(hess)))
     if min_eig <= 0:
         raise NonConvexDetectedError(
-            f"Hessian not positive definite (min eigenvalue {min_eig}); "
-            "integration tolerance too loose")
+            f"Hessian not positive definite (min eigenvalue {min_eig})")
     for iteration in range(MAX_NEWTON_ITERATIONS):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
@@ -164,12 +213,10 @@ def solve_reeb(prob: ReebProblem, tol: float = 1e-10) -> ReebSolution:
             t *= 0.5
         else:
             raise SolitonError("line search failed to stay interior")
-        quad_tol = min(QUAD_TOL_CAP, max(0.01 * gnorm * gnorm, quad_floor))
         accepted = None
         for _ in range(60):
             candidate = xi + t * step
-            cand_value, cand_grad, cand_hess, _err = reeb_functional(
-                prob, candidate, quad_tol)
+            cand_value, cand_grad, cand_hess, _err = reeb_functional(prob, candidate)
             # strict descent; once value differences drop below float
             # resolution the gradient norm is the meaningful progress measure
             at_noise_floor = abs(cand_value - value) <= 8e-16 * abs(value)
@@ -179,7 +226,7 @@ def solve_reeb(prob: ReebProblem, tol: float = 1e-10) -> ReebSolution:
                 break
             t *= 0.5
         if accepted is None:
-            # stagnation at quadrature noise: report the current iterate
+            # stagnation at rounding noise: report the current iterate
             gnorm = float(np.linalg.norm(grad))
             return ReebSolution(xi=xi, functional_value=value, gradient_norm=gnorm,
                                 hessian_min_eigval=min_eig,
@@ -200,10 +247,9 @@ def solve_reeb(prob: ReebProblem, tol: float = 1e-10) -> ReebSolution:
         f"no convergence after {MAX_NEWTON_ITERATIONS} Newton steps", solution)
 
 
-def stationarity_residual(prob: ReebProblem, xi, quad_tol: float = 1e-12) -> float:
+def stationarity_residual(prob: ReebProblem, xi) -> float:
     """Norm of int (<xi,x>+1)^(-m-2) x P dx at xi (zero at the minimizer)."""
-    xi = np.asarray(xi, dtype=float)
-    _value, grad, _hess, _err = reeb_functional(prob, xi, quad_tol)
+    _value, grad, _hess, _err = reeb_functional(prob, xi)
     return float(np.linalg.norm(grad / (prob.m + 1)))
 
 

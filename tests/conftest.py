@@ -60,6 +60,26 @@ def _primitive_int(x: int, y: int) -> tuple[int, int]:
     return (x // g, y // g)
 
 
+def toric_surface_input(rays, coeffs=None) -> SphericalInput:
+    """Complete toric surface from its primitive rays in counter-clockwise
+    order, polarized by the divisor with these coefficients (all 1, the
+    anticanonical one, by default)."""
+    coeffs = coeffs or [1] * len(rays)
+    records = tuple(DivisorRecord(f"D{i}", vec(r), F(c), False)
+                    for i, (r, c) in enumerate(zip(rays, coeffs)))
+    cones = tuple(
+        ColoredConeData((records[i].rho, records[(i + 1) % len(rays)].rho),
+                        (records[i].name, records[(i + 1) % len(rays)].name))
+        for i in range(len(rays)))
+    return SphericalInput(
+        rank=2, dim_x=2,
+        divisors=records, anticanonical_divisors=records,
+        fan=cones, valuation_cone=Cone.full_space(2),
+        dh=DHDensity(2, ()),
+        projection=(vec([1, 0]), vec([0, 1])),
+    )
+
+
 def random_toric_input(rng: random.Random) -> SphericalInput:
     """Random complete rank-2 toric datum with an anticanonical-style
     polarization and an optional polynomial density."""
@@ -69,23 +89,10 @@ def random_toric_input(rng: random.Random) -> SphericalInput:
         if (x, y) != (0, 0):
             rays.add(_primitive_int(x, y))
     ordered = sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
-    records = tuple(
-        DivisorRecord(f"D{i}", vec(r), F(rng.randint(1, 3)), False)
-        for i, r in enumerate(ordered))
-    cones = tuple(
-        ColoredConeData((records[i].rho, records[(i + 1) % len(ordered)].rho),
-                        (records[i].name, records[(i + 1) % len(ordered)].name))
-        for i in range(len(ordered)))
-
-    base = SphericalInput(
-        rank=2, dim_x=2,
-        divisors=records, anticanonical_divisors=records,
-        fan=cones, valuation_cone=Cone.full_space(2),
-        dh=DHDensity(2, ()),
-        projection=(vec([1, 0]), vec([0, 1])),
-    )
+    base = toric_surface_input(ordered, [rng.randint(1, 3) for _ in ordered])
     if rng.random() < 0.5:
         return base
+    records, cones = base.divisors, base.fan
     factors = []
     verts = base.section_polytope_v.vertices
     for _ in range(rng.randint(1, 2)):

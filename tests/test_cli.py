@@ -1,8 +1,10 @@
 """Command-line behavior: formats, determinism, exit codes, schema."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,12 +260,32 @@ def test_entry_point_runs():
     assert json.loads(proc.stdout)["schema_version"] == "1"
 
 
-def test_kstab_threads_env_validated(pgl2_path, capsys, monkeypatch):
-    monkeypatch.setenv("KSTAB_THREADS", "zebra")
-    code, _, _ = run_cli(
-        ["compute", "--input", pgl2_path, "--invariant", "alpha"], capsys)
-    assert code == 2
-    monkeypatch.setenv("KSTAB_THREADS", "2")
-    code, _, _ = run_cli(
-        ["compute", "--input", pgl2_path, "--invariant", "alpha"], capsys)
-    assert code == 0
+def test_integration_failure_exit_code(p1_path, capsys, monkeypatch):
+    # moment cubature that runs out of budget is reported, never used
+    import kstab.quad
+    from kstab.quad import Quadrature
+    monkeypatch.setattr(kstab.quad, "integrate_numeric",
+                        lambda *a, **k: Quadrature([1.0, 0.0], 1.0, 5, False))
+    g = '{"affine_power": {"xi": ["1"], "a": "3", "exponent": 0.5}}'
+    code, out, err = run_cli(["check", "--input", p1_path, "--g", g], capsys)
+    assert code == 3
+    assert out == ""
+    assert "IntegrationError" in err
+
+
+def test_common_commands_do_not_load_mpmath(tmp_path):
+    # interval arithmetic is imported only by the routes that need it
+    import kstab
+    path = tmp_path / "bl.json"
+    path.write_text(json.dumps(builtin_document("toric-bl1p2")))
+    code = (
+        "import sys, kstab\n"
+        "from kstab.cli import main\n"
+        f"main(['compute', '--input', {str(path)!r}, '--invariant', 'delta', '--p', '1'])\n"
+        f"main(['reeb', '--input', {str(path)!r}])\n"
+        "print('mpmath' in sys.modules)\n")
+    src = str(Path(kstab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

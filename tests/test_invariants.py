@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from kstab.geom import Cone, vec
@@ -84,6 +85,30 @@ def test_s_noninteger_p_certified(pgl2):
     s = S_p(pgl2, [-1], p)
     assert s.exact is None
     assert abs(s.value - expected) <= s.error + 1e-10
+
+
+def test_s_noninteger_p_equal_on_symmetric_rays():
+    # the three rays of P2 are permuted by its automorphisms, so their
+    # moments agree; each enclosure must contain the common value
+    from conftest import toric_surface_input
+    si = toric_surface_input([(1, 0), (0, 1), (-1, -1)])
+    values = [S_p(si, ray, F(3, 2)) for ray in [(1, 0), (0, 1), (-1, -1)]]
+    for a in values:
+        assert a.error <= 1e-12 * max(1, a.value)
+        for b in values:
+            assert abs(a.value - b.value) <= a.error + b.error
+    assert abs(values[0].value - 1.1876919823329444) <= values[0].error + 1e-16
+
+
+def test_s_noninteger_p_cubature_not_converged_raises(pgl2, monkeypatch):
+    # a non-polynomial weight takes cubature; a run out of budget is an error
+    import kstab.invariants
+    from kstab.quad import IntegrationError, Quadrature
+    monkeypatch.setattr(kstab.invariants, "integrate_numeric",
+                        lambda *a, **k: Quadrature(np.array([1.0, 1.0]), 1.0, 5, False))
+    g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
+    with pytest.raises(IntegrationError):
+        S_p(pgl2, [-1], 1.5, g=g)
 
 
 def test_t_max_pgl2(pgl2):

@@ -27,6 +27,7 @@ from kstab.quad import (
     DHDensity,
     DHFactor,
     Expansion,
+    IntegrationError,
     Polynomial,
     PolynomialWeight,
     SingularIntegrandError,
@@ -34,6 +35,8 @@ from kstab.quad import (
     dh_moments,
     integrate_monomial_simplex,
     integrate_numeric,
+    float_with_error,
+    half_width,
     integrate_poly,
     weight_constant_value,
 )
@@ -198,6 +201,93 @@ def test_barycentric_kernel_matches_substitution_route(case):
     assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
     simplex = VPolytope(n, vertices)
     assert Expansion(simplex, products).integral() == _substitution_route(vertices, products)
+
+
+# ---------------------------------------------------------------------------
+# closed forms for powers of one affine form
+
+
+_SMALL = st.integers(-2, 2).map(F)
+
+
+@st.composite
+def _simplex_products_and_form(draw):
+    """A simplex with small integer vertices (possibly seen through a
+    chart), a density-like sum of products and a form whose values at the
+    vertices tie and vanish often."""
+    d = draw(st.integers(1, 3))
+    n = d + draw(st.integers(0, 1))
+    vertices = draw(st.lists(st.tuples(*[_SMALL] * n), min_size=d + 1,
+                             max_size=d + 1, unique=True))
+    small_form = st.builds(AffineForm, st.tuples(*[st.sampled_from([F(-1), F(0), F(1)])] * n),
+                           st.sampled_from([F(-1), F(0), F(1), F(2)]))
+    factors = st.lists(st.tuples(small_form, st.integers(1, 2)), min_size=0, max_size=2)
+    products = draw(st.lists(st.tuples(_RAT, factors.map(tuple)), min_size=1, max_size=2))
+    return vertices, products, draw(small_form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simplex_products_and_form(), st.integers(0, 3))
+def test_integral_power_matches_exact_kernel_at_integer_exponents(case, s):
+    from mpmath.libmp import to_rational
+
+    vertices, products, form = case
+    n = len(vertices[0])
+    assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
+    expansion = Expansion(VPolytope(n, vertices), products)
+    exact = expansion.integral(((form, s),))
+    enclosure = expansion.integral_power(form, s)
+    lo, hi = (F(*to_rational(end)) for end in enclosure._mpi_)
+    assert lo <= exact <= hi
+    assert half_width(enclosure) <= 1e-15 * (1 + abs(float(exact)))
+
+
+def test_integral_power_rank1_against_mpmath_quad():
+    import mpmath
+
+    # density (x + 2)^2 on [-1, 3]; the forms vanish at an end point or not
+    polytope = VPolytope(1, [vec([-1]), vec([3])])
+    density = Expansion(polytope, [(F(1), ((AffineForm(vec([1]), F(2)), 2),))])
+    cases = [(AffineForm(vec([1]), F(1)), F(5, 2)),     # zero node at -1
+             (AffineForm(vec([-1]), F(3)), F(7, 3)),    # zero node at 3
+             (AffineForm(vec([F(1, 2)]), F(1)), F(-3)),
+             (AffineForm(vec([F(1, 4)]), F(2)), F(-1))]  # log branch
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(40):
+        for form, s in cases:
+            a, b = mp(form.normal[0]), mp(form.offset)
+            ref = mpmath.quad(lambda x: (x + 2) ** 2 * max(a * x + b, 0) ** mp(s), [-1, 3])
+            value, err = float_with_error(density.integral_power(form, s))
+            assert err <= 1e-15 * abs(value)
+            assert abs(value - float(ref)) <= err + 1e-15 * abs(value)
+
+
+def test_inverse_power_closed_form_matches_enclosure():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 6:
+        pts = [vec([rng.randint(-2, 2) for _ in range(2)]) for _ in range(5)]
+        polytope = VPolytope(2, pts)
+        if polytope.affine_dim < 2:
+            continue
+        factor = AffineForm(vec([rng.randint(-1, 1), rng.randint(-1, 1)]), F(3))
+        expansion = Expansion(polytope, [(F(1), ((factor, rng.randint(0, 2)),))])
+        # |xi_i| <= 1/7 keeps l = <xi, x> + 1 positive on [-2, 2]^2
+        form = AffineForm(vec([F(rng.randint(-1, 1), 7), F(rng.randint(-1, 1), 7)]), F(1))
+        values = [float(form(x)) for x in polytope.vertices]
+        for k in range(5, 8):
+            value, err = expansion.integral_inverse_power(values, k)
+            enclosure = expansion.integral_power(form, -k)
+            assert abs(value - float(enclosure.mid)) <= err + half_width(enclosure)
+        checked += 1
+
+
+def test_inverse_power_refuses_logarithmic_terms():
+    expansion = Expansion(VPolytope(1, [vec([0]), vec([1])]), [(F(1), ())])
+    with pytest.raises(IntegrationError):
+        expansion.integral_inverse_power([1.0, 2.0], 1)
 
 
 # ---------------------------------------------------------------------------
