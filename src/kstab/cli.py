@@ -37,7 +37,7 @@ from .invariants import (
     ding_check,
 )
 from .quad import IntegrationError, weight_constant_value
-from .schema import SchemaValidationError, load_input, parse_weight_fn
+from .schema import SchemaValidationError, load_input, parse_weight_fn, validate_weight_fn
 from .soliton import (
     MaxIterationsError,
     NotHorosphericalError,
@@ -170,13 +170,10 @@ def _load(args) -> tuple:
             g_block = json.loads(args.g)
         except json.JSONDecodeError as e:
             raise SchemaValidationError(f"--g is not valid JSON: {e}") from e
-        import jsonschema
-
-        from .schema import INPUT_SCHEMA
         try:
-            jsonschema.validate(g_block, INPUT_SCHEMA["properties"]["weight_fn"])
-        except jsonschema.ValidationError as e:
-            raise SchemaValidationError(f"--g: {e.message}") from e
+            validate_weight_fn(g_block)
+        except SchemaValidationError as e:
+            raise SchemaValidationError(f"--g: {e}") from e
         g_flag = parse_weight_fn(g_block)
     g = g_flag if g_flag is not None else g_doc
     return si, g, _hash_file(args.input)

@@ -595,15 +595,6 @@ def vertex_enum(p: HPolytope) -> VPolytope:
     return VPolytope._trusted(p.dim, p.vertex_list)
 
 
-def hrep_of(v: VPolytope) -> HPolytope:
-    forms, eqs = v.hrep
-    allforms = list(forms)
-    for e in eqs:
-        allforms.append(e)
-        allforms.append(AffineForm(vneg(e.normal), -e.offset))
-    return HPolytope(v.dim, allforms)
-
-
 @dataclass(frozen=True)
 class DualPolytope:
     """H-description {xi : <v_i, xi> + 1 >= 0} of the dual body of a
@@ -811,8 +802,18 @@ class Cone:
                 and all(dot(l, x) == 0 for l in self.span_equations))
 
     def intersect(self, other: "Cone") -> "Cone":
+        """The cone of points in both, built once per pair of cone objects."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        if other not in self._meets:
+            self._meets[other] = self._intersect(other)
+        return self._meets[other]
+
+    @cached_property
+    def _meets(self) -> dict:
+        return {}
+
+    def _intersect(self, other: "Cone") -> "Cone":
         half: list[Vec] = []
         for c in (self, other):
             half.extend(c.facet_normals)
@@ -842,20 +843,3 @@ class Cone:
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={len(self.rays)}, lin={self.lineality_dim})"
-
-
-def extremal_rays(c: Cone) -> list[Vec]:
-    """Primitive extreme rays of a cone modulo its lineality space."""
-    return list(c.rays)
-
-
-def cone_dual(c: Cone) -> Cone:
-    return c.dual()
-
-
-def intersect_cones(a: Cone, b: Cone) -> Cone:
-    return a.intersect(b)
-
-
-def in_relative_interior(x: Vec, c: Cone) -> bool:
-    return c.in_relative_interior(vec(x))

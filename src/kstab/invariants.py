@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .geom import AffineForm, Cone, Vec, dot, vec
 from .quad import (
     ConstantWeight,
@@ -153,6 +151,8 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
             lambda prec: density.integral_power(form, p, prec) * mass.denominator / mass.numerator,
             lambda s: half_width(s) <= S_P_RTOL * max(1.0, abs(float(s.mid))))
         return Num.from_float(*float_with_error(ratio))
+
+    import numpy as np
 
     pf = float(p)
     dh_eval = si.dh.eval_float
@@ -345,6 +345,8 @@ def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
                                       a / t if t > 0 else Fraction(0)))
             ratios.append((ray, Num.from_fraction(ratio), ratio))
         else:
+            import numpy as np
+
             vals = np.array([b.value for b in bary])
             errs = np.array([b.error for b in bary])
             rayf = np.array([float(c) for c in ray])
@@ -392,6 +394,8 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     if all(b.is_exact for b in bary):
         pairing = Num.from_fraction(-dot(tuple(b.exact for b in bary), v))
     else:
+        import numpy as np
+
         vals = np.array([b.value for b in bary])
         errs = np.array([b.error for b in bary])
         vf = np.array([float(c) for c in v])
@@ -483,6 +487,8 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None,
                         witness = {"kind": "boundary-facet", "functional": r,
                                    "value": val}
         return DingVerdict(bary, dual, semistable, polystable, witness, exact=True)
+
+    import numpy as np
 
     vals = np.array([x.value for x in bary])
     errs = np.array([x.error for x in bary])

@@ -47,8 +47,6 @@ from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .geom import (
     AffineForm,
     HPolytope,
@@ -185,6 +183,8 @@ class Polynomial:
 
     def eval_float(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (k, dim) float array."""
+        import numpy as np
+
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts))
         for e, c in self.terms.items():
@@ -285,6 +285,8 @@ class DHDensity:
         return total
 
     def eval_float(self, pts: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         pts = np.atleast_2d(pts)
         out = np.full(len(pts), 1.0 / float(self.normalization))
         for f in self.factors:
@@ -404,6 +406,8 @@ def weight_evaluator(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -
     if not isinstance(g, AffinePowerWeight):
         raise TypeError(f"no float evaluator for weight type {type(g)!r}; "
                         "expand it with weight_products")
+    import numpy as np
+
     base = _projected_affine(g, projection, ambient_dim)
     nrm = np.array([float(c) for c in base.normal])
     off = float(base.offset)
@@ -791,6 +795,8 @@ class Quadrature:
 def _gm_rule(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric nodes and weights of the degree-(2s+1) rule on the
     standard n-simplex; weights sum to 1/n!."""
+    import numpy as np
+
     d = 2 * s + 1
     pts: list[tuple[Fraction, ...]] = []
     wts: list[Fraction] = []
@@ -846,6 +852,8 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
     subdivision budget runs out (then ``converged`` is False and the best
     estimate is returned).
     """
+    import numpy as np
+
     vp = _as_vpolytope(p)
     chart = vp.chart
     n = chart.dim
@@ -969,6 +977,8 @@ def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec],
 
     key = ("moments", dh, g, tuple(projection), tol)
     if key not in vp.memo:
+        import numpy as np
+
         g_eval = weight_evaluator(g, projection, n)
 
         def f(pts: np.ndarray) -> np.ndarray:

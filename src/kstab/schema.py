@@ -3,6 +3,10 @@
 The on-disk format is UTF-8 JSON, schema version "1".  Rational numbers
 travel as strings "p/q" (or plain integers) so nothing is rounded on the
 wire; vectors are arrays of rationals.  Unknown fields are rejected.
+
+jsonschema is imported when a document is first validated.  The schema
+itself is a constant, so its validity against the 2020-12 meta-schema is
+checked by the test suite rather than in every process.
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-
-import jsonschema
 
 from .geom import Cone, unit_vec, vec
 from .quad import (
@@ -214,21 +216,40 @@ def _ratvec(xs):
 
 @cache
 def _validator():
-    """The schema's validator, checked against its meta-schema and built on
-    first use only."""
-    cls = jsonschema.validators.validator_for(INPUT_SCHEMA)
-    cls.check_schema(INPUT_SCHEMA)
-    return cls(INPUT_SCHEMA)
+    """The schema's validator, built on first use only."""
+    from jsonschema.validators import validator_for
+
+    return validator_for(INPUT_SCHEMA)(INPUT_SCHEMA)
+
+
+@cache
+def _weight_fn_validator():
+    """The same validator for a standalone ``weight_fn`` block."""
+    return _validator().evolve(schema=INPUT_SCHEMA["properties"]["weight_fn"])
+
+
+def _best_error(validator, instance):
+    from jsonschema.exceptions import best_match
+
+    return best_match(validator.iter_errors(instance))
 
 
 def validate_document(doc: dict):
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    e = _best_error(_validator(), doc)
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise SchemaValidationError(f"at {path}: {e.message}") from e
     if "root_system" in doc and "dh" in doc:
         raise SchemaValidationError(
             "give either root_system or dh, not both")
+
+
+def validate_weight_fn(block):
+    """Schema check of a ``weight_fn`` block given on its own; the message
+    is that of the best-matching schema error."""
+    e = _best_error(_weight_fn_validator(), block)
+    if e is not None:
+        raise SchemaValidationError(e.message) from e
 
 
 def parse_weight_fn(block: dict | None) -> WeightFn | None:

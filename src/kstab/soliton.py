@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .geom import AffineForm, DualPolytope, VPolytope, unit_vec
 from .quad import (
     DHDensity,
@@ -92,10 +90,14 @@ class ReebProblem:
 
     @cached_property
     def vertex_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(c) for c in v] for v in self.delta.vertices])
 
     @cached_property
     def dual_form_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         normals = np.array([[float(c) for c in f.normal] for f in self.dual.forms])
         offsets = np.array([float(f.offset) for f in self.dual.forms])
         return normals, offsets
@@ -134,6 +136,8 @@ def _dual_form_values(prob: ReebProblem, xi: np.ndarray) -> np.ndarray:
 def reeb_functional(prob: ReebProblem, xi):
     """(value, gradient, hessian, error bound of the value) at a strictly
     interior point of the dual body, in closed form."""
+    import numpy as np
+
     xi = np.asarray(xi, dtype=float)
     n, m = prob.dim, prob.m
     if np.min(_dual_form_values(prob, xi)) <= 0:
@@ -161,6 +165,8 @@ def _enclosed_functional(prob: ReebProblem, xi: np.ndarray):
     coordinate size on the polytope and t_min the least value of
     l = <xi, x> + 1 there, |int x^a P l^(-m-1-|a|)| <= (R / t_min)^|a| V,
     V the value."""
+    import numpy as np
+
     m = prob.m
     one, first, second = prob.expansions
     form = AffineForm(tuple(Fraction(c) for c in xi), Fraction(1))
@@ -188,6 +194,8 @@ def solve_reeb(prob: ReebProblem, tol: float = 1e-10) -> ReebSolution:
     `BOUNDARY_FRACTION` of its pre-step value and the functional strictly
     decreases.
     """
+    import numpy as np
+
     n = prob.dim
     xi = np.zeros(n)
     value, grad, hess, _err = reeb_functional(prob, xi)
@@ -249,14 +257,7 @@ def solve_reeb(prob: ReebProblem, tol: float = 1e-10) -> ReebSolution:
 
 def stationarity_residual(prob: ReebProblem, xi) -> float:
     """Norm of int (<xi,x>+1)^(-m-2) x P dx at xi (zero at the minimizer)."""
+    import numpy as np
+
     _value, grad, _hess, _err = reeb_functional(prob, xi)
     return float(np.linalg.norm(grad / (prob.m + 1)))
-
-
-def pgl2_wonderful_check():
-    """Ding verdict of the builtin rank-one wonderful-compactification
-    fixture (expected polystable: the variety carries a canonical metric)."""
-    from .fixtures import builtin_spherical_input
-    from .invariants import ding_check
-    si, _g = builtin_spherical_input("pgl2")
-    return ding_check(si)

@@ -144,14 +144,28 @@ def section_polytope(divisors: Sequence[DivisorRecord]) -> HPolytope:
             f"section polytope is unbounded (bundle not ample?): {e}") from e
 
 
+def colored_generators(cone_data: ColoredConeData,
+                       divisors: Sequence[DivisorRecord]) -> list[Vec]:
+    """Generators of a colored cone: its valuation-cone generators and the
+    images of its colors among ``divisors`` (names not listed there are
+    skipped)."""
+    by_name = {d.name: d for d in divisors}
+    return list(cone_data.generators) + [
+        by_name[n].rho for n in cone_data.divisor_names
+        if n in by_name and by_name[n].is_color]
+
+
 def build_pl_function(divisors: Sequence[DivisorRecord],
-                      fan: Sequence[ColoredConeData]) -> PLFunction:
+                      fan: Sequence[ColoredConeData],
+                      cones: Sequence[Cone]) -> PLFunction:
     """Per-cone linear forms m_Y with <rho(D), m_Y> = n_D for every incident
     divisor; underdetermined directions are set to zero (row-space solution).
+    ``cones[i]`` is the cone of ``fan[i]`` with its colors from
+    ``divisors``.
     """
     by_name = {d.name: d for d in divisors}
     pieces = []
-    for cone_data in fan:
+    for cone_data, cone in zip(fan, cones, strict=True):
         incident = []
         for name in cone_data.divisor_names:
             if name not in by_name:
@@ -166,28 +180,18 @@ def build_pl_function(divisors: Sequence[DivisorRecord],
             raise NotQCartierError(
                 "inconsistent per-cone system: no piecewise-linear function "
                 "interpolates the divisor coefficients")
-        gens = list(cone_data.generators)
-        gens += [by_name[n].rho for n in cone_data.divisor_names
-                 if by_name[n].is_color]
-        dim = len(sol)
-        pieces.append(PLPiece(Cone(dim, gens), sol))
+        pieces.append(PLPiece(cone, sol))
     pl = PLFunction(tuple(pieces))
     pl.check_continuity()
     return pl
 
 
-def candidate_set_E(fan: Sequence[ColoredConeData], divisors: Sequence[DivisorRecord],
-                    valuation_cone: Cone) -> list[Vec]:
-    """Primitive generators of the extreme rays of every (fan cone meet
-    valuation cone); when an intersection carries lineality its basis is
-    appended with both signs."""
-    by_name = {d.name: d for d in divisors}
+def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
+    """Primitive generators of the extreme rays of every fan cone met with
+    the valuation cone (``meets``); when an intersection carries lineality
+    its basis is appended with both signs."""
     rays: set[Vec] = set()
-    for cone_data in fan:
-        gens = list(cone_data.generators)
-        gens += [by_name[n].rho for n in cone_data.divisor_names
-                 if n in by_name and by_name[n].is_color]
-        piece = Cone(valuation_cone.dim, gens).intersect(valuation_cone)
+    for piece in meets:
         rays.update(piece.rays)
         for l in piece.lineality:
             rays.add(primitive(l))
@@ -264,37 +268,51 @@ class SphericalInput:
         return section_polytope(self.anticanonical_divisors)
 
     @cached_property
+    def fan_cones(self) -> tuple[Cone, ...]:
+        """The cone of each colored cone of the fan, with its colors from
+        the section's divisors; built once."""
+        return tuple(Cone(self.rank, colored_generators(c, self.divisors))
+                     for c in self.fan)
+
+    @cached_property
+    def fan_meets(self) -> tuple[Cone, ...]:
+        """Each of `fan_cones` met with the valuation cone: the cone itself
+        when the valuation cone is the whole space."""
+        if self.is_horospherical:
+            return self.fan_cones
+        return tuple(c.intersect(self.valuation_cone) for c in self.fan_cones)
+
+    @cached_property
     def section_support(self) -> PLFunction:
         """PL function of the chosen section of the polarization."""
-        return build_pl_function(self.divisors, self.fan)
+        return build_pl_function(self.divisors, self.fan, self.fan_cones)
 
     @cached_property
     def log_discrepancy(self) -> PLFunction:
         """PL function of the anticanonical section; equals the log
-        discrepancy on the valuation cone."""
-        return build_pl_function(self.anticanonical_divisors, self.fan)
+        discrepancy on the valuation cone.  Its cones are `fan_cones`
+        wherever the anticanonical divisors give the colors the same
+        images."""
+        cones = []
+        for data, cone in zip(self.fan, self.fan_cones):
+            gens = colored_generators(data, self.anticanonical_divisors)
+            same = gens == colored_generators(data, self.divisors)
+            cones.append(cone if same else Cone(self.rank, gens))
+        return build_pl_function(self.anticanonical_divisors, self.fan, cones)
 
     @cached_property
     def candidates(self) -> list[Vec]:
-        return candidate_set_E(self.fan, self.divisors, self.valuation_cone)
+        return candidate_set_E(self.fan_meets)
 
     @property
     def is_horospherical(self) -> bool:
         return self.valuation_cone.is_full_space
 
-    def full_cone(self, cone_data: ColoredConeData) -> Cone:
-        by_name = {d.name: d for d in self.divisors}
-        gens = list(cone_data.generators)
-        gens += [by_name[n].rho for n in cone_data.divisor_names
-                 if n in by_name and by_name[n].is_color]
-        return Cone(self.rank, gens)
-
     # -- validation ----------------------------------------------------------
 
     def _validate_fan(self):
         by_name = {d.name: d for d in self.divisors}
-        for cone_data in self.fan:
-            cone = self.full_cone(cone_data)
+        for i, (cone_data, cone) in enumerate(zip(self.fan, self.fan_cones)):
             if not cone.is_strictly_convex:
                 raise SphericalDataError("colored cone is not strictly convex")
             for name in cone_data.divisor_names:
@@ -302,8 +320,7 @@ class SphericalInput:
                 if rec is not None and rec.is_color and all(c == 0 for c in rec.rho):
                     raise SphericalDataError(
                         f"color {name!r} has rho = 0 inside a colored cone")
-            meet = cone.intersect(self.valuation_cone)
-            probe = meet.relative_interior_point()
+            probe = self.fan_meets[i].relative_interior_point()
             if not cone.in_relative_interior(probe):
                 raise SphericalDataError(
                     "relative interior of a colored cone misses the valuation cone")
@@ -311,7 +328,7 @@ class SphericalInput:
     def _check_completeness(self):
         """Necessary (ray-wise plus seeded random sampling) check that the
         valuation cone is covered by the fan support."""
-        cones = [self.full_cone(c) for c in self.fan]
+        cones = self.fan_cones
 
         def covered(x: Vec) -> bool:
             return any(c.contains(x) for c in cones)

@@ -154,6 +154,19 @@ def test_compute_weighted_delta(pgl2_path, capsys):
     assert json.loads(out)["value"]["exact"] == "2/1"
 
 
+@pytest.mark.parametrize("g", ['5', '{"constant": "x"}',
+                               '{"affine_power": {"xi": ["1"], "a": "1"}}'])
+def test_invalid_g_reports_best_schema_error(pgl2_path, capsys, g):
+    # same message as validating the block against its sub-schema afresh
+    import jsonschema
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(json.loads(g), INPUT_SCHEMA["properties"]["weight_fn"])
+    code, out, err = run_cli(
+        ["compute", "--input", pgl2_path, "--invariant", "alpha", "--g", g], capsys)
+    assert code == 2 and out == ""
+    assert err == f"kstab: invalid input: --g: {ref.value.message}\n"
+
+
 def test_compute_csv_table(pgl2_path, capsys):
     code, out, _ = run_cli(
         ["compute", "--input", pgl2_path, "--invariant", "delta",
@@ -253,6 +266,16 @@ def test_shipped_schema_matches_library():
     assert shipped == INPUT_SCHEMA
 
 
+def test_schema_is_valid_under_its_meta_schema():
+    # the library builds its validator without re-checking this constant
+    from jsonschema import Draft202012Validator
+    from jsonschema.validators import validator_for
+
+    assert validator_for(INPUT_SCHEMA) is Draft202012Validator
+    Draft202012Validator.check_schema(INPUT_SCHEMA)
+    Draft202012Validator.check_schema(INPUT_SCHEMA["properties"]["weight_fn"])
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "kstab.cli", "builtin", "pgl2"],
                           capture_output=True, text=True)
@@ -273,19 +296,45 @@ def test_integration_failure_exit_code(p1_path, capsys, monkeypatch):
     assert "IntegrationError" in err
 
 
-def test_common_commands_do_not_load_mpmath(tmp_path):
-    # interval arithmetic is imported only by the routes that need it
+def test_commands_load_only_what_they_use(tmp_path):
+    # numpy serves cubature of non-polynomial weights and the Reeb solve,
+    # jsonschema the validation of documents, mpmath the interval closed
+    # forms; one fresh process runs the commands from the lightest up and
+    # reports which of the three are loaded after each stage
     import kstab
     path = tmp_path / "bl.json"
     path.write_text(json.dumps(builtin_document("toric-bl1p2")))
+    poly = '{"polynomial": {"dim": 2, "terms": [{"exponent": [1, 0], "coeff": "1"}, ' \
+        '{"exponent": [0, 0], "coeff": "3"}]}}'
     code = (
-        "import sys, kstab\n"
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('numpy', 'jsonschema', 'mpmath') if m in sys.modules)\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0, argv\n"
+        "import kstab\n"
         "from kstab.cli import main\n"
-        f"main(['compute', '--input', {str(path)!r}, '--invariant', 'delta', '--p', '1'])\n"
-        f"main(['reeb', '--input', {str(path)!r}])\n"
-        "print('mpmath' in sys.modules)\n")
+        "print('import', loaded())\n"
+        "run('builtin', 'pgl2')\n"
+        "print('builtin', loaded())\n"
+        f"common = ('--input', {str(path)!r})\n"
+        "run('compute', *common, '--invariant', 'delta', '--p', '1')\n"
+        "run('compute', *common, '--invariant', 'alpha')\n"
+        "run('compute', *common, '--invariant', 'barycenter')\n"
+        "run('compute', *common, '--invariant', 'beta', '--ray', '1,0')\n"
+        f"run('compute', *common, '--invariant', 'barycenter', '--g', {poly!r})\n"
+        "run('check', *common)\n"
+        "print('compute', loaded())\n"
+        "run('reeb', *common)\n"
+        "print('reeb', loaded())\n")
     src = str(Path(kstab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines() == [
+        "import []",
+        "builtin []",
+        "compute ['jsonschema']",
+        "reeb ['jsonschema', 'numpy']",
+    ]

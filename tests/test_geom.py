@@ -15,13 +15,8 @@ from kstab.geom import (
     UnboundedPolytopeError,
     VPolytope,
     affine_form,
-    cone_dual,
     dual_polytope,
-    extremal_rays,
-    hrep_of,
-    in_relative_interior,
     integer_kernel,
-    intersect_cones,
     lattice_chart,
     lattice_span_basis,
     primitive,
@@ -156,16 +151,16 @@ def test_triangulate_3d_volume_against_qhull():
 
 def test_extremal_rays_drops_interior_generator():
     c = Cone(2, [vec([1, 0]), vec([1, 1]), vec([0, 1])])
-    assert extremal_rays(c) == [vec([0, 1]), vec([1, 0])]
+    assert list(c.rays) == [vec([0, 1]), vec([1, 0])]
 
 
 def test_extremal_rays_primitive():
-    assert extremal_rays(Cone(1, [vec([2])])) == [vec([1])]
+    assert list(Cone(1, [vec([2])]).rays) == [vec([1])]
 
 
 def test_extremal_rays_line_is_pure_lineality():
     c = Cone(2, [vec([1, 0]), vec([-1, 0])])
-    assert extremal_rays(c) == []
+    assert list(c.rays) == []
     assert c.lineality == (vec([1, 0]),)
 
 
@@ -184,20 +179,20 @@ def test_extremal_rays_irredundant():
 
 
 def test_cone_dual_negative_ray():
-    assert cone_dual(Cone(1, [vec([-1])])).rays == (vec([-1]),)
+    assert Cone(1, [vec([-1])]).dual().rays == (vec([-1]),)
     neg = Cone(1, [vec([-1])]).negated()
-    assert cone_dual(neg).rays == (vec([1]),)
+    assert neg.dual().rays == (vec([1]),)
 
 
 def test_cone_dual_full_space_is_zero():
-    d = cone_dual(Cone.full_space(2))
+    d = Cone.full_space(2).dual()
     assert d.rays == () and d.lineality == ()
     assert d.contains(vec([0, 0])) and not d.contains(vec([1, 0]))
 
 
 def test_cone_dual_orthant_self_dual():
     c = Cone(2, [vec([1, 0]), vec([0, 1])])
-    assert cone_dual(c).rays == (vec([0, 1]), vec([1, 0]))
+    assert c.dual().rays == (vec([0, 1]), vec([1, 0]))
 
 
 def test_cone_dual_involution_random():
@@ -206,18 +201,18 @@ def test_cone_dual_involution_random():
     for _ in range(20):
         gens = [vec([rng.randint(-3, 3) for _ in range(3)]) for _ in range(4)]
         c = Cone(3, gens)
-        assert cone_dual(cone_dual(c)).set_equal(c)
+        assert c.dual().dual().set_equal(c)
 
 
 def test_intersect_orthant_halfplane():
     orth = Cone(2, [vec([1, 0]), vec([0, 1])])
     half = Cone(2, [vec([-1, 0]), vec([0, 1]), vec([0, -1])])
-    assert intersect_cones(orth, half).rays == (vec([0, 1]),)
+    assert orth.intersect(half).rays == (vec([0, 1]),)
 
 
 def test_intersect_idempotent():
     c = Cone(2, [vec([2, 1]), vec([1, 3])])
-    assert intersect_cones(c, c).set_equal(c)
+    assert c.intersect(c).set_equal(c)
 
 
 def test_intersect_membership_sampling_oracle():
@@ -226,7 +221,7 @@ def test_intersect_membership_sampling_oracle():
     for _ in range(5):
         a = Cone(3, [vec([rng.randint(-2, 2) for _ in range(3)]) for _ in range(3)])
         b = Cone(3, [vec([rng.randint(-2, 2) for _ in range(3)]) for _ in range(3)])
-        meet = intersect_cones(a, b)
+        meet = a.intersect(b)
         for _ in range(200):
             x = vec([rng.randint(-5, 5) for _ in range(3)])
             assert meet.contains(x) == (a.contains(x) and b.contains(x))
@@ -234,10 +229,10 @@ def test_intersect_membership_sampling_oracle():
 
 def test_relative_interior():
     ray = Cone(1, [vec([1])])
-    assert in_relative_interior(vec([F(1, 2)]), ray)
-    assert not in_relative_interior(vec([0]), ray)
-    assert in_relative_interior(vec([0]), Cone(1, []))
-    assert not in_relative_interior(vec([1]), Cone(1, []))
+    assert ray.in_relative_interior(vec([F(1, 2)]))
+    assert not ray.in_relative_interior(vec([0]))
+    assert Cone(1, []).in_relative_interior(vec([0]))
+    assert not Cone(1, []).in_relative_interior(vec([1]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +248,9 @@ def test_hrep_vrep_round_trip(points):
     v = VPolytope(2, [vec(p) for p in points])
     if v.affine_dim < 2:
         return
-    again = vertex_enum(hrep_of(v))
+    forms, eqs = v.hrep
+    assert eqs == ()  # full-dimensional
+    again = vertex_enum(HPolytope(2, forms))
     assert again.vertices == v.vertices
 
 

@@ -23,8 +23,7 @@ SCALES = (F(2), F(7), F(1, 3))
 def _sample_rays_in_cone(si, rng, count=2):
     """Random nonzero integer combinations of the rays of one fan piece
     intersected with the valuation cone."""
-    cone_data = si.fan[rng.randrange(len(si.fan))]
-    piece = si.full_cone(cone_data).intersect(si.valuation_cone)
+    piece = si.fan_meets[rng.randrange(len(si.fan))]
     rays = list(piece.rays)
     if not rays:
         return []

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from kstab.geom import VPolytope, vec
+from kstab.invariants import ding_check
 from kstab.quad import AffineForm, DHDensity, DHFactor
 from kstab.soliton import (
     InfeasiblePointError,
     NotHorosphericalError,
     ReebProblem,
     SolitonError,
-    pgl2_wonderful_check,
     reeb_functional,
     solve_reeb,
     stationarity_residual,
@@ -200,8 +200,8 @@ def test_degenerate_polytope_refused():
         ReebProblem.from_polytope(seg, CONST2, 2)
 
 
-def test_pgl2_wonderful_check_polystable():
-    verdict = pgl2_wonderful_check()
+def test_pgl2_wonderful_check_polystable(pgl2):
+    verdict = ding_check(pgl2)
     assert verdict.polystable
 
 

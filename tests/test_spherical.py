@@ -16,9 +16,14 @@ from kstab.spherical import (
     SphericalInput,
     build_pl_function,
     candidate_set_E,
+    colored_generators,
     lattice_points,
     section_polytope,
 )
+
+
+def _cones(fan, recs, dim):
+    return [Cone(dim, colored_generators(c, recs)) for c in fan]
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +69,15 @@ def test_pl_function_toric_tent(toric_p1):
 def test_pl_function_not_q_cartier():
     recs = [DivisorRecord("A", vec([1]), F(0), False),
             DivisorRecord("B", vec([2]), F(1), False)]
+    fan = [ColoredConeData((vec([1]),), ("A", "B"))]
     with pytest.raises(NotQCartierError):
-        build_pl_function(recs, [ColoredConeData((vec([1]),), ("A", "B"))])
+        build_pl_function(recs, fan, _cones(fan, recs, 1))
 
 
 def test_pl_function_outside_support():
     recs = [DivisorRecord("A", vec([1]), F(1), False)]
-    pl = build_pl_function(recs, [ColoredConeData((vec([1]),), ("A",))])
+    fan = [ColoredConeData((vec([1]),), ("A",))]
+    pl = build_pl_function(recs, fan, _cones(fan, recs, 1))
     with pytest.raises(OutsideFanSupportError):
         pl(vec([-1]))
 
@@ -140,7 +147,7 @@ def test_candidates_with_lineality_appends_both_signs():
     # the fan cone is the upper halfplane: not strictly convex, so this is
     # exercised through candidate_set_E directly rather than SphericalInput
     vcone = Cone(2, [vec([1, 0]), vec([-1, 0]), vec([0, 1])])
-    rays = candidate_set_E(fan, recs, vcone)
+    rays = candidate_set_E([c.intersect(vcone) for c in _cones(fan, recs, 2)])
     assert (F(0), F(1)) in rays
     assert (F(1), F(0)) in rays and (F(-1), F(0)) in rays
 
