@@ -36,8 +36,14 @@ from .invariants import (
     delta_p,
     ding_check,
 )
-from .quad import IntegrationError, weight_constant_value
-from .schema import SchemaValidationError, load_input, parse_weight_fn, validate_weight_fn
+from .quad import IntegrationError
+from .schema import (
+    SchemaValidationError,
+    check_weight_dimension,
+    load_input,
+    parse_weight_fn,
+    validate_weight_fn,
+)
 from .soliton import (
     MaxIterationsError,
     NotHorosphericalError,
@@ -175,6 +181,7 @@ def _load(args) -> tuple:
         except SchemaValidationError as e:
             raise SchemaValidationError(f"--g: {e}") from e
         g_flag = parse_weight_fn(g_block)
+        check_weight_dimension(g_flag, si.projection, "--g")
     g = g_flag if g_flag is not None else g_doc
     return si, g, _hash_file(args.input)
 
@@ -188,7 +195,7 @@ def _cmd_compute(args) -> int:
     started = time.perf_counter()
     si, g, input_hash = _load(args)
     if args.invariant == "delta":
-        if g is not None and weight_constant_value(g) is None:
+        if g is not None and g.constant_value() is None:
             if float(args.p) != 1.0:
                 raise SchemaValidationError(
                     "weighted delta is defined for p = 1 only")
@@ -232,7 +239,7 @@ def _cmd_compute(args) -> int:
 def _cmd_check(args) -> int:
     started = time.perf_counter()
     si, g, input_hash = _load(args)
-    verdict = ding_check(si, g, quad_tol=args.quad_tol)
+    verdict = ding_check(si, g)
     doc = {
         "schema_version": "1",
         "command": "check",
@@ -320,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="Ding stability verdict")
     common(p_check)
-    p_check.add_argument("--quad-tol", type=float, default=1e-12,
-                         dest="quad_tol",
-                         help="quadrature tolerance for numeric weights")
     p_check.set_defaults(func=_cmd_check)
 
     p_reeb = sub.add_parser("reeb", help="Reeb vector for horospherical input")

@@ -100,46 +100,15 @@ def lex_sorted(vectors: Iterable[Vec]) -> list[Vec]:
 # exact linear algebra
 
 
-def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
-    """One solution of ``rows . x = rhs`` or None if inconsistent."""
-    m = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs, strict=True)]
-    n = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pivval = m[row][col]
-        m[row] = [x / pivval for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append((row, col))
-        row += 1
+def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce the rows of m in place to reduced row echelon form in their
+    first ``ncols`` columns; row i then has its pivot, 1, in the i-th
+    returned column, and the rows below the pivots are zero there."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
         if row == len(m):
             break
-    for i in range(row, len(m)):
-        if m[i][n] != 0 and all(x == 0 for x in m[i][:n]):
-            return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = m[r][n]
-    # rows below pivots must be consistent (all-zero coefficient rows checked)
-    for i in range(len(m)):
-        if all(x_ == 0 for x_ in m[i][:n]) and m[i][n] != 0:
-            return None
-    return tuple(x)
-
-
-def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
-    """Rational basis of {x : rows . x = 0}."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
         piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
@@ -151,12 +120,28 @@ def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    free = [c for c in range(n) if c not in pivots]
+    return pivots
+
+
+def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
+    """One solution of ``rows . x = rhs`` or None if inconsistent."""
+    m = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs, strict=True)]
+    n = len(rows[0]) if rows else 0
+    pivots = _rref(m, n)
+    if any(m[i][n] != 0 for i in range(len(pivots), len(m))):
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = m[r][n]
+    return tuple(x)
+
+
+def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
+    """Rational basis of {x : rows . x = 0}."""
+    m = [list(r) for r in rows]
+    pivots = _rref(m, n)
     basis = []
-    for fcol in free:
+    for fcol in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fcol] = Fraction(1)
         for r, pcol in enumerate(pivots):
@@ -187,22 +172,17 @@ def rowspace_solution(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | Non
 
 
 def matrix_rank(rows: Sequence[Vec]) -> int:
-    if not rows:
-        return 0
-    n = len(rows[0])
-    return n - len(kernel_basis(rows, n))
+    return len(_rref([list(r) for r in rows], len(rows[0]))) if rows else 0
 
 
 def invert_matrix(rows: Sequence[Vec]) -> list[Vec]:
-    """Exact inverse of a square matrix given as rows."""
+    """Exact inverse of a square matrix given as rows, by one reduction of
+    ``[A | I]``."""
     n = len(rows)
-    cols = []
-    for i in range(n):
-        sol = solve_linear(rows, [Fraction(1 if j == i else 0) for j in range(n)])
-        if sol is None:
-            raise DegenerateInputError("singular matrix")
-        cols.append(sol)
-    return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
+    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    if len(_rref(m, n)) < n:
+        raise DegenerateInputError("singular matrix")
+    return [tuple(r[n:]) for r in m]
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +199,15 @@ def _int_rows(rows: Sequence[Vec]) -> list[list[int]]:
     return out
 
 
-def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Hermite-reduced basis of the lattice generated by integer rows."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    n = len(m[0])
+def _hermite(m: list[list[int]], ncols: int) -> int:
+    """Integer row operations on m, in place, to reduced Hermite form in its
+    first ``ncols`` columns: each pivot positive and the entries above it
+    reduced modulo it, the rows below the pivots zero there.  Returns the
+    number of pivot rows."""
     r = 0
-    for col in range(n):
+    for col in range(ncols):
+        if r == len(m):
+            break
         # make a single nonzero entry in this column among rows r..
         while True:
             nz = [i for i in range(r, len(m)) if m[i][col] != 0]
@@ -236,7 +217,6 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
             i0, i1 = nz[0], nz[1]
             q = m[i1][col] // m[i0][col]
             m[i1] = [a - q * b for a, b in zip(m[i1], m[i0])]
-        nz = [i for i in range(r, len(m)) if m[i][col] != 0]
         if not nz:
             continue
         m[r], m[nz[0]] = m[nz[0]], m[r]
@@ -247,37 +227,26 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[r])]
         r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r] if any(row)]
+    return r
+
+
+def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Hermite-reduced basis of the lattice generated by integer rows."""
+    m = [list(r) for r in rows if any(r)]
+    if not m:
+        return []
+    r = _hermite(m, len(m[0]))
+    return [tuple(row) for row in m[:r]]
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Basis of the saturated lattice {x in Z^n : rows . x = 0}."""
-    rows = [list(r) for r in rows]
     k = len(rows)
     # augmented rows: [ <row_j, e_i> for j ] + identity part
     aug = [[rows[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(n)]
            for i in range(n)]
-    r = 0
-    for col in range(k):
-        while True:
-            nz = [i for i in range(r, len(aug)) if aug[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(aug[i][col]))
-            i0, i1 = nz[0], nz[1]
-            q = aug[i1][col] // aug[i0][col]
-            aug[i1] = [a - q * b for a, b in zip(aug[i1], aug[i0])]
-        nz = [i for i in range(r, len(aug)) if aug[i][col] != 0]
-        if not nz:
-            continue
-        aug[r], aug[nz[0]] = aug[nz[0]], aug[r]
-        r += 1
-        if r == len(aug):
-            break
-    kernel = [row[k:] for row in aug[r:]]
-    return hnf_rows(kernel)
+    r = _hermite(aug, k)
+    return hnf_rows([row[k:] for row in aug[r:]])
 
 
 def lattice_span_basis(directions: Sequence[Vec], n: int) -> list[Vec]:

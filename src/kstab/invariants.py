@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .geom import AffineForm, Cone, Vec, dot, vec
 from .quad import (
-    ConstantWeight,
+    UNIT_WEIGHT,
     DHMoments,
     IntegrationError,
     WeightFn,
@@ -28,9 +28,6 @@ from .quad import (
     float_with_error,
     half_width,
     integrate_numeric,
-    weight_constant_value,
-    weight_evaluator,
-    weight_products,
 )
 from .spherical import PLFunction, SphericalInput
 
@@ -130,15 +127,10 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     v = vec(v)
     pl = pl or si.section_support
     lv, _ = _value_form(si, v, pl)
-    g = g or ConstantWeight(Fraction(1))
+    g = g or UNIT_WEIGHT
     poly = si.section_polytope_v
     n = si.rank
-
-    const = weight_constant_value(g)
-    if const is not None:
-        g = ConstantWeight(Fraction(1))
-    weight = weight_products(g, si.projection, n)
-
+    weight = g.products(si.projection, n)
     if weight is not None:
         density = density_expansion(poly, si.dh, weight)
         mass = density.mass
@@ -156,7 +148,7 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
 
     pf = float(p)
     dh_eval = si.dh.eval_float
-    g_eval = weight_evaluator(g, si.projection, n)
+    g_eval = g.evaluator(si.projection, n)
     vf = np.array([float(c) for c in v])
     lvf = float(lv)
 
@@ -304,7 +296,6 @@ def alpha(si: SphericalInput) -> InvariantReport:
 
 
 def moments_g(si: SphericalInput, g: WeightFn | None = None) -> DHMoments:
-    g = g or ConstantWeight(Fraction(1))
     return dh_moments(si.section_polytope_v, si.dh, g, si.projection)
 
 
@@ -319,52 +310,56 @@ def barycenter_g(si: SphericalInput, g: WeightFn | None = None) -> tuple[Num, ..
                  for c in m.barycenter)
 
 
+def _pair(bary: Sequence[Num], f: Vec) -> Num:
+    """<bary, f> for a rational functional f: exact when the barycenter is,
+    else a float with error sum |f_i| err_i."""
+    if all(b.is_exact for b in bary):
+        return Num.from_fraction(dot(tuple(b.exact for b in bary), f))
+    import numpy as np
+
+    vals = np.array([b.value for b in bary])
+    errs = np.array([b.error for b in bary])
+    ff = np.array([float(c) for c in f])
+    return Num.from_float(float(vals @ ff), float(errs @ np.abs(ff)))
+
+
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
     """Weighted threshold min over rays of A / (A + <bar, v>), for the
     anticanonical polarization."""
     bary = barycenter_g(si, g)
-    exact_bary = all(b.is_exact for b in bary)
     rows = []
     ratios = []
     notes: list[str] = []
     for ray in si.candidates:
         a = _ray_log_discrepancy(si, ray)
         t = T_max(si, ray, si.log_discrepancy)
-        if exact_bary:
-            denom = a + dot(tuple(b.exact for b in bary), ray)
+        ratio_alpha = a / t if t > 0 else Fraction(0)
+        mean = _pair(bary, ray)
+        if mean.is_exact:
+            denom = a + mean.exact
             if denom <= 0:
                 notes.append(f"ray {ray}: nonpositive weighted mean {denom}")
                 rows.append(RayEvaluation(ray, a, Num.from_fraction(max(denom, Fraction(0))),
-                                          t, Num.from_float(float("inf"), 0.0),
-                                          a / t if t > 0 else Fraction(0),
+                                          t, Num.from_float(float("inf"), 0.0), ratio_alpha,
                                           ("nonpositive-denominator",)))
                 continue
-            ratio = a / denom
-            rows.append(RayEvaluation(ray, a, Num.from_fraction(denom), t,
-                                      Num.from_fraction(ratio),
-                                      a / t if t > 0 else Fraction(0)))
-            ratios.append((ray, Num.from_fraction(ratio), ratio))
+            s = Num.from_fraction(denom)
+            key = a / denom
+            ratio = Num.from_fraction(key)
         else:
-            import numpy as np
-
-            vals = np.array([b.value for b in bary])
-            errs = np.array([b.error for b in bary])
-            rayf = np.array([float(c) for c in ray])
-            denom = float(a) + float(vals @ rayf)
-            derr = float(errs @ np.abs(rayf))
+            denom = float(a) + mean.value
+            derr = mean.error
+            s = Num.from_float(denom, derr)
             if denom - derr <= 0:
                 notes.append(f"ray {ray}: weighted mean not certifiably positive")
-                rows.append(RayEvaluation(ray, a, Num.from_float(denom, derr), t,
-                                          Num.from_float(float("inf"), 0.0),
-                                          a / t if t > 0 else Fraction(0),
-                                          ("nonpositive-denominator",)))
+                rows.append(RayEvaluation(ray, a, s, t, Num.from_float(float("inf"), 0.0),
+                                          ratio_alpha, ("nonpositive-denominator",)))
                 continue
-            ratio = float(a) / denom
-            err = float(a) * derr / (denom * (denom - derr))
-            rows.append(RayEvaluation(ray, a, Num.from_float(denom, derr), t,
-                                      Num.from_float(ratio, err),
-                                      a / t if t > 0 else Fraction(0)))
-            ratios.append((ray, Num.from_float(ratio, err), None))
+            key = None
+            ratio = Num.from_float(float(a) / denom,
+                                   float(a) * derr / (denom * (denom - derr)))
+        rows.append(RayEvaluation(ray, a, s, t, ratio, ratio_alpha))
+        ratios.append((ray, ratio, key))
     value, mins = _argmin_ratios(ratios)
     return InvariantReport(kind="delta_g", p=1, value=value, minimizing_rays=mins,
                            table=tuple(rows), barycenter=bary, notes=tuple(notes))
@@ -390,16 +385,11 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
         direct = Num.from_fraction(a - s.exact)
     else:
         direct = Num.from_float(float(a) - s.value, s.error)
-    bary = barycenter_g(si, g)
-    if all(b.is_exact for b in bary):
-        pairing = Num.from_fraction(-dot(tuple(b.exact for b in bary), v))
+    mean = _pair(barycenter_g(si, g), v)
+    if mean.is_exact:
+        pairing = Num.from_fraction(-mean.exact)
     else:
-        import numpy as np
-
-        vals = np.array([b.value for b in bary])
-        errs = np.array([b.error for b in bary])
-        vf = np.array([float(c) for c in v])
-        pairing = Num.from_float(-float(vals @ vf), float(errs @ np.abs(vf)))
+        pairing = Num.from_float(-mean.value, mean.error)
     if direct.is_exact and pairing.is_exact:
         if direct.exact != pairing.exact:
             raise InternalInconsistencyError(
@@ -436,8 +426,7 @@ class DingVerdict:
         return "unstable"
 
 
-def ding_check(si: SphericalInput, g: WeightFn | None = None,
-               quad_tol: float = 1e-12) -> DingVerdict:
+def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     """Stability verdict from the membership of the weighted barycenter in
     the dual cone of the negated valuation cone.
 
@@ -446,37 +435,25 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None,
     give; if the enclosure touches a facet the verdict is indeterminate
     rather than guessed.
     """
-    g = g or ConstantWeight(Fraction(1))
-    const = weight_constant_value(g)
-    if const is not None:
-        g = ConstantWeight(Fraction(1))
-    m = dh_moments(si.section_polytope_v, si.dh, g, si.projection, tol=quad_tol)
-    if m.exact:
-        bary = tuple(Num.from_fraction(c) for c in m.barycenter)
-    else:
-        scale = m.error_bound / abs(m.mass)
-        bary = tuple(Num.from_float(float(c), scale * (1.0 + abs(float(c))))
-                     for c in m.barycenter)
-
+    bary = barycenter_g(si, g)
     neg_v = si.valuation_cone.negated()
     facets = neg_v.rays          # facet functionals of the dual cone
     equalities = neg_v.lineality  # must-vanish functionals of the dual cone
     dual = neg_v.dual()
 
     if all(b.is_exact for b in bary):
-        b = tuple(x.exact for x in bary)
         semistable = True
         polystable = True
         witness = None
         for l in equalities:
-            val = dot(l, b)
+            val = _pair(bary, l).exact
             if val != 0:
                 semistable = polystable = False
                 witness = {"kind": "equality", "functional": l, "value": val}
                 break
         if semistable:
             for r in facets:
-                val = dot(r, b)
+                val = _pair(bary, r).exact
                 if val < 0:
                     semistable = polystable = False
                     witness = {"kind": "facet", "functional": r, "value": val}
@@ -488,16 +465,9 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None,
                                    "value": val}
         return DingVerdict(bary, dual, semistable, polystable, witness, exact=True)
 
-    import numpy as np
-
-    vals = np.array([x.value for x in bary])
-    errs = np.array([x.error for x in bary])
-
     def enclosure(functional: Vec) -> tuple[float, float]:
-        f = np.array([float(c) for c in functional])
-        center = float(f @ vals)
-        radius = float(np.abs(f) @ errs)
-        return center - radius, center + radius
+        pairing = _pair(bary, functional)
+        return pairing.value - pairing.error, pairing.value + pairing.error
 
     # certified violations decide "unstable" regardless of other ambiguity;
     # otherwise any enclosure touching a boundary leaves the verdict open

@@ -29,6 +29,12 @@ on it (`VPolytope.triangulation`):
   of degrees 7 and 9.  Its error bound is the rules' discrepancy: an
   estimate, not an enclosure.
 
+A weight g of the projected coordinates picks its own route through its
+methods (`WeightFn`): `products` expands a polynomial or an affine power
+with a nonnegative integer exponent for the exact engine, and a constant
+to 1, since it cancels in every ratio that it weights; an affine power
+with any other exponent has a float `evaluator` for the cubature instead.
+
 Lower-dimensional polytopes are integrated in lattice coordinates on their
 affine hull (see `geom.lattice_chart`), which is the normalization under
 which level-k lattice sums converge to these integrals: the chart simplex
@@ -315,17 +321,81 @@ class DHDensity:
 
 
 class WeightFn:
-    """Weight function g on the projected polytope coordinates."""
+    """Weight function g of the projected coordinates xbar = proj . x, one
+    per row of the input's projection.
+
+    Every decision about a weight is one of its methods: whether it is
+    constant, its exact expansion (`products`), and its positivity on a
+    polytope.  A weight that does not expand (`products` is None) has a
+    float `evaluator` for cubature instead."""
+
+    # number of projected coordinates g reads; None for a constant
+    dim: int | None = None
+
+    def constant_value(self) -> Fraction | float | None:
+        """The constant value of g if it is constant, else None."""
+        return None
+
+    def products(self, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
+        """g(proj . x) as a sum of products of affine forms in ambient x, or
+        None if g is not a polynomial.  ``projection`` is given by rows.
+
+        A constant g cancels in every ratio of integrals it weights, so it
+        expands to 1, exactly even when the constant is irrational."""
+        if self.constant_value() is not None:
+            return [(Fraction(1), ())]
+        return self._expand(projection, ambient_dim)
+
+    def _expand(self, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
+        return None
+
+    def check_positive(self, projected_vertices: Sequence[Vec]):
+        """ValueError unless g is strictly positive at the projected
+        vertices of a polytope (for an affine power: its base)."""
+        const = self.constant_value()
+        if const is not None:
+            if not const > 0:
+                raise ValueError("weight function must be strictly positive")
+            return
+        self._check_positive(projected_vertices)
+
+    def _check_positive(self, projected_vertices: Sequence[Vec]):
+        pass
 
 
 @dataclass(frozen=True)
 class ConstantWeight(WeightFn):
     value: Fraction | float = Fraction(1)
 
+    def constant_value(self) -> Fraction | float:
+        return self.value
+
+
+UNIT_WEIGHT = ConstantWeight(Fraction(1))
+
 
 @dataclass(frozen=True)
 class PolynomialWeight(WeightFn):
     poly: Polynomial
+
+    @property
+    def dim(self) -> int:
+        return self.poly.dim
+
+    def constant_value(self) -> Fraction | None:
+        if self.poly.degree == 0:
+            return self.poly.terms.get((0,) * self.poly.dim, Fraction(0))
+        return None
+
+    def _expand(self, projection: Sequence[Vec], ambient_dim: int) -> list[Product]:
+        rows = [AffineForm(tuple(row), Fraction(0)) for row in projection]
+        return [(c, tuple((rows[i], k) for i, k in enumerate(e) if k))
+                for e, c in self.poly.terms.items()]
+
+    def _check_positive(self, projected_vertices: Sequence[Vec]):
+        for v in projected_vertices:
+            if not self.poly(v) > 0:
+                raise ValueError("polynomial weight not positive at a vertex")
 
 
 @dataclass(frozen=True)
@@ -336,50 +406,54 @@ class AffinePowerWeight(WeightFn):
     a: Fraction
     exponent: float | int | Fraction
 
+    @property
+    def dim(self) -> int:
+        return len(self.xi)
 
-def weight_constant_value(g: WeightFn) -> Fraction | float | None:
-    """The constant value of g if it is constant, else None."""
-    if isinstance(g, ConstantWeight):
-        return g.value
-    if isinstance(g, PolynomialWeight):
-        if g.poly.degree == 0:
-            return g.poly.terms.get((0,) * g.poly.dim, Fraction(0))
+    @property
+    def _integer_exponent(self) -> int | None:
+        e = self.exponent
+        if isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1):
+            return int(e)
         return None
-    if isinstance(g, AffinePowerWeight):
-        if all(c == 0 for c in g.xi):
-            e = g.exponent
-            if e == 0:
-                return Fraction(1)
-            if isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1):
-                return Fraction(g.a) ** int(e)
-            return float(g.a) ** float(e)
-        if g.exponent == 0:
+
+    def constant_value(self) -> Fraction | float | None:
+        if self.exponent == 0:
             return Fraction(1)
-        return None
-    raise TypeError(f"unknown weight type {type(g)!r}")
-
-
-def weight_products(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
-    """g(proj . x) as a sum of products of affine forms in ambient x, or None
-    if the weight is genuinely non-polynomial.  ``projection`` is given by
-    rows."""
-    const = weight_constant_value(g)
-    if const is not None:
-        if isinstance(const, float):
+        if any(c != 0 for c in self.xi):
             return None
-        return [(Fraction(const), ())]
-    if isinstance(g, PolynomialWeight):
-        rows = [AffineForm(tuple(row), Fraction(0)) for row in projection]
-        return [(c, tuple((rows[i], k) for i, k in enumerate(e) if k))
-                for e, c in g.poly.terms.items()]
-    if isinstance(g, AffinePowerWeight):
-        e = g.exponent
-        is_int = isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
-        if is_int and int(e) >= 0:
-            base = _projected_affine(g, projection, ambient_dim)
-            return [(Fraction(1), ((base, int(e)),))]
-        return None
-    raise TypeError(f"unknown weight type {type(g)!r}")
+        if self._integer_exponent is not None:
+            return Fraction(self.a) ** self._integer_exponent
+        return float(self.a) ** float(self.exponent)
+
+    def _projected(self, projection: Sequence[Vec], ambient_dim: int) -> AffineForm:
+        normal = tuple(
+            sum((self.xi[i] * projection[i][j] for i in range(len(projection))), Fraction(0))
+            for j in range(ambient_dim))
+        return AffineForm(normal, Fraction(self.a))
+
+    def _expand(self, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
+        k = self._integer_exponent
+        if k is None or k < 0:
+            return None
+        return [(Fraction(1), ((self._projected(projection, ambient_dim), k),))]
+
+    def evaluator(self, projection: Sequence[Vec], ambient_dim: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Vectorized float evaluator of g(proj . x) on (k, ambient_dim)
+        arrays, for the weights `products` cannot expand: a non-integer or
+        negative exponent."""
+        import numpy as np
+
+        base = self._projected(projection, ambient_dim)
+        nrm = np.array([float(c) for c in base.normal])
+        off = float(base.offset)
+        e = float(self.exponent)
+        return lambda pts: (np.atleast_2d(pts) @ nrm + off) ** e
+
+    def _check_positive(self, projected_vertices: Sequence[Vec]):
+        for v in projected_vertices:
+            if not dot(self.xi, v) + self.a > 0:
+                raise ValueError("affine-power weight base not positive on polytope")
 
 
 def eval_products(products: Sequence[Product], x: Vec) -> Fraction:
@@ -390,47 +464,6 @@ def eval_products(products: Sequence[Product], x: Vec) -> Fraction:
             c *= form(x) ** k
         total += c
     return total
-
-
-def _projected_affine(g: AffinePowerWeight, projection: Sequence[Vec], ambient_dim: int) -> AffineForm:
-    normal = tuple(
-        sum((g.xi[i] * projection[i][j] for i in range(len(projection))), Fraction(0))
-        for j in range(ambient_dim))
-    return AffineForm(normal, Fraction(g.a))
-
-
-def weight_evaluator(g: WeightFn, projection: Sequence[Vec], ambient_dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized float evaluator of g(proj . x) on (k, ambient_dim) arrays,
-    for the weights that `weight_products` cannot expand: affine powers with
-    a non-integer or negative exponent."""
-    if not isinstance(g, AffinePowerWeight):
-        raise TypeError(f"no float evaluator for weight type {type(g)!r}; "
-                        "expand it with weight_products")
-    import numpy as np
-
-    base = _projected_affine(g, projection, ambient_dim)
-    nrm = np.array([float(c) for c in base.normal])
-    off = float(base.offset)
-    e = float(g.exponent)
-    return lambda pts: (np.atleast_2d(pts) @ nrm + off) ** e
-
-
-def check_weight_positive(g: WeightFn, projected_vertices: Sequence[Vec]):
-    """Positivity checks at the projected vertices (affine bases strictly
-    positive; constants strictly positive)."""
-    const = weight_constant_value(g)
-    if const is not None:
-        if not const > 0:
-            raise ValueError("weight function must be strictly positive")
-        return
-    if isinstance(g, AffinePowerWeight):
-        for v in projected_vertices:
-            if not dot(g.xi, v) + g.a > 0:
-                raise ValueError("affine-power weight base not positive on polytope")
-    if isinstance(g, PolynomialWeight):
-        for v in projected_vertices:
-            if not g.poly(v) > 0:
-                raise ValueError("polynomial weight not positive at a vertex")
 
 
 # ---------------------------------------------------------------------------
@@ -955,23 +988,18 @@ class DHMoments:
         return tuple(m / self.mass for m in self.first_moment)
 
 
-def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec],
+def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec],
                tol: float = 1e-12) -> DHMoments:
-    """Weighted mass and first moment over a polytope; exact whenever the
-    weight expands to a polynomial, otherwise an adaptive cubature estimate
-    to ``tol`` (`IntegrationError` if it does not converge).  Kept in the
-    polytope's memo once computed."""
+    """Weighted mass and first moment over a polytope (g None is the unit
+    weight); exact whenever the weight expands to a polynomial, otherwise
+    an adaptive cubature estimate to ``tol`` (`IntegrationError` if it does
+    not converge).  Kept in the polytope's memo once computed."""
     vp = _as_vpolytope(p)
     n = vp.dim
+    g = g or UNIT_WEIGHT
     dh.check_positive_on(vp.vertices)
-    projected = [tuple(dot(row, v) for row in projection) for v in vp.vertices]
-    check_weight_positive(g, projected)
-
-    # constant weights cancel in every downstream ratio; drop them for
-    # exactness even when the constant itself is irrational
-    if weight_constant_value(g) is not None:
-        g = ConstantWeight(Fraction(1))
-    weight = weight_products(g, projection, n)
+    g.check_positive([tuple(dot(row, v) for row in projection) for v in vp.vertices])
+    weight = g.products(projection, n)
     if weight is not None:
         return density_expansion(vp, dh, weight).moments
 
@@ -979,7 +1007,7 @@ def dh_moments(p, dh: DHDensity, g: WeightFn, projection: Sequence[Vec],
     if key not in vp.memo:
         import numpy as np
 
-        g_eval = weight_evaluator(g, projection, n)
+        g_eval = g.evaluator(projection, n)
 
         def f(pts: np.ndarray) -> np.ndarray:
             w = g_eval(pts) * dh.eval_float(pts)

@@ -271,6 +271,15 @@ def parse_weight_fn(block: dict | None) -> WeightFn | None:
     raise SchemaValidationError("unrecognized weight_fn block")
 
 
+def check_weight_dimension(g: WeightFn | None, projection, where: str):
+    """A weight reads one coordinate per projection row: a polynomial's
+    ``dim`` and an affine power's ``xi`` must have that length."""
+    if g is not None and g.dim is not None and g.dim != len(projection):
+        raise SchemaValidationError(
+            f"{where}: the weight has dimension {g.dim}, but the projection "
+            f"has {len(projection)} rows (one weight coordinate per row)")
+
+
 def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
     validate_document(doc)
     var = doc["variety"]
@@ -358,7 +367,9 @@ def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
         projection=projection,
         complete=var.get("complete", True),
     )
-    return si, parse_weight_fn(doc.get("weight_fn"))
+    g = parse_weight_fn(doc.get("weight_fn"))
+    check_weight_dimension(g, projection, "weight_fn")
+    return si, g
 
 
 def load_input(path: str) -> tuple[SphericalInput, WeightFn | None]:

@@ -33,17 +33,10 @@ from .geom import (
     vertex_enum,
     vneg,
     vscale,
+    vsub,
     zero_vec,
 )
-from .quad import (
-    ConstantWeight,
-    DHDensity,
-    WeightFn,
-    eval_products,
-    weight_constant_value,
-    weight_evaluator,
-    weight_products,
-)
+from .quad import UNIT_WEIGHT, DHDensity, WeightFn, eval_products
 
 
 class SphericalDataError(Exception):
@@ -117,15 +110,11 @@ class PLFunction:
         """Exact agreement of adjacent pieces on their shared face."""
         for a, b in itertools.combinations(self.pieces, 2):
             face = a.cone.intersect(b.cone)
-            diff = vsub_vec(a.linear, b.linear)
+            diff = vsub(a.linear, b.linear)
             for g in list(face.rays) + list(face.lineality):
                 if dot(diff, g) != 0:
                     raise SphericalDataError(
                         "piecewise-linear pieces disagree on a shared face")
-
-
-def vsub_vec(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def section_polytope(divisors: Sequence[DivisorRecord]) -> HPolytope:
@@ -383,17 +372,9 @@ class SphericalInput:
         pl = self.log_discrepancy if use_log_discrepancy else self.section_support
         lv = pl(v)
         pts = lattice_points(self.section_polytope, k)
-        if g is None:
-            g = ConstantWeight(Fraction(1))
-        const = weight_constant_value(g)
-        g_exact = None
-        g_eval = None
-        if const is not None:
-            pass
-        else:
-            g_exact = weight_products(g, self.projection, self.rank)
-            if g_exact is None:
-                g_eval = weight_evaluator(g, self.projection, self.rank)
+        g = g or UNIT_WEIGHT
+        g_exact = g.products(self.projection, self.rank)
+        g_eval = None if g_exact is not None else g.evaluator(self.projection, self.rank)
         s_num = Fraction(0) if g_eval is None else 0.0
         s_den = Fraction(0) if g_eval is None else 0.0
         d_k = Fraction(0)
@@ -404,9 +385,7 @@ class SphericalInput:
             value = (dot(m, v) + k * lv) / k
             if t_k is None or value > t_k:
                 t_k = value
-            if const is not None:
-                w = dim_m
-            elif g_exact is not None:
+            if g_exact is not None:
                 w = eval_products(g_exact, tuple(c / k for c in m)) * dim_m
             else:
                 import numpy as np

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,75 @@ def test_invalid_g_reports_best_schema_error(pgl2_path, capsys, g):
         ["compute", "--input", pgl2_path, "--invariant", "alpha", "--g", g], capsys)
     assert code == 2 and out == ""
     assert err == f"kstab: invalid input: --g: {ref.value.message}\n"
+
+
+def _document(tmp_path, name, weight_fn=None):
+    doc = builtin_document(name)
+    if weight_fn is not None:
+        doc["weight_fn"] = weight_fn
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, g, dim, rows", [
+    ("pgl2", {"polynomial": {"dim": 1, "terms": [{"exponent": [2], "coeff": "1"},
+                                                 {"exponent": [0], "coeff": "2"}]}}, 1, 0),
+    ("pgl2", {"affine_power": {"xi": ["1/5"], "a": "3", "exponent": 0.5}}, 1, 0),
+    ("toric-bl1p2", {"polynomial": {"dim": 3, "terms": [{"exponent": [2, 0, 0], "coeff": "1"},
+                                                        {"exponent": [0, 0, 0], "coeff": "2"}]}},
+     3, 2),
+    ("toric-bl1p2", {"affine_power": {"xi": ["1/5"], "a": "3", "exponent": 2}}, 1, 2),
+])
+def test_weight_of_wrong_dimension_is_invalid(tmp_path, capsys, name, g, dim, rows):
+    # a weight takes one coordinate per projection row, in --g and in the
+    # document alike
+    message = (f"the weight has dimension {dim}, but the projection has {rows} rows "
+               "(one weight coordinate per row)\n")
+    code, out, err = run_cli(["compute", "--input", _document(tmp_path, name),
+                              "--invariant", "barycenter", "--g", json.dumps(g)], capsys)
+    assert (code, out, err) == (2, "", "kstab: invalid input: --g: " + message)
+    code, out, err = run_cli(["check", "--input", _document(tmp_path, name, g)], capsys)
+    assert (code, out, err) == (2, "", "kstab: invalid input: weight_fn: " + message)
+
+
+def _num(n):
+    exact = None if n.exact is None else f"{n.exact.numerator}/{n.exact.denominator}"
+    return {"value": n.value, "exact": exact, "error_bound": n.error}
+
+
+@pytest.mark.parametrize("name, g, ray", [
+    ("toric-p1", {"affine_power": {"xi": ["1"], "a": "3", "exponent": 0.5}}, "1"),
+    ("toric-bl1p2", {"polynomial": {"dim": 2, "terms": [{"exponent": [2, 0], "coeff": "1"},
+                                                        {"exponent": [0, 0], "coeff": "2"}]}},
+     "1,0"),
+])
+def test_weighted_commands_print_the_library_values(tmp_path, capsys, name, g, ray):
+    from kstab.invariants import barycenter_g, beta_g, delta_g, ding_check
+    from kstab.schema import parse_weight_fn
+
+    si, _ = parse_input_document(builtin_document(name))
+    weight = parse_weight_fn(g)
+    common = ["--input", _document(tmp_path, name), "--g", json.dumps(g)]
+
+    def run(*args):
+        code, out, err = run_cli(list(args) + common, capsys)
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    bary = [_num(b) for b in barycenter_g(si, weight)]
+    assert run("compute", "--invariant", "barycenter")["barycenter"] == bary
+    report = delta_g(si, weight)
+    doc = run("compute", "--invariant", "delta")
+    assert doc["invariant"] == "delta_g" and doc["barycenter"] == bary
+    assert doc["value"] == _num(report.value)
+    beta = beta_g(si, [F(c) for c in ray.split(",")], weight)
+    doc = run("compute", "--invariant", "beta", "--ray", ray)
+    assert doc["from_integral"] == _num(beta.from_integral)
+    assert doc["from_barycenter"] == _num(beta.from_barycenter)
+    verdict = ding_check(si, weight)
+    doc = run("check")
+    assert doc["verdict"] == verdict.verdict and doc["barycenter"] == bary
 
 
 def test_compute_csv_table(pgl2_path, capsys):

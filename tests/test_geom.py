@@ -16,10 +16,15 @@ from kstab.geom import (
     VPolytope,
     affine_form,
     dual_polytope,
+    hnf_rows,
     integer_kernel,
+    invert_matrix,
+    kernel_basis,
     lattice_chart,
     lattice_span_basis,
+    matrix_rank,
     primitive,
+    solve_linear,
     triangulate,
     vec,
     vertex_enum,
@@ -299,6 +304,90 @@ def test_geom_is_exact():
     for v in p.vertex_list:
         assert all(isinstance(c, F) for c in v)
     assert p.vertex_list == ((F(-1, 3),), (F(2, 7),))
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A rational m x n matrix (1 <= m, n <= 4) of rank at most r, made as
+    a product of integer m x r and r x n factors with its rows scaled by
+    nonzero rationals; returned with its integer product, whose rank
+    floating point finds reliably at these sizes."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = draw(st.integers(0, min(m, n)))
+    small = st.integers(-3, 3)
+    b = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=m, max_size=m))
+    c = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=r, max_size=r))
+    ints = [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+    scales = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5)
+                           .filter(lambda q: q != 0), min_size=m, max_size=m))
+    return [tuple(q * x for x in row) for q, row in zip(scales, ints)], ints
+
+
+def _apply(rows, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                     min_size=4, max_size=4))
+def test_exact_elimination_properties(matrix, x0):
+    import numpy as np
+
+    a, ints = matrix
+    m, n = len(a), len(a[0])
+    rank = int(np.linalg.matrix_rank(np.array(ints, dtype=float)))
+    assert matrix_rank(a) == rank
+    # kernel: n - rank independent vectors that a maps to zero
+    ker = kernel_basis(a, n)
+    assert len(ker) == n - rank
+    assert all(_apply(a, k) == (0,) * m for k in ker)
+    assert not ker or matrix_rank(ker) == len(ker)
+    # a consistent system is solved; None is certified by a left-kernel
+    # vector y with y . a = 0 and y . rhs != 0
+    rhs = _apply(a, x0[:n])
+    sol = solve_linear(a, rhs)
+    assert sol is not None and _apply(a, sol) == rhs
+    rhs = tuple(F(i + 1, 3) for i in range(m))
+    sol = solve_linear(a, rhs)
+    if sol is not None:
+        assert _apply(a, sol) == rhs
+    else:
+        columns = [tuple(row[j] for row in a) for j in range(n)]
+        left = kernel_basis(columns, m)
+        assert any(sum((yi * bi for yi, bi in zip(y, rhs)), F(0)) != 0 for y in left)
+        assert all(_apply(columns, y) == (0,) * n for y in left)
+    if m == n:
+        if rank < n:
+            with pytest.raises(DegenerateInputError):
+                invert_matrix(a)
+        else:
+            # column j of inv . a is inv applied to column j of a
+            inv = invert_matrix(a)
+            assert [_apply(inv, col) for col in zip(*a)] == \
+                [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_hnf_rows_invariant_under_unimodular_row_operations(matrix, data):
+    _a, ints = matrix
+    m = len(ints)
+    op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+    i = data.draw(st.integers(0, m - 1))
+    j = data.draw(st.integers(0, m - 1))
+    moved = [list(row) for row in ints]
+    if op == "add" and i != j:
+        q = data.draw(st.integers(-3, 3))
+        moved[j] = [x + q * y for x, y in zip(moved[j], moved[i])]
+    elif op == "swap":
+        moved[i], moved[j] = moved[j], moved[i]
+    else:
+        moved[i] = [-x for x in moved[i]]
+    assert hnf_rows(moved) == hnf_rows(ints)
 
 
 # ---------------------------------------------------------------------------

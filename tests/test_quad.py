@@ -38,7 +38,6 @@ from kstab.quad import (
     float_with_error,
     half_width,
     integrate_poly,
-    weight_constant_value,
 )
 
 INTERVAL = HPolytope(1, [affine_form([1], 1), affine_form([-1], 1)])
@@ -417,10 +416,10 @@ def test_dh_factor_vanishing_on_polytope_rejected():
 
 
 def test_weight_constant_detection():
-    assert weight_constant_value(ConstantWeight(F(3))) == 3
-    assert weight_constant_value(AffinePowerWeight(vec([0]), F(2), 3)) == 8
-    assert weight_constant_value(AffinePowerWeight(vec([0]), F(1), -4.5)) == 1
-    assert weight_constant_value(AffinePowerWeight(vec([1]), F(1), 0.5)) is None
+    assert ConstantWeight(F(3)).constant_value() == 3
+    assert AffinePowerWeight(vec([0]), F(2), 3).constant_value() == 8
+    assert AffinePowerWeight(vec([0]), F(1), -4.5).constant_value() == 1
+    assert AffinePowerWeight(vec([1]), F(1), 0.5).constant_value() is None
 
 
 # ---------------------------------------------------------------------------
