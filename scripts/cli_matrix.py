@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of `kstab` commands in-process and print, for each,
+its exit code, stdout and stderr: a deterministic listing that two
+versions of kstab can be compared by.
+
+    PYTHONPATH=src python3 scripts/cli_matrix.py > listing.txt
+
+The matrix covers the five builtins, each with no ``--g``, a polynomial
+and affine powers at exponents 0.5 and 2 (of the builtin's projection
+dimension):
+
+* ``compute --invariant delta`` at p = 1, 2, 3 and 1.5 in json, csv and
+  text, and ``alpha``, ``barycenter`` and ``beta`` (along the first
+  candidate ray);
+* ``check`` in json and text, and ``reeb``;
+
+then, per builtin, a ``--g`` whose polynomial exponents do not match its
+``dim``, and ``alpha`` and ``reeb`` on a document that carries the
+polynomial weight.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shlex
+import tempfile
+from pathlib import Path
+
+from kstab.cli import main as kstab_main
+from kstab.fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
+
+
+def _weights(dim: int) -> dict[str, dict]:
+    """The weights of the matrix for a projection with ``dim`` rows."""
+    terms = [{"exponent": [0] * dim, "coeff": "2"}]
+    if dim:
+        terms.append({"exponent": [2] + [0] * (dim - 1), "coeff": "1"})
+    xi = ["1/5"] + ["0"] * (dim - 1) if dim else []
+    return {
+        "polynomial": {"polynomial": {"dim": dim, "terms": terms}},
+        "affine-0.5": {"affine_power": {"xi": xi, "a": "3", "exponent": 0.5}},
+        "affine-2": {"affine_power": {"xi": xi, "a": "3", "exponent": 2}},
+    }
+
+
+def _commands(path: str, ray: str) -> list[list[str]]:
+    base = ["--input", path]
+    out = []
+    for p in ("1", "2", "3", "1.5"):
+        for fmt in ("json", "csv", "text"):
+            out.append(["compute", *base, "--invariant", "delta", "--p", p, "--format", fmt])
+    out.append(["compute", *base, "--invariant", "alpha"])
+    out.append(["compute", *base, "--invariant", "barycenter"])
+    out.append(["compute", *base, "--invariant", "beta", f"--ray={ray}"])
+    out.append(["check", *base])
+    out.append(["check", *base, "--format", "text"])
+    out.append(["reeb", *base])
+    return out
+
+
+def _run(argv: list[str], root: str) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = str(kstab_main(argv))
+        except SystemExit as e:  # argparse refusing the command line
+            code = str(e.code)
+        except Exception as e:  # an uncaught error is part of the listing
+            code = f"uncaught {type(e).__name__}: {e}"
+    text = (f"$ kstab {shlex.join(argv)}\nexit {code}\n"
+            f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
+    return text.replace(root, "<dir>")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as root:
+        for name in BUILTIN_NAMES:
+            doc = builtin_document(name)
+            path = Path(root, f"{name}.json")
+            path.write_text(json.dumps(doc))
+            si, _ = builtin_spherical_input(name)
+            ray = ",".join(str(c) for c in si.candidates[0])
+            weights = _weights(len(doc["variety"]["projection"]))
+            for label, g in [("none", None), *weights.items()]:
+                for argv in _commands(str(path), ray):
+                    if g is not None:
+                        argv += ["--g", json.dumps(g)]
+                    print(f"# {name} weight={label}")
+                    print(_run(argv, root))
+            bad = {"polynomial": {"dim": 1, "terms": [{"exponent": [1, 0], "coeff": "1"}]}}
+            print(f"# {name} weight=bad-exponent")
+            print(_run(["compute", "--input", str(path), "--invariant", "barycenter",
+                        "--g", json.dumps(bad)], root))
+            doc["weight_fn"] = weights["polynomial"]
+            weighted = Path(root, f"{name}-weighted.json")
+            weighted.write_text(json.dumps(doc))
+            for argv in (["compute", "--input", str(weighted), "--invariant", "alpha"],
+                         ["reeb", "--input", str(weighted)]):
+                print(f"# {name} document weight=polynomial")
+                print(_run(argv, root))
+
+
+if __name__ == "__main__":
+    main()

@@ -168,7 +168,11 @@ def _text_format(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(args) -> tuple:
+def _load(args, unweighted: str | None = None) -> tuple:
+    """The input, its weight, the input's hash and report notes.
+    ``unweighted`` names a command that reads no weight: a non-constant
+    ``--g`` is refused there, and a non-constant document weight is dropped
+    with a note."""
     si, g_doc = load_input(args.input)
     g_flag = None
     if args.g:
@@ -178,12 +182,18 @@ def _load(args) -> tuple:
             raise SchemaValidationError(f"--g is not valid JSON: {e}") from e
         try:
             validate_weight_fn(g_block)
+            g_flag = parse_weight_fn(g_block)
         except SchemaValidationError as e:
             raise SchemaValidationError(f"--g: {e}") from e
-        g_flag = parse_weight_fn(g_block)
         check_weight_dimension(g_flag, si.projection, "--g")
     g = g_flag if g_flag is not None else g_doc
-    return si, g, _hash_file(args.input)
+    notes = []
+    if unweighted and g is not None and g.constant_value() is None:
+        if g_flag is not None:
+            raise SchemaValidationError(f"--g: {unweighted} takes no weight")
+        notes.append(f"weight_fn ignored: {unweighted} takes no weight")
+        g = None
+    return si, g, _hash_file(args.input), notes
 
 
 def _maybe_time(doc: dict, args, started: float) -> dict:
@@ -193,7 +203,8 @@ def _maybe_time(doc: dict, args, started: float) -> dict:
 
 def _cmd_compute(args) -> int:
     started = time.perf_counter()
-    si, g, input_hash = _load(args)
+    si, g, input_hash, notes = _load(
+        args, "compute --invariant alpha" if args.invariant == "alpha" else None)
     if args.invariant == "delta":
         if g is not None and g.constant_value() is None:
             if float(args.p) != 1.0:
@@ -205,8 +216,9 @@ def _cmd_compute(args) -> int:
             report = delta_p(si, p, g)
         doc = _report_json(report, input_hash, "compute")
     elif args.invariant == "alpha":
-        report = alpha(si)
-        doc = _report_json(report, input_hash, "compute")
+        doc = _report_json(alpha(si), input_hash, "compute")
+        if notes:
+            doc["notes"] = notes
     elif args.invariant == "barycenter":
         bary = barycenter_g(si, g)
         doc = {
@@ -238,7 +250,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_check(args) -> int:
     started = time.perf_counter()
-    si, g, input_hash = _load(args)
+    si, g, input_hash, _notes = _load(args)
     verdict = ding_check(si, g)
     doc = {
         "schema_version": "1",
@@ -262,7 +274,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_reeb(args) -> int:
     started = time.perf_counter()
-    si, _g, input_hash = _load(args)
+    si, _g, input_hash, notes = _load(args, "reeb")
     prob = ReebProblem.from_spherical(si)
     solution = solve_reeb(prob, tol=args.tol)
     doc = {
@@ -276,6 +288,8 @@ def _cmd_reeb(args) -> int:
         "iterations": solution.iterations,
         "converged": solution.converged,
     }
+    if notes:
+        doc["notes"] = notes
     if args.format == "csv":
         raise SchemaValidationError("reeb has no per-ray table; use json or text")
     _emit(_maybe_time(doc, args, started), args.format, args.out)

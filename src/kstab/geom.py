@@ -38,6 +38,9 @@ class DegenerateInputError(GeometryError):
 
 
 def vec(coords: Iterable) -> Vec:
+    """coords as a `Vec`: a tuple of Fractions is returned as it is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
     return tuple(Fraction(c) for c in coords)
 
 

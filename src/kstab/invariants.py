@@ -8,6 +8,14 @@ cone.  Rational inputs give exact rational answers.  Non-integer moments with
 exact weights carry rigorous error bounds; non-polynomial weights go
 through adaptive cubature, whose error bounds are estimates.  No numeric
 path decides a boundary question by float comparison.
+
+Each of them reads, per candidate ray v and PL function l, one `RayRecord`
+built on first use and kept on the input (`SphericalInput.ray_records`):
+l(v), the values of <x, v> + l(v) at the section polytope's vertices
+(checked nonnegative when the record is built) and their maximum T.  The
+exact integrals take those vertex values as they are, and l itself keeps
+its value per ray, so a warm input runs no cone search and evaluates no
+form again.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geom import AffineForm, Cone, Vec, dot, vec
+from .geom import Cone, Vec, dot, vec
 from .quad import (
     UNIT_WEIGHT,
     DHMoments,
@@ -92,24 +100,38 @@ def _is_integer(p) -> bool:
 # S^(p) and T
 
 
-def _value_form(si: SphericalInput, v: Vec, pl: PLFunction):
-    """Affine form x |-> <x, v> + l(v) on the section polytope, validated
-    to be nonnegative there."""
-    lv = pl(v)
-    verts = si.section_polytope_v.vertices
-    values = [dot(x, v) + lv for x in verts]
-    if any(val < 0 for val in values):
-        raise NegativeValuesError(
-            f"<x, v> + l(v) negative on the section polytope for v={v}")
-    return lv, max(values)
+@dataclass(frozen=True, slots=True)
+class RayRecord:
+    """What the invariants read about a ray v under a PL function l: l(v),
+    the values of <x, v> + l(v) at the vertices of the section polytope,
+    in its vertex order, and their maximum T."""
+
+    value: Fraction
+    vertex_values: tuple[Fraction, ...]
+    t_max: Fraction
+
+
+def _ray(si: SphericalInput, v: Vec, pl: PLFunction | None = None) -> RayRecord:
+    """The record of ray v under pl (by default the section's support
+    function), built on first use and kept in `SphericalInput.ray_records`.  `NegativeValuesError` unless
+    <x, v> + l(v) is nonnegative on the section polytope; a failure is not
+    kept, so every call raises it."""
+    pl = pl or si.section_support
+    records = si.ray_records.setdefault(pl, {})
+    record = records.get(v)
+    if record is None:
+        lv = pl(v)
+        values = tuple(dot(x, v) + lv for x in si.section_polytope_v.vertices)
+        if min(values) < 0:
+            raise NegativeValuesError(
+                f"<x, v> + l(v) negative on the section polytope for v={v}")
+        record = records[v] = RayRecord(lv, values, max(values))
+    return record
 
 
 def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
     """max over the section polytope of <x, v> + l(v), exact."""
-    v = vec(v)
-    pl = pl or si.section_support
-    _lv, tmax = _value_form(si, v, pl)
-    return tmax
+    return _ray(si, vec(v), pl).t_max
 
 
 def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
@@ -125,8 +147,7 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     cubature estimate, and `quad.IntegrationError` if it does not
     converge."""
     v = vec(v)
-    pl = pl or si.section_support
-    lv, _ = _value_form(si, v, pl)
+    ray = _ray(si, v, pl)
     g = g or UNIT_WEIGHT
     poly = si.section_polytope_v
     n = si.rank
@@ -136,11 +157,11 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
         mass = density.mass
         if mass <= 0:
             raise InvariantError("nonpositive density mass")
-        form = AffineForm(v, lv)
+        values = ray.vertex_values
         if _is_integer(p):
-            return Num.from_fraction(density.integral(((form, int(p)),)) / mass)
+            return Num.from_fraction(density.integral(((values, int(p)),)) / mass)
         ratio = enclose(
-            lambda prec: density.integral_power(form, p, prec) * mass.denominator / mass.numerator,
+            lambda prec: density.integral_power(values, p, prec) * mass.denominator / mass.numerator,
             lambda s: half_width(s) <= S_P_RTOL * max(1.0, abs(float(s.mid))))
         return Num.from_float(*float_with_error(ratio))
 
@@ -150,7 +171,7 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     dh_eval = si.dh.eval_float
     g_eval = g.evaluator(si.projection, n)
     vf = np.array([float(c) for c in v])
-    lvf = float(lv)
+    lvf = float(ray.value)
 
     def f(pts: np.ndarray) -> np.ndarray:
         w = g_eval(pts) * dh_eval(pts)
@@ -246,8 +267,8 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
     keys = []
     for ray in si.candidates:
         a = _ray_log_discrepancy(si, ray)
-        s = S_p(si, ray, p, pl=si.section_support, g=g)
-        t = T_max(si, ray, si.section_support)
+        s = S_p(si, ray, p, g=g)
+        t = _ray(si, ray).t_max
         ratio = _root_ratio(a, s, p)
         ratio_alpha = a / t if t > 0 else Fraction(0)
         anomalies = ()
@@ -276,9 +297,10 @@ def alpha(si: SphericalInput) -> InvariantReport:
     bar = tuple(b.exact for b in barycenter_g(si))
     for ray in si.candidates:
         a = _ray_log_discrepancy(si, ray)
-        t = T_max(si, ray, si.section_support)
+        record = _ray(si, ray)
+        t = record.t_max
         # S_1(v) = <bar, v> + l(v), exactly
-        s = Num.from_fraction(dot(bar, ray) + si.section_support(ray))
+        s = Num.from_fraction(dot(bar, ray) + record.value)
         if t <= 0:
             rows.append(RayEvaluation(ray, a, s, t, Num.from_float(float("inf"), 0.0),
                                       Fraction(0), ("vanishing-maximum",)))
@@ -332,7 +354,7 @@ def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
     notes: list[str] = []
     for ray in si.candidates:
         a = _ray_log_discrepancy(si, ray)
-        t = T_max(si, ray, si.log_discrepancy)
+        t = _ray(si, ray, si.log_discrepancy).t_max
         ratio_alpha = a / t if t > 0 else Fraction(0)
         mean = _pair(bary, ray)
         if mean.is_exact:

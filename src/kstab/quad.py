@@ -554,20 +554,22 @@ class Expansion:
             tau = expand_products(products, [vp.vertices[i] for i in idx])
             self.parts.append((idx, s.volume_factor, tau))
 
-    def integral(self, factors: Factors = ()) -> Fraction:
-        """Integral of the expanded sum times ``prod form ** multiplicity``."""
-        values = [([form(x) for x in self.vertices], k) for form, k in factors]
+    def integral(self, factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> Fraction:
+        """Integral of the expanded sum times ``prod l ** multiplicity``,
+        each affine form l given by its values at `vertices`, in that
+        order."""
         total = Fraction(0)
         for idx, volume, part in self.parts:
-            for vals, k in values:
-                part = part.times([vals[i] for i in idx], k)
+            for values, k in factors:
+                part = part.times([values[i] for i in idx], k)
             total += volume * part.integral()
         return total
 
-    def integral_power(self, form: AffineForm, s, prec: int = 64):
+    def integral_power(self, values: Sequence[Fraction], s, prec: int = 64):
         """Enclosure, as an `mpmath.iv` interval computed at ``prec`` bits,
-        of the integral of the expanded sum times ``form(x) ** s`` for a
-        real exponent s.
+        of the integral of the expanded sum times ``l(x) ** s`` for a real
+        exponent s and an affine form l given by its ``values`` at
+        `vertices`, in that order.
 
         Each term tau^a on a simplex contributes ``a! A_r[nodes]``: the
         divided difference of an r-fold antiderivative of t ** s
@@ -576,7 +578,6 @@ class Expansion:
         nodes are found exactly.  Raises `SingularIntegrandError` where a
         node makes the integrand singular or, for non-integer s, negative.
         """
-        values = [form(x) for x in self.vertices]
         with _interval_precision(prec) as iv:
             antiderivative = _PowerAntiderivative(iv, Fraction(s))
             total = iv.mpf(0)
@@ -645,7 +646,7 @@ class Expansion:
         mass = self.mass
         if mass <= 0:
             raise ValueError("nonpositive mass: density/weight not positive on polytope")
-        moment = tuple(self.integral(((_coordinate_form(i, self.dim), 1),))
+        moment = tuple(self.integral((([x[i] for x in self.vertices], 1),))
                        for i in range(self.dim))
         return DHMoments(mass=mass, first_moment=moment, exact=True)
 
@@ -857,9 +858,12 @@ _GM_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gm_rules(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    lo = _GM_CACHE.setdefault((n, 3), _gm_rule(n, 3))
-    hi = _GM_CACHE.setdefault((n, 4), _gm_rule(n, 4))
-    return lo, hi
+    """The embedded rules of degrees 7 and 9 on the standard n-simplex,
+    each built on first use."""
+    for s in (3, 4):
+        if (n, s) not in _GM_CACHE:
+            _GM_CACHE[(n, s)] = _gm_rule(n, s)
+    return _GM_CACHE[(n, 3)], _GM_CACHE[(n, 4)]
 
 
 @dataclass
@@ -993,12 +997,16 @@ def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec],
     """Weighted mass and first moment over a polytope (g None is the unit
     weight); exact whenever the weight expands to a polynomial, otherwise
     an adaptive cubature estimate to ``tol`` (`IntegrationError` if it does
-    not converge).  Kept in the polytope's memo once computed."""
+    not converge).  Kept in the polytope's memo once computed, and so is
+    the pass of the positivity checks of the density and the weight."""
     vp = _as_vpolytope(p)
     n = vp.dim
     g = g or UNIT_WEIGHT
-    dh.check_positive_on(vp.vertices)
-    g.check_positive([tuple(dot(row, v) for row in projection) for v in vp.vertices])
+    checked = ("positive", dh, g, tuple(projection))
+    if checked not in vp.memo:
+        dh.check_positive_on(vp.vertices)
+        g.check_positive([tuple(dot(row, v) for row in projection) for v in vp.vertices])
+        vp.memo[checked] = True
     weight = g.products(projection, n)
     if weight is not None:
         return density_expansion(vp, dh, weight).moments

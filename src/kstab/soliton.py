@@ -170,10 +170,10 @@ def _enclosed_functional(prob: ReebProblem, xi: np.ndarray):
     m = prob.m
     one, first, second = prob.expansions
     form = AffineForm(tuple(Fraction(c) for c in xi), Fraction(1))
+    values = [form(x) for x in prob.delta.vertices]
     jobs = [(one, m + 1, 0)] + [(e, m + 2, 1) for e in first] \
         + [(e, m + 3, 2) for e in second.values()]
-    ratio = float(np.max(np.abs(prob.vertex_array))) \
-        / float(min(form(x) for x in prob.delta.vertices))
+    ratio = float(np.max(np.abs(prob.vertex_array))) / float(min(values))
 
     def accept(entries):
         scale = 2.0 ** -52 * abs(float(entries[0].mid))
@@ -181,7 +181,7 @@ def _enclosed_functional(prob: ReebProblem, xi: np.ndarray):
                    for e, (_, _, order) in zip(entries, jobs))
 
     entries = enclose(
-        lambda prec: [e.integral_power(form, -k, prec) for e, k, _ in jobs], accept)
+        lambda prec: [e.integral_power(values, -k, prec) for e, k, _ in jobs], accept)
     value, err = float_with_error(entries[0])
     rest = [float(e.mid) for e in entries[1:]]
     return value, err, rest[:len(first)], rest[len(first):]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -93,14 +93,23 @@ class PLPiece:
     linear: Vec  # element of M tensor Q defining the function on the cone
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PLFunction:
-    """Piecewise-linear function on the support of the colored fan."""
+    """Piecewise-linear function on the support of the colored fan.  Its
+    value at each ray is kept, so each ray's cone search runs once; two
+    functions are equal only if they are the same object."""
 
     pieces: tuple[PLPiece, ...]
+    _values: dict[Vec, Fraction] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, v: Vec) -> Fraction:
         v = vec(v)
+        value = self._values.get(v)
+        if value is None:
+            value = self._values[v] = self._evaluate(v)
+        return value
+
+    def _evaluate(self, v: Vec) -> Fraction:
         for piece in self.pieces:
             if piece.cone.contains(v):
                 return dot(piece.linear, v)
@@ -292,6 +301,12 @@ class SphericalInput:
     @cached_property
     def candidates(self) -> list[Vec]:
         return candidate_set_E(self.fan_meets)
+
+    @cached_property
+    def ray_records(self) -> dict:
+        """Per PL function and ray, the `invariants.RayRecord` that every
+        invariant reads, filled as the invariants build them."""
+        return {}
 
     @property
     def is_horospherical(self) -> bool:

@@ -168,6 +168,50 @@ def test_invalid_g_reports_best_schema_error(pgl2_path, capsys, g):
     assert err == f"kstab: invalid input: --g: {ref.value.message}\n"
 
 
+def test_g_parse_errors_carry_the_flag_prefix(p1_path, capsys):
+    g = '{"polynomial": {"dim": 1, "terms": [{"exponent": [1, 0], "coeff": "1"}]}}'
+    code, out, err = run_cli(
+        ["compute", "--input", p1_path, "--invariant", "barycenter", "--g", g], capsys)
+    assert code == 2 and out == ""
+    assert err == "kstab: invalid input: --g: polynomial exponent length != dim\n"
+
+
+_UNWEIGHTED = [(["compute", "--invariant", "alpha"], "compute --invariant alpha"),
+               (["reeb"], "reeb")]
+_P1_WEIGHTS = [{"polynomial": {"dim": 1, "terms": [{"exponent": [2], "coeff": "1"},
+                                                   {"exponent": [0], "coeff": "2"}]}},
+               {"affine_power": {"xi": ["1/5"], "a": "3", "exponent": 0.5}}]
+
+
+@pytest.mark.parametrize("command, name", _UNWEIGHTED)
+@pytest.mark.parametrize("g", _P1_WEIGHTS)
+def test_unweighted_commands_refuse_a_weight_flag(p1_path, capsys, command, name, g):
+    code, out, err = run_cli([*command, "--input", p1_path, "--g", json.dumps(g)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"kstab: invalid input: --g: {name} takes no weight\n"
+    # a constant weight cancels, so it is no weight to refuse
+    code, _, _ = run_cli([*command, "--input", p1_path, "--g", '{"constant": "3"}'], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("command, name", _UNWEIGHTED)
+@pytest.mark.parametrize("g", _P1_WEIGHTS)
+def test_unweighted_commands_note_an_ignored_document_weight(tmp_path, capsys, command, name, g):
+    doc = builtin_document("toric-p1")
+    doc["weight_fn"] = g
+    weighted = tmp_path / "weighted.json"
+    weighted.write_text(json.dumps(doc))
+    code, out, err = run_cli([*command, "--input", str(weighted)], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report.pop("notes") == [f"weight_fn ignored: {name} takes no weight"]
+    code, out, _ = run_cli([*command, "--input", _document(tmp_path, "toric-p1")], capsys)
+    plain = json.loads(out)
+    assert code == 0 and "notes" not in plain
+    report.pop("input_sha256"), plain.pop("input_sha256")
+    assert report == plain
+
+
 def _document(tmp_path, name, weight_fn=None):
     doc = builtin_document(name)
     if weight_fn is not None:

@@ -1,12 +1,19 @@
 """Invariant engines: delta^(p), alpha, barycenters, beta, Ding verdicts."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_toric_input
+from kstab.fixtures import BUILTIN_NAMES, builtin_spherical_input
 from kstab.geom import Cone, vec
 from kstab.invariants import (
+    InvariantError,
     KltViolationError,
     NegativeValuesError,
     S_p,
@@ -138,6 +145,9 @@ def test_negative_values_guard():
         projection=(vec([1]),),
         complete=False,
     )
+    with pytest.raises(NegativeValuesError):
+        S_p(si, [1], 1, pl=si.log_discrepancy)
+    # a failed check is not kept: the second call raises too
     with pytest.raises(NegativeValuesError):
         S_p(si, [1], 1, pl=si.log_discrepancy)
 
@@ -434,3 +444,87 @@ def test_s1_is_barycenter_pairing_rank3(wonderful_rank3):
         bar = tuple(b.exact for b in barycenter_g(si))
         for v in si.candidates:
             assert S_p(si, v, 1).exact == dot(bar, v) + si.section_support(v)
+
+
+# ---------------------------------------------------------------------------
+# the per-ray record
+
+
+def _fresh(name, seed):
+    """A newly built input: a builtin, or a seeded random toric surface,
+    polarized by its anticanonical divisor or ("random-polarized") by
+    another one, so that the two PL functions differ."""
+    if name not in ("random", "random-polarized"):
+        return builtin_spherical_input(name)[0]
+    si = random_toric_input(random.Random(seed))
+    if name == "random":
+        return si
+    anticanonical = tuple(replace(d, coeff=F(1)) for d in si.divisors)
+    return SphericalInput(rank=2, dim_x=2, divisors=si.divisors,
+                          anticanonical_divisors=anticanonical, fan=si.fan,
+                          valuation_cone=si.valuation_cone, dh=si.dh,
+                          projection=si.projection)
+
+
+def _outcome(call, si):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(si)
+    except InvariantError as e:
+        return type(e), str(e)
+
+
+def _ray_calls(si):
+    """Every invariant that reads the ray records, as (label, call)."""
+    calls = [(("delta", p), lambda s, p=p: delta_p(s, p)) for p in (1, 2, 3, F(3, 2))]
+    calls += [("alpha", alpha), ("delta_g", delta_g)]
+    for ray in si.candidates:
+        calls.append((("beta", ray), lambda s, ray=ray: beta_g(s, ray)))
+        calls.append((("T", ray), lambda s, ray=ray: T_max(s, ray)))
+        calls.append((("T-anti", ray), lambda s, ray=ray: T_max(s, ray, s.log_discrepancy)))
+    return calls
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(BUILTIN_NAMES + ("random", "random-polarized")),
+       st.integers(0, 10 ** 6), st.randoms())
+def test_warm_input_gives_the_answers_of_a_fresh_one(name, seed, shuffler):
+    calls = _ray_calls(_fresh(name, seed))
+    fresh = {label: _outcome(call, _fresh(name, seed)) for label, call in calls}
+    warm = _fresh(name, seed)
+    for _ in range(2):
+        shuffler.shuffle(calls)
+        for label, call in calls:
+            assert _outcome(call, warm) == fresh[label], label
+
+
+def test_warm_delta_makes_no_cone_search(monkeypatch):
+    si = _fresh("wonderful-a2", 0)
+    first = delta_p(si, 2)
+    searched = []
+    contains = Cone.contains
+    monkeypatch.setattr(Cone, "contains", lambda cone, x: searched.append(x) or contains(cone, x))
+    assert delta_p(si, 2) == first
+    assert searched == []
+    delta_p(_fresh("wonderful-a2", 0), 2)
+    assert searched  # the counter sees the searches of a fresh input
+
+
+def test_dh_moments_checks_positivity_once_per_key(monkeypatch):
+    si = _fresh("toric-bl1p2", 0)
+    checked = []
+    check = DHDensity.check_positive_on
+    monkeypatch.setattr(DHDensity, "check_positive_on",
+                        lambda dh, vertices: checked.append(dh) or check(dh, vertices))
+    g = PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(2)}))
+    for _ in range(3):
+        barycenter_g(si)
+        barycenter_g(si, g)
+        beta_g(si, si.candidates[0], g)
+    assert len(checked) == 2
+    # a weight that fails its check raises on every call
+    bad = AffinePowerWeight(vec([1, 0]), F(-1), 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            barycenter_g(si, bad)
+    assert len(checked) == 4

@@ -234,8 +234,9 @@ def test_integral_power_matches_exact_kernel_at_integer_exponents(case, s):
     n = len(vertices[0])
     assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
     expansion = Expansion(VPolytope(n, vertices), products)
-    exact = expansion.integral(((form, s),))
-    enclosure = expansion.integral_power(form, s)
+    values = [form(x) for x in expansion.vertices]
+    exact = expansion.integral(((values, s),))
+    enclosure = expansion.integral_power(values, s)
     lo, hi = (F(*to_rational(end)) for end in enclosure._mpi_)
     assert lo <= exact <= hi
     assert half_width(enclosure) <= 1e-15 * (1 + abs(float(exact)))
@@ -258,7 +259,8 @@ def test_integral_power_rank1_against_mpmath_quad():
         for form, s in cases:
             a, b = mp(form.normal[0]), mp(form.offset)
             ref = mpmath.quad(lambda x: (x + 2) ** 2 * max(a * x + b, 0) ** mp(s), [-1, 3])
-            value, err = float_with_error(density.integral_power(form, s))
+            values = [form(x) for x in density.vertices]
+            value, err = float_with_error(density.integral_power(values, s))
             assert err <= 1e-15 * abs(value)
             assert abs(value - float(ref)) <= err + 1e-15 * abs(value)
 
@@ -278,7 +280,7 @@ def test_inverse_power_closed_form_matches_enclosure():
         values = [float(form(x)) for x in polytope.vertices]
         for k in range(5, 8):
             value, err = expansion.integral_inverse_power(values, k)
-            enclosure = expansion.integral_power(form, -k)
+            enclosure = expansion.integral_power([form(x) for x in polytope.vertices], -k)
             assert abs(value - float(enclosure.mid)) <= err + half_width(enclosure)
         checked += 1
 
@@ -291,6 +293,18 @@ def test_inverse_power_refuses_logarithmic_terms():
 
 # ---------------------------------------------------------------------------
 # numeric cubature
+
+
+def test_cubature_rules_are_built_once_per_degree(monkeypatch):
+    from kstab import quad
+
+    built = []
+    rule = quad._gm_rule
+    monkeypatch.setattr(quad, "_GM_CACHE", {})
+    monkeypatch.setattr(quad, "_gm_rule", lambda n, s: built.append((n, s)) or rule(n, s))
+    for _ in range(2):
+        integrate_numeric(INTERVAL, lambda pts: np.ones(len(pts)), tol=1e-12)
+    assert built == [(1, 3), (1, 4)]
 
 
 def test_numeric_constant():
