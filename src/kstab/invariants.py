@@ -113,9 +113,9 @@ class RayRecord:
 
 def _ray(si: SphericalInput, v: Vec, pl: PLFunction | None = None) -> RayRecord:
     """The record of ray v under pl (by default the section's support
-    function), built on first use and kept in `SphericalInput.ray_records`.  `NegativeValuesError` unless
-    <x, v> + l(v) is nonnegative on the section polytope; a failure is not
-    kept, so every call raises it."""
+    function), built on first use and kept in `SphericalInput.ray_records`.
+    `NegativeValuesError` unless <x, v> + l(v) is nonnegative on the
+    section polytope; a failure is not kept, so every call raises it."""
     pl = pl or si.section_support
     records = si.ray_records.setdefault(pl, {})
     record = records.get(v)
@@ -144,8 +144,8 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     enclosure (`quad.Expansion.integral_power`) over the exact mass, tight
     to 1e-12 * max(1, |S|), and the error bounds the distance of the
     reported float from the true value.  Other weights take an adaptive
-    cubature estimate, and `quad.IntegrationError` if it does not
-    converge."""
+    cubature estimate, kept in the section polytope's memo once computed,
+    and `quad.IntegrationError` if it does not converge."""
     v = vec(v)
     ray = _ray(si, v, pl)
     g = g or UNIT_WEIGHT
@@ -165,9 +165,13 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
             lambda s: half_width(s) <= S_P_RTOL * max(1.0, abs(float(s.mid))))
         return Num.from_float(*float_with_error(ratio))
 
+    pf = float(p)
+    key = ("S_p", si.dh, g, tuple(si.projection), v, ray.value, pf)
+    if key in poly.memo:
+        return poly.memo[key]
+
     import numpy as np
 
-    pf = float(p)
     dh_eval = si.dh.eval_float
     g_eval = g.evaluator(si.projection, n)
     vf = np.array([float(c) for c in v])
@@ -187,7 +191,8 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
         raise InvariantError("nonpositive density mass")
     ratio = num / den
     err = quad.error_bound * (1.0 + abs(ratio)) / max(den, 1e-300)
-    return Num.from_float(ratio, err)
+    poly.memo[key] = Num.from_float(ratio, err)
+    return poly.memo[key]
 
 
 # ---------------------------------------------------------------------------

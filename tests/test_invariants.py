@@ -528,3 +528,33 @@ def test_dh_moments_checks_positivity_once_per_key(monkeypatch):
         with pytest.raises(ValueError):
             barycenter_g(si, bad)
     assert len(checked) == 4
+
+
+def test_s_p_cubature_runs_once_per_key(monkeypatch):
+    import kstab.invariants
+    from kstab.quad import IntegrationError, Quadrature
+    si = _fresh("toric-bl1p2", 0)
+    g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 0.5)
+    v = si.candidates[0]
+    # a cubature that does not converge is not kept: every call raises
+    with monkeypatch.context() as m:
+        m.setattr(kstab.invariants, "integrate_numeric",
+                  lambda *a, **k: Quadrature(np.array([1.0, 1.0]), 1.0, 5, False))
+        for _ in range(2):
+            with pytest.raises(IntegrationError):
+                S_p(si, v, 1, pl=si.log_discrepancy, g=g)
+    runs = []
+    integrate = kstab.invariants.integrate_numeric
+    monkeypatch.setattr(kstab.invariants, "integrate_numeric",
+                        lambda *a, **k: runs.append(a) or integrate(*a, **k))
+    first = beta_g(si, v, g)
+    assert len(runs) == 1
+    assert beta_g(si, v, g) == first
+    s = S_p(si, v, 1, pl=si.log_discrepancy, g=g)
+    assert first.from_integral.value == float(si.log_discrepancy(v)) - s.value
+    assert len(runs) == 1
+    # another exponent, ray or weight is another integral
+    S_p(si, v, 1.5, pl=si.log_discrepancy, g=g)
+    S_p(si, si.candidates[1], 1, pl=si.log_discrepancy, g=g)
+    S_p(si, v, 1, pl=si.log_discrepancy, g=AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 1.5))
+    assert len(runs) == 4
