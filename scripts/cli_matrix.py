@@ -16,7 +16,9 @@ dimension):
 
 then, per builtin, a ``--g`` whose polynomial exponents do not match its
 ``dim``, and ``alpha`` and ``reeb`` on a document that carries the
-polynomial weight.
+polynomial weight; last, ``check`` on schema-invalid variants of the
+toric-p1 document and with schema-invalid ``--g`` blocks, so that
+rejection messages are compared too.
 """
 
 from __future__ import annotations
@@ -43,6 +45,23 @@ def _weights(dim: int) -> dict[str, dict]:
         "affine-0.5": {"affine_power": {"xi": xi, "a": "3", "exponent": 0.5}},
         "affine-2": {"affine_power": {"xi": xi, "a": "3", "exponent": 2}},
     }
+
+
+# edits that make the toric-p1 document schema-invalid (a float rank of
+# integral value is valid); no weight_fn block can match two branches,
+# since each requires its own key and forbids the others
+_INVALID_DOCUMENTS = {
+    "missing-variety": lambda d: d.pop("variety"),
+    "unknown-key": lambda d: d.update(extra=1),
+    "rank-0": lambda d: d["variety"].update(rank=0),
+    "rank-1.0": lambda d: d["variety"].update(rank=1.0),
+    "coeff-1/0": lambda d: d["variety"]["divisors"][0].update(coeff="1/0"),
+    "valuation-cone-some": lambda d: d["variety"].update(valuation_cone="some"),
+    "weight-no-branch": lambda d: d.update(weight_fn={"linear": {"xi": ["1"]}}),
+    "weight-two-branches": lambda d: d.update(weight_fn={
+        "constant": "1", "affine_power": {"xi": ["1"], "a": "3", "exponent": 2}}),
+}
+_INVALID_G = ("5", '{"constant": "x"}', '{"affine_power": {"xi": ["1"], "a": "3"}}')
 
 
 def _commands(path: str, ray: str) -> list[list[str]]:
@@ -100,6 +119,16 @@ def main():
                          ["reeb", "--input", str(weighted)]):
                 print(f"# {name} document weight=polynomial")
                 print(_run(argv, root))
+        for label, edit in _INVALID_DOCUMENTS.items():
+            doc = builtin_document("toric-p1")
+            edit(doc)
+            path = Path(root, "invalid.json")
+            path.write_text(json.dumps(doc))
+            print(f"# toric-p1 invalid document {label}")
+            print(_run(["check", "--input", str(path)], root))
+        for g in _INVALID_G:
+            print("# toric-p1 invalid --g")
+            print(_run(["check", "--input", str(Path(root, "toric-p1.json")), "--g", g], root))
 
 
 if __name__ == "__main__":

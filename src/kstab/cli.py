@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -336,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("delta", "alpha", "barycenter", "beta"))
     p_compute.add_argument("--p", default="1", help="moment exponent p >= 1")
     p_compute.add_argument("--ray", default=None,
-                           help="valuation ray for beta, e.g. '-1' or '1,0'")
+                           help="valuation ray for beta, e.g. '-1', '1,0' or "
+                                "'-1,0'")
     p_compute.set_defaults(func=_cmd_compute)
 
     p_check = sub.add_parser("check", help="Ding stability verdict")
@@ -356,9 +358,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_ray_values(argv: list[str]) -> list[str]:
+    """``--ray -1,0`` as ``--ray=-1,0``.  argparse reads a value that starts
+    with '-' and is not a plain number as an option name; no option name
+    starts with '-' and a digit, so such a value after ``--ray`` is joined
+    to it, and a real option name there still fails as before."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--ray" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--ray={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_ray_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OSError as e:

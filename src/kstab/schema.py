@@ -4,14 +4,21 @@ The on-disk format is UTF-8 JSON, schema version "1".  Rational numbers
 travel as strings "p/q" (or plain integers) so nothing is rounded on the
 wire; vectors are arrays of rationals.  Unknown fields are rejected.
 
-jsonschema is imported when a document is first validated.  The schema
-itself is a constant, so its validity against the 2020-12 meta-schema is
-checked by the test suite rather than in every process.
+A document is accepted by ``_conforms``, a small interpreter of the
+keywords this schema uses, with the meaning jsonschema gives them under
+Draft 2020-12.  jsonschema is imported only when a document or a
+``weight_fn`` block fails that check: it words the rejection (its
+best-matching error), so a valid input never loads it.  The schema itself
+is a constant, so its validity against the 2020-12 meta-schema, and the
+agreement of ``_conforms`` with jsonschema, are checked by the test suite
+rather than in every process.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -214,6 +221,79 @@ def _ratvec(xs):
     return vec([_fraction(x) for x in xs])
 
 
+class _UnknownKeyword(Exception):
+    """A schema keyword ``_conforms`` does not interpret."""
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _valid(x, schema) -> bool:
+    """Draft 2020-12 validity of ``x`` as jsonschema decides it, for the
+    keywords of INPUT_SCHEMA.  Each keyword but ``type`` constrains only
+    instances of its own type.  Any other keyword raises _UnknownKeyword
+    rather than returning False: inside ``oneOf`` a False branch could
+    leave exactly one other branch valid and so accept the instance."""
+    for key, value in schema.items():
+        if key in ("$schema", "title"):
+            continue
+        if key == "type":
+            if not isinstance(value, str) or value not in _TYPES:
+                raise _UnknownKeyword(key)
+            ok = _TYPES[value](x)
+        elif key == "properties":
+            ok = not isinstance(x, dict) or all(
+                _valid(x[k], sub) for k, sub in value.items() if k in x)
+        elif key == "required":
+            ok = not isinstance(x, dict) or all(k in x for k in value)
+        elif key == "additionalProperties" and value is False:
+            ok = not isinstance(x, dict) or all(
+                k in schema.get("properties", {}) for k in x)
+        elif key == "items":
+            ok = not isinstance(x, list) or all(_valid(e, value) for e in x)
+        elif key == "minItems":
+            ok = not isinstance(x, list) or len(x) >= value
+        elif key == "minLength":
+            ok = not isinstance(x, str) or len(x) >= value
+        elif key == "minimum":
+            ok = not _TYPES["number"](x) or not x < value
+        elif key == "maximum":
+            ok = not _TYPES["number"](x) or not x > value
+        elif key == "pattern":
+            ok = not isinstance(x, str) or re.search(value, x) is not None
+        elif key == "const" and isinstance(value, str):
+            ok = isinstance(x, str) and x == value
+        elif key == "enum" and all(isinstance(e, str) for e in value):
+            ok = isinstance(x, str) and x in value
+        elif key == "oneOf":
+            ok = sum(_valid(x, sub) for sub in value) == 1
+        else:
+            raise _UnknownKeyword(key)
+        if not ok:
+            return False
+    return True
+
+
+def _conforms(instance, schema) -> bool:
+    """True only if ``instance`` is valid under ``schema``.  False when it
+    is not, or when the schema holds a keyword ``_valid`` does not
+    interpret: a schema edit can then only send a document on to
+    jsonschema, never wave it through."""
+    try:
+        return _valid(instance, schema)
+    except _UnknownKeyword:
+        return False
+
+
 @cache
 def _validator():
     """The schema's validator, built on first use only."""
@@ -235,7 +315,7 @@ def _best_error(validator, instance):
 
 
 def validate_document(doc: dict):
-    e = _best_error(_validator(), doc)
+    e = None if _conforms(doc, INPUT_SCHEMA) else _best_error(_validator(), doc)
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise SchemaValidationError(f"at {path}: {e.message}") from e
@@ -247,6 +327,8 @@ def validate_document(doc: dict):
 def validate_weight_fn(block):
     """Schema check of a ``weight_fn`` block given on its own; the message
     is that of the best-matching schema error."""
+    if _conforms(block, INPUT_SCHEMA["properties"]["weight_fn"]):
+        return
     e = _best_error(_weight_fn_validator(), block)
     if e is not None:
         raise SchemaValidationError(e.message) from e

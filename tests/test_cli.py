@@ -104,6 +104,21 @@ def test_compute_beta_requires_ray(pgl2_path, capsys):
     assert doc["from_barycenter"]["exact"] == "1/2"
 
 
+def test_compute_beta_reads_a_ray_that_starts_with_a_minus(tmp_path, capsys):
+    # the first candidate ray of wonderful-a2 is (-1, 0)
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(builtin_document("wonderful-a2")))
+    base = ["compute", "--input", str(path), "--invariant", "beta"]
+    code, out, err = run_cli([*base, "--ray", "-1,0"], capsys)
+    assert (code, err) == (0, "")
+    assert run_cli([*base, "--ray=-1,0"], capsys) == (0, out, "")
+    assert json.loads(out)["ray"] == ["-1/1", "0/1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--ray", "--format", "json"])
+    assert exc.value.code == 2
+    assert "argument --ray: expected one argument" in capsys.readouterr().err
+
+
 def test_compute_missing_file(capsys):
     code, _, _ = run_cli(
         ["compute", "--input", "/nonexistent.json", "--invariant", "alpha"],
@@ -412,21 +427,27 @@ def test_integration_failure_exit_code(p1_path, capsys, monkeypatch):
 
 def test_commands_load_only_what_they_use(tmp_path):
     # numpy serves cubature of non-polynomial weights and the Reeb solve,
-    # jsonschema the validation of documents, mpmath the interval closed
-    # forms; one fresh process runs the commands from the lightest up and
-    # reports which of the three are loaded after each stage
+    # jsonschema the wording of schema rejections, mpmath the interval
+    # closed forms; one fresh process runs the commands from the lightest up
+    # and reports which of the three are loaded after each stage
     import kstab
     path = tmp_path / "bl.json"
     path.write_text(json.dumps(builtin_document("toric-bl1p2")))
+    bad_doc = builtin_document("toric-bl1p2")
+    bad_doc["variety"]["rank"] = 0
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad_doc))
     poly = '{"polynomial": {"dim": 2, "terms": [{"exponent": [1, 0], "coeff": "1"}, ' \
         '{"exponent": [0, 0], "coeff": "3"}]}}'
     code = (
         "import contextlib, io, sys\n"
         "def loaded():\n"
         "    return sorted(m for m in ('numpy', 'jsonschema', 'mpmath') if m in sys.modules)\n"
-        "def run(*argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(list(argv)) == 0, argv\n"
+        "def run(*argv, code=0):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        assert main(list(argv)) == code, argv\n"
+        "    return err.getvalue()\n"
         "import kstab\n"
         "from kstab.cli import main\n"
         "print('import', loaded())\n"
@@ -441,7 +462,10 @@ def test_commands_load_only_what_they_use(tmp_path):
         "run('check', *common)\n"
         "print('compute', loaded())\n"
         "run('reeb', *common)\n"
-        "print('reeb', loaded())\n")
+        "print('reeb', loaded())\n"
+        f"print(run('compute', '--input', {str(bad_path)!r}, '--invariant', 'alpha', code=2), end='')\n"
+        "print(run('check', *common, '--g', '{\"constant\": \"x\"}', code=2), end='')\n"
+        "print('reject', loaded())\n")
     src = str(Path(kstab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
@@ -449,6 +473,9 @@ def test_commands_load_only_what_they_use(tmp_path):
     assert proc.stdout.splitlines() == [
         "import []",
         "builtin []",
-        "compute ['jsonschema']",
-        "reeb ['jsonschema', 'numpy']",
+        "compute []",
+        "reeb ['numpy']",
+        "kstab: invalid input: at variety/rank: 0 is less than the minimum of 1",
+        r"kstab: invalid input: --g: 'x' does not match '^-?\\d+(/[1-9]\\d*)?$'",
+        "reject ['jsonschema', 'numpy']",
     ]

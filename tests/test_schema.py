@@ -1,0 +1,164 @@
+"""The schema's own checker against jsonschema, the reference."""
+
+import copy
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.validators import validator_for
+
+from conftest import random_toric_input
+from kstab.fixtures import BUILTIN_NAMES, _frac, _vec, builtin_document
+from kstab.schema import INPUT_SCHEMA, _conforms
+
+WEIGHT_SCHEMA = INPUT_SCHEMA["properties"]["weight_fn"]
+DOCUMENT_VALIDATOR = validator_for(INPUT_SCHEMA)(INPUT_SCHEMA)
+WEIGHT_VALIDATOR = DOCUMENT_VALIDATOR.evolve(schema=WEIGHT_SCHEMA)
+
+# what a mutation puts in place of a value, or under an added key
+SUBSTITUTES = (None, True, False, 0, 1.0, math.nan, "1/0", "1\n", [], {})
+ADDED_KEYS = ("extra", "rank", "coeff", "constant", "polynomial", "exponent")
+
+
+def toric_document(si) -> dict:
+    """The input document of a toric ``SphericalInput`` (full valuation
+    cone), with its density factors when it has any."""
+    def records(recs):
+        return [{"name": d.name, "rho": _vec(d.rho), "coeff": _frac(d.coeff),
+                 "is_color": d.is_color} for d in recs]
+
+    doc = {
+        "schema_version": "1",
+        "variety": {
+            "rank": si.rank,
+            "dim_x": si.dim_x,
+            "divisors": records(si.divisors),
+            "anticanonical_divisors": records(si.anticanonical_divisors),
+            "fan": [{"generators": [_vec(g) for g in c.generators],
+                     "divisors": list(c.divisor_names)} for c in si.fan],
+            "valuation_cone": "all",
+            "projection": [_vec(row) for row in si.projection],
+        },
+    }
+    if si.dh.factors:
+        doc["dh"] = {"factors": [
+            {"normal": _vec(f.form.normal), "offset": _frac(f.form.offset),
+             "multiplicity": f.multiplicity} for f in si.dh.factors]}
+    return doc
+
+
+def weight_blocks(dim: int) -> list[dict]:
+    xi = ["1/5"] + ["0"] * (dim - 1) if dim else []
+    return [
+        {"constant": "2"},
+        {"constant": 3},
+        {"polynomial": {"dim": dim, "terms": [
+            {"exponent": [0] * dim, "coeff": "2"},
+            {"exponent": [1] * dim, "coeff": -1}]}},
+        {"affine_power": {"xi": xi, "a": "3", "exponent": 0.5}},
+        {"affine_power": {"xi": xi, "a": 3, "exponent": 2}},
+    ]
+
+
+@st.composite
+def documents(draw) -> dict:
+    """A valid document: a builtin or a random toric one, with or without
+    a weight."""
+    if draw(st.booleans()):
+        doc = builtin_document(draw(st.sampled_from(BUILTIN_NAMES)))
+    else:
+        seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+        doc = toric_document(random_toric_input(random.Random(seed)))
+    weights = weight_blocks(len(doc["variety"]["projection"]))
+    weight = draw(st.sampled_from([None, *weights]))
+    if weight is not None:
+        doc["weight_fn"] = weight
+    return doc
+
+
+def _sites(node):
+    """Every (container, key) under ``node``, outermost first."""
+    if isinstance(node, (dict, list)):
+        for key in list(node.keys() if isinstance(node, dict) else range(len(node))):
+            yield node, key
+            yield from _sites(node[key])
+
+
+def mutate(draw, instance):
+    """A copy of ``instance`` after up to three mutations: drop an entry,
+    add a key, or substitute a value."""
+    def substitute():
+        return copy.deepcopy(draw(st.sampled_from(SUBSTITUTES)))
+
+    holder = [copy.deepcopy(instance)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        parent, key = draw(st.sampled_from(list(_sites(holder))))
+        kind = draw(st.sampled_from(("drop", "add", "substitute")))
+        if kind == "drop" and parent is not holder:
+            del parent[key]
+        elif kind == "add" and isinstance(parent[key], dict):
+            parent[key][draw(st.sampled_from(ADDED_KEYS))] = substitute()
+        else:
+            parent[key] = substitute()
+    return holder[0]
+
+
+def test_builtin_documents_conform():
+    for name in BUILTIN_NAMES:
+        assert _conforms(builtin_document(name), INPUT_SCHEMA), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents(), st.data())
+def test_conforms_agrees_with_jsonschema_on_mutated_documents(doc, data):
+    mutated = mutate(data.draw, doc)
+    assert _conforms(mutated, INPUT_SCHEMA) == DOCUMENT_VALIDATOR.is_valid(mutated), \
+        json.dumps(mutated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2), st.data())
+def test_conforms_agrees_with_jsonschema_on_mutated_weight_blocks(dim, data):
+    block = data.draw(st.sampled_from(weight_blocks(dim)))
+    mutated = mutate(data.draw, block)
+    assert _conforms(mutated, WEIGHT_SCHEMA) == WEIGHT_VALIDATOR.is_valid(mutated), \
+        json.dumps(mutated)
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"type": "integer"}, True),           # a bool is not an integer
+    ({"type": "number"}, False),           # ... nor a number
+    ({"type": "integer"}, 2.0),            # an integral float is one
+    ({"type": "integer"}, math.inf),
+    ({"type": "number", "minimum": 1}, math.nan),
+    ({"type": "number", "maximum": 1}, math.nan),
+    ({"type": "integer", "minimum": 1, "maximum": 8}, 8.0),
+    ({"type": "string", "pattern": r"^\d+$"}, "1\n"),  # `$` matches before a final newline
+    ({"type": "string", "pattern": r"^\d+$"}, "x1"),
+    ({"type": "string", "minLength": 1}, ""),
+    ({"minimum": 1, "minLength": 1, "minItems": 1}, []),  # each keyword reads its own type
+    ({"const": "all"}, ["all"]),
+    ({"enum": ["A", "B"]}, "C"),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),  # two branches match
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
+    ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, None),
+])
+def test_conforms_agrees_with_jsonschema_on_each_keyword(schema, instance):
+    assert _conforms(instance, schema) == validator_for(schema)(schema).is_valid(instance)
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"type": "object", "minProperties": 0}, {}),
+    ({"type": "array", "items": {"type": "integer", "multipleOf": 1}}, [1]),
+    ({"oneOf": [{"type": "integer", "multipleOf": 1}, {"type": "integer"}]}, 1),
+    ({"const": 1}, 1),
+    ({"enum": ["A", 1]}, "A"),
+    ({"type": ["integer", "string"]}, 1),
+    ({"additionalProperties": {"type": "string"}}, {}),
+])
+def test_an_unknown_keyword_never_conforms(schema, instance):
+    # jsonschema may well accept these; the checker leaves them to it
+    assert not _conforms(instance, schema)
