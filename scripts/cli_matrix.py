@@ -15,10 +15,11 @@ dimension):
 * ``check`` in json and text, and ``reeb``;
 
 then, per builtin, a ``--g`` whose polynomial exponents do not match its
-``dim``, and ``alpha`` and ``reeb`` on a document that carries the
-polynomial weight; last, ``check`` on schema-invalid variants of the
-toric-p1 document and with schema-invalid ``--g`` blocks, so that
-rejection messages are compared too.
+``dim``, ``delta`` at p = 0, -1 and 0.5 (below the range of p), and
+``alpha`` and ``reeb`` on a document that carries the polynomial weight;
+last, ``check`` on schema-invalid variants of the toric-p1 document and
+with schema-invalid ``--g`` blocks, so that rejection messages are
+compared too.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ def main():
             print(f"# {name} weight=bad-exponent")
             print(_run(["compute", "--input", str(path), "--invariant", "barycenter",
                         "--g", json.dumps(bad)], root))
+            for p in ("0", "-1", "0.5"):
+                print(f"# {name} p out of range")
+                print(_run(["compute", "--input", str(path), "--invariant", "delta",
+                            f"--p={p}"], root))
             doc["weight_fn"] = weights["polynomial"]
             weighted = Path(root, f"{name}-weighted.json")
             weighted.write_text(json.dumps(doc))

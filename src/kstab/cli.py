@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -197,6 +198,20 @@ def _load(args, unweighted: str | None = None) -> tuple:
     return si, g, _hash_file(args.input), notes
 
 
+def _moment_exponent(text: str) -> Fraction | float:
+    """The value of ``--p``: a Fraction when it is an integer, else a
+    float; refused unless it is a finite number at least 1."""
+    try:
+        p = float(text)
+    except ValueError:
+        p = math.nan
+    if not math.isfinite(p):
+        raise SchemaValidationError(f"--p: the moment exponent must be a finite number, not {text!r}")
+    if p < 1:
+        raise SchemaValidationError("--p: the moment exponent must be at least 1")
+    return Fraction(text) if p.is_integer() else p
+
+
 def _maybe_time(doc: dict, args, started: float) -> dict:
     doc["timing_ms"] = (time.perf_counter() - started) * 1000.0 if args.timing else None
     return doc
@@ -207,13 +222,13 @@ def _cmd_compute(args) -> int:
     si, g, input_hash, notes = _load(
         args, "compute --invariant alpha" if args.invariant == "alpha" else None)
     if args.invariant == "delta":
+        p = _moment_exponent(args.p)
         if g is not None and g.constant_value() is None:
-            if float(args.p) != 1.0:
+            if p != 1:
                 raise SchemaValidationError(
                     "weighted delta is defined for p = 1 only")
             report = delta_g(si, g)
         else:
-            p = Fraction(args.p) if float(args.p).is_integer() else float(args.p)
             report = delta_p(si, p, g)
         doc = _report_json(report, input_hash, "compute")
     elif args.invariant == "alpha":

@@ -15,11 +15,15 @@ l(v), the values of <x, v> + l(v) at the section polytope's vertices
 (checked nonnegative when the record is built) and their maximum T.  The
 exact integrals take those vertex values as they are, and l itself keeps
 its value per ray, so a warm input runs no cone search and evaluates no
-form again.
+form again.  At integer p, S^(p) evaluates a polynomial in those vertex
+values that is built once per section polytope, density and p
+(`quad.Expansion.power_integral`); the moments behind the barycenter are
+integrated separately, so the two routes of `beta_g` stay independent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -129,6 +133,13 @@ def _ray(si: SphericalInput, v: Vec, pl: PLFunction | None = None) -> RayRecord:
     return record
 
 
+def _check_exponent(p):
+    """`InvariantError` unless the moment exponent p is a finite number
+    at least 1, the range in which delta^(p) is defined."""
+    if not 1 <= float(p) < math.inf:
+        raise InvariantError(f"the moment exponent p must be finite and at least 1, not {p}")
+
+
 def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
     """max over the section polytope of <x, v> + l(v), exact."""
     return _ray(si, vec(v), pl).t_max
@@ -139,13 +150,17 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     """p-th moment of the expected vanishing order along v:
     int g(xbar) P (.)^p / int g(xbar) P.
 
-    Exact for integer p and exact weights.  For non-integer p with a
+    Exact for integer p and exact weights, through the polynomial in the
+    ray's vertex values that `quad.Expansion.power_integral` builds once
+    per p.  For non-integer p with a
     constant or polynomial weight the numerator is a rigorous interval
     enclosure (`quad.Expansion.integral_power`) over the exact mass, tight
     to 1e-12 * max(1, |S|), and the error bounds the distance of the
     reported float from the true value.  Other weights take an adaptive
     cubature estimate, kept in the section polytope's memo once computed,
-    and `quad.IntegrationError` if it does not converge."""
+    and `quad.IntegrationError` if it does not converge.  `InvariantError`
+    unless 1 <= p < inf."""
+    _check_exponent(p)
     v = vec(v)
     ray = _ray(si, v, pl)
     g = g or UNIT_WEIGHT
@@ -159,7 +174,7 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
             raise InvariantError("nonpositive density mass")
         values = ray.vertex_values
         if _is_integer(p):
-            return Num.from_fraction(density.integral(((values, int(p)),)) / mass)
+            return Num.from_fraction(density.power_integral(values, int(p)) / mass)
         ratio = enclose(
             lambda prec: density.integral_power(values, p, prec) * mass.denominator / mass.numerator,
             lambda s: half_width(s) <= S_P_RTOL * max(1.0, abs(float(s.mid))))
@@ -267,7 +282,8 @@ def _argmin_ratios(ratios: Sequence[tuple[Vec, Num, Fraction | None]]):
 
 def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport:
     """min over candidate rays of A(v) / S^(p)(v)^(1/p), with the per-ray
-    evaluation table."""
+    evaluation table.  `InvariantError` unless 1 <= p < inf."""
+    _check_exponent(p)
     rows = []
     keys = []
     for ray in si.candidates:

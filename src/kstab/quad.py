@@ -13,7 +13,11 @@ on it (`VPolytope.triangulation`):
   (<x, v> + l(v)) and coordinates are all such products, and a general
   `Polynomial` enters monomial by monomial.  The tau-expansion of a
   weighted density is kept per polytope, so each further factor only
-  multiplies into it;
+  multiplies into it.  An integer power l ** p of one further form is a
+  degree-p polynomial in the values of l at the polytope's vertices, with
+  integer coefficients that depend only on the expansion and p; it is
+  built once per expansion and p and evaluated per form
+  (`Expansion.power_integral`);
 * closed forms for such an expansion times ``l(x) ** s`` with one affine
   form l and a real exponent s, by the generalized Hermite-Genocchi
   identity ``int tau^a F^(d+|a|)(sum tau_i t_i) = a! F[t_i repeated a_i + 1
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .geom import (
@@ -553,6 +557,7 @@ class Expansion:
             idx = [index[t] for t in s.vertices]
             tau = expand_products(products, [vp.vertices[i] for i in idx])
             self.parts.append((idx, s.volume_factor, tau))
+        self._power_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
 
     def integral(self, factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> Fraction:
         """Integral of the expanded sum times ``prod l ** multiplicity``,
@@ -565,6 +570,59 @@ class Expansion:
             total += volume * part.integral()
         return total
 
+    def power_integral(self, values: Sequence[Fraction], p: int) -> Fraction:
+        """Integral of the expanded sum times ``l(x) ** p`` for an integer
+        p >= 0 and an affine form l given by its ``values`` at `vertices`,
+        in that order: the number ``integral(((values, p),))`` gives, read
+        off a degree-p polynomial in the values that `_power_form` builds
+        once per p."""
+        if p not in self._power_forms:
+            self._power_forms[p] = self._power_form(p)
+        scale, terms = self._power_forms[p]
+        den = lcm(*(v.denominator for v in values))
+        x = [v.numerator * (den // v.denominator) for v in values]
+        total = sum(c * prod(map(x.__getitem__, key)) for c, key in terms)
+        return Fraction(total * scale.numerator, scale.denominator * den ** p)
+
+    def _power_form(self, p: int) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
+        """``(scale, [(coefficient, key), ...])`` with integer coefficients:
+        the integral of the expanded sum times l ** p is scale times the sum
+        of coefficient * prod_(j in key) c_j, c_j the value of l at vertex
+        j.
+
+        On a simplex, ``int tau^a (sum_i c_i tau_i) ** p = a! p! / (d+|a|+p)!
+        * sum_(|b| = p) prod_i C(a_i + b_i, b_i) c_i ** b_i``; every term is
+        brought to the denominator ``(d + maxdeg + p)!`` and every simplex's
+        volume * scale to one common denominator."""
+        d = len(self.parts[0][0]) - 1
+        maxdeg = max((sum(a) for _, _, part in self.parts for a in part.terms), default=0)
+        top = factorial(d + maxdeg + p)
+        raise_to_top = [top // factorial(d + deg + p) for deg in range(maxdeg + 1)]
+        binom = [[comb(k + j, j) for j in range(p + 1)] for k in range(maxdeg + 1)]
+        compositions = list(_compositions(p, d + 1))
+        nonzero = [tuple((i, j) for i, j in enumerate(b) if j) for b in compositions]
+        scales = [volume * part.scale for _, volume, part in self.parts]
+        den = lcm(*(w.denominator for w in scales))
+        coeffs: dict[tuple[int, ...], int] = {}
+        for (idx, _, part), w in zip(self.parts, scales):
+            sums = [0] * len(compositions)
+            for a, n in part.terms.items():
+                n *= prod(factorial(k) for k in a) * raise_to_top[sum(a)]
+                for j, nz in enumerate(nonzero):
+                    t = n
+                    for i, k in nz:
+                        t *= binom[a[i]][k]
+                    sums[j] += t
+            m = w.numerator * (den // w.denominator)
+            for b, s in zip(compositions, sums):
+                key = tuple(sorted(chain.from_iterable([i] * k for i, k in zip(idx, b))))
+                coeffs[key] = coeffs.get(key, 0) + m * s
+        common = gcd(*coeffs.values())
+        if common == 0:
+            return Fraction(0), []
+        return (Fraction(factorial(p) * common, den * top),
+                [(c // common, key) for key, c in coeffs.items() if c])
+
     def integral_power(self, values: Sequence[Fraction], s, prec: int = 64):
         """Enclosure, as an `mpmath.iv` interval computed at ``prec`` bits,
         of the integral of the expanded sum times ``l(x) ** s`` for a real
@@ -575,8 +633,10 @@ class Expansion:
         divided difference of an r-fold antiderivative of t ** s
         (r = d + |a|) on the form's values at the simplex vertices, vertex i
         repeated a_i + 1 times.  The values are exact, so tied and zero
-        nodes are found exactly.  Raises `SingularIntegrandError` where a
-        node makes the integrand singular or, for non-integer s, negative.
+        nodes are found exactly, and at an integer s whose antiderivatives
+        carry no logarithm the whole table is exact and only its result is
+        rounded.  Raises `SingularIntegrandError` where a node makes the
+        integrand singular or, for non-integer s, negative.
         """
         with _interval_precision(prec) as iv:
             antiderivative = _PowerAntiderivative(iv, Fraction(s))
@@ -717,30 +777,41 @@ class _PowerAntiderivative:
             harmonic = sum((Fraction(1, j) for j in range(1, q + 1)), Fraction(0))
             return self.exact(c * t ** q) * (iv.log(self.exact(t)) - self.exact(harmonic))
         e = s + n
-        c = 1 / prod((s + j for j in range(1, n + 1)), start=Fraction(1))
         if e.denominator == 1:
-            if t == 0 and e < 0:
-                raise SingularIntegrandError(f"t ** {s} at the node 0")
-            return self.exact(c * t ** int(e))
+            return self.exact(self._rational(t, n))
+        c = 1 / prod((s + j for j in range(1, n + 1)), start=Fraction(1))
         if t < 0 or (t == 0 and e < 0):
             raise SingularIntegrandError(f"t ** {s} at the node {t}")
         if t == 0:
             return iv.mpf(0)
         return self.exact(c) * iv.exp(self.exact(e) * iv.log(self.exact(t)))
 
+    def _rational(self, t: Fraction, n: int) -> Fraction:
+        """A_n(t) where it is rational: s + n an integer and no logarithm."""
+        e = int(self.s + n)
+        if t == 0 and e < 0:
+            raise SingularIntegrandError(f"t ** {self.s} at the node 0")
+        return t ** e / prod((self.s + j for j in range(1, n + 1)), start=Fraction(1))
+
     def divided_difference(self, nodes: Sequence[Fraction]):
         """A_N[nodes] for sorted nodes, N = len(nodes) - 1, by the Newton
-        table; a run of k + 1 equal nodes takes A_(N-k)(t) / k!."""
+        table; a run of k + 1 equal nodes takes A_(N-k)(t) / k!.  Where
+        every A_n the table reads is rational (s an integer, and no
+        logarithm up to n = N), the table runs in exact arithmetic and only
+        its result is enclosed."""
         last = len(nodes) - 1
-        table = [self.value(t, last) for t in nodes]
+        s = self.s
+        rational = s.denominator == 1 and not (s < 0 and last >= -s)
+        value = self._rational if rational else self.value
+        table = [value(t, last) for t in nodes]
         for k in range(1, last + 1):
             for i in range(last, k - 1, -1):
                 gap = nodes[i] - nodes[i - k]
                 if gap == 0:
-                    table[i] = self.value(nodes[i], last - k) / factorial(k)
+                    table[i] = value(nodes[i], last - k) / factorial(k)
                 else:
                     table[i] = (table[i] - table[i - 1]) * gap.denominator / gap.numerator
-        return table[last]
+        return self.exact(table[last]) if rational else table[last]
 
 
 PRECISIONS = (64, 128, 256, 512, 1024, 2048, 4096)

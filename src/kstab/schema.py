@@ -41,9 +41,12 @@ class SchemaValidationError(Exception):
     """Input document malformed: schema violation or unparsable rational."""
 
 
+# ASCII digits only ([0-9], where \d takes any Unicode digit); "$(?!\n)"
+# is the end of the string, since under re.search "$" alone also matches
+# before a final newline
 _RAT = {
     "oneOf": [
-        {"type": "string", "pattern": r"^-?\d+(/[1-9]\d*)?$"},
+        {"type": "string", "pattern": r"^-?[0-9]+(/[1-9][0-9]*)?$(?!\n)"},
         {"type": "integer"},
     ]
 }
@@ -341,11 +344,12 @@ def parse_weight_fn(block: dict | None) -> WeightFn | None:
         return ConstantWeight(_fraction(block["constant"]))
     if "polynomial" in block:
         p = block["polynomial"]
-        terms = {tuple(t["exponent"]): _fraction(t["coeff"]) for t in p["terms"]}
+        dim = int(p["dim"])
+        terms = {tuple(map(int, t["exponent"])): _fraction(t["coeff"]) for t in p["terms"]}
         for e in terms:
-            if len(e) != p["dim"]:
+            if len(e) != dim:
                 raise SchemaValidationError("polynomial exponent length != dim")
-        return PolynomialWeight(Polynomial(p["dim"], terms))
+        return PolynomialWeight(Polynomial(dim, terms))
     if "affine_power" in block:
         ap = block["affine_power"]
         return AffinePowerWeight(_ratvec(ap["xi"]), _fraction(ap["a"]),
@@ -363,9 +367,11 @@ def check_weight_dimension(g: WeightFn | None, projection, where: str):
 
 
 def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
+    # integer-typed fields go through int(): Draft 2020-12 counts an
+    # integral float such as 1.0 as an integer (so does parse_weight_fn)
     validate_document(doc)
     var = doc["variety"]
-    rank = var["rank"]
+    rank = int(var["rank"])
 
     def records(key):
         recs = []
@@ -407,8 +413,9 @@ def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
 
     if "root_system" in doc:
         rsb = doc["root_system"]
-        rs = RootSystem(rsb["type"], rsb["rank"])
-        active = None if rsb["active_roots"] == "all" else rsb["active_roots"]
+        rs = RootSystem(rsb["type"], int(rsb["rank"]))
+        active = None if rsb["active_roots"] == "all" \
+            else [int(i) for i in rsb["active_roots"]]
         if active is not None:
             nroots = len(rs.positive_roots_euclidean)
             for i in active:
@@ -431,7 +438,7 @@ def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
             rho_pair = f.get("rho_pair")
             factors.append(DHFactor(
                 AffineForm(normal, _fraction(f["offset"])),
-                f["multiplicity"],
+                int(f["multiplicity"]),
                 _fraction(rho_pair) if rho_pair is not None else None))
         normalization = _fraction(doc["dh"].get("normalization", 1))
         density = DHDensity(rank, tuple(factors), normalization)
@@ -440,7 +447,7 @@ def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
 
     si = SphericalInput(
         rank=rank,
-        dim_x=var["dim_x"],
+        dim_x=int(var["dim_x"]),
         divisors=divisors,
         anticanonical_divisors=anticanonical,
         fan=tuple(fan),

@@ -162,6 +162,48 @@ def test_compute_not_q_cartier_exit_code(tmp_path, capsys):
     assert "NotQCartier" in err
 
 
+@pytest.mark.parametrize("p", ["0", "-1", "0.5"])
+@pytest.mark.parametrize("g", [None, '{"affine_power": {"xi": ["1"], "a": "3", "exponent": 2}}'])
+def test_compute_refuses_p_below_one(p1_path, capsys, p, g):
+    argv = ["compute", "--input", p1_path, "--invariant", "delta", f"--p={p}"]
+    code, out, err = run_cli(argv + (["--g", g] if g else []), capsys)
+    assert (code, out) == (2, "")
+    assert err == "kstab: invalid input: --p: the moment exponent must be at least 1\n"
+
+
+@pytest.mark.parametrize("p", ["inf", "nan", "x"])
+def test_compute_refuses_p_that_is_not_a_finite_number(p1_path, capsys, p):
+    code, out, err = run_cli(
+        ["compute", "--input", p1_path, "--invariant", "delta", f"--p={p}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"kstab: invalid input: --p: the moment exponent must be a finite number, not {p!r}\n"
+
+
+def test_compute_reads_an_integral_float_rank(tmp_path, capsys):
+    # Draft 2020-12 counts 1.0 as an integer: the answer is that of rank 1
+    answers = []
+    for rank in (1, 1.0):
+        doc = builtin_document("toric-p1")
+        doc["variety"]["rank"] = rank
+        path = tmp_path / f"p1-{rank}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["check", "--input", str(path)], capsys)
+        assert (code, err) == (0, "")
+        answers.append({k: v for k, v in json.loads(out).items() if k != "input_sha256"})
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("coeff", ["1\n", "\u0661"])
+def test_compute_refuses_a_rational_outside_the_wire_format(tmp_path, capsys, coeff):
+    doc = builtin_document("toric-p1")
+    doc["variety"]["divisors"][0]["coeff"] = coeff
+    path = tmp_path / "bad-coeff.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["check", "--input", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("kstab: invalid input: at variety/divisors/0/coeff: ")
+
+
 def test_compute_weighted_delta(pgl2_path, capsys):
     code, out, _ = run_cli(
         ["compute", "--input", pgl2_path, "--invariant", "delta",
@@ -476,6 +518,6 @@ def test_commands_load_only_what_they_use(tmp_path):
         "compute []",
         "reeb ['numpy']",
         "kstab: invalid input: at variety/rank: 0 is less than the minimum of 1",
-        r"kstab: invalid input: --g: 'x' does not match '^-?\\d+(/[1-9]\\d*)?$'",
+        r"kstab: invalid input: --g: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'",
         "reject ['jsonschema', 'numpy']",
     ]

@@ -31,8 +31,10 @@ from kstab.quad import (
     ConstantWeight,
     DHDensity,
     DHFactor,
+    Expansion,
     PolynomialWeight,
     Polynomial,
+    density_expansion,
 )
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
@@ -444,6 +446,39 @@ def test_s1_is_barycenter_pairing_rank3(wonderful_rank3):
         bar = tuple(b.exact for b in barycenter_g(si))
         for v in si.candidates:
             assert S_p(si, v, 1).exact == dot(bar, v) + si.section_support(v)
+
+
+def test_integer_moments_rank3_match_the_multiplied_expansion(wonderful_rank3):
+    from kstab.geom import dot
+    for si in wonderful_rank3.values():
+        poly = si.section_polytope_v
+        density = density_expansion(poly, si.dh, [(F(1), ())])
+        for v in si.candidates:
+            values = [dot(x, v) + si.section_support(v) for x in poly.vertices]
+            for p in (1, 2, 3):
+                assert S_p(si, v, p).exact == density.integral(((values, p),)) / density.mass
+
+
+def test_power_form_built_once_per_input_and_exponent(monkeypatch):
+    builds = []
+    real = Expansion._power_form
+    monkeypatch.setattr(Expansion, "_power_form",
+                        lambda self, p: builds.append(p) or real(self, p))
+    si = _fresh("wonderful-a2", 0)
+    first = delta_p(si, 2)
+    assert delta_p(si, 2) == first
+    delta_p(si, 3)
+    for v in si.valuation_cone.rays:
+        beta_g(si, v)
+    assert builds == [2, 3, 1]
+
+
+@pytest.mark.parametrize("p", [0, -1, F(1, 2), 0.5, float("inf"), float("nan")])
+def test_moment_exponent_outside_its_range_is_refused(pgl2, p):
+    with pytest.raises(InvariantError, match="at least 1"):
+        S_p(pgl2, [-1], p)
+    with pytest.raises(InvariantError, match="at least 1"):
+        delta_p(pgl2, p)
 
 
 # ---------------------------------------------------------------------------

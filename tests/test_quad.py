@@ -32,6 +32,7 @@ from kstab.quad import (
     PolynomialWeight,
     SingularIntegrandError,
     ZeroFactorError,
+    density_expansion,
     dh_moments,
     integrate_monomial_simplex,
     integrate_numeric,
@@ -39,6 +40,7 @@ from kstab.quad import (
     half_width,
     integrate_poly,
 )
+from kstab.rootsys import RootSystem, dh_density
 
 INTERVAL = HPolytope(1, [affine_form([1], 1), affine_form([-1], 1)])
 UNIT_SQUARE = HPolytope(2, [affine_form([1, 0], 0), affine_form([-1, 0], 1),
@@ -289,6 +291,73 @@ def test_inverse_power_refuses_logarithmic_terms():
     expansion = Expansion(VPolytope(1, [vec([0]), vec([1])]), [(F(1), ())])
     with pytest.raises(IntegrationError):
         expansion.integral_inverse_power([1.0, 2.0], 1)
+
+
+# ---------------------------------------------------------------------------
+# integer powers of one affine form as a polynomial in its vertex values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_simplex_products_and_form(), st.integers(0, 4))
+def test_power_form_matches_exact_kernel_on_simplices(case, p):
+    vertices, products, form = case
+    n = len(vertices[0])
+    assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
+    expansion = Expansion(VPolytope(n, vertices), products)
+    values = [form(x) for x in expansion.vertices]
+    assert expansion.power_integral(values, p) == expansion.integral(((values, p),))
+
+
+@st.composite
+def _polytope_with_wonderful_density(draw):
+    """A polygon or 3-polytope whose triangulation has several simplices,
+    the density of the wonderful A3 or B3 compactification read through a
+    random embedding of its coordinates, and a form with rational
+    values."""
+    n = draw(st.sampled_from([2, 3]))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                           min_size=n + 2, max_size=n + 4, unique=True))
+    embed = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=3, max_size=3))
+    rs = RootSystem(draw(st.sampled_from("AB")), 3)
+    density = dh_density(rs, None, (1, 2, 1), embed, draw(st.booleans()))
+    form = AffineForm(draw(st.tuples(*[_RAT] * n)), draw(_RAT))
+    return VPolytope(n, points), density, form
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polytope_with_wonderful_density(), st.integers(0, 4))
+def test_power_form_matches_exact_kernel_on_polytopes(case, p):
+    polytope, density, form = case
+    assume(polytope.affine_dim == polytope.dim and len(polytope.triangulation) > 1)
+    expansion = density_expansion(polytope, density, [(F(1), ())])
+    values = [form(x) for x in expansion.vertices]
+    assert expansion.power_integral(values, p) == expansion.integral(((values, p),))
+
+
+def test_power_form_built_once_per_exponent(monkeypatch):
+    builds = []
+    real = Expansion._power_form
+    monkeypatch.setattr(Expansion, "_power_form",
+                        lambda self, p: builds.append(p) or real(self, p))
+    square = VPolytope(2, [vec([0, 0]), vec([2, 0]), vec([0, 2]), vec([2, 2])])
+    expansion = Expansion(square, [(F(1), ((AffineForm(vec([1, 1]), F(1)), 2),))])
+    for p in (2, 3, 2):
+        for t in range(3):
+            values = [F(x[0] - t, 3) + x[1] for x in expansion.vertices]
+            assert expansion.power_integral(values, p) == expansion.integral(((values, p),))
+    assert builds == [2, 3]
+
+
+def test_moments_do_not_use_the_power_form(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("the power form was used")
+
+    monkeypatch.setattr(Expansion, "power_integral", refuse)
+    monkeypatch.setattr(Expansion, "_power_form", refuse)
+    # (x + 1)(2 - x) is symmetric about x = 1/2
+    density = DHDensity(2, (DHFactor(affine_form([1, 0], 1)), DHFactor(affine_form([-1, 0], 2))))
+    m = dh_moments(UNIT_SQUARE, density, None, [vec([1, 0]), vec([0, 1])])
+    assert m.exact and m.barycenter == (F(1, 2), F(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from jsonschema.validators import validator_for
 
 from conftest import random_toric_input
 from kstab.fixtures import BUILTIN_NAMES, _frac, _vec, builtin_document
-from kstab.schema import INPUT_SCHEMA, _conforms
+from kstab.invariants import barycenter_g, delta_p
+from kstab.schema import _RAT, INPUT_SCHEMA, _conforms, parse_input_document
 
 WEIGHT_SCHEMA = INPUT_SCHEMA["properties"]["weight_fn"]
 DOCUMENT_VALIDATOR = validator_for(INPUT_SCHEMA)(INPUT_SCHEMA)
@@ -145,6 +146,8 @@ def test_conforms_agrees_with_jsonschema_on_mutated_weight_blocks(dim, data):
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),  # two branches match
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
     ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, None),
+    (_RAT, "1\n"),
+    (_RAT, "\u0661/2"),                     # ARABIC-INDIC DIGIT ONE
 ])
 def test_conforms_agrees_with_jsonschema_on_each_keyword(schema, instance):
     assert _conforms(instance, schema) == validator_for(schema)(schema).is_valid(instance)
@@ -162,3 +165,59 @@ def test_conforms_agrees_with_jsonschema_on_each_keyword(schema, instance):
 def test_an_unknown_keyword_never_conforms(schema, instance):
     # jsonschema may well accept these; the checker leaves them to it
     assert not _conforms(instance, schema)
+
+
+@pytest.mark.parametrize("text", ["1\n", "-3/4\n", "\u0661/2", "1/\u0662", "\uff11"])
+def test_rationals_are_ascii_digits_to_the_end_of_the_string(text):
+    assert not _conforms(text, _RAT)
+    assert not validator_for(_RAT)(_RAT).is_valid(text)
+
+
+def _floats_for_integers(doc: dict) -> dict:
+    """A copy of ``doc`` with every integer-typed field as a float."""
+    doc = copy.deepcopy(doc)
+    var = doc["variety"]
+    var["rank"], var["dim_x"] = float(var["rank"]), float(var["dim_x"])
+    rs = doc.get("root_system")
+    if rs is not None:
+        rs["rank"] = float(rs["rank"])
+        if rs["active_roots"] != "all":
+            rs["active_roots"] = [float(i) for i in rs["active_roots"]]
+    for f in doc.get("dh", {}).get("factors", []):
+        f["multiplicity"] = float(f["multiplicity"])
+    poly = doc.get("weight_fn", {}).get("polynomial")
+    if poly is not None:
+        poly["dim"] = float(poly["dim"])
+        for t in poly["terms"]:
+            t["exponent"] = [float(k) for k in t["exponent"]]
+    return doc
+
+
+def _with_density_and_weight(name: str) -> dict:
+    doc = builtin_document(name)
+    if "root_system" in doc:
+        doc["root_system"]["active_roots"] = [0, 2]
+    else:
+        rank = doc["variety"]["rank"]
+        doc["dh"] = {"factors": [{"normal": ["1"] + ["0"] * (rank - 1), "offset": "3",
+                                  "multiplicity": 2}]}
+    dim = len(doc["variety"]["projection"])
+    terms = [{"exponent": [0] * dim, "coeff": "2"}]
+    if dim:
+        terms.append({"exponent": [2] + [0] * (dim - 1), "coeff": "1"})
+    doc["weight_fn"] = {"polynomial": {"dim": dim, "terms": terms}}
+    return doc
+
+
+@pytest.mark.parametrize("name", ["wonderful-a2", "toric-bl1p2"])
+def test_integral_floats_are_read_as_integers(name):
+    # Draft 2020-12 counts 1.0 as an integer, so these documents are valid
+    doc = _with_density_and_weight(name)
+    floats = _floats_for_integers(doc)
+    assert _conforms(floats, INPUT_SCHEMA) and DOCUMENT_VALIDATOR.is_valid(floats)
+    si, g = parse_input_document(doc)
+    si_f, g_f = parse_input_document(floats)
+    assert type(si_f.rank) is int and type(si_f.dim_x) is int
+    assert si_f.dh == si.dh and g_f == g
+    assert delta_p(si_f, 2) == delta_p(si, 2)
+    assert barycenter_g(si_f, g_f) == barycenter_g(si, g)
