@@ -37,8 +37,6 @@ from .quad import (
     density_expansion,
     dh_moments,
     enclose,
-    float_with_error,
-    half_width,
     integrate_numeric,
 )
 from .spherical import PLFunction, SphericalInput
@@ -152,11 +150,12 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
 
     Exact for integer p and exact weights, through the polynomial in the
     ray's vertex values that `quad.Expansion.power_integral` builds once
-    per p.  For non-integer p with a
-    constant or polynomial weight the numerator is a rigorous interval
-    enclosure (`quad.Expansion.integral_power`) over the exact mass, tight
-    to 1e-12 * max(1, |S|), and the error bounds the distance of the
-    reported float from the true value.  Other weights take an adaptive
+    per p.  For non-integer p with a constant or polynomial weight the
+    numerator is first written exactly as sum_t R_t t^p over the ray's
+    distinct vertex values (`quad.Expansion.integral_power`); only those
+    powers are enclosed, at a precision raised until the enclosure over
+    the exact mass is tight to 1e-12 * max(1, |S|), and the error bounds
+    the distance of the reported float from the true value.  Other weights take an adaptive
     cubature estimate, kept in the section polytope's memo once computed,
     and `quad.IntegrationError` if it does not converge.  `InvariantError`
     unless 1 <= p < inf."""
@@ -175,10 +174,10 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
         values = ray.vertex_values
         if _is_integer(p):
             return Num.from_fraction(density.power_integral(values, int(p)) / mass)
-        ratio = enclose(
-            lambda prec: density.integral_power(values, p, prec) * mass.denominator / mass.numerator,
-            lambda s: half_width(s) <= S_P_RTOL * max(1.0, abs(float(s.mid))))
-        return Num.from_float(*float_with_error(ratio))
+        total = density.integral_power(values, p)
+        ratio = enclose(lambda prec: total.enclosure(prec) / mass,
+                        lambda s: s.half_width <= S_P_RTOL * max(1.0, abs(s.mid)))
+        return Num.from_float(*ratio.float_with_error())
 
     pf = float(p)
     key = ("S_p", si.dh, g, tuple(si.projection), v, ray.value, pf)
@@ -244,7 +243,8 @@ def _ray_log_discrepancy(si: SphericalInput, v: Vec) -> Fraction:
 
 
 def _root_ratio(a: Fraction, s: Num, p) -> Num:
-    """A / S^(1/p) with the exactness that p permits."""
+    """A / S^(1/p) with the exactness that p permits; for an inexact S the
+    error also covers the rounding of the float evaluation."""
     if s.is_exact:
         if s.exact == 0:
             return Num.from_float(float("inf"), 0.0)
@@ -257,7 +257,10 @@ def _root_ratio(a: Fraction, s: Num, p) -> Num:
     val = float(a) / s.value ** (1.0 / float(p))
     lo = float(a) / (s.value + s.error) ** (1.0 / float(p))
     hi = float(a) / max(s.value - s.error, 1e-300) ** (1.0 / float(p))
-    return Num.from_float(val, max(hi - val, val - lo))
+    # each of the three is off by a few units of 2^-53 from its own rounding,
+    # and by |log S| units from the rounding of the exponent 1/p
+    rounding = 8 * 2.0 ** -53 * (1.0 + abs(math.log(s.value))) * abs(hi)
+    return Num.from_float(val, max(hi - val, val - lo) + rounding)
 
 
 def _argmin_ratios(ratios: Sequence[tuple[Vec, Num, Fraction | None]]):

@@ -19,15 +19,18 @@ on it (`VPolytope.triangulation`):
   built once per expansion and p and evaluated per form
   (`Expansion.power_integral`);
 * closed forms for such an expansion times ``l(x) ** s`` with one affine
-  form l and a real exponent s, by the generalized Hermite-Genocchi
+  form l and a rational exponent s, by the generalized Hermite-Genocchi
   identity ``int tau^a F^(d+|a|)(sum tau_i t_i) = a! F[t_i repeated a_i + 1
   times]``, t_i = l(s_i) (de Boor, "Divided differences", Surv. Approx.
-  Theory 1, 2005).  `Expansion.integral_power` encloses it rigorously in
-  interval arithmetic (non-integer moments S_p); for s = -k with
-  k > d + |a| the divided difference is a positive sum of reciprocal
-  powers, which `Expansion.integral_inverse_power` evaluates in floats
-  (the Reeb functional, whose P = 1 case is the volume function of
-  Martelli, Sparks and Yau, Comm. Math. Phys. 280, 2008);
+  Theory 1, 2005).  `Expansion.integral_power` writes it exactly as
+  ``sum_t R_t t ** s`` over the distinct values t (``log t`` and a
+  rational for an integer s), and only those few powers are enclosed, to
+  a rising precision (non-integer moments S_p; module `powers`, loaded
+  on first use); for s = -k with k > d + |a| the divided difference is a
+  positive sum of reciprocal powers, which
+  `Expansion.integral_inverse_power` evaluates in floats (the Reeb
+  functional, whose P = 1 case is the volume function of Martelli, Sparks
+  and Yau, Comm. Math. Phys. 280, 2008);
 * an adaptive cubature estimate for the remaining smooth integrands
   (weights that are not polynomials), with embedded Grundmann-Moller rules
   of degrees 7 and 9.  Its error bound is the rules' discrepancy: an
@@ -49,7 +52,6 @@ of its vertices.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -73,6 +75,7 @@ from .geom import (
 # coefficient * prod form ** multiplicity.
 Factors = tuple[tuple[AffineForm, int], ...]
 Product = tuple[Fraction, Factors]
+_UNIT_PRODUCTS: tuple[Product, ...] = ((Fraction(1), ()),)
 
 
 class IntegrationError(Exception):
@@ -273,6 +276,13 @@ class DHDensity:
             if f.multiplicity < 1:
                 raise ValueError("factor multiplicities must be positive")
 
+    def __hash__(self):  # computed once: densities key the integrals' memo
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.factors, self.normalization))
+
     @cached_property
     def polynomial(self) -> Polynomial:
         p = Polynomial.constant(self.dim, Fraction(1, 1) / self.normalization)
@@ -347,7 +357,7 @@ class WeightFn:
         A constant g cancels in every ratio of integrals it weights, so it
         expands to 1, exactly even when the constant is irrational."""
         if self.constant_value() is not None:
-            return [(Fraction(1), ())]
+            return _UNIT_PRODUCTS
         return self._expand(projection, ambient_dim)
 
     def _expand(self, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
@@ -623,33 +633,18 @@ class Expansion:
         return (Fraction(factorial(p) * common, den * top),
                 [(c // common, key) for key, c in coeffs.items() if c])
 
-    def integral_power(self, values: Sequence[Fraction], s, prec: int = 64):
-        """Enclosure, as an `mpmath.iv` interval computed at ``prec`` bits,
-        of the integral of the expanded sum times ``l(x) ** s`` for a real
-        exponent s and an affine form l given by its ``values`` at
-        `vertices`, in that order.
+    def integral_power(self, values: Sequence[Fraction], s) -> "PowerIntegral":
+        """The integral of the expanded sum times ``l(x) ** s`` for a
+        rational exponent s and an affine form l given by its ``values`` at
+        `vertices`, in that order, as a `powers.PowerIntegral`: exact
+        rational coefficients of phi(t) = t ** s (log t for an integer s)
+        at the distinct values t, and a rational constant, which
+        `PowerIntegral.enclosure` encloses at a given precision.  Raises
+        `SingularIntegrandError` where a node makes the integrand singular
+        or, for non-integer s, negative."""
+        from .powers import integral_power
 
-        Each term tau^a on a simplex contributes ``a! A_r[nodes]``: the
-        divided difference of an r-fold antiderivative of t ** s
-        (r = d + |a|) on the form's values at the simplex vertices, vertex i
-        repeated a_i + 1 times.  The values are exact, so tied and zero
-        nodes are found exactly, and at an integer s whose antiderivatives
-        carry no logarithm the whole table is exact and only its result is
-        rounded.  Raises `SingularIntegrandError` where a node makes the
-        integrand singular or, for non-integer s, negative.
-        """
-        with _interval_precision(prec) as iv:
-            antiderivative = _PowerAntiderivative(iv, Fraction(s))
-            total = iv.mpf(0)
-            for idx, volume, part in self.parts:
-                nodes = [values[i] for i in idx]
-                for a, n in part.terms.items():
-                    repeated = sorted(chain.from_iterable(
-                        [t] * (k + 1) for t, k in zip(nodes, a)))
-                    weight = n * prod(factorial(k) for k in a) * volume * part.scale
-                    total += antiderivative.exact(weight) \
-                        * antiderivative.divided_difference(repeated)
-            return total
+        return integral_power(self.parts, values, s)
 
     @cached_property
     def _float_terms(self) -> list[tuple[list[int], list[tuple[float, tuple[int, ...], int]]]]:
@@ -721,99 +716,6 @@ def _complete_homogeneous(y: Sequence[float], mults: Sequence[int], q: int) -> f
     return h[q]
 
 
-@contextmanager
-def _interval_precision(prec: int):
-    """mpmath's interval context at ``prec`` bits, restored on exit;
-    imported on first use, so that importing kstab does not load mpmath."""
-    from mpmath import iv
-
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        yield iv
-    finally:
-        iv.prec = saved
-
-
-class _PowerAntiderivative:
-    """Enclosures of A_n(t), the n-fold antiderivative of t ** s, at exact
-    rational t, with A_n' = A_(n-1) throughout, as confluent divided
-    differences need:
-
-    * ``A_n = t ** (s+n) / ((s+1) ... (s+n))``, unless s = -k is a negative
-      integer and n >= k;
-    * there ``A_n = c t ** q (log t - H_q) / q!`` with q = n - k,
-      c = (-1) ** (k-1) / (k-1)! and H_q the q-th harmonic number, which
-      differs from an antiderivative of A_(n-1) by a polynomial of degree
-      below n that no n-th divided difference sees.
-    """
-
-    def __init__(self, iv, s: Fraction):
-        self.iv = iv
-        self.s = s
-        self._values: dict[tuple[Fraction, int], object] = {}
-
-    def exact(self, x: Fraction):
-        """Enclosure of a rational number."""
-        x = Fraction(x)
-        return self.iv.mpf(x.numerator) / x.denominator
-
-    def value(self, t: Fraction, n: int):
-        key = (t, n)
-        if key not in self._values:
-            self._values[key] = self._compute(t, n)
-        return self._values[key]
-
-    def _compute(self, t: Fraction, n: int):
-        iv, s = self.iv, self.s
-        if s.denominator == 1 and s < 0 and n >= -s:
-            k = int(-s)
-            q = n - k
-            if t < 0 or (t == 0 and q == 0):
-                raise SingularIntegrandError(f"t ** {s} at the node {t}")
-            if t == 0:
-                return iv.mpf(0)
-            c = Fraction((-1) ** (k - 1), factorial(k - 1) * factorial(q))
-            harmonic = sum((Fraction(1, j) for j in range(1, q + 1)), Fraction(0))
-            return self.exact(c * t ** q) * (iv.log(self.exact(t)) - self.exact(harmonic))
-        e = s + n
-        if e.denominator == 1:
-            return self.exact(self._rational(t, n))
-        c = 1 / prod((s + j for j in range(1, n + 1)), start=Fraction(1))
-        if t < 0 or (t == 0 and e < 0):
-            raise SingularIntegrandError(f"t ** {s} at the node {t}")
-        if t == 0:
-            return iv.mpf(0)
-        return self.exact(c) * iv.exp(self.exact(e) * iv.log(self.exact(t)))
-
-    def _rational(self, t: Fraction, n: int) -> Fraction:
-        """A_n(t) where it is rational: s + n an integer and no logarithm."""
-        e = int(self.s + n)
-        if t == 0 and e < 0:
-            raise SingularIntegrandError(f"t ** {self.s} at the node 0")
-        return t ** e / prod((self.s + j for j in range(1, n + 1)), start=Fraction(1))
-
-    def divided_difference(self, nodes: Sequence[Fraction]):
-        """A_N[nodes] for sorted nodes, N = len(nodes) - 1, by the Newton
-        table; a run of k + 1 equal nodes takes A_(N-k)(t) / k!.  Where
-        every A_n the table reads is rational (s an integer, and no
-        logarithm up to n = N), the table runs in exact arithmetic and only
-        its result is enclosed."""
-        last = len(nodes) - 1
-        s = self.s
-        rational = s.denominator == 1 and not (s < 0 and last >= -s)
-        value = self._rational if rational else self.value
-        table = [value(t, last) for t in nodes]
-        for k in range(1, last + 1):
-            for i in range(last, k - 1, -1):
-                gap = nodes[i] - nodes[i - k]
-                if gap == 0:
-                    table[i] = value(nodes[i], last - k) / factorial(k)
-                else:
-                    table[i] = (table[i] - table[i - 1]) * gap.denominator / gap.numerator
-        return self.exact(table[last]) if rational else table[last]
-
-
 PRECISIONS = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
@@ -826,20 +728,6 @@ def enclose(evaluate: Callable[[int], object], accept: Callable[[object], bool])
             return x
     raise IntegrationError(
         f"no enclosure tight enough at {PRECISIONS[-1]} bits of working precision")
-
-
-def half_width(x) -> float:
-    """An upper bound on the half-width of an `mpmath.iv` interval."""
-    with _interval_precision(53):
-        return float(((x.b - x.a) / 2).b)
-
-
-def float_with_error(x) -> tuple[float, float]:
-    """A float inside the interval x and an upper bound on its distance
-    from every point of x."""
-    value = float(x.mid)
-    with _interval_precision(53) as iv:
-        return value, float(abs(x - iv.mpf(value)).b)
 
 
 def _coordinate_form(i: int, n: int) -> AffineForm:
@@ -877,12 +765,13 @@ def integrate_poly(p, f: Polynomial) -> Fraction:
 def density_expansion(vp: VPolytope, dh: DHDensity, weight: Sequence[Product]) -> Expansion:
     """The expansion of weight(x) * dh(x) over a polytope; built on first use
     and kept in the polytope's memo."""
-    dh_factors = tuple((f.form, f.multiplicity) for f in dh.factors)
-    products = tuple((c / dh.normalization, factors + dh_factors) for c, factors in weight)
-    key = ("density", products)
-    if key not in vp.memo:
-        vp.memo[key] = Expansion(vp, products)
-    return vp.memo[key]
+    key = ("density", dh, tuple(weight))
+    expansion = vp.memo.get(key)
+    if expansion is None:
+        dh_factors = tuple((f.form, f.multiplicity) for f in dh.factors)
+        expansion = vp.memo[key] = Expansion(vp, [(c / dh.normalization, factors + dh_factors)
+                                                  for c, factors in weight])
+    return expansion
 
 
 # ---------------------------------------------------------------------------
@@ -1073,12 +962,13 @@ def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec],
     vp = _as_vpolytope(p)
     n = vp.dim
     g = g or UNIT_WEIGHT
-    checked = ("positive", dh, g, tuple(projection))
+    weight = g.products(projection, n)
+    # an expanded weight holds the rows of the projection that g reads
+    checked = ("positive", dh, g, tuple(projection) if weight is None else tuple(weight))
     if checked not in vp.memo:
         dh.check_positive_on(vp.vertices)
         g.check_positive([tuple(dot(row, v) for row in projection) for v in vp.vertices])
         vp.memo[checked] = True
-    weight = g.products(projection, n)
     if weight is not None:
         return density_expansion(vp, dh, weight).moments
 

@@ -13,8 +13,9 @@ x_i x_j P against powers -(m+1), -(m+2) and -(m+3) of one affine form, so
 they have closed forms (`quad.Expansion.integral_inverse_power`): the
 generalized Hermite-Genocchi identity, whose P = 1 case is the volume
 function of Martelli, Sparks and Yau.  When m + 1 <= dim + deg P, which
-only a raw user density can give, the closed form carries logarithms and
-the three are enclosed in interval arithmetic instead.
+only a raw user density can give, the closed form carries logarithms: it
+is reduced exactly to rational multiples of log t at the vertex values t,
+and only those logarithms are enclosed.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .quad import (
     Expansion,
     density_expansion,
     enclose,
-    float_with_error,
-    half_width,
 )
 from .spherical import SphericalInput
 
@@ -176,14 +175,14 @@ def _enclosed_functional(prob: ReebProblem, xi: np.ndarray):
     ratio = float(np.max(np.abs(prob.vertex_array))) / float(min(values))
 
     def accept(entries):
-        scale = 2.0 ** -52 * abs(float(entries[0].mid))
-        return all(half_width(e) <= scale * ratio ** order
+        scale = 2.0 ** -52 * abs(entries[0].mid)
+        return all(e.half_width <= scale * ratio ** order
                    for e, (_, _, order) in zip(entries, jobs))
 
-    entries = enclose(
-        lambda prec: [e.integral_power(values, -k, prec) for e, k, _ in jobs], accept)
-    value, err = float_with_error(entries[0])
-    rest = [float(e.mid) for e in entries[1:]]
+    totals = [e.integral_power(values, -k) for e, k, _ in jobs]
+    entries = enclose(lambda prec: [total.enclosure(prec) for total in totals], accept)
+    value, err = entries[0].float_with_error()
+    rest = [e.mid for e in entries[1:]]
     return value, err, rest[:len(first)], rest[len(first):]
 
 

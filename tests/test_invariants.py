@@ -96,6 +96,19 @@ def test_s_noninteger_p_certified(pgl2):
     assert abs(s.value - expected) <= s.error + 1e-10
 
 
+def test_delta_noninteger_p_error_covers_the_value(pgl2):
+    # delta^(p) = A / S^(1/p) with A = 1 at the minimizing ray and S the
+    # closed form above; a tight S must not leave a zero error bound
+    import mpmath
+    with mpmath.workdps(40):
+        p = mpmath.mpf(3) / 2
+        s = 3 * 2 ** (p + 1) / ((p + 1) * (p + 2) * (p + 3))
+        expected = 1 / s ** (1 / p)
+    d = delta_p(pgl2, F(3, 2)).value
+    assert 0 < d.error <= 1e-13
+    assert abs(mpmath.mpf(d.value) - expected) <= d.error
+
+
 def test_s_noninteger_p_equal_on_symmetric_rays():
     # the three rays of P2 are permuted by its automorphisms, so their
     # moments agree; each enclosure must contain the common value
@@ -457,6 +470,32 @@ def test_integer_moments_rank3_match_the_multiplied_expansion(wonderful_rank3):
             values = [dot(x, v) + si.section_support(v) for x in poly.vertices]
             for p in (1, 2, 3):
                 assert S_p(si, v, p).exact == density.integral(((values, p),)) / density.mass
+
+
+def _between_integer_moments(si, v):
+    """S_p at p = 1.5 and 2.5 within the bounds that log-convexity of
+    p -> log S_p gives from the exact S_k and S_(k+1), k = floor(p):
+    S_k^(p/k) <= S_p <= S_k^(k+1-p) S_(k+1)^(p-k)."""
+    for p in (1.5, 2.5):
+        k = int(p)
+        low, high = (float(S_p(si, v, q).exact) for q in (k, k + 1))
+        lo, hi = low ** (p / k), low ** (k + 1 - p) * high ** (p - k)
+        s = S_p(si, v, p)
+        assert s.error <= 1e-12 * max(1, s.value)
+        assert lo - s.error - 1e-14 * hi <= s.value <= hi + s.error + 1e-14 * hi
+
+
+def test_fractional_moments_between_integer_moments_random_polygons():
+    rng = random.Random(11)
+    for _ in range(8):
+        si = random_toric_input(rng)
+        for v in si.candidates:
+            _between_integer_moments(si, v)
+
+
+def test_fractional_moments_between_integer_moments_rank3(wonderful_rank3):
+    for si in wonderful_rank3.values():
+        _between_integer_moments(si, si.candidates[0])
 
 
 def test_power_form_built_once_per_input_and_exponent(monkeypatch):

@@ -36,8 +36,6 @@ from kstab.quad import (
     dh_moments,
     integrate_monomial_simplex,
     integrate_numeric,
-    float_with_error,
-    half_width,
     integrate_poly,
 )
 from kstab.rootsys import RootSystem, dh_density
@@ -230,18 +228,65 @@ def _simplex_products_and_form(draw):
 @settings(max_examples=60, deadline=None)
 @given(_simplex_products_and_form(), st.integers(0, 3))
 def test_integral_power_matches_exact_kernel_at_integer_exponents(case, s):
-    from mpmath.libmp import to_rational
-
     vertices, products, form = case
     n = len(vertices[0])
     assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
     expansion = Expansion(VPolytope(n, vertices), products)
     values = [form(x) for x in expansion.vertices]
     exact = expansion.integral(((values, s),))
-    enclosure = expansion.integral_power(values, s)
-    lo, hi = (F(*to_rational(end)) for end in enclosure._mpi_)
-    assert lo <= exact <= hi
-    assert half_width(enclosure) <= 1e-15 * (1 + abs(float(exact)))
+    enclosure = expansion.integral_power(values, s).enclosure(64)
+    assert enclosure.lo <= exact * enclosure.den <= enclosure.hi
+    assert enclosure.half_width <= 1e-15 * (1 + abs(float(exact)))
+
+
+@st.composite
+def _simplex_density_and_values(draw):
+    """A simplex (possibly seen through a chart), a density whose squared
+    factors give terms tau^a with several a_i > 0, so that nodes repeat,
+    and values at the vertices that tie and vanish often: on a simplex
+    every choice of vertex values is that of an affine form."""
+    vertices, products, _ = draw(_simplex_products_and_form())
+    values = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1)])
+    return vertices, products, draw(st.lists(values, min_size=len(vertices), max_size=len(vertices)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_simplex_density_and_values(), st.integers(0, 3))
+def test_power_integral_at_integer_exponents_is_the_exact_integral(case, s):
+    vertices, products, values = case
+    n = len(vertices[0])
+    assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
+    expansion = Expansion(VPolytope(n, vertices), products)
+    exact = expansion.integral(((values, s),))
+    total = expansion.integral_power(values, s)
+    assert total.terms == () and F(total.constant, total.den) == exact
+    enclosure = total.enclosure(64)
+    assert enclosure.lo <= exact * enclosure.den <= enclosure.hi
+
+
+@pytest.mark.parametrize("values, s", [
+    ([F(-1), F(2)], F(3, 2)),   # a negative node at a non-integer exponent
+    ([F(0), F(1)], F(-3, 2)),   # int_0 t^(-3/2) diverges
+    ([F(0), F(1)], F(-1)),      # the logarithm at a zero node
+    ([F(0), F(1)], F(-2)),
+    ([F(-1), F(1)], F(-1)),     # the logarithm at a negative node
+])
+def test_integral_power_singular_nodes_raise(values, s):
+    expansion = Expansion(VPolytope(1, [vec([0]), vec([1])]), [(F(1), ())])
+    with pytest.raises(SingularIntegrandError):
+        expansion.integral_power(values, s)
+
+
+def test_integral_power_integrable_zero_nodes():
+    # int_0^1 t^(-1/2) dt = 2; 1 / l on a triangle where l vanishes at one
+    # vertex only: int over the unit triangle of 1 / (x + y) = 1
+    segment = Expansion(VPolytope(1, [vec([0]), vec([1])]), [(F(1), ())])
+    triangle = Expansion(VPolytope(2, [vec([0, 0]), vec([1, 0]), vec([0, 1])]), [(F(1), ())])
+    for expansion, s, exact in ((segment, F(-1, 2), 2), (triangle, F(-1), 1)):
+        values = [sum(x) for x in expansion.vertices]
+        enclosure = expansion.integral_power(values, s).enclosure(64)
+        assert enclosure.lo <= exact * enclosure.den <= enclosure.hi
+        assert enclosure.half_width <= 1e-18
 
 
 def test_integral_power_rank1_against_mpmath_quad():
@@ -262,7 +307,7 @@ def test_integral_power_rank1_against_mpmath_quad():
             a, b = mp(form.normal[0]), mp(form.offset)
             ref = mpmath.quad(lambda x: (x + 2) ** 2 * max(a * x + b, 0) ** mp(s), [-1, 3])
             values = [form(x) for x in density.vertices]
-            value, err = float_with_error(density.integral_power(values, s))
+            value, err = density.integral_power(values, s).enclosure(64).float_with_error()
             assert err <= 1e-15 * abs(value)
             assert abs(value - float(ref)) <= err + 1e-15 * abs(value)
 
@@ -282,8 +327,8 @@ def test_inverse_power_closed_form_matches_enclosure():
         values = [float(form(x)) for x in polytope.vertices]
         for k in range(5, 8):
             value, err = expansion.integral_inverse_power(values, k)
-            enclosure = expansion.integral_power([form(x) for x in polytope.vertices], -k)
-            assert abs(value - float(enclosure.mid)) <= err + half_width(enclosure)
+            enclosure = expansion.integral_power([form(x) for x in polytope.vertices], -k).enclosure(64)
+            assert abs(value - enclosure.mid) <= err + enclosure.half_width
         checked += 1
 
 
