@@ -17,9 +17,10 @@ dimension):
 then, per builtin, a ``--g`` whose polynomial exponents do not match its
 ``dim``, ``delta`` at p = 0, -1 and 0.5 (below the range of p), and
 ``alpha`` and ``reeb`` on a document that carries the polynomial weight;
-last, ``check`` on schema-invalid variants of the toric-p1 document and
+then ``check`` on schema-invalid variants of the toric-p1 document and
 with schema-invalid ``--g`` blocks, so that rejection messages are
-compared too.
+compared too; last, ``check`` on a rank-2 toric document whose fan leaves
+out the thin cone between the rays (11, 1) and (10, 1).
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ _INVALID_DOCUMENTS = {
         "constant": "1", "affine_power": {"xi": ["1"], "a": "3", "exponent": 2}}),
 }
 _INVALID_G = ("5", '{"constant": "x"}', '{"affine_power": {"xi": ["1"], "a": "3"}}')
+
+
+def _thin_gap_document() -> dict:
+    """A toric surface whose fan misses the cone between (11, 1) and (10, 1)."""
+    rays = [["1", "0"], ["11", "1"], ["10", "1"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
+    divisors = [{"name": f"D{i}", "rho": r, "coeff": "1", "is_color": False}
+                for i, r in enumerate(rays)]
+    fan = [{"generators": [rays[i], rays[(i + 1) % 6]], "divisors": [f"D{i}", f"D{(i + 1) % 6}"]}
+           for i in range(6) if i != 1]
+    return {"schema_version": "1",
+            "variety": {"rank": 2, "dim_x": 2, "divisors": divisors,
+                        "anticanonical_divisors": [dict(d) for d in divisors], "fan": fan,
+                        "valuation_cone": "all", "projection": [["1", "0"], ["0", "1"]]}}
 
 
 def _commands(path: str, ray: str) -> list[list[str]]:
@@ -134,6 +148,10 @@ def main():
         for g in _INVALID_G:
             print("# toric-p1 invalid --g")
             print(_run(["check", "--input", str(Path(root, "toric-p1.json")), "--g", g], root))
+        path = Path(root, "thin-gap.json")
+        path.write_text(json.dumps(_thin_gap_document()))
+        print("# thin-gap fan")
+        print(_run(["check", "--input", str(path)], root))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -85,14 +86,15 @@ def primitive(v: Vec) -> Vec:
     integer vector (coprime integer entries, same direction)."""
     if is_zero_vec(v):
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for k in ints:
-        g = gcd(g, abs(k))
-    return tuple(Fraction(k, g) for k in ints)
+    return tuple(map(Fraction, _integral(v)))
+
+
+def _integral(v) -> tuple[int, ...]:
+    """`primitive` of a nonzero vector of rationals or integers, as ints."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(k // g for k in ints)
 
 
 def lex_sorted(vectors: Iterable[Vec]) -> list[Vec]:
@@ -349,62 +351,61 @@ def double_description(halfspaces: Sequence[Vec], dim: int) -> tuple[tuple[Vec, 
 
     Returns (rays, lineality): primitive extreme rays modulo the lineality
     space, and a lattice basis of the lineality space.  Both are sorted
-    lexicographically.
+    lexicographically.  Rays are kept as primitive integer tuples and the
+    halfspaces scaled to integers (Fukuda and Prodon, "Double description
+    method revisited", 1996), each ray with the bit set of the processed
+    halfspaces it lies on; the lineality basis stays rational.
     """
     lineality: list[Vec] = [unit_vec(i, dim) for i in range(dim)]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
-
-    def zeroset(r: Vec) -> frozenset[int]:
-        return frozenset(i for i, h in enumerate(processed) if dot(h, r) == 0)
-
+    rays: list[tuple[int, ...]] = []
+    zsets: list[int] = []
+    bit = 1  # the bit of the halfspace being processed
     for h in halfspaces:
         if is_zero_vec(h):
             continue
+        h = _integral(h)
         pivot_idx = next((i for i, l in enumerate(lineality) if dot(h, l) != 0), None)
         if pivot_idx is not None:
             piv = lineality[pivot_idx]
-            c = dot(h, piv)
-            l0 = vscale(piv, Fraction(1) / c)  # <h, l0> = 1
+            l0 = vscale(piv, Fraction(1) / dot(h, piv))  # <h, l0> = 1
             lineality = [vsub(l, vscale(l0, dot(h, l)))
                          for i, l in enumerate(lineality) if i != pivot_idx]
-            rays = [vsub(r, vscale(l0, dot(h, r))) for r in rays]
-            rays.append(l0)
-            rays = [primitive(r) for r in rays if not is_zero_vec(r)]
+            # each ray moves onto h = 0 and keeps its zero set; l0 lies on
+            # every processed halfspace but h.  No ray lies in the lineality
+            # space, so none becomes zero.
+            rays = [_integral(vsub(r, vscale(l0, sum(map(mul, h, r))))) for r in rays]
+            rays.append(_integral(l0))
+            zsets = [z | bit for z in zsets] + [bit - 1]
         else:
-            vals = [(r, dot(h, r)) for r in rays]
-            plus = [(r, s) for r, s in vals if s > 0]
-            zero = [r for r, s in vals if s == 0]
-            minus = [(r, s) for r, s in vals if s < 0]
+            vals = [sum(map(mul, h, r)) for r in rays]
+            minus = [i for i, s in enumerate(vals) if s < 0]
             if minus:
-                zsets = {r: zeroset(r) for r in rays}
-                new: list[Vec] = []
-                for rp, sp in plus:
-                    for rm, sm in minus:
-                        common = zsets[rp] & zsets[rm]
-                        adjacent = True
-                        for other in rays:
-                            if other is rp or other is rm:
-                                continue
-                            if common <= zsets[other]:
-                                adjacent = False
-                                break
-                        if adjacent:
-                            comb = vsub(vscale(rm, sp), vscale(rp, sm))
-                            if not is_zero_vec(comb):
-                                new.append(primitive(comb))
-                kept = [r for r, _ in plus] + zero
-                seen: set[Vec] = set(primitive(r) for r in kept)
-                merged = [primitive(r) for r in kept]
-                for r in new:
-                    if r not in seen:
-                        seen.add(r)
-                        merged.append(r)
-                rays = merged
-        processed.append(h)
+                plus = [i for i, s in enumerate(vals) if s > 0]
+                kept = plus + [i for i, s in enumerate(vals) if s == 0]
+                merged = [rays[i] for i in kept]
+                merged_z = [zsets[i] | (bit if vals[i] == 0 else 0) for i in kept]
+                seen = set(merged)
+                for ip in plus:
+                    for im in minus:
+                        common = zsets[ip] & zsets[im]
+                        if any(z & common == common for i, z in enumerate(zsets)
+                               if i != ip and i != im):
+                            continue  # not adjacent
+                        # a positive combination: nonzero, as the cone
+                        # modulo its lineality space is pointed
+                        r = _integral([vals[ip] * a - vals[im] * b
+                                       for a, b in zip(rays[im], rays[ip])])
+                        if r not in seen:
+                            seen.add(r)
+                            merged.append(r)
+                            merged_z.append(common | bit)
+                rays, zsets = merged, merged_z
+            else:
+                zsets = [z | bit if s == 0 else z for z, s in zip(zsets, vals)]
+        bit <<= 1
 
-    rays = lex_sorted(set(primitive(r) for r in rays if not is_zero_vec(r)))
-    return tuple(rays), _canonical_lineality(lineality, dim)
+    out = tuple(tuple(map(Fraction, r)) for r in sorted(set(rays)))
+    return out, _canonical_lineality(lineality, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def integral_power(parts, values: Sequence[Fraction], s) -> "PowerIntegral":
     rational multiple of phi(v) plus a rational (`_antiderivative_row`).
     The values are scaled to integers first.  `SingularIntegrandError`
     where a node makes the integrand singular or, for non-integer s,
-    negative."""
+    negative, and for s < 0 where l changes sign on a simplex."""
     s = Fraction(s)
     den = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (den // v.denominator) for v in values]
@@ -56,6 +56,8 @@ def integral_power(parts, values: Sequence[Fraction], s) -> "PowerIntegral":
     sums: dict[int | None, list[tuple[int, int]]] = {}  # node or None -> [(num, den)]
     for idx, volume, part in parts:
         nodes = sorted({scaled[i] for i in idx})
+        if s < 0 and nodes[0] < 0 < nodes[-1]:
+            raise SingularIntegrandError(f"t ** {s} on a simplex where t changes sign")
         slot = [nodes.index(scaled[i]) for i in idx]
         w = volume * part.scale * unscale
         for a, n in part.terms.items():

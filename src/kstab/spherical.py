@@ -6,13 +6,14 @@ piecewise-linear support functions attached to the section and to the
 anticanonical section (the latter restricting to the log discrepancy on the
 valuation cone), the finite candidate ray set over which the stability
 thresholds are minimized, and the level-k truncations of the expected
-vanishing order.
+vanishing order.  The minimum over the candidates is the paper's minimum
+only when the fan covers the valuation cone, which a complete input is
+checked for exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,13 +29,10 @@ from .geom import (
     lex_sorted,
     primitive,
     rowspace_solution,
-    vadd,
     vec,
     vertex_enum,
     vneg,
-    vscale,
     vsub,
-    zero_vec,
 )
 from .quad import UNIT_WEIGHT, DHDensity, WeightFn, eval_products
 
@@ -200,6 +198,10 @@ def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
     return lex_sorted(rays)
 
 
+def _span(rays) -> str:
+    return ", ".join("(" + ", ".join(map(str, r)) + ")" for r in sorted(rays)) or "0"
+
+
 def lattice_points(p: HPolytope, k: int) -> list[Vec]:
     """Integer points of the dilate k*p, in lexicographic order."""
     if k < 1:
@@ -231,7 +233,11 @@ def lattice_points(p: HPolytope, k: int) -> list[Vec]:
 
 @dataclass
 class SphericalInput:
-    """Validated combinatorial description of a polarized spherical variety."""
+    """Validated combinatorial description of a polarized spherical variety.
+
+    With ``complete`` the valuation cone must be full-dimensional and the
+    fan must cover it (`_check_completeness`, an exact decision); without
+    it neither is checked."""
 
     rank: int
     dim_x: int
@@ -330,33 +336,53 @@ class SphericalInput:
                     "relative interior of a colored cone misses the valuation cone")
 
     def _check_completeness(self):
-        """Necessary (ray-wise plus seeded random sampling) check that the
-        valuation cone is covered by the fan support."""
+        """Exact decision that the fan covers the valuation cone V, which
+        must be full-dimensional.  After the ray-wise checks, every wall
+        (facet) of a full-dimensional piece, a fan cone met with V, must
+        lie in a facet of V or have another piece on its other side that
+        contains it.  A point of V that no piece covers would be reached
+        from inside a piece across the relative interior of a wall, so when
+        every wall passes the pieces cover V; when the cones meet in common
+        faces, as in a fan, a wall that fails marks a region of V left
+        uncovered."""
+        vcone = self.valuation_cone
+        if vcone.span_equations:
+            raise SphericalDataError(
+                "the valuation cone is not full-dimensional; the valuation "
+                "cone of a spherical variety always is")
         cones = self.fan_cones
 
         def covered(x: Vec) -> bool:
             return any(c.contains(x) for c in cones)
 
-        vrays = list(self.valuation_cone.rays)
-        vlin = list(self.valuation_cone.lineality)
-        for r in vrays:
+        for r in vcone.rays:
             if not covered(r):
                 raise SphericalDataError(
                     f"valuation cone ray {r} is not covered by the fan")
-        for l in vlin:
+        for l in vcone.lineality:
             for s in (l, vneg(l)):
                 if not covered(s):
                     raise SphericalDataError(
                         f"valuation cone direction {s} is not covered by the fan")
-        rng = random.Random(7)
-        gens = vrays + vlin + [vneg(l) for l in vlin]
-        for _ in range(64):
-            x = zero_vec(self.rank)
-            for g in gens:
-                x = vadd(x, vscale(g, Fraction(rng.randint(0, 9), 1)))
-            if not covered(x):
-                raise SphericalDataError(
-                    f"sampled valuation {x} is not covered by the fan")
+        pieces = [m for m in self.fan_meets if not m.span_equations]
+        if not pieces:
+            raise SphericalDataError(
+                "no cone of the fan meets the valuation cone in a full-dimensional cone")
+        # (facet normal, rays of the wall) -> its piece
+        walls = {(n, frozenset(r for r in m.rays if dot(n, r) == 0)): m
+                 for m in pieces for n in m.facet_normals}
+        for (n, wall), m in walls.items():
+            if any(all(dot(u, r) == 0 for r in wall) for u in vcone.facet_normals):
+                continue
+            twin = vneg(n)
+            if (twin, wall) in walls or any(
+                    twin in q.facet_normals and all(q.contains(r) for r in wall)
+                    for q in pieces):
+                continue
+            raise SphericalDataError(
+                f"no cone of the fan lies across the wall spanned by {_span(wall)} of "
+                f"the cone spanned by {_span(m.rays)}: the fan misses part of the "
+                f"valuation cone there, or its cones do not meet in common faces")
 
     # -- level-k sums ----------------------------------------------------------
 

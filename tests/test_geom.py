@@ -14,11 +14,15 @@ from kstab.geom import (
     Simplex,
     UnboundedPolytopeError,
     VPolytope,
+    _canonical_lineality,
     affine_form,
+    double_description,
+    dot,
     dual_polytope,
     hnf_rows,
     integer_kernel,
     invert_matrix,
+    is_zero_vec,
     kernel_basis,
     lattice_chart,
     lattice_span_basis,
@@ -26,8 +30,11 @@ from kstab.geom import (
     primitive,
     solve_linear,
     triangulate,
+    unit_vec,
     vec,
     vertex_enum,
+    vscale,
+    vsub,
 )
 
 
@@ -421,3 +428,80 @@ def test_simplex_volume_factor():
 def test_primitive_vector():
     assert primitive(vec([F(2, 3), F(4, 3)])) == (F(1), F(2))
     assert primitive(vec([-2, -4])) == (F(-1), F(-2))
+
+
+# ---------------------------------------------------------------------------
+# double description against a Fraction reference
+
+
+def _reference_double_description(halfspaces, dim):
+    """The double description in Fraction arithmetic, each ray's zero set
+    recomputed against every processed halfspace."""
+    lineality = [unit_vec(i, dim) for i in range(dim)]
+    rays, processed = [], []
+
+    def zeroset(r):
+        return frozenset(i for i, h in enumerate(processed) if dot(h, r) == 0)
+
+    for h in halfspaces:
+        if is_zero_vec(h):
+            continue
+        pivot_idx = next((i for i, l in enumerate(lineality) if dot(h, l) != 0), None)
+        if pivot_idx is not None:
+            piv = lineality[pivot_idx]
+            l0 = vscale(piv, F(1) / dot(h, piv))
+            lineality = [vsub(l, vscale(l0, dot(h, l)))
+                         for i, l in enumerate(lineality) if i != pivot_idx]
+            rays = [vsub(r, vscale(l0, dot(h, r))) for r in rays] + [l0]
+            rays = [primitive(r) for r in rays if not is_zero_vec(r)]
+        else:
+            vals = [(r, dot(h, r)) for r in rays]
+            plus = [(r, s) for r, s in vals if s > 0]
+            minus = [(r, s) for r, s in vals if s < 0]
+            if minus:
+                zsets = {r: zeroset(r) for r in rays}
+                new = []
+                for rp, sp in plus:
+                    for rm, sm in minus:
+                        common = zsets[rp] & zsets[rm]
+                        if all(not common <= zsets[o] for o in rays if o is not rp and o is not rm):
+                            comb = vsub(vscale(rm, sp), vscale(rp, sm))
+                            if not is_zero_vec(comb):
+                                new.append(primitive(comb))
+                merged = [primitive(r) for r, _ in plus] + [r for r, s in vals if s == 0]
+                seen = set(merged)
+                for r in new:
+                    if r not in seen:
+                        seen.add(r)
+                        merged.append(r)
+                rays = merged
+        processed.append(h)
+    return tuple(sorted(set(rays))), _canonical_lineality(lineality, dim)
+
+
+_entries = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 2), F(5, 3)])
+
+
+@st.composite
+def _halfspace_lists(draw):
+    dim = draw(st.integers(1, 4))
+    base = draw(st.lists(st.tuples(*[_entries] * dim), min_size=1, max_size=7))
+    extra = []
+    for h in base:  # zero, duplicate (rescaled) and opposite halfspaces
+        kind = draw(st.sampled_from(["none", "none", "duplicate", "opposite"]))
+        if kind == "duplicate":
+            extra.append(tuple(F(3, 2) * x for x in h))
+        elif kind == "opposite":
+            extra.append(tuple(-x for x in h))
+    if draw(st.booleans()):
+        extra.append((F(0),) * dim)
+    return dim, draw(st.permutations(base + extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_halfspace_lists())
+def test_double_description_matches_fraction_reference(case):
+    dim, halfspaces = case
+    rays, lineality = double_description(halfspaces, dim)
+    assert (rays, lineality) == _reference_double_description(halfspaces, dim)
+    assert all(type(x) is F for r in rays + lineality for x in r)

@@ -270,6 +270,8 @@ def test_power_integral_at_integer_exponents_is_the_exact_integral(case, s):
     ([F(0), F(1)], F(-1)),      # the logarithm at a zero node
     ([F(0), F(1)], F(-2)),
     ([F(-1), F(1)], F(-1)),     # the logarithm at a negative node
+    ([F(-1), F(1)], F(-2)),     # l changes sign inside, no node is zero
+    ([F(-1), F(3)], F(-3)),
 ])
 def test_integral_power_singular_nodes_raise(values, s):
     expansion = Expansion(VPolytope(1, [vec([0]), vec([1])]), [(F(1), ())])
@@ -282,8 +284,10 @@ def test_integral_power_integrable_zero_nodes():
     # vertex only: int over the unit triangle of 1 / (x + y) = 1
     segment = Expansion(VPolytope(1, [vec([0]), vec([1])]), [(F(1), ())])
     triangle = Expansion(VPolytope(2, [vec([0, 0]), vec([1, 0]), vec([0, 1])]), [(F(1), ())])
-    for expansion, s, exact in ((segment, F(-1, 2), 2), (triangle, F(-1), 1)):
-        values = [sum(x) for x in expansion.vertices]
+    # int_(-2)^(-1) t^(-2) dt = 1/2: negative nodes of one sign are integrable
+    for expansion, s, exact, shift in ((segment, F(-1, 2), 2, 0), (triangle, F(-1), 1, 0),
+                                       (segment, F(-2), F(1, 2), -2)):
+        values = [sum(x) + shift for x in expansion.vertices]
         enclosure = expansion.integral_power(values, s).enclosure(64)
         assert enclosure.lo <= exact * enclosure.den <= enclosure.hi
         assert enclosure.half_width <= 1e-18
