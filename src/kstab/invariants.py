@@ -9,14 +9,17 @@ exact weights carry rigorous error bounds; non-polynomial weights go
 through adaptive cubature, whose error bounds are estimates.  No numeric
 path decides a boundary question by float comparison.
 
-Each of them reads, per candidate ray v and PL function l, one `RayRecord`
-built on first use and kept on the input (`SphericalInput.ray_records`):
-l(v), the values of <x, v> + l(v) at the section polytope's vertices
-(checked nonnegative when the record is built) and their maximum T.  The
-exact integrals take those vertex values as they are, and l itself keeps
-its value per ray, so a warm input runs no cone search and evaluates no
-form again.  At integer p, S^(p) evaluates a polynomial in those vertex
-values that is built once per section polytope, density and p
+Each of them reads, per ray v and PL function l, one `RayRecord` built on
+first use and kept on the input (`SphericalInput.ray_records`): l(v), the
+values of <x, v> + l(v) at the section polytope's vertices (checked
+nonnegative when the record is built) and their maximum T; the vertex
+values serve T and non-integer p.  delta^(p), alpha and delta^g iterate
+the input's candidate table (`SphericalInput.candidate_table`), one
+`CandidateRow` per candidate ray and PL function, in candidate order: the
+ray, its primitive integer coordinates, A(v) and its record.  So a warm
+input runs no cone search and evaluates no form again.  At integer p,
+S^(p) evaluates F_p(v, l(v)) = int g(xbar) P (<x, v> + l(v))^p, a form in
+(v, l(v)) built once per section polytope, density and p
 (`quad.Expansion.power_integral`); the moments behind the barycenter are
 integrated separately, so the two routes of `beta_g` stay independent.
 """
@@ -32,6 +35,7 @@ from .geom import Cone, Vec, dot, vec
 from .quad import (
     UNIT_WEIGHT,
     DHMoments,
+    Expansion,
     IntegrationError,
     WeightFn,
     density_expansion,
@@ -138,6 +142,32 @@ def _check_exponent(p):
         raise InvariantError(f"the moment exponent p must be finite and at least 1, not {p}")
 
 
+@dataclass(frozen=True, slots=True)
+class CandidateRow:
+    """A candidate ray v as the invariants read it under one PL function l:
+    v, its primitive integer coordinates, A(v) (checked positive) and the
+    `RayRecord` of v under l."""
+
+    ray: Vec
+    ints: tuple[int, ...]
+    a: Fraction
+    record: RayRecord
+
+
+def _candidate_rows(si: SphericalInput, pl: PLFunction | None = None) -> tuple[CandidateRow, ...]:
+    """The rows of the candidates under pl (by default the section's
+    support function), in candidate order, built on first use and kept in
+    `SphericalInput.candidate_table`; each ray is checked for A(v) > 0 and
+    then for its record, in order, and a failure is not kept."""
+    pl = pl or si.section_support
+    rows = si.candidate_table.get(pl)
+    if rows is None:
+        rows = si.candidate_table[pl] = tuple(
+            CandidateRow(v, tuple(x.numerator for x in v), _ray_log_discrepancy(si, v), _ray(si, v, pl))
+            for v in si.candidates)
+    return rows
+
+
 def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
     """max over the section polytope of <x, v> + l(v), exact."""
     return _ray(si, vec(v), pl).t_max
@@ -148,46 +178,60 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     """p-th moment of the expected vanishing order along v:
     int g(xbar) P (.)^p / int g(xbar) P.
 
-    Exact for integer p and exact weights, through the polynomial in the
-    ray's vertex values that `quad.Expansion.power_integral` builds once
-    per p.  For non-integer p with a constant or polynomial weight the
-    numerator is first written exactly as sum_t R_t t^p over the ray's
-    distinct vertex values (`quad.Expansion.integral_power`); only those
-    powers are enclosed, at a precision raised until the enclosure over
-    the exact mass is tight to 1e-12 * max(1, |S|), and the error bounds
-    the distance of the reported float from the true value.  Other weights take an adaptive
+    Exact for integer p and exact weights: the numerator is
+    F_p(v, l(v)) = int g(xbar) P (<x, v> + l(v))^p, read off the form in
+    (v, l(v)) that `quad.Expansion.power_integral` builds once per p.  For
+    non-integer p with a constant or polynomial weight the numerator is
+    first written exactly as sum_t R_t t^p over the ray's distinct vertex
+    values (`quad.Expansion.integral_power`); only those powers are
+    enclosed, at a precision raised until the enclosure over the exact mass
+    is tight to 1e-12 * max(1, |S|), and the error bounds the distance of
+    the reported float from the true value.  Other weights take an adaptive
     cubature estimate, kept in the section polytope's memo once computed,
     and `quad.IntegrationError` if it does not converge.  `InvariantError`
     unless 1 <= p < inf."""
     _check_exponent(p)
     v = vec(v)
-    ray = _ray(si, v, pl)
-    g = g or UNIT_WEIGHT
-    poly = si.section_polytope_v
-    n = si.rank
-    weight = g.products(si.projection, n)
-    if weight is not None:
-        density = density_expansion(poly, si.dh, weight)
-        mass = density.mass
-        if mass <= 0:
-            raise InvariantError("nonpositive density mass")
-        values = ray.vertex_values
+    return _moment(si, v, _ray(si, v, pl), p, _density(si, g), g)
+
+
+def _density(si: SphericalInput, g: WeightFn | None) -> Expansion | None:
+    """The expansion of g(xbar) P over the section polytope, or None for a
+    weight that does not expand; `InvariantError` if its mass is not
+    positive."""
+    weight = (g or UNIT_WEIGHT).products(si.projection, si.rank)
+    if weight is None:
+        return None
+    density = density_expansion(si.section_polytope_v, si.dh, weight)
+    if density.mass <= 0:
+        raise InvariantError("nonpositive density mass")
+    return density
+
+
+def _moment(si: SphericalInput, v, ray: RayRecord, p, density: Expansion | None,
+            g: WeightFn | None) -> Num:
+    """`S_p` along v (rational or integer), whose record is ray, with the
+    `_density` of g; p is checked by the caller."""
+    if density is not None:
         if _is_integer(p):
-            return Num.from_fraction(density.power_integral(values, int(p)) / mass)
-        total = density.integral_power(values, p)
+            return Num.from_fraction(density.power_integral(v, ray.value, int(p)) / density.mass)
+        total = density.integral_power(ray.vertex_values, p)
+        mass = density.mass
         ratio = enclose(lambda prec: total.enclosure(prec) / mass,
                         lambda s: s.half_width <= S_P_RTOL * max(1.0, abs(s.mid)))
         return Num.from_float(*ratio.float_with_error())
 
+    g = g or UNIT_WEIGHT
+    poly = si.section_polytope_v
     pf = float(p)
-    key = ("S_p", si.dh, g, tuple(si.projection), v, ray.value, pf)
+    key = ("S_p", si.dh, g, tuple(si.projection), tuple(v), ray.value, pf)
     if key in poly.memo:
         return poly.memo[key]
 
     import numpy as np
 
     dh_eval = si.dh.eval_float
-    g_eval = g.evaluator(si.projection, n)
+    g_eval = g.evaluator(si.projection, si.rank)
     vf = np.array([float(c) for c in v])
     lvf = float(ray.value)
 
@@ -287,12 +331,13 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
     """min over candidate rays of A(v) / S^(p)(v)^(1/p), with the per-ray
     evaluation table.  `InvariantError` unless 1 <= p < inf."""
     _check_exponent(p)
+    table = _candidate_rows(si)
+    density = _density(si, g)
     rows = []
     keys = []
-    for ray in si.candidates:
-        a = _ray_log_discrepancy(si, ray)
-        s = S_p(si, ray, p, g=g)
-        t = _ray(si, ray).t_max
+    for row in table:
+        ray, a, t = row.ray, row.a, row.record.t_max
+        s = _moment(si, row.ints, row.record, p, density, g)
         ratio = _root_ratio(a, s, p)
         ratio_alpha = a / t if t > 0 else Fraction(0)
         anomalies = ()
@@ -319,12 +364,10 @@ def alpha(si: SphericalInput) -> InvariantReport:
     rows = []
     ratios = []
     bar = tuple(b.exact for b in barycenter_g(si))
-    for ray in si.candidates:
-        a = _ray_log_discrepancy(si, ray)
-        record = _ray(si, ray)
-        t = record.t_max
+    for row in _candidate_rows(si):
+        ray, a, t = row.ray, row.a, row.record.t_max
         # S_1(v) = <bar, v> + l(v), exactly
-        s = Num.from_fraction(dot(bar, ray) + record.value)
+        s = Num.from_fraction(dot(bar, row.ints) + row.record.value)
         if t <= 0:
             rows.append(RayEvaluation(ray, a, s, t, Num.from_float(float("inf"), 0.0),
                                       Fraction(0), ("vanishing-maximum",)))
@@ -376,11 +419,10 @@ def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
     rows = []
     ratios = []
     notes: list[str] = []
-    for ray in si.candidates:
-        a = _ray_log_discrepancy(si, ray)
-        t = _ray(si, ray, si.log_discrepancy).t_max
+    for row in _candidate_rows(si, si.log_discrepancy):
+        ray, a, t = row.ray, row.a, row.record.t_max
         ratio_alpha = a / t if t > 0 else Fraction(0)
-        mean = _pair(bary, ray)
+        mean = _pair(bary, row.ints)
         if mean.is_exact:
             denom = a + mean.exact
             if denom <= 0:

@@ -13,11 +13,9 @@ on it (`VPolytope.triangulation`):
   (<x, v> + l(v)) and coordinates are all such products, and a general
   `Polynomial` enters monomial by monomial.  The tau-expansion of a
   weighted density is kept per polytope, so each further factor only
-  multiplies into it.  An integer power l ** p of one further form is a
-  degree-p polynomial in the values of l at the polytope's vertices, with
-  integer coefficients that depend only on the expansion and p; it is
-  built once per expansion and p and evaluated per form
-  (`Expansion.power_integral`);
+  multiplies into it.  Its integral times (<x, w> + c) ** p, p an integer,
+  is a form F_p of degree p in (w, c) with integer coefficients, built
+  once per expansion and p (`Expansion.power_integral`);
 * closed forms for such an expansion times ``l(x) ** s`` with one affine
   form l and a rational exponent s, by the generalized Hermite-Genocchi
   identity ``int tau^a F^(d+|a|)(sum tau_i t_i) = a! F[t_i repeated a_i + 1
@@ -62,7 +60,6 @@ from typing import Callable, Sequence
 from .geom import (
     AffineForm,
     HPolytope,
-    Simplex,
     VPolytope,
     Vec,
     dot,
@@ -171,10 +168,6 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.dim == other.dim \
             and self.terms == other.terms
@@ -282,13 +275,6 @@ class DHDensity:
     @cached_property
     def _hash(self) -> int:
         return hash((self.dim, self.factors, self.normalization))
-
-    @cached_property
-    def polynomial(self) -> Polynomial:
-        p = Polynomial.constant(self.dim, Fraction(1, 1) / self.normalization)
-        for f in self.factors:
-            p = p * Polynomial.from_affine(f.form).pow_int(f.multiplicity)
-        return p
 
     @property
     def degree(self) -> int:
@@ -580,30 +566,30 @@ class Expansion:
             total += volume * part.integral()
         return total
 
-    def power_integral(self, values: Sequence[Fraction], p: int) -> Fraction:
-        """Integral of the expanded sum times ``l(x) ** p`` for an integer
-        p >= 0 and an affine form l given by its ``values`` at `vertices`,
-        in that order: the number ``integral(((values, p),))`` gives, read
-        off a degree-p polynomial in the values that `_power_form` builds
-        once per p."""
+    def power_integral(self, w: Sequence[Fraction | int], c: Fraction | int, p: int) -> Fraction:
+        """``F_p(w, c)``, the integral of the expanded sum times ``(<x, w> +
+        c) ** p`` for an integer p >= 0 and rational or integer w and c: the
+        form that `_power_form` builds once per p, at (w, c) scaled to integers."""
         if p not in self._power_forms:
             self._power_forms[p] = self._power_form(p)
         scale, terms = self._power_forms[p]
-        den = lcm(*(v.denominator for v in values))
-        x = [v.numerator * (den // v.denominator) for v in values]
-        total = sum(c * prod(map(x.__getitem__, key)) for c, key in terms)
+        den = lcm(c.denominator, *(x.denominator for x in w))
+        y = [x.numerator * (den // x.denominator) for x in (*w, c)]
+        total = sum(k * prod(map(y.__getitem__, key)) for k, key in terms)
         return Fraction(total * scale.numerator, scale.denominator * den ** p)
 
     def _power_form(self, p: int) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
         """``(scale, [(coefficient, key), ...])`` with integer coefficients:
-        the integral of the expanded sum times l ** p is scale times the sum
-        of coefficient * prod_(j in key) c_j, c_j the value of l at vertex
-        j.
+        F_p(w, c) is scale times the sum of coefficient * prod_(j in key)
+        y_j, y = (w_1, ..., w_n, c).
 
         On a simplex, ``int tau^a (sum_i c_i tau_i) ** p = a! p! / (d+|a|+p)!
         * sum_(|b| = p) prod_i C(a_i + b_i, b_i) c_i ** b_i``; every term is
         brought to the denominator ``(d + maxdeg + p)!`` and every simplex's
-        volume * scale to one common denominator."""
+        volume * scale to one common denominator.  Into each simplex's sum
+        the vertex values c_i = (<q x_i, w> + q c) / q are substituted by
+        Horner's scheme, q the vertices' common denominator, a monomial y^e
+        packed as sum_j e_j (p + 1) ** j."""
         d = len(self.parts[0][0]) - 1
         maxdeg = max((sum(a) for _, _, part in self.parts for a in part.terms), default=0)
         top = factorial(d + maxdeg + p)
@@ -611,9 +597,14 @@ class Expansion:
         binom = [[comb(k + j, j) for j in range(p + 1)] for k in range(maxdeg + 1)]
         compositions = list(_compositions(p, d + 1))
         nonzero = [tuple((i, j) for i, j in enumerate(b) if j) for b in compositions]
+        slots = [tuple(chain.from_iterable([i] * k for i, k in enumerate(b))) for b in compositions]
         scales = [volume * part.scale for _, volume, part in self.parts]
         den = lcm(*(w.denominator for w in scales))
-        coeffs: dict[tuple[int, ...], int] = {}
+        q = lcm(*(x.denominator for v in self.vertices for x in v))
+        digits = [(p + 1) ** j for j in range(self.dim + 1)]
+        linear = [[(b, x.numerator * (q // x.denominator)) for b, x in zip(digits, (*v, 1)) if x]
+                  for v in self.vertices]
+        coeffs: dict[int, int] = {}
         for (idx, _, part), w in zip(self.parts, scales):
             sums = [0] * len(compositions)
             for a, n in part.terms.items():
@@ -624,14 +615,24 @@ class Expansion:
                         t *= binom[a[i]][k]
                     sums[j] += t
             m = w.numerator * (den // w.denominator)
-            for b, s in zip(compositions, sums):
-                key = tuple(sorted(chain.from_iterable([i] * k for i, k in zip(idx, b))))
-                coeffs[key] = coeffs.get(key, 0) + m * s
+            # the slots of the leading factors -> the form in y of the others
+            level = {key: {0: m * s} for key, s in zip(slots, sums) if s}
+            for _ in range(p):
+                outer: dict[tuple[int, ...], dict[int, int]] = {}
+                for key, form in level.items():
+                    acc = outer.setdefault(key[:-1], {})
+                    for step, c in linear[idx[key[-1]]]:
+                        for e, t in form.items():
+                            acc[e + step] = acc.get(e + step, 0) + t * c
+                level = outer
+            for e, t in level.get((), {}).items():
+                coeffs[e] = coeffs.get(e, 0) + t
         common = gcd(*coeffs.values())
         if common == 0:
             return Fraction(0), []
-        return (Fraction(factorial(p) * common, den * top),
-                [(c // common, key) for key, c in coeffs.items() if c])
+        return (Fraction(factorial(p) * common, den * top * q ** p),
+                [(t // common, tuple(j for j, b in enumerate(digits) for _ in range(e // b % (p + 1))))
+                 for e, t in coeffs.items() if t])
 
     def integral_power(self, values: Sequence[Fraction], s) -> "PowerIntegral":
         """The integral of the expanded sum times ``l(x) ** s`` for a
@@ -737,12 +738,6 @@ def _coordinate_form(i: int, n: int) -> AffineForm:
 def _monomial_products(f: Polynomial) -> list[Product]:
     return [(c, tuple((_coordinate_form(i, f.dim), k) for i, k in enumerate(e) if k))
             for e, c in f.terms.items()]
-
-
-def integrate_monomial_simplex(s: Simplex, exponent: Sequence[int]) -> Fraction:
-    """Exact integral of x^exponent over a full-dimensional simplex."""
-    mono = Polynomial(s.dim, {tuple(exponent): Fraction(1)})
-    return s.volume_factor * expand_products(_monomial_products(mono), s.vertices).integral()
 
 
 def _as_vpolytope(p) -> VPolytope:

@@ -118,7 +118,7 @@ class PLFunction:
         for a, b in itertools.combinations(self.pieces, 2):
             face = a.cone.intersect(b.cone)
             diff = vsub(a.linear, b.linear)
-            for g in list(face.rays) + list(face.lineality):
+            for g in face.generators:
                 if dot(diff, g) != 0:
                     raise SphericalDataError(
                         "piecewise-linear pieces disagree on a shared face")
@@ -312,6 +312,13 @@ class SphericalInput:
     def ray_records(self) -> dict:
         """Per PL function and ray, the `invariants.RayRecord` that every
         invariant reads, filled as the invariants build them."""
+        return {}
+
+    @cached_property
+    def candidate_table(self) -> dict:
+        """Per PL function, one `invariants.CandidateRow` per candidate ray,
+        in candidate order: the table that delta^(p), alpha and delta^g
+        iterate, filled as the invariants build it."""
         return {}
 
     @property

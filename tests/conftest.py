@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from kstab.fixtures import builtin_spherical_input
 from kstab.geom import Cone, vec
@@ -142,3 +143,57 @@ def random_spherical_input(rng: random.Random) -> SphericalInput:
     if rng.random() < 0.5:
         return random_toric_input(rng)
     return random_rank1_input(rng)
+
+
+def fan_input(rays, cones, valuation_cone=None):
+    """Toric-style datum: one divisor (coefficient 1) per ray in ``rays``,
+    one colored cone per tuple of rays in ``cones``."""
+    rank = len(rays[0])
+    recs = tuple(DivisorRecord(f"D{i}", vec(r), F(1)) for i, r in enumerate(rays))
+    name = {tuple(r): rec.name for r, rec in zip(rays, recs)}
+    fan = tuple(ColoredConeData(tuple(vec(r) for r in c), tuple(name[tuple(r)] for r in c))
+                for c in cones)
+    return SphericalInput(
+        rank=rank, dim_x=rank,
+        divisors=recs, anticanonical_divisors=recs,
+        fan=fan, valuation_cone=valuation_cone or Cone.full_space(rank),
+        dh=DHDensity(rank, ()),
+    )
+
+
+def _primitive_vec(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+@st.composite
+def complete_fans(draw, ranks=(2, 3)):
+    """A complete simplicial fan of a rank in ``ranks``, from the fan of
+    projective space by stellar subdivisions at random interior rays, and a
+    full-dimensional valuation cone: the whole space (None), a half-space or
+    a random simplicial cone.  Returns its rays, the cones whose interiors
+    meet the valuation cone (the others are no cones of this fan) and the
+    valuation cone."""
+    rank = draw(st.sampled_from(ranks))
+    rays = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays.append((-1,) * rank)
+    cones = [tuple(r for r in rays if r != skip) for skip in rays]
+    for _ in range(draw(st.integers(0, 4))):
+        cone = cones.pop(draw(st.integers(0, len(cones) - 1)))
+        coeffs = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
+        ray = _primitive_vec([sum(c * r[j] for c, r in zip(coeffs, cone)) for j in range(rank)])
+        rays.append(ray)
+        cones += [cone[:j] + (ray,) + cone[j + 1:] for j in range(rank)]
+    kind = draw(st.sampled_from(["all", "half-space", "simplicial"]))
+    if kind == "all":
+        return rays, cones, None
+    if kind == "half-space":
+        gens = [tuple(-int(i == 0) for i in range(rank))]
+        gens += [tuple(s * int(i == j) for i in range(rank)) for j in range(1, rank) for s in (1, -1)]
+    else:
+        gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=rank, max_size=rank))
+    vcone = Cone(rank, [vec(g) for g in gens])
+    if vcone.span_equations:  # not full-dimensional: whole space instead
+        return rays, cones, None
+    cones = [c for c in cones if not Cone(rank, [vec(r) for r in c]).intersect(vcone).span_equations]
+    return rays, cones, vcone

@@ -3,13 +3,14 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_toric_input
+from conftest import complete_fans, fan_input, random_toric_input
 from kstab.fixtures import BUILTIN_NAMES, builtin_spherical_input
 from kstab.geom import Cone, vec
 from kstab.invariants import (
@@ -559,13 +560,20 @@ def _ray_calls(si):
     return calls
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from(BUILTIN_NAMES + ("random", "random-polarized")),
-       st.integers(0, 10 ** 6), st.randoms())
-def test_warm_input_gives_the_answers_of_a_fresh_one(name, seed, shuffler):
-    calls = _ray_calls(_fresh(name, seed))
-    fresh = {label: _outcome(call, _fresh(name, seed)) for label, call in calls}
-    warm = _fresh(name, seed)
+# builders of one input each: a builtin, a random toric surface or a random
+# complete fan of rank 3 under a random valuation cone
+_BUILDERS = st.one_of(
+    st.tuples(st.sampled_from(BUILTIN_NAMES + ("random", "random-polarized")),
+              st.integers(0, 10 ** 6)).map(lambda case: partial(_fresh, *case)),
+    complete_fans(ranks=(3,)).map(lambda case: partial(fan_input, *case)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_BUILDERS, st.randoms())
+def test_warm_input_gives_the_answers_of_a_fresh_one(build, shuffler):
+    calls = _ray_calls(build())
+    fresh = {label: _outcome(call, build()) for label, call in calls}
+    warm = build()
     for _ in range(2):
         shuffler.shuffle(calls)
         for label, call in calls:

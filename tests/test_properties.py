@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spherical_input
+from conftest import complete_fans, fan_input, random_spherical_input
 from kstab.geom import vec
 from kstab.invariants import S_p, T_max, alpha, beta_g, delta_p
 from kstab.spherical import OutsideFanSupportError
@@ -113,6 +113,14 @@ def test_properties_on_random_inputs(seed):
     rng = random.Random(1000 + seed)
     si = random_spherical_input(rng)
     _run_battery(si, rng)
+
+
+@settings(max_examples=15, deadline=None)
+@given(complete_fans(ranks=(3,)), st.integers(0, 10 ** 6))
+def test_beta_two_routes_on_rank3_fans(case, seed):
+    si = fan_input(*case)
+    for v in si.candidates + _sample_rays_in_cone(si, random.Random(seed)):
+        _beta_two_routes(si, v)
 
 
 # ---------------------------------------------------------------------------

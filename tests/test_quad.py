@@ -18,6 +18,7 @@ from kstab.geom import (
     affine_form,
     lattice_chart,
     matrix_rank,
+    unit_vec,
     vec,
     vsub,
 )
@@ -34,7 +35,7 @@ from kstab.quad import (
     ZeroFactorError,
     density_expansion,
     dh_moments,
-    integrate_monomial_simplex,
+    expand_products,
     integrate_numeric,
     integrate_poly,
 )
@@ -56,6 +57,13 @@ def std_simplex(d):
 
 # ---------------------------------------------------------------------------
 # monomials over simplices
+
+
+def integrate_monomial_simplex(s: Simplex, exponent) -> F:
+    """Exact integral of x^exponent over a full-dimensional simplex, by the
+    barycentric kernel on that simplex alone."""
+    factors = tuple((AffineForm(unit_vec(i, s.dim), F(0)), k) for i, k in enumerate(exponent) if k)
+    return s.volume_factor * expand_products([(F(1), factors)], s.vertices).integral()
 
 
 def test_monomial_area_of_standard_triangle():
@@ -343,7 +351,7 @@ def test_inverse_power_refuses_logarithmic_terms():
 
 
 # ---------------------------------------------------------------------------
-# integer powers of one affine form as a polynomial in its vertex values
+# integer powers of one affine form: the form F_p(w, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,7 +362,33 @@ def test_power_form_matches_exact_kernel_on_simplices(case, p):
     assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
     expansion = Expansion(VPolytope(n, vertices), products)
     values = [form(x) for x in expansion.vertices]
-    assert expansion.power_integral(values, p) == expansion.integral(((values, p),))
+    assert expansion.power_integral(form.normal, form.offset, p) == expansion.integral(((values, p),))
+
+
+@st.composite
+def _polytope_density_and_rays(draw):
+    """A polytope of rank 1, 2 or 3 with rational vertices, whose
+    triangulation may have several simplices, a density that is a product
+    of affine forms, and random rays v, each with a rational value l(v):
+    the forms <x, v> + l(v)."""
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[_RAT] * n), min_size=n + 1, max_size=n + 4, unique=True))
+    form = st.builds(AffineForm, st.tuples(*[st.integers(-2, 2).map(F)] * n), _RAT)
+    factors = draw(st.lists(st.tuples(form, st.integers(1, 3)), max_size=3))
+    rays = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * n), _RAT), min_size=1, max_size=3))
+    return VPolytope(n, points), [(draw(_RAT), tuple(factors))], rays
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polytope_density_and_rays())
+def test_power_form_at_rays_matches_exact_kernel(case):
+    polytope, products, rays = case
+    assume(polytope.affine_dim == polytope.dim)
+    expansion = Expansion(polytope, products)
+    for v, lv in rays:
+        values = [sum(a * b for a, b in zip(x, v)) + lv for x in expansion.vertices]
+        for p in range(5):
+            assert expansion.power_integral(v, lv, p) == expansion.integral(((values, p),))
 
 
 @st.composite
@@ -380,7 +414,7 @@ def test_power_form_matches_exact_kernel_on_polytopes(case, p):
     assume(polytope.affine_dim == polytope.dim and len(polytope.triangulation) > 1)
     expansion = density_expansion(polytope, density, [(F(1), ())])
     values = [form(x) for x in expansion.vertices]
-    assert expansion.power_integral(values, p) == expansion.integral(((values, p),))
+    assert expansion.power_integral(form.normal, form.offset, p) == expansion.integral(((values, p),))
 
 
 def test_power_form_built_once_per_exponent(monkeypatch):
@@ -393,7 +427,8 @@ def test_power_form_built_once_per_exponent(monkeypatch):
     for p in (2, 3, 2):
         for t in range(3):
             values = [F(x[0] - t, 3) + x[1] for x in expansion.vertices]
-            assert expansion.power_integral(values, p) == expansion.integral(((values, p),))
+            value = expansion.power_integral((F(1, 3), F(1)), F(-t, 3), p)
+            assert value == expansion.integral(((values, p),))
     assert builds == [2, 3]
 
 

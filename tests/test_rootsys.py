@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kstab.quad import ZeroFactorError
+from kstab.quad import Polynomial, ZeroFactorError
 from kstab.rootsys import (
     RootSystem,
     RootSystemError,
@@ -13,6 +13,15 @@ from kstab.rootsys import (
     weyl_orbit,
     wonderful_moment_polytope,
 )
+
+
+def _polynomial(d):
+    """A density as one `Polynomial`: its normalization and factors
+    multiplied out."""
+    p = Polynomial.constant(d.dim, 1 / d.normalization)
+    for f in d.factors:
+        p = p * Polynomial.from_affine(f.form).pow_int(f.multiplicity)
+    return p
 
 
 def test_a1_dimension_formula():
@@ -101,14 +110,14 @@ def test_dh_density_rank_one_paper_normalization():
     f = d.factors[0]
     assert f.form.normal == (F(1),) and f.form.offset == 1
     assert f.multiplicity == 2 and f.rho_pair == 1
-    assert d.polynomial.terms == {(2,): F(1), (1,): F(2), (0,): F(1)}
+    assert _polynomial(d).terms == {(2,): F(1), (1,): F(2), (0,): F(1)}
 
 
 def test_dh_density_no_active_roots_is_constant_one():
     a1 = RootSystem("A", 1)
     d = dh_density(a1, [], (1,), [[1]], squared=False)
     assert d.factors == ()
-    assert d.polynomial.terms == {(0,): F(1)}
+    assert _polynomial(d).terms == {(0,): F(1)}
 
 
 def test_dh_density_a2_squared_factor_count():

@@ -2,13 +2,12 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_toric_input
+from conftest import complete_fans, fan_input, random_toric_input
 from kstab.geom import Cone, vec
 from kstab.quad import AffineForm, DHDensity, DHFactor
 from kstab.spherical import (
@@ -264,30 +263,14 @@ def test_colored_cone_must_be_strictly_convex():
 # completeness: the fan covers the valuation cone
 
 
-def _fan_input(rays, cones, valuation_cone=None):
-    """Toric-style datum: one divisor (coefficient 1) per ray in ``rays``,
-    one colored cone per tuple of rays in ``cones``."""
-    rank = len(rays[0])
-    recs = tuple(DivisorRecord(f"D{i}", vec(r), F(1)) for i, r in enumerate(rays))
-    name = {tuple(r): rec.name for r, rec in zip(rays, recs)}
-    fan = tuple(ColoredConeData(tuple(vec(r) for r in c), tuple(name[tuple(r)] for r in c))
-                for c in cones)
-    return SphericalInput(
-        rank=rank, dim_x=rank,
-        divisors=recs, anticanonical_divisors=recs,
-        fan=fan, valuation_cone=valuation_cone or Cone.full_space(rank),
-        dh=DHDensity(rank, ()),
-    )
-
-
 def test_thin_gap_between_cones_refused():
     # no cone between (11, 1) and (10, 1): every point of the gap has a
     # coordinate of absolute value above 9
     rays = [(1, 0), (11, 1), (10, 1), (0, 1), (-1, 0), (0, -1)]
     cones = [(rays[i], rays[(i + 1) % 6]) for i in range(6)]
-    _fan_input(rays, cones)
+    fan_input(rays, cones)
     with pytest.raises(SphericalDataError, match=r"wall spanned by \(11, 1\)"):
-        _fan_input(rays, cones[:1] + cones[2:])
+        fan_input(rays, cones[:1] + cones[2:])
 
 
 def test_complete_inputs_accepted(all_builtins):
@@ -307,62 +290,21 @@ def test_lower_dimensional_valuation_cone_refused():
     rays = [(1, 0), (0, 1), (-1, -1)]
     cones = [(rays[0], rays[1])]
     with pytest.raises(SphericalDataError, match="not full-dimensional"):
-        _fan_input(rays, cones, Cone(2, [vec([1, 1])]))
+        fan_input(rays, cones, Cone(2, [vec([1, 1])]))
 
 
 def test_fan_without_a_full_dimensional_cone_refused():
     # the four half-axes cover every ray and direction of the plane
     rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     with pytest.raises(SphericalDataError, match="full-dimensional cone"):
-        _fan_input(rays, [(r,) for r in rays])
-
-
-def _primitive(v):
-    g = gcd(*v)
-    return tuple(x // g for x in v)
-
-
-@st.composite
-def _complete_fans(draw):
-    """A complete simplicial fan of rank 2 or 3, from the fan of projective
-    space by stellar subdivisions at random interior rays, and a
-    full-dimensional valuation cone: the whole space, a half-space or a
-    random simplicial cone."""
-    rank = draw(st.sampled_from([2, 3]))
-    rays = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    rays.append((-1,) * rank)
-    cones = [tuple(r for r in rays if r != skip) for skip in rays]
-    for _ in range(draw(st.integers(0, 4))):
-        cone = cones.pop(draw(st.integers(0, len(cones) - 1)))
-        coeffs = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank))
-        ray = _primitive([sum(c * r[j] for c, r in zip(coeffs, cone)) for j in range(rank)])
-        rays.append(ray)
-        cones += [cone[:j] + (ray,) + cone[j + 1:] for j in range(rank)]
-    kind = draw(st.sampled_from(["all", "half-space", "simplicial"]))
-    if kind == "all":
-        return rays, cones, None
-    if kind == "half-space":
-        gens = [tuple(-int(i == 0) for i in range(rank))]
-        gens += [tuple(s * int(i == j) for i in range(rank)) for j in range(1, rank) for s in (1, -1)]
-    else:
-        gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=rank, max_size=rank))
-    vcone = Cone(rank, [vec(g) for g in gens])
-    if vcone.span_equations:  # not full-dimensional: whole space instead
-        return rays, cones, None
-    return rays, cones, vcone
+        fan_input(rays, [(r,) for r in rays])
 
 
 @settings(max_examples=40, deadline=None)
-@given(_complete_fans(), st.data())
+@given(complete_fans(), st.data())
 def test_dropping_a_full_dimensional_cone_is_refused(case, data):
     rays, cones, vcone = case
-    rank = len(rays[0])
-    # the cones whose interiors meet the valuation cone: the others are no
-    # cones of this fan
-    if vcone is not None:
-        cones = [c for c in cones
-                 if not Cone(rank, [vec(r) for r in c]).intersect(vcone).span_equations]
-    _fan_input(rays, cones, vcone)
+    fan_input(rays, cones, vcone)
     drop = data.draw(st.integers(0, len(cones) - 1))
     with pytest.raises(SphericalDataError):
-        _fan_input(rays, cones[:drop] + cones[drop + 1:], vcone)
+        fan_input(rays, cones[:drop] + cones[drop + 1:], vcone)
