@@ -16,12 +16,21 @@ nonnegative when the record is built) and their maximum T; the vertex
 values serve T and non-integer p.  delta^(p), alpha and delta^g iterate
 the input's candidate table (`SphericalInput.candidate_table`), one
 `CandidateRow` per candidate ray and PL function, in candidate order: the
-ray, its primitive integer coordinates, A(v) and its record.  So a warm
-input runs no cone search and evaluates no form again.  At integer p,
-S^(p) evaluates F_p(v, l(v)) = int g(xbar) P (<x, v> + l(v))^p, a form in
-(v, l(v)) built once per section polytope, density and p
-(`quad.Expansion.power_integral`); the moments behind the barycenter are
-integrated separately, so the two routes of `beta_g` stay independent.
+ray, its primitive integer coordinates, A(v), its record and A(v) / T.  So
+a warm input runs no cone search and evaluates no form again.
+
+Everything read under a weight g is kept in one `WeightEntry` per weight
+(`SphericalInput.weight_entries`, None for the unit weight): the expansion
+of g(xbar) P (`quad.density_expansion`), the moments (`quad.dh_moments`,
+whose positivity checks pass once the moments are kept), the barycenter,
+and the cubature estimates of S^(p) for a weight that does not expand.
+Each call looks its entry up once, and each part is built on first use; a
+failure is not kept.  At integer p, S^(p) is one Fraction,
+F_p(v, l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> + c)^p a form
+in (w, c) built once per expansion and p and 1 / mass folded into its
+scale (`quad.Expansion.power_mean`); the moments behind the barycenter
+are integrated separately, so the two routes of `beta_g` stay
+independent.
 """
 
 from __future__ import annotations
@@ -81,7 +90,8 @@ class Num:
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Num":
-        return cls(value=float(f), exact=Fraction(f), error=0.0)
+        """f itself, with its float by integer division (as float(f))."""
+        return cls(f.numerator / f.denominator, f)
 
     @classmethod
     def from_float(cls, v: float, error: float) -> "Num":
@@ -90,6 +100,9 @@ class Num:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
+
+
+_INFINITE = Num(math.inf)
 
 
 def _is_integer(p) -> bool:
@@ -145,13 +158,14 @@ def _check_exponent(p):
 @dataclass(frozen=True, slots=True)
 class CandidateRow:
     """A candidate ray v as the invariants read it under one PL function l:
-    v, its primitive integer coordinates, A(v) (checked positive) and the
-    `RayRecord` of v under l."""
+    v, its primitive integer coordinates, A(v) (checked positive), the
+    `RayRecord` of v under l and A(v) / T (0 where T = 0)."""
 
     ray: Vec
     ints: tuple[int, ...]
     a: Fraction
     record: RayRecord
+    ratio_alpha: Fraction
 
 
 def _candidate_rows(si: SphericalInput, pl: PLFunction | None = None) -> tuple[CandidateRow, ...]:
@@ -162,10 +176,15 @@ def _candidate_rows(si: SphericalInput, pl: PLFunction | None = None) -> tuple[C
     pl = pl or si.section_support
     rows = si.candidate_table.get(pl)
     if rows is None:
-        rows = si.candidate_table[pl] = tuple(
-            CandidateRow(v, tuple(x.numerator for x in v), _ray_log_discrepancy(si, v), _ray(si, v, pl))
-            for v in si.candidates)
+        rows = si.candidate_table[pl] = tuple(_candidate_row(si, pl, v) for v in si.candidates)
     return rows
+
+
+def _candidate_row(si: SphericalInput, pl: PLFunction, v: Vec) -> CandidateRow:
+    a = _ray_log_discrepancy(si, v)
+    record = _ray(si, v, pl)
+    t = record.t_max
+    return CandidateRow(v, tuple(x.numerator for x in v), a, record, a / t if t > 0 else Fraction(0))
 
 
 def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
@@ -178,60 +197,89 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     """p-th moment of the expected vanishing order along v:
     int g(xbar) P (.)^p / int g(xbar) P.
 
-    Exact for integer p and exact weights: the numerator is
-    F_p(v, l(v)) = int g(xbar) P (<x, v> + l(v))^p, read off the form in
-    (v, l(v)) that `quad.Expansion.power_integral` builds once per p.  For
+    Exact for integer p and exact weights: S is F_p(v, l(v)) / mass, with
+    F_p(v, l(v)) = int g(xbar) P (<x, v> + l(v))^p read off the form in
+    (v, l(v)) that `quad.Expansion.power_mean` builds once per p.  For
     non-integer p with a constant or polynomial weight the numerator is
     first written exactly as sum_t R_t t^p over the ray's distinct vertex
     values (`quad.Expansion.integral_power`); only those powers are
     enclosed, at a precision raised until the enclosure over the exact mass
     is tight to 1e-12 * max(1, |S|), and the error bounds the distance of
     the reported float from the true value.  Other weights take an adaptive
-    cubature estimate, kept in the section polytope's memo once computed,
-    and `quad.IntegrationError` if it does not converge.  `InvariantError`
-    unless 1 <= p < inf."""
+    cubature estimate, kept in the input's entry for the weight once
+    computed, and `quad.IntegrationError` if it does not converge.
+    `InvariantError` unless 1 <= p < inf."""
     _check_exponent(p)
     v = vec(v)
-    return _moment(si, v, _ray(si, v, pl), p, _density(si, g), g)
+    record = _ray(si, v, pl)
+    entry = _weighted(si, g)
+    return _moment(si, v, record, p, entry, _density(entry))
 
 
-def _density(si: SphericalInput, g: WeightFn | None) -> Expansion | None:
-    """The expansion of g(xbar) P over the section polytope, or None for a
-    weight that does not expand; `InvariantError` if its mass is not
-    positive."""
-    weight = (g or UNIT_WEIGHT).products(si.projection, si.rank)
-    if weight is None:
-        return None
-    density = density_expansion(si.section_polytope_v, si.dh, weight)
-    if density.mass <= 0:
+class WeightEntry:
+    """What the invariants read of an input under one weight g (None is
+    the unit weight), kept in `SphericalInput.weight_entries`: the
+    expansion of g(xbar) P over the section polytope (None for a weight
+    that does not expand), the `DHMoments` (set once the positivity checks
+    of `quad.dh_moments` pass), the barycenter as `Num`s and, for pairing,
+    as integer numerators over one denominator when it is exact or as
+    arrays of its values and errors when not, and the cubature estimates
+    of S_p by (ray, l(v), p).  Each part is built on first use; a failure
+    is not kept, so every call raises it again."""
+
+    __slots__ = ("g", "expansion", "moments", "barycenter", "exact_barycenter",
+                 "float_barycenter", "cubature")
+
+    def __init__(self, si: SphericalInput, g: WeightFn | None):
+        self.g = g
+        weight = (g or UNIT_WEIGHT).products(si.projection, si.rank)
+        self.expansion = None if weight is None else \
+            density_expansion(si.section_polytope_v, si.dh, weight)
+        self.moments = self.barycenter = None
+        self.exact_barycenter = self.float_barycenter = None
+        self.cubature: dict[tuple, Num] = {}
+
+
+def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
+    entry = si.weight_entries.get(g)
+    if entry is None:
+        entry = si.weight_entries[g] = WeightEntry(si, g)
+    return entry
+
+
+def _density(entry: WeightEntry) -> Expansion | None:
+    """The entry's expansion of g(xbar) P, or None for a weight that does
+    not expand; `InvariantError` if its mass is not positive."""
+    density = entry.expansion
+    if density is not None and density.mass <= 0:
         raise InvariantError("nonpositive density mass")
     return density
 
 
-def _moment(si: SphericalInput, v, ray: RayRecord, p, density: Expansion | None,
-            g: WeightFn | None) -> Num:
-    """`S_p` along v (rational or integer), whose record is ray, with the
-    `_density` of g; p is checked by the caller."""
+def _moment(si: SphericalInput, v, ray: RayRecord, p, entry: WeightEntry,
+            density: Expansion | None) -> Num:
+    """`S_p` along v (rational or integer), whose record is ray, under the
+    entry's weight, whose `_density` is density; p is checked by the
+    caller."""
     if density is not None:
         if _is_integer(p):
-            return Num.from_fraction(density.power_integral(v, ray.value, int(p)) / density.mass)
+            return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
         total = density.integral_power(ray.vertex_values, p)
         mass = density.mass
         ratio = enclose(lambda prec: total.enclosure(prec) / mass,
                         lambda s: s.half_width <= S_P_RTOL * max(1.0, abs(s.mid)))
         return Num.from_float(*ratio.float_with_error())
 
-    g = g or UNIT_WEIGHT
-    poly = si.section_polytope_v
     pf = float(p)
-    key = ("S_p", si.dh, g, tuple(si.projection), tuple(v), ray.value, pf)
-    if key in poly.memo:
-        return poly.memo[key]
+    key = (v, ray.value, pf)
+    estimate = entry.cubature.get(key)
+    if estimate is not None:
+        return estimate
 
     import numpy as np
 
     dh_eval = si.dh.eval_float
-    g_eval = g.evaluator(si.projection, si.rank)
+    g_eval = entry.g.evaluator(si.projection, si.rank)
     vf = np.array([float(c) for c in v])
     lvf = float(ray.value)
 
@@ -240,7 +288,7 @@ def _moment(si: SphericalInput, v, ray: RayRecord, p, density: Expansion | None,
         base = np.maximum(pts @ vf + lvf, 0.0)
         return np.column_stack([w * base ** pf, w])
 
-    quad = integrate_numeric(poly, f, tol=1e-12)
+    quad = integrate_numeric(si.section_polytope_v, f, tol=1e-12)
     if not quad.converged:
         raise IntegrationError(
             f"S_{p} cubature did not converge (error estimate {quad.error_bound:.3g})")
@@ -249,8 +297,8 @@ def _moment(si: SphericalInput, v, ray: RayRecord, p, density: Expansion | None,
         raise InvariantError("nonpositive density mass")
     ratio = num / den
     err = quad.error_bound * (1.0 + abs(ratio)) / max(den, 1e-300)
-    poly.memo[key] = Num.from_float(ratio, err)
-    return poly.memo[key]
+    estimate = entry.cubature[key] = Num.from_float(ratio, err)
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +339,13 @@ def _root_ratio(a: Fraction, s: Num, p) -> Num:
     error also covers the rounding of the float evaluation."""
     if s.is_exact:
         if s.exact == 0:
-            return Num.from_float(float("inf"), 0.0)
+            return _INFINITE
         if _is_integer(p) and int(p) == 1:
             return Num.from_fraction(a / s.exact)
-        val = float(a) / float(s.exact) ** (1.0 / float(p))
+        val = float(a) / s.value ** (1.0 / float(p))
         return Num.from_float(val, 1e-14 * (1.0 + abs(val)))
     if s.value <= 0:
-        return Num.from_float(float("inf"), 0.0)
+        return _INFINITE
     val = float(a) / s.value ** (1.0 / float(p))
     lo = float(a) / (s.value + s.error) ** (1.0 / float(p))
     hi = float(a) / max(s.value - s.error, 1e-300) ** (1.0 / float(p))
@@ -310,8 +358,7 @@ def _root_ratio(a: Fraction, s: Num, p) -> Num:
 def _argmin_ratios(ratios: Sequence[tuple[Vec, Num, Fraction | None]]):
     """Minimum of per-ray ratios; uses p-th-power exact comparison keys when
     available (third component), float values otherwise."""
-    finite = [(ray, num, key) for ray, num, key in ratios
-              if not (num.value == float("inf"))]
+    finite = [(ray, num, key) for ray, num, key in ratios if num.value != math.inf]
     if not finite:
         raise InvariantError("no finite candidate ratios")
     if all(key is not None for _, _, key in finite):
@@ -332,27 +379,26 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
     evaluation table.  `InvariantError` unless 1 <= p < inf."""
     _check_exponent(p)
     table = _candidate_rows(si)
-    density = _density(si, g)
+    entry = _weighted(si, g)
+    density = _density(entry)
+    n = int(p) if _is_integer(p) else None
     rows = []
     keys = []
     for row in table:
         ray, a, t = row.ray, row.a, row.record.t_max
-        s = _moment(si, row.ints, row.record, p, density, g)
-        ratio = _root_ratio(a, s, p)
-        ratio_alpha = a / t if t > 0 else Fraction(0)
+        s = _moment(si, row.ints, row.record, p, entry, density)
+        # exact comparison key: A^p / S when S is exact and positive and p
+        # integral; at p = 1 it is the ratio itself
+        key = None
+        if n is not None and s.is_exact and s.exact > 0:
+            key = a ** n / s.exact
+        ratio = Num.from_fraction(key) if n == 1 and key is not None else _root_ratio(a, s, p)
         anomalies = ()
         if t <= 0:
             anomalies = ("vanishing-maximum",)
-            ratio = Num.from_float(float("inf"), 0.0)
-            ratio_alpha = None
-        rows.append(RayEvaluation(ray, a, s, t, ratio,
-                                  ratio_alpha if ratio_alpha is not None else Fraction(0),
-                                  anomalies))
-        # exact comparison key: A^p / S when S exact and p integral
-        if s.is_exact and _is_integer(p) and s.exact > 0:
-            keys.append((ray, ratio, a ** int(p) / s.exact))
-        else:
-            keys.append((ray, ratio, None))
+            ratio = _INFINITE
+        rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha, anomalies))
+        keys.append((ray, ratio, key))
     value, mins = _argmin_ratios(keys)
     return InvariantReport(kind="delta", p=p, value=value,
                            minimizing_rays=mins, table=tuple(rows))
@@ -363,16 +409,18 @@ def alpha(si: SphericalInput) -> InvariantReport:
     exact rational."""
     rows = []
     ratios = []
-    bar = tuple(b.exact for b in barycenter_g(si))
+    entry = _weighted(si, None)
+    _barycenter(si, entry)
+    bar = entry.exact_barycenter
     for row in _candidate_rows(si):
         ray, a, t = row.ray, row.a, row.record.t_max
         # S_1(v) = <bar, v> + l(v), exactly
-        s = Num.from_fraction(dot(bar, row.ints) + row.record.value)
+        s = Num.from_fraction(_pair_exact(bar, row.ints) + row.record.value)
         if t <= 0:
-            rows.append(RayEvaluation(ray, a, s, t, Num.from_float(float("inf"), 0.0),
-                                      Fraction(0), ("vanishing-maximum",)))
+            rows.append(RayEvaluation(ray, a, s, t, _INFINITE, row.ratio_alpha,
+                                      ("vanishing-maximum",)))
             continue
-        ratio = a / t
+        ratio = row.ratio_alpha
         rows.append(RayEvaluation(ray, a, s, t, _root_ratio(a, s, 1), ratio))
         ratios.append((ray, Num.from_fraction(ratio), ratio))
     value, mins = _argmin_ratios(ratios)
@@ -385,29 +433,55 @@ def alpha(si: SphericalInput) -> InvariantReport:
 
 
 def moments_g(si: SphericalInput, g: WeightFn | None = None) -> DHMoments:
-    return dh_moments(si.section_polytope_v, si.dh, g, si.projection)
+    return _moments(si, _weighted(si, g))
+
+
+def _moments(si: SphericalInput, entry: WeightEntry) -> DHMoments:
+    if entry.moments is None:
+        entry.moments = dh_moments(si.section_polytope_v, si.dh, entry.g, si.projection)
+    return entry.moments
 
 
 def barycenter_g(si: SphericalInput, g: WeightFn | None = None) -> tuple[Num, ...]:
     """Weighted barycenter int g(xbar) P x / int g(xbar) P of the section
     polytope."""
-    m = moments_g(si, g)
-    if m.exact:
-        return tuple(Num.from_fraction(c) for c in m.barycenter)
-    scale = m.error_bound / abs(m.mass)
-    return tuple(Num.from_float(float(c), scale * (1.0 + abs(float(c))))
-                 for c in m.barycenter)
+    return _barycenter(si, _weighted(si, g))
 
 
-def _pair(bary: Sequence[Num], f: Vec) -> Num:
-    """<bary, f> for a rational functional f: exact when the barycenter is,
-    else a float with error sum |f_i| err_i."""
-    if all(b.is_exact for b in bary):
-        return Num.from_fraction(dot(tuple(b.exact for b in bary), f))
+def _barycenter(si: SphericalInput, entry: WeightEntry) -> tuple[Num, ...]:
+    if entry.barycenter is None:
+        m = _moments(si, entry)
+        if m.exact:
+            den = math.lcm(*(c.denominator for c in m.barycenter))
+            entry.exact_barycenter = (tuple(c.numerator * (den // c.denominator)
+                                            for c in m.barycenter), den)
+            entry.barycenter = tuple(map(Num.from_fraction, m.barycenter))
+        else:
+            import numpy as np
+
+            scale = m.error_bound / abs(m.mass)
+            entry.barycenter = tuple(Num.from_float(float(c), scale * (1.0 + abs(float(c))))
+                                     for c in m.barycenter)
+            entry.float_barycenter = (np.array([b.value for b in entry.barycenter]),
+                                      np.array([b.error for b in entry.barycenter]))
+    return entry.barycenter
+
+
+def _pair_exact(bar: tuple[tuple[int, ...], int], f: Vec) -> Fraction:
+    """<bar, f> for a barycenter given as integer numerators over one
+    denominator and a rational or integer functional f."""
+    nums, den = bar
+    e = math.lcm(*(x.denominator for x in f))
+    return Fraction(sum(n * x.numerator * (e // x.denominator) for n, x in zip(nums, f)), den * e)
+
+
+def _pair(bar: tuple[np.ndarray, np.ndarray], f: Vec) -> Num:
+    """<bar, f> for a rational functional f and a barycenter that is not
+    exact, given as the arrays of its values and errors: a float with
+    error sum |f_i| err_i."""
     import numpy as np
 
-    vals = np.array([b.value for b in bary])
-    errs = np.array([b.error for b in bary])
+    vals, errs = bar
     ff = np.array([float(c) for c in f])
     return Num.from_float(float(vals @ ff), float(errs @ np.abs(ff)))
 
@@ -415,38 +489,39 @@ def _pair(bary: Sequence[Num], f: Vec) -> Num:
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
     """Weighted threshold min over rays of A / (A + <bar, v>), for the
     anticanonical polarization."""
-    bary = barycenter_g(si, g)
+    entry = _weighted(si, g)
+    bary = _barycenter(si, entry)
+    bar = entry.exact_barycenter
     rows = []
     ratios = []
     notes: list[str] = []
     for row in _candidate_rows(si, si.log_discrepancy):
         ray, a, t = row.ray, row.a, row.record.t_max
-        ratio_alpha = a / t if t > 0 else Fraction(0)
-        mean = _pair(bary, row.ints)
-        if mean.is_exact:
-            denom = a + mean.exact
+        if bar is not None:
+            denom = a + _pair_exact(bar, row.ints)
             if denom <= 0:
                 notes.append(f"ray {ray}: nonpositive weighted mean {denom}")
                 rows.append(RayEvaluation(ray, a, Num.from_fraction(max(denom, Fraction(0))),
-                                          t, Num.from_float(float("inf"), 0.0), ratio_alpha,
+                                          t, _INFINITE, row.ratio_alpha,
                                           ("nonpositive-denominator",)))
                 continue
             s = Num.from_fraction(denom)
             key = a / denom
             ratio = Num.from_fraction(key)
         else:
+            mean = _pair(entry.float_barycenter, row.ints)
             denom = float(a) + mean.value
             derr = mean.error
             s = Num.from_float(denom, derr)
             if denom - derr <= 0:
                 notes.append(f"ray {ray}: weighted mean not certifiably positive")
-                rows.append(RayEvaluation(ray, a, s, t, Num.from_float(float("inf"), 0.0),
-                                          ratio_alpha, ("nonpositive-denominator",)))
+                rows.append(RayEvaluation(ray, a, s, t, _INFINITE,
+                                          row.ratio_alpha, ("nonpositive-denominator",)))
                 continue
             key = None
             ratio = Num.from_float(float(a) / denom,
                                    float(a) * derr / (denom * (denom - derr)))
-        rows.append(RayEvaluation(ray, a, s, t, ratio, ratio_alpha))
+        rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha))
         ratios.append((ray, ratio, key))
     value, mins = _argmin_ratios(ratios)
     return InvariantReport(kind="delta_g", p=1, value=value, minimizing_rays=mins,
@@ -467,16 +542,19 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     """Ding slope A(v) - S^g(v) computed along two independent routes which
     must agree: direct integration, and pairing the weighted barycenter."""
     v = vec(v)
-    a = si.log_discrepancy(v)
-    s = S_p(si, v, 1, pl=si.log_discrepancy, g=g)
+    record = _ray(si, v, si.log_discrepancy)
+    a = record.value
+    entry = _weighted(si, g)
+    s = _moment(si, v, record, 1, entry, _density(entry))
     if s.is_exact:
         direct = Num.from_fraction(a - s.exact)
     else:
         direct = Num.from_float(float(a) - s.value, s.error)
-    mean = _pair(barycenter_g(si, g), v)
-    if mean.is_exact:
-        pairing = Num.from_fraction(-mean.exact)
+    _barycenter(si, entry)
+    if entry.exact_barycenter is not None:
+        pairing = Num.from_fraction(-_pair_exact(entry.exact_barycenter, v))
     else:
+        mean = _pair(entry.float_barycenter, v)
         pairing = Num.from_float(-mean.value, mean.error)
     if direct.is_exact and pairing.is_exact:
         if direct.exact != pairing.exact:
@@ -523,25 +601,27 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     give; if the enclosure touches a facet the verdict is indeterminate
     rather than guessed.
     """
-    bary = barycenter_g(si, g)
+    entry = _weighted(si, g)
+    bary = _barycenter(si, entry)
+    bar = entry.exact_barycenter
     neg_v = si.valuation_cone.negated()
     facets = neg_v.rays          # facet functionals of the dual cone
     equalities = neg_v.lineality  # must-vanish functionals of the dual cone
     dual = neg_v.dual()
 
-    if all(b.is_exact for b in bary):
+    if bar is not None:
         semistable = True
         polystable = True
         witness = None
         for l in equalities:
-            val = _pair(bary, l).exact
+            val = _pair_exact(bar, l)
             if val != 0:
                 semistable = polystable = False
                 witness = {"kind": "equality", "functional": l, "value": val}
                 break
         if semistable:
             for r in facets:
-                val = _pair(bary, r).exact
+                val = _pair_exact(bar, r)
                 if val < 0:
                     semistable = polystable = False
                     witness = {"kind": "facet", "functional": r, "value": val}
@@ -554,7 +634,7 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
         return DingVerdict(bary, dual, semistable, polystable, witness, exact=True)
 
     def enclosure(functional: Vec) -> tuple[float, float]:
-        pairing = _pair(bary, functional)
+        pairing = _pair(entry.float_barycenter, functional)
         return pairing.value - pairing.error, pairing.value + pairing.error
 
     # certified violations decide "unstable" regardless of other ambiguity;

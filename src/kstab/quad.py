@@ -50,7 +50,7 @@ of its vertices.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -332,6 +332,13 @@ class WeightFn:
     # number of projected coordinates g reads; None for a constant
     dim: int | None = None
 
+    def __hash__(self):  # computed once: weights key the inputs' per-weight entries
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((type(self), *(getattr(self, f.name) for f in fields(self))))
+
     def constant_value(self) -> Fraction | float | None:
         """The constant value of g if it is constant, else None."""
         return None
@@ -366,6 +373,7 @@ class WeightFn:
 @dataclass(frozen=True)
 class ConstantWeight(WeightFn):
     value: Fraction | float = Fraction(1)
+    __hash__ = WeightFn.__hash__
 
     def constant_value(self) -> Fraction | float:
         return self.value
@@ -377,6 +385,7 @@ UNIT_WEIGHT = ConstantWeight(Fraction(1))
 @dataclass(frozen=True)
 class PolynomialWeight(WeightFn):
     poly: Polynomial
+    __hash__ = WeightFn.__hash__
 
     @property
     def dim(self) -> int:
@@ -405,6 +414,14 @@ class AffinePowerWeight(WeightFn):
     xi: Vec
     a: Fraction
     exponent: float | int | Fraction
+    __hash__ = WeightFn.__hash__
+
+    def __eq__(self, other):
+        # the exponents 2 and 2.0 are equal numbers, but only the first
+        # expands: they are different weights and key different entries
+        return (type(other) is AffinePowerWeight
+                and (self.xi, self.a, self.exponent) == (other.xi, other.a, other.exponent)
+                and (self._integer_exponent is None) == (other._integer_exponent is None))
 
     @property
     def dim(self) -> int:
@@ -554,6 +571,7 @@ class Expansion:
             tau = expand_products(products, [vp.vertices[i] for i in idx])
             self.parts.append((idx, s.volume_factor, tau))
         self._power_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
+        self._mean_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
 
     def integral(self, factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> Fraction:
         """Integral of the expanded sum times ``prod l ** multiplicity``,
@@ -570,13 +588,22 @@ class Expansion:
         """``F_p(w, c)``, the integral of the expanded sum times ``(<x, w> +
         c) ** p`` for an integer p >= 0 and rational or integer w and c: the
         form that `_power_form` builds once per p, at (w, c) scaled to integers."""
-        if p not in self._power_forms:
-            self._power_forms[p] = self._power_form(p)
-        scale, terms = self._power_forms[p]
-        den = lcm(c.denominator, *(x.denominator for x in w))
-        y = [x.numerator * (den // x.denominator) for x in (*w, c)]
-        total = sum(k * prod(map(y.__getitem__, key)) for k, key in terms)
-        return Fraction(total * scale.numerator, scale.denominator * den ** p)
+        return _form_at(self._form(p), w, c, p)
+
+    def power_mean(self, w: Sequence[Fraction | int], c: Fraction | int, p: int) -> Fraction:
+        """``F_p(w, c) / mass``: `power_integral` with 1 / mass folded into
+        the scale of the form once per p."""
+        form = self._mean_forms.get(p)
+        if form is None:
+            scale, terms = self._form(p)
+            form = self._mean_forms[p] = (scale / self.mass, terms)
+        return _form_at(form, w, c, p)
+
+    def _form(self, p: int) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
+        form = self._power_forms.get(p)
+        if form is None:
+            form = self._power_forms[p] = self._power_form(p)
+        return form
 
     def _power_form(self, p: int) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
         """``(scale, [(coefficient, key), ...])`` with integer coefficients:
@@ -705,6 +732,16 @@ class Expansion:
         moment = tuple(self.integral((([x[i] for x in self.vertices], 1),))
                        for i in range(self.dim))
         return DHMoments(mass=mass, first_moment=moment, exact=True)
+
+
+def _form_at(form: tuple[Fraction, list[tuple[int, tuple[int, ...]]]],
+             w: Sequence[Fraction | int], c: Fraction | int, p: int) -> Fraction:
+    """The value at (w, c) of a form of degree p from `Expansion._power_form`."""
+    scale, terms = form
+    den = lcm(c.denominator, *(x.denominator for x in w))
+    y = [x.numerator * (den // x.denominator) for x in (*w, c)]
+    total = sum(k * prod(map(y.__getitem__, key)) for k, key in terms)
+    return Fraction(total * scale.numerator, scale.denominator * den ** p)
 
 
 def _complete_homogeneous(y: Sequence[float], mults: Sequence[int], q: int) -> float:
@@ -942,7 +979,7 @@ class DHMoments:
     exact: bool
     error_bound: float = 0.0
 
-    @property
+    @cached_property
     def barycenter(self) -> tuple:
         return tuple(m / self.mass for m in self.first_moment)
 
@@ -953,7 +990,9 @@ def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec],
     weight); exact whenever the weight expands to a polynomial, otherwise
     an adaptive cubature estimate to ``tol`` (`IntegrationError` if it does
     not converge).  Kept in the polytope's memo once computed, and so is
-    the pass of the positivity checks of the density and the weight."""
+    the pass of the positivity checks of the density and the weight.  The
+    invariants call it once per input and weight and keep its result in
+    the input's entry for the weight (`invariants.WeightEntry`)."""
     vp = _as_vpolytope(p)
     n = vp.dim
     g = g or UNIT_WEIGHT

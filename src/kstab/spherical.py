@@ -315,6 +315,13 @@ class SphericalInput:
         return {}
 
     @cached_property
+    def weight_entries(self) -> dict:
+        """Per weight (None for the unit weight), the
+        `invariants.WeightEntry` of everything the invariants read under
+        it, filled as they build it."""
+        return {}
+
+    @cached_property
     def candidate_table(self) -> dict:
         """Per PL function, one `invariants.CandidateRow` per candidate ray,
         in candidate order: the table that delta^(p), alpha and delta^g
@@ -344,7 +351,8 @@ class SphericalInput:
 
     def _check_completeness(self):
         """Exact decision that the fan covers the valuation cone V, which
-        must be full-dimensional.  After the ray-wise checks, every wall
+        must be full-dimensional.  Once each generator of V is found in some
+        fan cone (a quick refusal with a pointed message), every wall
         (facet) of a full-dimensional piece, a fan cone met with V, must
         lie in a facet of V or have another piece on its other side that
         contains it.  A point of V that no piece covers would be reached
@@ -357,20 +365,10 @@ class SphericalInput:
             raise SphericalDataError(
                 "the valuation cone is not full-dimensional; the valuation "
                 "cone of a spherical variety always is")
-        cones = self.fan_cones
-
-        def covered(x: Vec) -> bool:
-            return any(c.contains(x) for c in cones)
-
-        for r in vcone.rays:
-            if not covered(r):
+        for r in vcone.generators:
+            if not any(c.contains(r) for c in self.fan_cones):
                 raise SphericalDataError(
-                    f"valuation cone ray {r} is not covered by the fan")
-        for l in vcone.lineality:
-            for s in (l, vneg(l)):
-                if not covered(s):
-                    raise SphericalDataError(
-                        f"valuation cone direction {s} is not covered by the fan")
+                    f"valuation cone generator {r} is not covered by the fan")
         pieces = [m for m in self.fan_meets if not m.span_equations]
         if not pieces:
             raise SphericalDataError(

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kstab.invariants
+import kstab.quad
+import kstab.soliton
 from conftest import complete_fans, fan_input, random_toric_input
 from kstab.fixtures import BUILTIN_NAMES, builtin_spherical_input
-from kstab.geom import Cone, vec
+from kstab.geom import Cone, dot, vec
 from kstab.invariants import (
     InvariantError,
     KltViolationError,
@@ -25,6 +28,7 @@ from kstab.invariants import (
     delta_g,
     delta_p,
     ding_check,
+    moments_g,
 )
 from kstab.quad import (
     AffineForm,
@@ -549,14 +553,51 @@ def _outcome(call, si):
         return type(e), str(e)
 
 
+def _weights(si):
+    """A polynomial weight, affine powers with exponents 1/2 and 2 and a
+    constant weight of the input's projection, the affine powers' base at
+    least 1 on its section polytope.  With no projection every weight is a
+    constant, and only the constant one is returned.
+
+    The base of the power 1/2 is divided by M^2, M the unweighted mass, so
+    that its weighted integrals are of order one: its cubature runs to an
+    absolute tolerance of 1e-12, which integrals of order M >= 1e3 on the
+    random surfaces never reach (45 s and 1e5 subdivisions each)."""
+    constant = {"constant": ConstantWeight(F(3))}
+    dim = len(si.projection)
+    if not dim:
+        return constant
+    xi = vec([F(1, 5)] + [0] * (dim - 1))
+    low = min(dot(xi, [dot(row, x) for row in si.projection])
+              for x in si.section_polytope_v.vertices)
+    a = 1 - min(low, 0)
+    shrink = moments_g(si).mass ** -2
+    square = Polynomial(dim, {(0,) * dim: F(2), (2,) + (0,) * (dim - 1): F(1)})
+    return {"polynomial": PolynomialWeight(square),
+            "affine-1/2": AffinePowerWeight(tuple(c * shrink for c in xi), a * shrink, F(1, 2)),
+            "affine-2": AffinePowerWeight(xi, a, 2),
+            **constant}
+
+
+def _verdict(d):
+    """A Ding verdict without its dual cone, which compares by identity."""
+    return replace(d, dual_cone=d.dual_cone.generators)
+
+
 def _ray_calls(si):
-    """Every invariant that reads the ray records, as (label, call)."""
+    """Every invariant that reads the ray records or the entries of the
+    weights, as (label, call): unweighted and under each of `_weights`."""
     calls = [(("delta", p), lambda s, p=p: delta_p(s, p)) for p in (1, 2, 3, F(3, 2))]
-    calls += [("alpha", alpha), ("delta_g", delta_g)]
+    calls.append(("alpha", alpha))
     for ray in si.candidates:
-        calls.append((("beta", ray), lambda s, ray=ray: beta_g(s, ray)))
         calls.append((("T", ray), lambda s, ray=ray: T_max(s, ray)))
         calls.append((("T-anti", ray), lambda s, ray=ray: T_max(s, ray, s.log_discrepancy)))
+    for name, g in [("none", None), *_weights(si).items()]:
+        calls.append((("barycenter", name), lambda s, g=g: barycenter_g(s, g)))
+        calls.append((("ding", name), lambda s, g=g: _verdict(ding_check(s, g))))
+        calls.append((("delta_g", name), lambda s, g=g: delta_g(s, g)))
+        for ray in si.candidates:
+            calls.append((("beta", name, ray), lambda s, ray=ray, g=g: beta_g(s, ray, g)))
     return calls
 
 
@@ -610,6 +651,54 @@ def test_dh_moments_checks_positivity_once_per_key(monkeypatch):
         with pytest.raises(ValueError):
             barycenter_g(si, bad)
     assert len(checked) == 4
+
+
+@pytest.mark.parametrize("g", [
+    None,
+    PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(2)})),
+    AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2)),
+], ids=["unweighted", "polynomial", "affine-1/2"])
+def test_warm_calls_integrate_nothing_again(monkeypatch, g):
+    si = _fresh("toric-bl1p2", 0)
+    integrations = []
+    for name in ("dh_moments", "density_expansion", "integrate_numeric"):
+        fn = getattr(kstab.quad, name)
+        spy = partial(_spied, fn, integrations)
+        for module in (kstab.quad, kstab.invariants, kstab.soliton):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, spy)
+
+    def one_round():
+        barycenter_g(si, g)
+        ding_check(si, g)
+        for v in si.candidates:
+            beta_g(si, v, g)
+        delta_g(si, g)
+        delta_p(si, 2, g)
+
+    one_round()
+    assert integrations  # the spies see the first round's integrals
+    integrations.clear()
+    one_round()
+    assert integrations == []
+
+
+def _spied(fn, calls, *args, **kwargs):
+    calls.append(fn.__name__)
+    return fn(*args, **kwargs)
+
+
+def test_integer_and_float_exponents_are_different_weights():
+    """The exponents 2 and 2.0 compare equal, but only 2 expands: a warm
+    input answers under 2.0 with a cubature, as a fresh one does."""
+    xi = vec([F(1, 3), F(0)])
+    exact, cubature = AffinePowerWeight(xi, F(1), 2), AffinePowerWeight(xi, F(1), 2.0)
+    assert exact != cubature and cubature == AffinePowerWeight(xi, F(1), 2.0)
+    warm = _fresh("toric-bl1p2", 0)
+    assert all(b.is_exact for b in barycenter_g(warm, exact))
+    fresh = barycenter_g(_fresh("toric-bl1p2", 0), cubature)
+    assert not any(b.is_exact for b in fresh)
+    assert barycenter_g(warm, cubature) == fresh
 
 
 def test_s_p_cubature_runs_once_per_key(monkeypatch):
