@@ -4,33 +4,34 @@ Every invariant here is a minimum over the finite candidate ray set of the
 valuation cone: the p-th-moment threshold delta^(p), the tangency threshold
 alpha, their weighted variants, and the Ding-type verdicts obtained by
 testing the weighted barycenter against the dual of the negated valuation
-cone.  Rational inputs give exact rational answers.  Non-integer moments with
-exact weights carry rigorous error bounds; non-polynomial weights go
-through adaptive cubature, whose error bounds are estimates.  No numeric
-path decides a boundary question by float comparison.
+cone.  Rational inputs give exact rational answers; every other answer
+reads closed forms enclosed with directed rounding, and its error bound
+adds theirs.  No numeric path decides a boundary question by float
+comparison.
 
 Each of them reads, per ray v and PL function l, one `RayRecord` built on
 first use and kept on the input (`SphericalInput.ray_records`): l(v), the
 values of <x, v> + l(v) at the section polytope's vertices (checked
 nonnegative when the record is built) and their maximum T; the vertex
-values serve T and non-integer p.  delta^(p), alpha and delta^g iterate
-the input's candidate table (`SphericalInput.candidate_table`), one
-`CandidateRow` per candidate ray and PL function, in candidate order: the
-ray, its primitive integer coordinates, A(v), its record and A(v) / T.  So
-a warm input runs no cone search and evaluates no form again.
+values serve T, non-integer p and the weights that do not expand.
+delta^(p), alpha and delta^g iterate the input's candidate table
+(`SphericalInput.candidate_table`), one `CandidateRow` per candidate ray
+and PL function, in candidate order: the ray, its primitive integer
+coordinates, A(v), its record and A(v) / T.  So a warm input runs no cone
+search and evaluates no form again.
 
 Everything read under a weight g is kept in one `WeightEntry` per weight
-(`SphericalInput.weight_entries`, None for the unit weight): the expansion
-of g(xbar) P (`quad.density_expansion`), the moments (`quad.dh_moments`,
-whose positivity checks pass once the moments are kept), the barycenter,
-and the cubature estimates of S^(p) for a weight that does not expand.
-Each call looks its entry up once, and each part is built on first use; a
-failure is not kept.  At integer p, S^(p) is one Fraction,
-F_p(v, l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> + c)^p a form
-in (w, c) built once per expansion and p and 1 / mass folded into its
-scale (`quad.Expansion.power_mean`); the moments behind the barycenter
-are integrated separately, so the two routes of `beta_g` stay
-independent.
+(`SphericalInput.weight_entries`, None for the unit weight): the weighted
+density, the moments (`quad.dh_moments`, whose positivity checks pass once
+the moments are kept), the barycenter, and the enclosed S^(p) for a weight
+that does not expand.  Each call looks its entry up once, and each part is
+built on first use; a failure is not kept.  At integer p, S^(p) is one
+Fraction, F_p(v, l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> +
+c)^p a form in (w, c) built once per expansion and p and 1 / mass folded
+into its scale (`quad.Expansion.power_mean`); the moments behind the
+barycenter are integrated separately, so the two routes of `beta_g` stay
+independent.  Under a weight that does not expand (`quad.PowerDensity`),
+S^(p) at non-integer p has no closed form and is refused.
 """
 
 from __future__ import annotations
@@ -45,19 +46,15 @@ from .quad import (
     UNIT_WEIGHT,
     DHMoments,
     Expansion,
-    IntegrationError,
+    PowerDensity,
     WeightFn,
     density_expansion,
     dh_moments,
     enclose,
-    integrate_numeric,
+    power_density,
+    tight,
 )
 from .spherical import PLFunction, SphericalInput
-
-
-# half-width of the enclosure of a non-integer moment, relative to
-# max(1, |S_p|)
-S_P_RTOL = 1e-12
 
 
 class InvariantError(Exception):
@@ -205,10 +202,11 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     values (`quad.Expansion.integral_power`); only those powers are
     enclosed, at a precision raised until the enclosure over the exact mass
     is tight to 1e-12 * max(1, |S|), and the error bounds the distance of
-    the reported float from the true value.  Other weights take an adaptive
-    cubature estimate, kept in the input's entry for the weight once
-    computed, and `quad.IntegrationError` if it does not converge.
-    `InvariantError` unless 1 <= p < inf."""
+    the reported float from the true value.  Under an affine-power weight
+    that does not expand, S at integer p is the quotient of two closed
+    forms of its power, enclosed the same way and kept in the input's
+    entry for the weight; at non-integer p it is refused
+    (`InvariantError`).  `InvariantError` unless 1 <= p < inf."""
     _check_exponent(p)
     v = vec(v)
     record = _ray(si, v, pl)
@@ -219,25 +217,25 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
 class WeightEntry:
     """What the invariants read of an input under one weight g (None is
     the unit weight), kept in `SphericalInput.weight_entries`: the
-    expansion of g(xbar) P over the section polytope (None for a weight
-    that does not expand), the `DHMoments` (set once the positivity checks
-    of `quad.dh_moments` pass), the barycenter as `Num`s and, for pairing,
-    as integer numerators over one denominator when it is exact or as
-    arrays of its values and errors when not, and the cubature estimates
-    of S_p by (ray, l(v), p).  Each part is built on first use; a failure
-    is not kept, so every call raises it again."""
+    weighted density over the section polytope (the expansion of g(xbar)
+    P, or the `quad.PowerDensity` of a weight that does not expand), the
+    `DHMoments` (set once the positivity checks of `quad.dh_moments`
+    pass), the barycenter as `Num`s and, when it is exact, as integer
+    numerators over one denominator for pairing, and, under a weight that
+    does not expand, the enclosed S_p by (ray, l(v), p).  Each part is
+    built on first use; a failure is not kept, so every call raises it
+    again."""
 
-    __slots__ = ("g", "expansion", "moments", "barycenter", "exact_barycenter",
-                 "float_barycenter", "cubature")
+    __slots__ = ("g", "density", "moments", "barycenter", "exact_barycenter", "means")
 
     def __init__(self, si: SphericalInput, g: WeightFn | None):
         self.g = g
+        vp = si.section_polytope_v
         weight = (g or UNIT_WEIGHT).products(si.projection, si.rank)
-        self.expansion = None if weight is None else \
-            density_expansion(si.section_polytope_v, si.dh, weight)
-        self.moments = self.barycenter = None
-        self.exact_barycenter = self.float_barycenter = None
-        self.cubature: dict[tuple, Num] = {}
+        self.density = power_density(vp, si.dh, g, si.projection) if weight is None else \
+            density_expansion(vp, si.dh, weight)
+        self.moments = self.barycenter = self.exact_barycenter = None
+        self.means: dict[tuple, Num] = {}
 
 
 def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
@@ -247,58 +245,38 @@ def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
     return entry
 
 
-def _density(entry: WeightEntry) -> Expansion | None:
-    """The entry's expansion of g(xbar) P, or None for a weight that does
-    not expand; `InvariantError` if its mass is not positive."""
-    density = entry.expansion
-    if density is not None and density.mass <= 0:
+def _density(entry: WeightEntry) -> Expansion | PowerDensity:
+    """The entry's weighted density; `InvariantError` if it is an
+    expansion whose mass is not positive."""
+    density = entry.density
+    if isinstance(density, Expansion) and density.mass <= 0:
         raise InvariantError("nonpositive density mass")
     return density
 
 
 def _moment(si: SphericalInput, v, ray: RayRecord, p, entry: WeightEntry,
-            density: Expansion | None) -> Num:
+            density: Expansion | PowerDensity) -> Num:
     """`S_p` along v (rational or integer), whose record is ray, under the
     entry's weight, whose `_density` is density; p is checked by the
     caller."""
-    if density is not None:
+    if isinstance(density, Expansion):
         if _is_integer(p):
             return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
         total = density.integral_power(ray.vertex_values, p)
         mass = density.mass
-        ratio = enclose(lambda prec: total.enclosure(prec) / mass,
-                        lambda s: s.half_width <= S_P_RTOL * max(1.0, abs(s.mid)))
+        ratio = enclose(lambda prec: total.enclosure(prec) / mass, tight)
         return Num.from_float(*ratio.float_with_error())
 
-    pf = float(p)
-    key = (v, ray.value, pf)
-    estimate = entry.cubature.get(key)
-    if estimate is not None:
-        return estimate
-
-    import numpy as np
-
-    dh_eval = si.dh.eval_float
-    g_eval = entry.g.evaluator(si.projection, si.rank)
-    vf = np.array([float(c) for c in v])
-    lvf = float(ray.value)
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        w = g_eval(pts) * dh_eval(pts)
-        base = np.maximum(pts @ vf + lvf, 0.0)
-        return np.column_stack([w * base ** pf, w])
-
-    quad = integrate_numeric(si.section_polytope_v, f, tol=1e-12)
-    if not quad.converged:
-        raise IntegrationError(
-            f"S_{p} cubature did not converge (error estimate {quad.error_bound:.3g})")
-    num, den = (float(x) for x in np.atleast_1d(quad.value))
-    if den <= 0:
-        raise InvariantError("nonpositive density mass")
-    ratio = num / den
-    err = quad.error_bound * (1.0 + abs(ratio)) / max(den, 1e-300)
-    estimate = entry.cubature[key] = Num.from_float(ratio, err)
-    return estimate
+    if not _is_integer(p):
+        raise InvariantError(
+            f"S_p at the non-integer p = {p} under an affine-power weight of exponent "
+            f"{entry.g.exponent}: two powers of different affine forms have no closed form")
+    key = (v, ray.value, int(p))
+    s = entry.means.get(key)
+    if s is None:
+        mean = density.mean(((ray.vertex_values, int(p)),))
+        s = entry.means[key] = Num.from_float(*mean.float_with_error())
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +435,7 @@ def _barycenter(si: SphericalInput, entry: WeightEntry) -> tuple[Num, ...]:
                                             for c in m.barycenter), den)
             entry.barycenter = tuple(map(Num.from_fraction, m.barycenter))
         else:
-            import numpy as np
-
-            scale = m.error_bound / abs(m.mass)
-            entry.barycenter = tuple(Num.from_float(float(c), scale * (1.0 + abs(float(c))))
-                                     for c in m.barycenter)
-            entry.float_barycenter = (np.array([b.value for b in entry.barycenter]),
-                                      np.array([b.error for b in entry.barycenter]))
+            entry.barycenter = tuple(Num.from_float(*c.float_with_error()) for c in m.barycenter)
     return entry.barycenter
 
 
@@ -475,15 +447,12 @@ def _pair_exact(bar: tuple[tuple[int, ...], int], f: Vec) -> Fraction:
     return Fraction(sum(n * x.numerator * (e // x.denominator) for n, x in zip(nums, f)), den * e)
 
 
-def _pair(bar: tuple[np.ndarray, np.ndarray], f: Vec) -> Num:
+def _pair(bar: tuple[Num, ...], f: Vec) -> Num:
     """<bar, f> for a rational functional f and a barycenter that is not
-    exact, given as the arrays of its values and errors: a float with
-    error sum |f_i| err_i."""
-    import numpy as np
-
-    vals, errs = bar
-    ff = np.array([float(c) for c in f])
-    return Num.from_float(float(vals @ ff), float(errs @ np.abs(ff)))
+    exact: a float with error sum |f_i| err_i."""
+    ff = [float(c) for c in f]
+    return Num.from_float(sum(b.value * c for b, c in zip(bar, ff)),
+                          sum(b.error * abs(c) for b, c in zip(bar, ff)))
 
 
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
@@ -509,7 +478,7 @@ def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
             key = a / denom
             ratio = Num.from_fraction(key)
         else:
-            mean = _pair(entry.float_barycenter, row.ints)
+            mean = _pair(bary, row.ints)
             denom = float(a) + mean.value
             derr = mean.error
             s = Num.from_float(denom, derr)
@@ -554,7 +523,7 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     if entry.exact_barycenter is not None:
         pairing = Num.from_fraction(-_pair_exact(entry.exact_barycenter, v))
     else:
-        mean = _pair(entry.float_barycenter, v)
+        mean = _pair(entry.barycenter, v)
         pairing = Num.from_float(-mean.value, mean.error)
     if direct.is_exact and pairing.is_exact:
         if direct.exact != pairing.exact:
@@ -596,9 +565,10 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     """Stability verdict from the membership of the weighted barycenter in
     the dual cone of the negated valuation cone.
 
-    With exact barycenters the verdict is exact.  Numeric barycenters are
-    only judged through the enclosures their cubature error estimates
-    give; if the enclosure touches a facet the verdict is indeterminate
+    With exact barycenters the verdict is exact.  A barycenter under a
+    weight that does not expand is only judged through the intervals its
+    enclosures give, each pairing widened by the coordinates' error
+    bounds; if an interval touches a facet the verdict is indeterminate
     rather than guessed.
     """
     entry = _weighted(si, g)
@@ -634,7 +604,7 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
         return DingVerdict(bary, dual, semistable, polystable, witness, exact=True)
 
     def enclosure(functional: Vec) -> tuple[float, float]:
-        pairing = _pair(entry.float_barycenter, functional)
+        pairing = _pair(bary, functional)
         return pairing.value - pairing.error, pairing.value + pairing.error
 
     # certified violations decide "unstable" regardless of other ambiguity;

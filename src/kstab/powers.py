@@ -148,8 +148,14 @@ class Enclosure:
     def half_width(self) -> float:  # a float upper bound
         return _float_above(self.hi - self.lo, 2 * self.den)
 
-    def __truediv__(self, c: Fraction) -> "Enclosure":  # c > 0
-        return Enclosure(self.lo * c.denominator, self.hi * c.denominator, self.den * c.numerator)
+    def __truediv__(self, c: "Fraction | Enclosure") -> "Enclosure":
+        """The quotient by a positive rational, or by an enclosure with
+        c.lo > 0: each end over the end of c that moves it outward."""
+        if isinstance(c, Fraction):
+            return Enclosure(self.lo * c.denominator, self.hi * c.denominator, self.den * c.numerator)
+        low = c.hi if self.lo >= 0 else c.lo  # divides the lower end
+        high = c.lo if self.hi >= 0 else c.hi
+        return Enclosure(self.lo * c.den * high, self.hi * c.den * low, self.den * low * high)
 
     def float_with_error(self) -> tuple[float, float]:
         """`mid` and an upper bound on its distance from the interval's points."""

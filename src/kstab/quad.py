@@ -23,22 +23,22 @@ on it (`VPolytope.triangulation`):
   Theory 1, 2005).  `Expansion.integral_power` writes it exactly as
   ``sum_t R_t t ** s`` over the distinct values t (``log t`` and a
   rational for an integer s), and only those few powers are enclosed, to
-  a rising precision (non-integer moments S_p; module `powers`, loaded
-  on first use); for s = -k with k > d + |a| the divided difference is a
-  positive sum of reciprocal powers, which
-  `Expansion.integral_inverse_power` evaluates in floats (the Reeb
+  a rising precision (non-integer moments S_p and weights that are such
+  a power; module `powers`, loaded on first use); for s = -k with k > d
+  + |a| the divided difference is a positive sum of reciprocal powers,
+  which `Expansion.integral_inverse_power` evaluates in floats (the Reeb
   functional, whose P = 1 case is the volume function of Martelli, Sparks
   and Yau, Comm. Math. Phys. 280, 2008);
-* an adaptive cubature estimate for the remaining smooth integrands
-  (weights that are not polynomials), with embedded Grundmann-Moller rules
-  of degrees 7 and 9.  Its error bound is the rules' discrepancy: an
-  estimate, not an enclosure.
+* an adaptive cubature of float integrands (`integrate_numeric`), with
+  embedded Grundmann-Moller rules of degrees 7 and 9, whose error bound
+  is an estimate; no invariant uses it, the tests keep it as a reference.
 
 A weight g of the projected coordinates picks its own route through its
 methods (`WeightFn`): `products` expands a polynomial or an affine power
 with a nonnegative integer exponent for the exact engine, and a constant
 to 1, since it cancels in every ratio that it weights; an affine power
-with any other exponent has a float `evaluator` for the cubature instead.
+with any other exponent is one `power` l ** s of an affine form, and
+every integral under it is one closed form (`PowerDensity`).
 
 Lower-dimensional polytopes are integrated in lattice coordinates on their
 affine hull (see `geom.lattice_chart`), which is the normalization under
@@ -187,20 +187,6 @@ class Polynomial:
             total += t
         return total
 
-    def eval_float(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (k, dim) float array."""
-        import numpy as np
-
-        pts = np.atleast_2d(pts)
-        out = np.zeros(len(pts))
-        for e, c in self.terms.items():
-            t = np.full(len(pts), float(c))
-            for i, ei in enumerate(e):
-                if ei:
-                    t = t * pts[:, i] ** ei
-            out += t
-        return out
-
     def compose_affine(self, origin: Vec, columns: Sequence[Vec]) -> "Polynomial":
         """Substitute x = origin + sum_j y_j columns[j]; result in y."""
         r = len(columns)
@@ -290,16 +276,6 @@ class DHDensity:
             total *= f.form(x) ** f.multiplicity
         return total
 
-    def eval_float(self, pts: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        pts = np.atleast_2d(pts)
-        out = np.full(len(pts), 1.0 / float(self.normalization))
-        for f in self.factors:
-            base = pts @ np.array([float(c) for c in f.form.normal]) + float(f.form.offset)
-            out = out * base ** f.multiplicity
-        return out
-
     def translated(self, t: Vec) -> "DHDensity":
         """Density for the polytope translated by +t (same values pointwise:
         new(x) = old(x - t))."""
@@ -326,8 +302,8 @@ class WeightFn:
 
     Every decision about a weight is one of its methods: whether it is
     constant, its exact expansion (`products`), and its positivity on a
-    polytope.  A weight that does not expand (`products` is None) has a
-    float `evaluator` for cubature instead."""
+    polytope.  A weight that does not expand (`products` is None) is an
+    affine power, whose `power` gives its base and exact exponent."""
 
     # number of projected coordinates g reads; None for a constant
     dim: int | None = None
@@ -455,17 +431,10 @@ class AffinePowerWeight(WeightFn):
             return None
         return [(Fraction(1), ((self._projected(projection, ambient_dim), k),))]
 
-    def evaluator(self, projection: Sequence[Vec], ambient_dim: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Vectorized float evaluator of g(proj . x) on (k, ambient_dim)
-        arrays, for the weights `products` cannot expand: a non-integer or
-        negative exponent."""
-        import numpy as np
-
-        base = self._projected(projection, ambient_dim)
-        nrm = np.array([float(c) for c in base.normal])
-        off = float(base.offset)
-        e = float(self.exponent)
-        return lambda pts: (np.atleast_2d(pts) @ nrm + off) ** e
+    def power(self, projection: Sequence[Vec], ambient_dim: int) -> tuple[AffineForm, Fraction]:
+        """g(proj . x) as l(x) ** s, l in ambient x and s exact (a float's
+        dyadic value), for a non-integer or negative exponent."""
+        return self._projected(projection, ambient_dim), Fraction(self.exponent)
 
     def _check_positive(self, projected_vertices: Sequence[Vec]):
         for v in projected_vertices:
@@ -573,16 +542,18 @@ class Expansion:
         self._power_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
         self._mean_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
 
+    def _parts(self, factors: Sequence[tuple[Sequence[Fraction], int]]):
+        """The parts times the factors of `integral`."""
+        for idx, volume, part in self.parts:
+            for values, k in factors:
+                part = part.times([values[i] for i in idx], k)
+            yield idx, volume, part
+
     def integral(self, factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> Fraction:
         """Integral of the expanded sum times ``prod l ** multiplicity``,
         each affine form l given by its values at `vertices`, in that
         order."""
-        total = Fraction(0)
-        for idx, volume, part in self.parts:
-            for values, k in factors:
-                part = part.times([values[i] for i in idx], k)
-            total += volume * part.integral()
-        return total
+        return sum((volume * part.integral() for _, volume, part in self._parts(factors)), Fraction(0))
 
     def power_integral(self, w: Sequence[Fraction | int], c: Fraction | int, p: int) -> Fraction:
         """``F_p(w, c)``, the integral of the expanded sum times ``(<x, w> +
@@ -661,18 +632,19 @@ class Expansion:
                 [(t // common, tuple(j for j, b in enumerate(digits) for _ in range(e // b % (p + 1))))
                  for e, t in coeffs.items() if t])
 
-    def integral_power(self, values: Sequence[Fraction], s) -> "PowerIntegral":
-        """The integral of the expanded sum times ``l(x) ** s`` for a
-        rational exponent s and an affine form l given by its ``values`` at
-        `vertices`, in that order, as a `powers.PowerIntegral`: exact
-        rational coefficients of phi(t) = t ** s (log t for an integer s)
-        at the distinct values t, and a rational constant, which
-        `PowerIntegral.enclosure` encloses at a given precision.  Raises
-        `SingularIntegrandError` where a node makes the integrand singular
-        or, for non-integer s, negative."""
+    def integral_power(self, values: Sequence[Fraction], s,
+                       factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> "PowerIntegral":
+        """The integral of the expanded sum times ``l(x) ** s`` (and the
+        factors of `integral`) for a rational exponent s and an affine form
+        l given by its ``values`` at `vertices`, in that order, as a
+        `powers.PowerIntegral`: exact rational coefficients of phi(t) = t **
+        s (log t for an integer s) at the distinct values t, and a rational
+        constant, which `PowerIntegral.enclosure` encloses at a given
+        precision.  Raises `SingularIntegrandError` where a node makes the
+        integrand singular or, for non-integer s, negative."""
         from .powers import integral_power
 
-        return integral_power(self.parts, values, s)
+        return integral_power(self._parts(factors), values, s)
 
     @cached_property
     def _float_terms(self) -> list[tuple[list[int], list[tuple[float, tuple[int, ...], int]]]]:
@@ -756,6 +728,12 @@ def _complete_homogeneous(y: Sequence[float], mults: Sequence[int], q: int) -> f
 
 PRECISIONS = (64, 128, 256, 512, 1024, 2048, 4096)
 
+# the half-width an enclosure is accepted at, relative to max(1, |mid|): a
+# non-integer moment under an exact weight, and every ratio of integrals
+# under a weight that does not expand, read to a unit of the float reported
+ENCLOSURE_RTOL = 1e-12
+POWER_RTOL = 2.0 ** -53
+
 
 def enclose(evaluate: Callable[[int], object], accept: Callable[[object], bool]):
     """``evaluate(prec)`` for the working precisions in `PRECISIONS` until
@@ -766,6 +744,11 @@ def enclose(evaluate: Callable[[int], object], accept: Callable[[object], bool])
             return x
     raise IntegrationError(
         f"no enclosure tight enough at {PRECISIONS[-1]} bits of working precision")
+
+
+def tight(x: "Enclosure", rtol: float = ENCLOSURE_RTOL) -> bool:
+    """Whether an enclosure's half-width is at most rtol * max(1, |mid|)."""
+    return x.half_width <= rtol * max(1.0, abs(x.mid))
 
 
 def _coordinate_form(i: int, n: int) -> AffineForm:
@@ -804,6 +787,60 @@ def density_expansion(vp: VPolytope, dh: DHDensity, weight: Sequence[Product]) -
         expansion = vp.memo[key] = Expansion(vp, [(c / dh.normalization, factors + dh_factors)
                                                   for c, factors in weight])
     return expansion
+
+
+@dataclass(frozen=True, eq=False)
+class PowerDensity:
+    """g(xbar) dh(x) over a polytope for a weight that does not expand,
+    g(proj . x) = l(x) ** s (`AffinePowerWeight.power`): the expansion of
+    dh, the values of l at the polytope's vertices and s.  Every integral
+    under g is one `Expansion.integral_power`, and every ratio of two is
+    enclosed until it is tight to `POWER_RTOL`."""
+
+    expansion: Expansion
+    values: tuple[Fraction, ...]
+    s: Fraction
+
+    def integral(self, factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> "PowerIntegral":
+        """int g dh times the factors of `Expansion.integral`, exactly."""
+        return self.expansion.integral_power(self.values, self.s, factors)
+
+    @cached_property
+    def mass(self) -> "PowerIntegral":
+        return self.integral()
+
+    def _enclosed(self, totals: Sequence["PowerIntegral"]) -> tuple["Enclosure", list["Enclosure"]]:
+        """The mass and the totals enclosed at one precision, at which each
+        total over the mass is tight."""
+        def evaluate(prec: int):
+            return self.mass.enclosure(prec), [t.enclosure(prec) for t in totals]
+
+        return enclose(evaluate, lambda e: e[0].lo > 0 and all(tight(t / e[0], POWER_RTOL) for t in e[1]))
+
+    def mean(self, factors: Sequence[tuple[Sequence[Fraction], int]]) -> "Enclosure":
+        """An enclosure of `integral` (factors) over the mass."""
+        mass, (total,) = self._enclosed([self.integral(factors)])
+        return total / mass
+
+    @cached_property
+    def moments(self) -> "DHMoments":
+        vertices = self.expansion.vertices
+        mass, moment = self._enclosed([self.integral((([x[i] for x in vertices], 1),))
+                                       for i in range(self.expansion.dim)])
+        return DHMoments(mass, tuple(moment), exact=False)
+
+
+def power_density(vp: VPolytope, dh: DHDensity, g: WeightFn, projection: Sequence[Vec]) -> PowerDensity:
+    """The `PowerDensity` of g(xbar) * dh(x) over a polytope, for a weight
+    that does not expand; built on first use and kept in the polytope's
+    memo."""
+    base, s = g.power(projection, vp.dim)
+    key = ("power", dh, base, s)
+    density = vp.memo.get(key)
+    if density is None:
+        density = vp.memo[key] = PowerDensity(density_expansion(vp, dh, _UNIT_PRODUCTS),
+                                              tuple(base(x) for x in vp.vertices), s)
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -972,24 +1009,23 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
 
 @dataclass(frozen=True)
 class DHMoments:
-    """mass = int g(xbar) P(x) dx and first_moment = int g(xbar) P(x) x dx."""
+    """mass = int g(xbar) P(x) dx and first_moment = int g(xbar) P(x) x dx,
+    as Fractions when exact and as `powers.Enclosure`s otherwise; the
+    barycenter follows, by exact or interval division."""
 
-    mass: Fraction | float
+    mass: Fraction | Enclosure
     first_moment: tuple
     exact: bool
-    error_bound: float = 0.0
 
     @cached_property
     def barycenter(self) -> tuple:
         return tuple(m / self.mass for m in self.first_moment)
 
 
-def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec],
-               tol: float = 1e-12) -> DHMoments:
+def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec]) -> DHMoments:
     """Weighted mass and first moment over a polytope (g None is the unit
     weight); exact whenever the weight expands to a polynomial, otherwise
-    an adaptive cubature estimate to ``tol`` (`IntegrationError` if it does
-    not converge).  Kept in the polytope's memo once computed, and so is
+    enclosures (`PowerDensity.moments`).  Kept once computed, and so is
     the pass of the positivity checks of the density and the weight.  The
     invariants call it once per input and weight and keep its result in
     the input's entry for the weight (`invariants.WeightEntry`)."""
@@ -1005,25 +1041,4 @@ def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec],
         vp.memo[checked] = True
     if weight is not None:
         return density_expansion(vp, dh, weight).moments
-
-    key = ("moments", dh, g, tuple(projection), tol)
-    if key not in vp.memo:
-        import numpy as np
-
-        g_eval = g.evaluator(projection, n)
-
-        def f(pts: np.ndarray) -> np.ndarray:
-            w = g_eval(pts) * dh.eval_float(pts)
-            return np.column_stack([w] + [w * pts[:, i] for i in range(n)])
-
-        quad = integrate_numeric(vp, f, tol=tol)
-        if not quad.converged:
-            raise IntegrationError(
-                f"moment cubature did not converge (error estimate {quad.error_bound:.3g})")
-        values = np.atleast_1d(quad.value)
-        mass = float(values[0])
-        if mass <= 0:
-            raise ValueError("nonpositive mass: density/weight not positive on polytope")
-        vp.memo[key] = DHMoments(mass=mass, first_moment=tuple(float(v) for v in values[1:]),
-                                 exact=False, error_bound=quad.error_bound)
-    return vp.memo[key]
+    return power_density(vp, dh, g, projection).moments

@@ -420,9 +420,9 @@ class SphericalInput:
         pts = lattice_points(self.section_polytope, k)
         g = g or UNIT_WEIGHT
         g_exact = g.products(self.projection, self.rank)
-        g_eval = None if g_exact is not None else g.evaluator(self.projection, self.rank)
-        s_num = Fraction(0) if g_eval is None else 0.0
-        s_den = Fraction(0) if g_eval is None else 0.0
+        power = None if g_exact is not None else g.power(self.projection, self.rank)
+        s_num = Fraction(0) if power is None else 0.0
+        s_den = Fraction(0) if power is None else 0.0
         d_k = Fraction(0)
         t_k = None
         for m in pts:
@@ -434,8 +434,8 @@ class SphericalInput:
             if g_exact is not None:
                 w = eval_products(g_exact, tuple(c / k for c in m)) * dim_m
             else:
-                import numpy as np
-                w = float(g_eval(np.array([[float(c) / k for c in m]]))[0]) * float(dim_m)
+                base, s = power
+                w = float(base(tuple(c / k for c in m))) ** float(s) * float(dim_m)
             if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
                 term = w * value ** int(p)
             else:

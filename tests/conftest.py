@@ -15,6 +15,21 @@ from kstab.quad import AffineForm, DHDensity, DHFactor
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
 
+def eval_float(poly, pts):
+    """A `Polynomial` evaluated on an (k, dim) float array, for the float
+    references of the exact integrals."""
+    import numpy as np
+
+    out = np.zeros(len(pts))
+    for e, c in poly.terms.items():
+        t = np.full(len(pts), float(c))
+        for i, ei in enumerate(e):
+            if ei:
+                t = t * pts[:, i] ** ei
+        out += t
+    return out
+
+
 @pytest.fixture(scope="session")
 def pgl2():
     si, _ = builtin_spherical_input("pgl2")

@@ -7,10 +7,11 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 
-from conftest import random_spherical_input
+from conftest import eval_float, random_spherical_input
 from kstab.geom import Cone, VPolytope, vec
 from kstab.invariants import alpha, barycenter_g, delta_p, ding_check
 from kstab.quad import (
@@ -242,7 +243,7 @@ def test_acceptance_8_integration_oracles():
         for f in forms:
             inside &= (samples @ np.array([float(c) for c in f.normal])
                        + float(f.offset)) >= 0
-        vals = poly.eval_float(samples) * inside
+        vals = eval_float(poly, samples) * inside
         est = box_vol * vals.mean()
         se = box_vol * vals.std(ddof=1) / math.sqrt(len(samples))
         z = abs(est - exact) / se if se > 0 else 0.0
@@ -250,7 +251,7 @@ def test_acceptance_8_integration_oracles():
         assert abs(est - exact) <= 3 * se + 1e-12
 
         # numeric cubature against the exact engine, within its own bound
-        q = integrate_numeric(v, poly.eval_float, tol=1e-9)
+        q = integrate_numeric(v, partial(eval_float, poly), tol=1e-9)
         assert abs(q.value - exact) <= q.error_bound + 1e-9 * (1 + abs(exact))
         checked += 1
     _report(8, f"100 random polytope integrals within 3 standard errors of "

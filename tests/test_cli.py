@@ -455,11 +455,10 @@ def test_entry_point_runs():
 
 
 def test_integration_failure_exit_code(p1_path, capsys, monkeypatch):
-    # moment cubature that runs out of budget is reported, never used
+    # moments whose enclosure no working precision makes tight are
+    # reported, never used
     import kstab.quad
-    from kstab.quad import Quadrature
-    monkeypatch.setattr(kstab.quad, "integrate_numeric",
-                        lambda *a, **k: Quadrature([1.0, 0.0], 1.0, 5, False))
+    monkeypatch.setattr(kstab.quad, "PRECISIONS", (8,))
     g = '{"affine_power": {"xi": ["1"], "a": "3", "exponent": 0.5}}'
     code, out, err = run_cli(["check", "--input", p1_path, "--g", g], capsys)
     assert code == 3
@@ -468,10 +467,11 @@ def test_integration_failure_exit_code(p1_path, capsys, monkeypatch):
 
 
 def test_commands_load_only_what_they_use(tmp_path):
-    # numpy serves cubature of non-polynomial weights and the Reeb solve,
-    # jsonschema the wording of schema rejections, mpmath the interval
-    # closed forms; one fresh process runs the commands from the lightest up
-    # and reports which of the three are loaded after each stage
+    # numpy serves the Reeb solve, jsonschema the wording of schema
+    # rejections, mpmath the interval closed forms (non-integer moments and
+    # weights that do not expand); one fresh process runs the commands from
+    # the lightest up and reports which of the three are loaded after each
+    # stage
     import kstab
     path = tmp_path / "bl.json"
     path.write_text(json.dumps(builtin_document("toric-bl1p2")))
@@ -481,6 +481,7 @@ def test_commands_load_only_what_they_use(tmp_path):
     bad_path.write_text(json.dumps(bad_doc))
     poly = '{"polynomial": {"dim": 2, "terms": [{"exponent": [1, 0], "coeff": "1"}, ' \
         '{"exponent": [0, 0], "coeff": "3"}]}}'
+    power = '{"affine_power": {"xi": ["1/3", "0"], "a": "2", "exponent": 0.5}}'
     code = (
         "import contextlib, io, sys\n"
         "def loaded():\n"
@@ -503,6 +504,8 @@ def test_commands_load_only_what_they_use(tmp_path):
         f"run('compute', *common, '--invariant', 'barycenter', '--g', {poly!r})\n"
         "run('check', *common)\n"
         "print('compute', loaded())\n"
+        f"run('check', *common, '--g', {power!r})\n"
+        "print('power', loaded())\n"
         "run('reeb', *common)\n"
         "print('reeb', loaded())\n"
         f"print(run('compute', '--input', {str(bad_path)!r}, '--invariant', 'alpha', code=2), end='')\n"
@@ -516,8 +519,9 @@ def test_commands_load_only_what_they_use(tmp_path):
         "import []",
         "builtin []",
         "compute []",
-        "reeb ['numpy']",
+        "power ['mpmath']",
+        "reeb ['mpmath', 'numpy']",
         "kstab: invalid input: at variety/rank: 0 is less than the minimum of 1",
         r"kstab: invalid input: --g: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'",
-        "reject ['jsonschema', 'numpy']",
+        "reject ['jsonschema', 'mpmath', 'numpy']",
     ]

@@ -5,12 +5,12 @@ from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kstab.invariants
+import kstab.powers
 import kstab.quad
 import kstab.soliton
 from conftest import complete_fans, fan_input, random_toric_input
@@ -127,15 +127,16 @@ def test_s_noninteger_p_equal_on_symmetric_rays():
     assert abs(values[0].value - 1.1876919823329444) <= values[0].error + 1e-16
 
 
-def test_s_noninteger_p_cubature_not_converged_raises(pgl2, monkeypatch):
-    # a non-polynomial weight takes cubature; a run out of budget is an error
-    import kstab.invariants
-    from kstab.quad import IntegrationError, Quadrature
-    monkeypatch.setattr(kstab.invariants, "integrate_numeric",
-                        lambda *a, **k: Quadrature(np.array([1.0, 1.0]), 1.0, 5, False))
+def test_s_noninteger_p_under_a_power_weight_is_refused(pgl2):
+    # two non-integer powers of two affine forms have no closed form; the
+    # refusal names both exponents, on every call
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
-    with pytest.raises(IntegrationError):
-        S_p(pgl2, [-1], 1.5, g=g)
+    for _ in range(2):
+        with pytest.raises(InvariantError, match=r"p = 1\.5 .* exponent 0\.5"):
+            S_p(pgl2, [-1], 1.5, g=g)
+        with pytest.raises(InvariantError, match=r"p = 5/2 .* exponent 0\.5"):
+            delta_p(pgl2, F(5, 2), g)
+    assert S_p(pgl2, [-1], 2, g=g).error <= 1e-12
 
 
 def test_t_max_pgl2(pgl2):
@@ -414,8 +415,10 @@ def test_ding_polystable_implies_semistable(all_builtins):
 
 
 def test_ding_quad_tol_reaches_the_moments():
-    # the numeric moments meet the tolerance they are given, and ding_check
-    # judges the barycenter that barycenter_g reports
+    # the moments under a weight that does not expand are enclosures whose
+    # barycenter is tight to 1e-12, and ding_check judges the barycenter
+    # that barycenter_g reports
+    import mpmath
     from kstab.quad import dh_moments
     recs = tuple(DivisorRecord(n, vec(r), F(1), False) for n, r in
                  [("E", [1, 0]), ("W", [-1, 0]), ("N", [0, 1]), ("S", [0, -1])])
@@ -429,9 +432,17 @@ def test_ding_quad_tol_reaches_the_moments():
         complete=False,
     )
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
-    for tol in (1e-4, 1e-12):
-        m = dh_moments(si.section_polytope_v, si.dh, g, si.projection, tol=tol)
-        assert m.error_bound <= tol
+    m = dh_moments(si.section_polytope_v, si.dh, g, si.projection)
+    assert not m.exact
+    # the section polytope is the square [-1, 1]^2 and g = (x/3 + 1)^(1/2)
+    with mpmath.workdps(40):
+        mass = 2 * mpmath.quad(lambda x: mpmath.sqrt(x / 3 + 1), [-1, 1])
+        moment = 2 * mpmath.quad(lambda x: x * mpmath.sqrt(x / 3 + 1), [-1, 1])
+        for enclosure, value in ((m.mass, mass), (m.first_moment[0], moment),
+                                 (m.first_moment[1], 0), (m.barycenter[0], moment / mass)):
+            assert mpmath.mpf(enclosure.lo) / enclosure.den <= value <= mpmath.mpf(enclosure.hi) / enclosure.den
+    for b in m.barycenter:
+        assert b.half_width <= 1e-12 * max(1, abs(b.mid))
     assert ding_check(si, g).barycenter == barycenter_g(si, g)
 
 
@@ -557,12 +568,7 @@ def _weights(si):
     """A polynomial weight, affine powers with exponents 1/2 and 2 and a
     constant weight of the input's projection, the affine powers' base at
     least 1 on its section polytope.  With no projection every weight is a
-    constant, and only the constant one is returned.
-
-    The base of the power 1/2 is divided by M^2, M the unweighted mass, so
-    that its weighted integrals are of order one: its cubature runs to an
-    absolute tolerance of 1e-12, which integrals of order M >= 1e3 on the
-    random surfaces never reach (45 s and 1e5 subdivisions each)."""
+    constant, and only the constant one is returned."""
     constant = {"constant": ConstantWeight(F(3))}
     dim = len(si.projection)
     if not dim:
@@ -571,10 +577,9 @@ def _weights(si):
     low = min(dot(xi, [dot(row, x) for row in si.projection])
               for x in si.section_polytope_v.vertices)
     a = 1 - min(low, 0)
-    shrink = moments_g(si).mass ** -2
     square = Polynomial(dim, {(0,) * dim: F(2), (2,) + (0,) * (dim - 1): F(1)})
     return {"polynomial": PolynomialWeight(square),
-            "affine-1/2": AffinePowerWeight(tuple(c * shrink for c in xi), a * shrink, F(1, 2)),
+            "affine-1/2": AffinePowerWeight(xi, a, F(1, 2)),
             "affine-2": AffinePowerWeight(xi, a, 2),
             **constant}
 
@@ -661,10 +666,12 @@ def test_dh_moments_checks_positivity_once_per_key(monkeypatch):
 def test_warm_calls_integrate_nothing_again(monkeypatch, g):
     si = _fresh("toric-bl1p2", 0)
     integrations = []
-    for name in ("dh_moments", "density_expansion", "integrate_numeric"):
-        fn = getattr(kstab.quad, name)
+    modules = (kstab.quad, kstab.invariants, kstab.soliton, kstab.powers)
+    for home, name in ((kstab.quad, "dh_moments"), (kstab.quad, "density_expansion"),
+                       (kstab.quad, "integrate_numeric"), (kstab.powers, "integral_power")):
+        fn = getattr(home, name)
         spy = partial(_spied, fn, integrations)
-        for module in (kstab.quad, kstab.invariants, kstab.soliton):
+        for module in modules:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, spy)
 
@@ -690,42 +697,57 @@ def _spied(fn, calls, *args, **kwargs):
 
 def test_integer_and_float_exponents_are_different_weights():
     """The exponents 2 and 2.0 compare equal, but only 2 expands: a warm
-    input answers under 2.0 with a cubature, as a fresh one does."""
+    input answers under 2.0 with the enclosed closed form of a power, as a
+    fresh one does."""
     xi = vec([F(1, 3), F(0)])
-    exact, cubature = AffinePowerWeight(xi, F(1), 2), AffinePowerWeight(xi, F(1), 2.0)
-    assert exact != cubature and cubature == AffinePowerWeight(xi, F(1), 2.0)
+    exact, power = AffinePowerWeight(xi, F(1), 2), AffinePowerWeight(xi, F(1), 2.0)
+    assert exact != power and power == AffinePowerWeight(xi, F(1), 2.0)
     warm = _fresh("toric-bl1p2", 0)
-    assert all(b.is_exact for b in barycenter_g(warm, exact))
-    fresh = barycenter_g(_fresh("toric-bl1p2", 0), cubature)
+    exact_bary = barycenter_g(warm, exact)
+    assert all(b.is_exact for b in exact_bary)
+    fresh = barycenter_g(_fresh("toric-bl1p2", 0), power)
     assert not any(b.is_exact for b in fresh)
-    assert barycenter_g(warm, cubature) == fresh
+    assert barycenter_g(warm, power) == fresh
+    for b, e in zip(fresh, exact_bary):
+        assert abs(b.value - float(e.exact)) <= b.error
 
 
-def test_s_p_cubature_runs_once_per_key(monkeypatch):
-    import kstab.invariants
-    from kstab.quad import IntegrationError, Quadrature
+def test_s_p_under_a_power_weight_enclosed_once_per_key(monkeypatch):
     si = _fresh("toric-bl1p2", 0)
     g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 0.5)
     v = si.candidates[0]
-    # a cubature that does not converge is not kept: every call raises
+    # an enclosure that is not tight enough is not kept: every call raises
     with monkeypatch.context() as m:
-        m.setattr(kstab.invariants, "integrate_numeric",
-                  lambda *a, **k: Quadrature(np.array([1.0, 1.0]), 1.0, 5, False))
+        m.setattr(kstab.quad, "PRECISIONS", (8,))
         for _ in range(2):
-            with pytest.raises(IntegrationError):
+            with pytest.raises(kstab.quad.IntegrationError):
                 S_p(si, v, 1, pl=si.log_discrepancy, g=g)
-    runs = []
-    integrate = kstab.invariants.integrate_numeric
-    monkeypatch.setattr(kstab.invariants, "integrate_numeric",
-                        lambda *a, **k: runs.append(a) or integrate(*a, **k))
+    means = []
+    mean = kstab.quad.PowerDensity.mean
+    monkeypatch.setattr(kstab.quad.PowerDensity, "mean",
+                        lambda self, factors: means.append(factors) or mean(self, factors))
     first = beta_g(si, v, g)
-    assert len(runs) == 1
+    assert len(means) == 1
     assert beta_g(si, v, g) == first
     s = S_p(si, v, 1, pl=si.log_discrepancy, g=g)
     assert first.from_integral.value == float(si.log_discrepancy(v)) - s.value
-    assert len(runs) == 1
+    assert len(means) == 1
     # another exponent, ray or weight is another integral
-    S_p(si, v, 1.5, pl=si.log_discrepancy, g=g)
+    S_p(si, v, 2, pl=si.log_discrepancy, g=g)
     S_p(si, si.candidates[1], 1, pl=si.log_discrepancy, g=g)
     S_p(si, v, 1, pl=si.log_discrepancy, g=AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 1.5))
-    assert len(runs) == 4
+    assert len(means) == 4
+
+
+def test_barycenter_under_a_power_weight_on_a_large_polytope():
+    # the random surface of seed 1 has mass 1565; its weighted integrals
+    # are enclosed to a tolerance relative to their size
+    si = random_toric_input(random.Random(1))
+    assert moments_g(si).mass > 1500
+    bary = barycenter_g(si, _weights(si)["affine-1/2"])
+    assert len(bary) == 2
+    for b in bary:
+        assert not b.is_exact and 0 < b.error <= 1e-12 * max(1, abs(b.value))
+    # a positive weight keeps the barycenter inside the polytope
+    point = tuple(F(b.value) for b in bary)
+    assert all(form(point) > 0 for form in si.section_polytope.forms)

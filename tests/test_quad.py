@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import partial
 from math import factorial, prod
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import eval_float
 from kstab import geom
 from kstab.geom import (
     AffineForm,
@@ -485,7 +487,7 @@ def test_numeric_matches_exact_engine_on_random_polynomials():
                  for _ in range(4)}
         poly = Polynomial(3, terms)
         exact = integrate_poly(v, poly)
-        q = integrate_numeric(v, poly.eval_float, tol=1e-9)
+        q = integrate_numeric(v, partial(eval_float, poly), tol=1e-9)
         assert abs(float(exact) - q.value) <= q.error_bound + 1e-9 * (1 + abs(float(exact)))
 
 
@@ -549,16 +551,33 @@ def test_dh_moments_polynomial_weight_exact():
 
 
 def test_dh_moments_numeric_weight_certified():
+    import mpmath
+
     g = AffinePowerWeight(vec([F(1, 2)]), F(1), 0.5)
     m = dh_moments(INTERVAL, DHDensity(1, ()), g, [vec([1])])
     assert not m.exact
     # closed forms via u = x/2 + 1 (dx = 2 du, x = 2(u - 1)):
     # mass = 2 int u^(1/2) du;  moment = 4 int (u - 1) u^(1/2) du
-    mass = (4.0 / 3.0) * ((1.5) ** 1.5 - (0.5) ** 1.5)
-    mom = 4.0 * ((2.0 / 5.0) * (1.5 ** 2.5 - 0.5 ** 2.5)
-                 - (2.0 / 3.0) * (1.5 ** 1.5 - 0.5 ** 1.5))
-    assert abs(m.mass - mass) <= m.error_bound + 1e-12
-    assert abs(m.first_moment[0] - mom) <= m.error_bound + 1e-12
+    with mpmath.workdps(40):
+        hi, lo = mpmath.mpf(3) / 2, mpmath.mpf(1) / 2
+        mass = mpmath.mpf(4) / 3 * (hi ** 1.5 - lo ** 1.5)
+        mom = 4 * (mpmath.mpf(2) / 5 * (hi ** 2.5 - lo ** 2.5)
+                   - mpmath.mpf(2) / 3 * (hi ** 1.5 - lo ** 1.5))
+        # each enclosure contains the true value, and is tight
+        for enclosure, value in ((m.mass, mass), (m.first_moment[0], mom),
+                                 (m.barycenter[0], mom / mass)):
+            assert mpmath.mpf(enclosure.lo) / enclosure.den <= value <= mpmath.mpf(enclosure.hi) / enclosure.den
+            assert enclosure.half_width <= 1e-12 * max(1, abs(enclosure.mid))
+
+
+@pytest.mark.parametrize("ends", [(1, 3), (-3, -1), (-1, 2)], ids=["positive", "negative", "mixed"])
+def test_enclosure_quotient_is_the_interval_quotient(ends):
+    from kstab.powers import Enclosure
+
+    num, den = Enclosure(*ends, 2), Enclosure(3, 5, 4)
+    q = num / den
+    quotients = [F(x, 2) / F(y, 4) for x in ends for y in (3, 5)]
+    assert (F(q.lo, q.den), F(q.hi, q.den)) == (min(quotients), max(quotients))
 
 
 def test_dh_moments_kept_per_polytope_and_weight():
@@ -615,7 +634,7 @@ def test_monte_carlo_consistency_small(seed):
     inside = np.ones(len(samples), dtype=bool)
     for f in forms:
         inside &= samples @ np.array([float(c) for c in f.normal]) + float(f.offset) >= 0
-    vals = poly.eval_float(samples) * inside
+    vals = eval_float(poly, samples) * inside
     est = box_vol * vals.mean()
     se = box_vol * vals.std(ddof=1) / np.sqrt(len(samples))
     assert abs(est - exact) <= 4 * se + 1e-9
