@@ -6,8 +6,8 @@ alpha, their weighted variants, and the Ding-type verdicts obtained by
 testing the weighted barycenter against the dual of the negated valuation
 cone.  Rational inputs give exact rational answers; every other answer
 reads closed forms enclosed with directed rounding, and its error bound
-adds theirs.  No numeric path decides a boundary question by float
-comparison.
+adds theirs and a bound on the rounding of the float arithmetic after
+them.  No numeric path decides a boundary question by float comparison.
 
 Each of them reads, per ray v and PL function l, one `RayRecord` built on
 first use and kept on the input (`SphericalInput.ray_records`): l(v), the
@@ -100,6 +100,7 @@ class Num:
 
 
 _INFINITE = Num(math.inf)
+_UNIT = 2.0 ** -53  # the unit roundoff of a float
 
 
 def _is_integer(p) -> bool:
@@ -274,6 +275,8 @@ def _moment(si: SphericalInput, v, ray: RayRecord, p, entry: WeightEntry,
     key = (v, ray.value, int(p))
     s = entry.means.get(key)
     if s is None:
+        if min(density.values) <= 0:
+            raise InvariantError("affine-power weight base not positive on the polytope")
         mean = density.mean(((ray.vertex_values, int(p)),))
         s = entry.means[key] = Num.from_float(*mean.float_with_error())
     return s
@@ -447,12 +450,27 @@ def _pair_exact(bar: tuple[tuple[int, ...], int], f: Vec) -> Fraction:
     return Fraction(sum(n * x.numerator * (e // x.denominator) for n, x in zip(nums, f)), den * e)
 
 
-def _pair(bar: tuple[Num, ...], f: Vec) -> Num:
-    """<bar, f> for a rational functional f and a barycenter that is not
-    exact: a float with error sum |f_i| err_i."""
+def _float_sum(terms: list[float], error: float) -> Num:
+    """The float sum of terms, each within two units of 2^-53 of an exact
+    value (a rounded conversion or product), as an enclosure of the sum of
+    those values: error plus the rounding.  To first order the rounding is
+    at most n + 1 units of the terms' magnitudes for n terms (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, ch. 3); twice
+    that, and the widening of the whole by 2n + 4 units, covers the higher
+    orders and the rounding of the bound itself, and 2^-1074 per term any
+    underflow."""
+    n = len(terms)
+    rounding = 2 * (n + 1) * _UNIT * sum(map(abs, terms)) + n * 2.0 ** -1074
+    return Num(sum(terms), None, (error + rounding) * (1 + (2 * n + 4) * _UNIT))
+
+
+def _pair(bar: tuple[Num, ...], f: Vec, shift: Fraction | int = 0) -> Num:
+    """shift + <bar, f> for a rational shift and functional f and a
+    barycenter that is not exact: a float with error sum |f_i| err_i plus
+    the rounding."""
     ff = [float(c) for c in f]
-    return Num.from_float(sum(b.value * c for b, c in zip(bar, ff)),
-                          sum(b.error * abs(c) for b, c in zip(bar, ff)))
+    return _float_sum([float(shift)] + [b.value * c for b, c in zip(bar, ff)],
+                      sum(b.error * abs(c) for b, c in zip(bar, ff)))
 
 
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
@@ -468,28 +486,18 @@ def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
         ray, a, t = row.ray, row.a, row.record.t_max
         if bar is not None:
             denom = a + _pair_exact(bar, row.ints)
-            if denom <= 0:
-                notes.append(f"ray {ray}: nonpositive weighted mean {denom}")
-                rows.append(RayEvaluation(ray, a, Num.from_fraction(max(denom, Fraction(0))),
-                                          t, _INFINITE, row.ratio_alpha,
-                                          ("nonpositive-denominator",)))
-                continue
-            s = Num.from_fraction(denom)
-            key = a / denom
-            ratio = Num.from_fraction(key)
+            s, positive = Num.from_fraction(max(denom, Fraction(0))), denom > 0
+            note = f"nonpositive weighted mean {denom}"
         else:
-            mean = _pair(bary, row.ints)
-            denom = float(a) + mean.value
-            derr = mean.error
-            s = Num.from_float(denom, derr)
-            if denom - derr <= 0:
-                notes.append(f"ray {ray}: weighted mean not certifiably positive")
-                rows.append(RayEvaluation(ray, a, s, t, _INFINITE,
-                                          row.ratio_alpha, ("nonpositive-denominator",)))
-                continue
-            key = None
-            ratio = Num.from_float(float(a) / denom,
-                                   float(a) * derr / (denom * (denom - derr)))
+            s = _pair(bary, row.ints, a)
+            positive, note = s.value - s.error > 0, "weighted mean not certifiably positive"
+        if not positive:
+            notes.append(f"ray {ray}: {note}")
+            rows.append(RayEvaluation(ray, a, s, t, _INFINITE, row.ratio_alpha,
+                                      ("nonpositive-denominator",)))
+            continue
+        key = a / s.exact if s.is_exact else None
+        ratio = _root_ratio(a, s, 1) if key is None else Num.from_fraction(key)
         rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha))
         ratios.append((ray, ratio, key))
     value, mins = _argmin_ratios(ratios)
@@ -518,13 +526,13 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     if s.is_exact:
         direct = Num.from_fraction(a - s.exact)
     else:
-        direct = Num.from_float(float(a) - s.value, s.error)
+        direct = _float_sum([float(a), -s.value], s.error)
     _barycenter(si, entry)
     if entry.exact_barycenter is not None:
         pairing = Num.from_fraction(-_pair_exact(entry.exact_barycenter, v))
     else:
         mean = _pair(entry.barycenter, v)
-        pairing = Num.from_float(-mean.value, mean.error)
+        pairing = Num(-mean.value, None, mean.error)
     if direct.is_exact and pairing.is_exact:
         if direct.exact != pairing.exact:
             raise InternalInconsistencyError(
@@ -568,63 +576,40 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     With exact barycenters the verdict is exact.  A barycenter under a
     weight that does not expand is only judged through the intervals its
     enclosures give, each pairing widened by the coordinates' error
-    bounds; if an interval touches a facet the verdict is indeterminate
-    rather than guessed.
+    bounds and by its own rounding; if an interval touches a facet the
+    verdict is indeterminate rather than guessed.
     """
     entry = _weighted(si, g)
     bary = _barycenter(si, entry)
     bar = entry.exact_barycenter
+    exact = bar is not None
     neg_v = si.valuation_cone.negated()
-    facets = neg_v.rays          # facet functionals of the dual cone
-    equalities = neg_v.lineality  # must-vanish functionals of the dual cone
     dual = neg_v.dual()
 
-    if bar is not None:
-        semistable = True
-        polystable = True
-        witness = None
-        for l in equalities:
-            val = _pair_exact(bar, l)
-            if val != 0:
-                semistable = polystable = False
-                witness = {"kind": "equality", "functional": l, "value": val}
-                break
-        if semistable:
-            for r in facets:
-                val = _pair_exact(bar, r)
-                if val < 0:
-                    semistable = polystable = False
-                    witness = {"kind": "facet", "functional": r, "value": val}
-                    break
-                if val == 0:
-                    polystable = False
-                    if witness is None:
-                        witness = {"kind": "boundary-facet", "functional": r,
-                                   "value": val}
-        return DingVerdict(bary, dual, semistable, polystable, witness, exact=True)
-
-    def enclosure(functional: Vec) -> tuple[float, float]:
+    def enclosure(functional: Vec) -> tuple:
+        if exact:
+            val = _pair_exact(bar, functional)
+            return val, val
         pairing = _pair(bary, functional)
         return pairing.value - pairing.error, pairing.value + pairing.error
 
-    # certified violations decide "unstable" regardless of other ambiguity;
-    # otherwise any enclosure touching a boundary leaves the verdict open
-    ambiguous = None
-    for l in equalities:
-        lo, hi = enclosure(l)
-        if lo > 0 or hi < 0:
-            witness = {"kind": "equality", "functional": l, "value": (lo + hi) / 2}
-            return DingVerdict(bary, dual, False, False, witness, exact=False)
-        if not (lo == 0 and hi == 0) and ambiguous is None:
-            ambiguous = {"kind": "equality", "functional": l, "enclosure": (lo, hi)}
-    for r in facets:
-        lo, hi = enclosure(r)
-        if hi < 0:
-            witness = {"kind": "facet", "functional": r, "value": (lo + hi) / 2}
-            return DingVerdict(bary, dual, False, False, witness, exact=False)
-        if lo <= 0 and ambiguous is None:
-            ambiguous = {"kind": "facet", "functional": r, "enclosure": (lo, hi)}
-    if ambiguous is not None:
-        return DingVerdict(bary, dual, None, None, ambiguous, exact=False)
-    # no equality functionals and every facet certified strictly positive
-    return DingVerdict(bary, dual, True, True, None, exact=False)
+    # the dual cone's facet functionals are the rays of the negated
+    # valuation cone, its must-vanish functionals the lineality.  A
+    # certified violation decides "unstable" regardless of other
+    # ambiguity; otherwise a pairing that touches a boundary rules out
+    # polystability when exact and leaves the verdict open when not
+    boundary = None
+    for kind, functionals in (("equality", neg_v.lineality), ("facet", neg_v.rays)):
+        for f in functionals:
+            lo, hi = enclosure(f)
+            if hi < 0 or (kind == "equality" and lo > 0):
+                witness = {"kind": kind, "functional": f, "value": lo if exact else (lo + hi) / 2}
+                return DingVerdict(bary, dual, False, False, witness, exact)
+            if boundary is None and lo <= 0 and not (kind == "equality" and lo == hi == 0):
+                boundary = {"kind": "boundary-facet", "functional": f, "value": lo} if exact \
+                    else {"kind": kind, "functional": f, "enclosure": (lo, hi)}
+    if boundary is None:
+        return DingVerdict(bary, dual, True, True, None, exact)
+    if exact:
+        return DingVerdict(bary, dual, True, False, boundary, True)
+    return DingVerdict(bary, dual, None, None, boundary, False)

@@ -789,7 +789,6 @@ def density_expansion(vp: VPolytope, dh: DHDensity, weight: Sequence[Product]) -
     return expansion
 
 
-@dataclass(frozen=True, eq=False)
 class PowerDensity:
     """g(xbar) dh(x) over a polytope for a weight that does not expand,
     g(proj . x) = l(x) ** s (`AffinePowerWeight.power`): the expansion of
@@ -797,9 +796,8 @@ class PowerDensity:
     under g is one `Expansion.integral_power`, and every ratio of two is
     enclosed until it is tight to `POWER_RTOL`."""
 
-    expansion: Expansion
-    values: tuple[Fraction, ...]
-    s: Fraction
+    def __init__(self, expansion: Expansion, values: tuple[Fraction, ...], s: Fraction):
+        self.expansion, self.values, self.s = expansion, values, s
 
     def integral(self, factors: Sequence[tuple[Sequence[Fraction], int]] = ()) -> "PowerIntegral":
         """int g dh times the factors of `Expansion.integral`, exactly."""

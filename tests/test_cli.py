@@ -471,7 +471,7 @@ def test_commands_load_only_what_they_use(tmp_path):
     # rejections, mpmath the interval closed forms (non-integer moments and
     # weights that do not expand); one fresh process runs the commands from
     # the lightest up and reports which of the three are loaded after each
-    # stage
+    # stage, and a second runs only a check under an affine power
     import kstab
     path = tmp_path / "bl.json"
     path.write_text(json.dumps(builtin_document("toric-bl1p2")))
@@ -482,7 +482,7 @@ def test_commands_load_only_what_they_use(tmp_path):
     poly = '{"polynomial": {"dim": 2, "terms": [{"exponent": [1, 0], "coeff": "1"}, ' \
         '{"exponent": [0, 0], "coeff": "3"}]}}'
     power = '{"affine_power": {"xi": ["1/3", "0"], "a": "2", "exponent": 0.5}}'
-    code = (
+    prelude = (
         "import contextlib, io, sys\n"
         "def loaded():\n"
         "    return sorted(m for m in ('numpy', 'jsonschema', 'mpmath') if m in sys.modules)\n"
@@ -493,10 +493,11 @@ def test_commands_load_only_what_they_use(tmp_path):
         "    return err.getvalue()\n"
         "import kstab\n"
         "from kstab.cli import main\n"
+        f"common = ('--input', {str(path)!r})\n")
+    stages = (
         "print('import', loaded())\n"
         "run('builtin', 'pgl2')\n"
         "print('builtin', loaded())\n"
-        f"common = ('--input', {str(path)!r})\n"
         "run('compute', *common, '--invariant', 'delta', '--p', '1')\n"
         "run('compute', *common, '--invariant', 'alpha')\n"
         "run('compute', *common, '--invariant', 'barycenter')\n"
@@ -504,24 +505,29 @@ def test_commands_load_only_what_they_use(tmp_path):
         f"run('compute', *common, '--invariant', 'barycenter', '--g', {poly!r})\n"
         "run('check', *common)\n"
         "print('compute', loaded())\n"
-        f"run('check', *common, '--g', {power!r})\n"
-        "print('power', loaded())\n"
         "run('reeb', *common)\n"
         "print('reeb', loaded())\n"
         f"print(run('compute', '--input', {str(bad_path)!r}, '--invariant', 'alpha', code=2), end='')\n"
         "print(run('check', *common, '--g', '{\"constant\": \"x\"}', code=2), end='')\n"
         "print('reject', loaded())\n")
+    power_stage = (
+        f"run('check', *common, '--g', {power!r})\n"
+        "print('power', loaded())\n")
     src = str(Path(kstab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+
+    def loads(code: str) -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    assert loads(stages) == [
         "import []",
         "builtin []",
         "compute []",
-        "power ['mpmath']",
-        "reeb ['mpmath', 'numpy']",
+        "reeb ['numpy']",
         "kstab: invalid input: at variety/rank: 0 is less than the minimum of 1",
         r"kstab: invalid input: --g: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'",
-        "reject ['jsonschema', 'mpmath', 'numpy']",
+        "reject ['jsonschema', 'numpy']",
     ]
+    assert loads(power_stage) == ["power ['mpmath']"]

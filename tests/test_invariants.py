@@ -407,6 +407,35 @@ def test_ding_numeric_boundary_is_indeterminate():
     assert v.semistable is None and v.polystable is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0, 1e-12), st.integers(-9, 9)),
+                min_size=1, max_size=4),
+       st.fractions(min_value=-10, max_value=10, max_denominator=30))
+def test_inexact_pairing_encloses_the_exact_sum(coords, shift):
+    # the error of shift + <bar, f> covers the rounding of its float
+    # arithmetic: a barycenter on a wall of the dual cone is never
+    # certified on either side of it
+    from kstab.invariants import Num, _pair
+    bar = tuple(Num.from_float(b, e) for b, e, _ in coords)
+    f = vec([c for _, _, c in coords])
+    pairing = _pair(bar, f, shift)
+    exact = shift + sum(F(b) * c for b, _, c in coords)
+    slack = sum(F(e) * abs(c) for _, e, c in coords)
+    assert F(pairing.value) - F(pairing.error) <= exact - slack
+    assert exact + slack <= F(pairing.value) + F(pairing.error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(0, 1e-6),
+       st.fractions(min_value=F(1, 30), max_value=100, max_denominator=30))
+def test_inexact_ratio_encloses_every_ratio(value, error, a):
+    # delta_g's A / (A + <bar, v>) over an enclosure of the denominator
+    from kstab.invariants import Num, _root_ratio
+    ratio = _root_ratio(a, Num.from_float(value, error), 1)
+    lo, hi = F(ratio.value) - F(ratio.error), F(ratio.value) + F(ratio.error)
+    assert lo <= a / (F(value) + F(error)) and a / (F(value) - F(error)) <= hi
+
+
 def test_ding_polystable_implies_semistable(all_builtins):
     for si in all_builtins.values():
         v = ding_check(si)
@@ -737,6 +766,26 @@ def test_s_p_under_a_power_weight_enclosed_once_per_key(monkeypatch):
     S_p(si, si.candidates[1], 1, pl=si.log_discrepancy, g=g)
     S_p(si, v, 1, pl=si.log_discrepancy, g=AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 1.5))
     assert len(means) == 4
+
+
+def test_power_weight_with_a_nonpositive_base_is_refused_before_integrating(monkeypatch):
+    si = _fresh("toric-bl1p2", 0)
+    v = si.candidates[0]
+    means = []
+    mean = kstab.quad.PowerDensity.mean
+    monkeypatch.setattr(kstab.quad.PowerDensity, "mean",
+                        lambda self, factors: means.append(factors) or mean(self, factors))
+    # a base negative on the whole polytope, and one that changes sign
+    for a in (F(-100), F(-1)):
+        g = AffinePowerWeight(vec([1, 0]), a, -1.0)
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="base not positive"):
+                beta_g(si, v, g)
+            with pytest.raises(InvariantError, match="base not positive"):
+                S_p(si, v, 2, pl=si.log_discrepancy, g=g)
+            with pytest.raises(InvariantError, match="base not positive"):
+                delta_p(si, 1, g)
+    assert means == []
 
 
 def test_barycenter_under_a_power_weight_on_a_large_polytope():
