@@ -40,6 +40,7 @@ from .invariants import (
 )
 from .quad import IntegrationError
 from .schema import (
+    RATIONAL_PATTERN,
     SchemaValidationError,
     check_weight_dimension,
     load_input,
@@ -199,17 +200,23 @@ def _load(args, unweighted: str | None = None) -> tuple:
 
 
 def _moment_exponent(text: str) -> Fraction | float:
-    """The value of ``--p``: a Fraction when it is an integer, else a
-    float; refused unless it is a finite number at least 1."""
-    try:
-        p = float(text)
-    except ValueError:
-        p = math.nan
-    if not math.isfinite(p):
-        raise SchemaValidationError(f"--p: the moment exponent must be a finite number, not {text!r}")
+    """The value of ``--p``: a Fraction when it is a rational ``a/b`` of
+    the input's rational pattern or an integer, else a float; refused
+    unless it is a finite number at least 1."""
+    if re.search(RATIONAL_PATTERN, text):
+        p = Fraction(text)
+    else:
+        try:
+            p = float(text)
+        except ValueError:
+            p = math.nan
+        if not math.isfinite(p):
+            raise SchemaValidationError(f"--p: the moment exponent must be a finite number, not {text!r}")
+        if p.is_integer():
+            p = Fraction(text)
     if p < 1:
         raise SchemaValidationError("--p: the moment exponent must be at least 1")
-    return Fraction(text) if p.is_integer() else p
+    return p
 
 
 def _maybe_time(doc: dict, args, started: float) -> dict:
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_compute)
     p_compute.add_argument("--invariant", required=True,
                            choices=("delta", "alpha", "barycenter", "beta"))
-    p_compute.add_argument("--p", default="1", help="moment exponent p >= 1")
+    p_compute.add_argument("--p", default="1", help="moment exponent p >= 1, a number or a/b")
     p_compute.add_argument("--ray", default=None,
                            help="valuation ray for beta, e.g. '-1', '1,0' or "
                                 "'-1,0'")

@@ -23,15 +23,16 @@ search and evaluates no form again.
 Everything read under a weight g is kept in one `WeightEntry` per weight
 (`SphericalInput.weight_entries`, None for the unit weight): the weighted
 density, the moments (`quad.dh_moments`, whose positivity checks pass once
-the moments are kept), the barycenter, and the enclosed S^(p) for a weight
-that does not expand.  Each call looks its entry up once, and each part is
-built on first use; a failure is not kept.  At integer p, S^(p) is one
-Fraction, F_p(v, l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> +
-c)^p a form in (w, c) built once per expansion and p and 1 / mass folded
-into its scale (`quad.Expansion.power_mean`); the moments behind the
-barycenter are integrated separately, so the two routes of `beta_g` stay
-independent.  Under a weight that does not expand (`quad.PowerDensity`),
-S^(p) at non-integer p has no closed form and is refused.
+the moments are kept), the barycenter, and every enclosed S^(p), by (ray,
+l(v), p).  Each call looks its entry up once, and each part is built on
+first use; a failure is not kept.  At integer p under a weight that
+expands, S^(p) is one Fraction, F_p(v, l(v)) / mass, with F_p(w, c) = int
+g(xbar) P (<x, w> + c)^p a form in (w, c) built once per expansion and p
+and 1 / mass folded into its scale (`quad.Expansion.power_mean`), and
+evaluated on every call; the moments behind the barycenter are integrated
+separately, so the two routes of `beta_g` stay independent.  Under a
+weight that does not expand (`quad.PowerDensity`), S^(p) at non-integer p
+has no closed form and is refused.
 """
 
 from __future__ import annotations
@@ -205,9 +206,10 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     is tight to 1e-12 * max(1, |S|), and the error bounds the distance of
     the reported float from the true value.  Under an affine-power weight
     that does not expand, S at integer p is the quotient of two closed
-    forms of its power, enclosed the same way and kept in the input's
-    entry for the weight; at non-integer p it is refused
-    (`InvariantError`).  `InvariantError` unless 1 <= p < inf."""
+    forms of its power, enclosed the same way; at non-integer p it is
+    refused (`InvariantError`).  Every enclosed S is kept in the input's
+    entry for the weight, by (v, l(v), p), so 1.5 and Fraction(3, 2) read
+    one enclosure.  `InvariantError` unless 1 <= p < inf."""
     _check_exponent(p)
     v = vec(v)
     record = _ray(si, v, pl)
@@ -222,10 +224,9 @@ class WeightEntry:
     P, or the `quad.PowerDensity` of a weight that does not expand), the
     `DHMoments` (set once the positivity checks of `quad.dh_moments`
     pass), the barycenter as `Num`s and, when it is exact, as integer
-    numerators over one denominator for pairing, and, under a weight that
-    does not expand, the enclosed S_p by (ray, l(v), p).  Each part is
-    built on first use; a failure is not kept, so every call raises it
-    again."""
+    numerators over one denominator for pairing, and every enclosed S_p
+    by (ray, l(v), p).  Each part is built on first use; a failure is not
+    kept, so every call raises it again."""
 
     __slots__ = ("g", "density", "moments", "barycenter", "exact_barycenter", "means")
 
@@ -259,25 +260,26 @@ def _moment(si: SphericalInput, v, ray: RayRecord, p, entry: WeightEntry,
             density: Expansion | PowerDensity) -> Num:
     """`S_p` along v (rational or integer), whose record is ray, under the
     entry's weight, whose `_density` is density; p is checked by the
-    caller."""
-    if isinstance(density, Expansion):
-        if _is_integer(p):
-            return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
-        total = density.integral_power(ray.vertex_values, p)
-        mass = density.mass
-        ratio = enclose(lambda prec: total.enclosure(prec) / mass, tight)
-        return Num.from_float(*ratio.float_with_error())
-
-    if not _is_integer(p):
-        raise InvariantError(
-            f"S_p at the non-integer p = {p} under an affine-power weight of exponent "
-            f"{entry.g.exponent}: two powers of different affine forms have no closed form")
-    key = (v, ray.value, int(p))
+    caller.  Every S_p that is not an exact Fraction is enclosed once and
+    kept in the entry by (v, l(v), p), p as given."""
+    expands = isinstance(density, Expansion)
+    if expands and _is_integer(p):
+        return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
+    key = (v, ray.value, p)
     s = entry.means.get(key)
     if s is None:
-        if min(density.values) <= 0:
+        if expands:
+            total = density.integral_power(ray.vertex_values, p)
+            mass = density.mass
+            mean = enclose(lambda prec: total.enclosure(prec) / mass, tight)
+        elif not _is_integer(p):
+            raise InvariantError(
+                f"S_p at the non-integer p = {p} under an affine-power weight of exponent "
+                f"{entry.g.exponent}: two powers of different affine forms have no closed form")
+        elif min(density.values) <= 0:
             raise InvariantError("affine-power weight base not positive on the polytope")
-        mean = density.mean(((ray.vertex_values, int(p)),))
+        else:
+            mean = density.mean(((ray.vertex_values, int(p)),))
         s = entry.means[key] = Num.from_float(*mean.float_with_error())
     return s
 

@@ -117,19 +117,6 @@ class Polynomial:
         e[i] = 1
         return cls(dim, {tuple(e): Fraction(1)})
 
-    @classmethod
-    def from_affine(cls, form: AffineForm) -> "Polynomial":
-        dim = len(form.normal)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        if form.offset != 0:
-            terms[(0,) * dim] = Fraction(form.offset)
-        for i, c in enumerate(form.normal):
-            if c != 0:
-                e = [0] * dim
-                e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return cls(dim, terms)
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -151,18 +138,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
-
-    def pow_int(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.dim, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     @property
     def degree(self) -> int:

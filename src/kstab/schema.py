@@ -44,9 +44,10 @@ class SchemaValidationError(Exception):
 # ASCII digits only ([0-9], where \d takes any Unicode digit); "$(?!\n)"
 # is the end of the string, since under re.search "$" alone also matches
 # before a final newline
+RATIONAL_PATTERN = r"^-?[0-9]+(/[1-9][0-9]*)?$(?!\n)"
 _RAT = {
     "oneOf": [
-        {"type": "string", "pattern": r"^-?[0-9]+(/[1-9][0-9]*)?$(?!\n)"},
+        {"type": "string", "pattern": RATIONAL_PATTERN},
         {"type": "integer"},
     ]
 }

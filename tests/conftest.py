@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kstab.fixtures import builtin_spherical_input
 from kstab.geom import Cone, vec
-from kstab.quad import AffineForm, DHDensity, DHFactor
+from kstab.quad import AffineForm, DHDensity, DHFactor, Polynomial
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
 
@@ -28,6 +28,18 @@ def eval_float(poly, pts):
                 t = t * pts[:, i] ** ei
         out += t
     return out
+
+
+def affine_power(form: AffineForm, k: int) -> Polynomial:
+    """``form ** k`` as a `Polynomial`, for an integer k >= 0."""
+    n = len(form.normal)
+    linear = Polynomial.constant(n, form.offset)
+    for i, c in enumerate(form.normal):
+        linear = linear + Polynomial.coordinate(n, i).scale(c)
+    power = Polynomial.constant(n, 1)
+    for _ in range(k):
+        power = power * linear
+    return power
 
 
 @pytest.fixture(scope="session")

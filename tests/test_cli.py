@@ -162,7 +162,7 @@ def test_compute_not_q_cartier_exit_code(tmp_path, capsys):
     assert "NotQCartier" in err
 
 
-@pytest.mark.parametrize("p", ["0", "-1", "0.5"])
+@pytest.mark.parametrize("p", ["0", "-1", "0.5", "1/2"])
 @pytest.mark.parametrize("g", [None, '{"affine_power": {"xi": ["1"], "a": "3", "exponent": 2}}'])
 def test_compute_refuses_p_below_one(p1_path, capsys, p, g):
     argv = ["compute", "--input", p1_path, "--invariant", "delta", f"--p={p}"]
@@ -171,12 +171,24 @@ def test_compute_refuses_p_below_one(p1_path, capsys, p, g):
     assert err == "kstab: invalid input: --p: the moment exponent must be at least 1\n"
 
 
-@pytest.mark.parametrize("p", ["inf", "nan", "x"])
+@pytest.mark.parametrize("p", ["inf", "nan", "x", "3/0", "3/", "3/2\n", "\u0663/2"])
 def test_compute_refuses_p_that_is_not_a_finite_number(p1_path, capsys, p):
     code, out, err = run_cli(
         ["compute", "--input", p1_path, "--invariant", "delta", f"--p={p}"], capsys)
     assert (code, out) == (2, "")
     assert err == f"kstab: invalid input: --p: the moment exponent must be a finite number, not {p!r}\n"
+
+
+def test_compute_reads_a_rational_p(p1_path, capsys):
+    # a/b is read as the exact Fraction, with the answer of its decimal
+    outs = []
+    for p in ("3/2", "1.5"):
+        code, out, err = run_cli(
+            ["compute", "--input", p1_path, "--invariant", "delta", "--p", p], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["p"] == 1.5
 
 
 def test_compute_reads_an_integral_float_rank(tmp_path, capsys):

@@ -687,12 +687,12 @@ def test_dh_moments_checks_positivity_once_per_key(monkeypatch):
     assert len(checked) == 4
 
 
-@pytest.mark.parametrize("g", [
-    None,
-    PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(2)})),
-    AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2)),
+@pytest.mark.parametrize("g, exponents", [
+    (None, (2, F(3, 2))),
+    (PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(2)})), (2, F(3, 2))),
+    (AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2)), (2,)),
 ], ids=["unweighted", "polynomial", "affine-1/2"])
-def test_warm_calls_integrate_nothing_again(monkeypatch, g):
+def test_warm_calls_integrate_nothing_again(monkeypatch, g, exponents):
     si = _fresh("toric-bl1p2", 0)
     integrations = []
     modules = (kstab.quad, kstab.invariants, kstab.soliton, kstab.powers)
@@ -703,6 +703,9 @@ def test_warm_calls_integrate_nothing_again(monkeypatch, g):
         for module in modules:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, spy)
+    enclosure = kstab.powers.PowerIntegral.enclosure
+    monkeypatch.setattr(kstab.powers.PowerIntegral, "enclosure",
+                        lambda self, prec: integrations.append("enclosure") or enclosure(self, prec))
 
     def one_round():
         barycenter_g(si, g)
@@ -710,7 +713,8 @@ def test_warm_calls_integrate_nothing_again(monkeypatch, g):
         for v in si.candidates:
             beta_g(si, v, g)
         delta_g(si, g)
-        delta_p(si, 2, g)
+        for p in exponents:
+            delta_p(si, p, g)
 
     one_round()
     assert integrations  # the spies see the first round's integrals
@@ -741,31 +745,44 @@ def test_integer_and_float_exponents_are_different_weights():
         assert abs(b.value - float(e.exact)) <= b.error
 
 
-def test_s_p_under_a_power_weight_enclosed_once_per_key(monkeypatch):
+@pytest.mark.parametrize("g, p, alias, other_p, other_g", [
+    (None, F(3, 2), 1.5, F(5, 2), PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(2)}))),
+    (AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 0.5), 1, 1.0, 2,
+     AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 1.5)),
+], ids=["expansion", "power"])
+def test_enclosed_s_p_kept_once_per_key(monkeypatch, g, p, alias, other_p, other_g):
+    """Every enclosed S_p, under an expansion at non-integer p or under a
+    weight that does not expand, is enclosed once per (ray, l(v), p)."""
     si = _fresh("toric-bl1p2", 0)
-    g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 0.5)
-    v = si.candidates[0]
+    v, w = si.candidates[:2]
     # an enclosure that is not tight enough is not kept: every call raises
     with monkeypatch.context() as m:
         m.setattr(kstab.quad, "PRECISIONS", (8,))
         for _ in range(2):
             with pytest.raises(kstab.quad.IntegrationError):
-                S_p(si, v, 1, pl=si.log_discrepancy, g=g)
-    means = []
-    mean = kstab.quad.PowerDensity.mean
-    monkeypatch.setattr(kstab.quad.PowerDensity, "mean",
-                        lambda self, factors: means.append(factors) or mean(self, factors))
-    first = beta_g(si, v, g)
-    assert len(means) == 1
-    assert beta_g(si, v, g) == first
-    s = S_p(si, v, 1, pl=si.log_discrepancy, g=g)
-    assert first.from_integral.value == float(si.log_discrepancy(v)) - s.value
-    assert len(means) == 1
-    # another exponent, ray or weight is another integral
-    S_p(si, v, 2, pl=si.log_discrepancy, g=g)
-    S_p(si, si.candidates[1], 1, pl=si.log_discrepancy, g=g)
-    S_p(si, v, 1, pl=si.log_discrepancy, g=AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), 1.5))
-    assert len(means) == 4
+                S_p(si, v, p, g=g)
+    barycenter_g(si, g)  # its enclosures are not counted below
+    builds = []
+    spy = partial(_spied, kstab.quad.enclose, builds)
+    for module in (kstab.quad, kstab.invariants):
+        monkeypatch.setattr(module, "enclose", spy)
+    first = S_p(si, v, p, g=g)
+    assert not first.is_exact and len(builds) == 1
+    # p as given keys the entry: equal exponents of other types read it too
+    assert S_p(si, v, alias, g=g) == S_p(si, v, p, g=g) == first
+    # beta_g reads S_1 from the same entry
+    direct = beta_g(si, v, g).from_integral
+    assert p != 1 or direct.value == float(si.log_discrepancy(v)) - first.value
+    assert len(builds) == 1
+    # another exponent, ray or weight is another enclosure
+    S_p(si, v, other_p, g=g)
+    second = S_p(si, w, p, g=g)
+    S_p(si, v, p, g=other_g)
+    assert len(builds) == 4
+    # delta_p reads both at the rays' integer coordinates, and builds the others
+    table = delta_p(si, alias, g).table
+    assert [row.ray for row in table[:2]] == [v, w] and [row.s_p for row in table[:2]] == [first, second]
+    assert len(builds) == 2 + len(si.candidates)
 
 
 def test_power_weight_with_a_nonpositive_base_is_refused_before_integrating(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_float
+from conftest import affine_power, eval_float
 from kstab import geom
 from kstab.geom import (
     AffineForm,
@@ -87,12 +87,12 @@ def test_monomial_x2_over_interval():
 
 
 def test_poly_square_of_affine():
-    p = Polynomial.from_affine(affine_form([1], 1)).pow_int(2)
+    p = affine_power(affine_form([1], 1), 2)
     assert integrate_poly(INTERVAL, p) == F(8, 3)
 
 
 def test_poly_affine_square_times_x():
-    p = Polynomial.from_affine(affine_form([1], 1)).pow_int(2)
+    p = affine_power(affine_form([1], 1), 2)
     assert integrate_poly(INTERVAL, p * Polynomial.coordinate(1, 0)) == F(4, 3)
 
 
@@ -176,7 +176,7 @@ def _substitution_route(vertices, products) -> F:
     for c, factors in products:
         term = Polynomial.constant(n, c)
         for form, k in factors:
-            term = term * Polynomial.from_affine(form).pow_int(k)
+            term = term * affine_power(form, k)
         f = f + term
     chart = lattice_chart(list(vertices))
     f = f.compose_affine(chart.origin, chart.basis)

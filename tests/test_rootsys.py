@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import affine_power
 from kstab.quad import Polynomial, ZeroFactorError
 from kstab.rootsys import (
     RootSystem,
@@ -20,7 +21,7 @@ def _polynomial(d):
     multiplied out."""
     p = Polynomial.constant(d.dim, 1 / d.normalization)
     for f in d.factors:
-        p = p * Polynomial.from_affine(f.form).pow_int(f.multiplicity)
+        p = p * affine_power(f.form, f.multiplicity)
     return p
 
 
