@@ -19,8 +19,12 @@ then, per builtin, a ``--g`` whose polynomial exponents do not match its
 ``alpha`` and ``reeb`` on a document that carries the polynomial weight;
 then ``check`` on schema-invalid variants of the toric-p1 document and
 with schema-invalid ``--g`` blocks, so that rejection messages are
-compared too; last, ``check`` on a rank-2 toric document whose fan leaves
-out the thin cone between the rays (11, 1) and (10, 1).
+compared too; then ``check`` on a rank-2 toric document whose fan leaves
+out the thin cone between the rays (11, 1) and (10, 1); last, per builtin
+with a projection row, a polynomial and an affine power at exponent 0.5
+that change sign on the section polytope, under ``compute`` for
+``barycenter``, ``beta`` and ``delta`` and under ``check``, so that the
+refusal of a weight that is not positive is compared too.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from pathlib import Path
 
 from kstab.cli import main as kstab_main
 from kstab.fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
+from kstab.geom import dot
 
 
 def _weights(dim: int) -> dict[str, dict]:
@@ -46,6 +51,22 @@ def _weights(dim: int) -> dict[str, dict]:
         "polynomial": {"polynomial": {"dim": dim, "terms": terms}},
         "affine-0.5": {"affine_power": {"xi": xi, "a": "3", "exponent": 0.5}},
         "affine-2": {"affine_power": {"xi": xi, "a": "3", "exponent": 2}},
+    }
+
+
+def _sign_changing_weights(si) -> dict[str, dict]:
+    """Weights in the first projected coordinate x that vanish at the
+    midpoint of its range over the section polytope: x - mid and
+    (x - mid) ** 0.5."""
+    dim = len(si.projection)
+    first = [dot(si.projection[0], x) for x in si.section_polytope_v.vertices]
+    a = str(-(min(first) + max(first)) / 2)
+    unit = [1] + [0] * (dim - 1)
+    return {
+        "polynomial-sign-change": {"polynomial": {"dim": dim, "terms": [
+            {"exponent": unit, "coeff": "1"}, {"exponent": [0] * dim, "coeff": a}]}},
+        "affine-0.5-sign-change": {"affine_power": {"xi": [str(c) for c in unit], "a": a,
+                                                    "exponent": 0.5}},
     }
 
 
@@ -152,6 +173,19 @@ def main():
         path.write_text(json.dumps(_thin_gap_document()))
         print("# thin-gap fan")
         print(_run(["check", "--input", str(path)], root))
+        for name in BUILTIN_NAMES:
+            si, _ = builtin_spherical_input(name)
+            if not si.projection:
+                continue
+            base = ["--input", str(Path(root, f"{name}.json"))]
+            ray = ",".join(str(c) for c in si.candidates[0])
+            for label, g in _sign_changing_weights(si).items():
+                for argv in (["compute", *base, "--invariant", "barycenter"],
+                             ["compute", *base, "--invariant", "beta", f"--ray={ray}"],
+                             ["compute", *base, "--invariant", "delta"],
+                             ["check", *base]):
+                    print(f"# {name} weight={label}")
+                    print(_run([*argv, "--g", json.dumps(g)], root))
 
 
 if __name__ == "__main__":

@@ -117,11 +117,11 @@ def _hash_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None, table_key: str | None = "rays"):
+def _emit(doc: dict, fmt: str, out_path: str | None):
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
-        rows = doc.get(table_key or "", None)
+        rows = doc.get("rays")
         if not isinstance(rows, list) or not rows:
             raise SchemaValidationError("csv format needs a per-ray table")
         buf = io.StringIO()

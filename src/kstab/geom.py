@@ -426,11 +426,6 @@ class AffineForm:
         """Form cutting the same halfspace translated by +t."""
         return AffineForm(self.normal, self.offset - dot(self.normal, t))
 
-    def substituted(self, chart: Chart) -> "AffineForm":
-        """Form in chart coordinates: value at y equals value at x(y)."""
-        normal = tuple(dot(self.normal, b) for b in chart.basis)
-        return AffineForm(normal, self(chart.origin))
-
 
 def affine_form(normal, offset) -> AffineForm:
     return AffineForm(vec(normal), Fraction(offset))

@@ -22,17 +22,22 @@ search and evaluates no form again.
 
 Everything read under a weight g is kept in one `WeightEntry` per weight
 (`SphericalInput.weight_entries`, None for the unit weight): the weighted
-density, the moments (`quad.dh_moments`, whose positivity checks pass once
-the moments are kept), the barycenter, and every enclosed S^(p), by (ray,
-l(v), p).  Each call looks its entry up once, and each part is built on
-first use; a failure is not kept.  At integer p under a weight that
-expands, S^(p) is one Fraction, F_p(v, l(v)) / mass, with F_p(w, c) = int
-g(xbar) P (<x, w> + c)^p a form in (w, c) built once per expansion and p
-and 1 / mass folded into its scale (`quad.Expansion.power_mean`), and
-evaluated on every call; the moments behind the barycenter are integrated
-separately, so the two routes of `beta_g` stay independent.  Under a
-weight that does not expand (`quad.PowerDensity`), S^(p) at non-integer p
-has no closed form and is refused.
+density, the moments (`quad.dh_moments`), the barycenter, and every
+enclosed S^(p), by (ray, l(v), p).  The density is
+`quad.weighted_density`, which refuses with a ValueError, before the
+entry exists, a weight that does not read one coordinate per projection
+row, that is not positive at a vertex of the section polytope, or whose
+expanded mass is not positive; so S^(p), delta^(p) and every other
+invariant under g run the same checks.  Each call looks its entry up
+once, and each part is built on first use; a failure is not kept.  At
+integer p under a weight that expands, S^(p) is one Fraction, F_p(v,
+l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> + c)^p a form in
+(w, c) built once per expansion and p and 1 / mass folded into its scale
+(`quad.Expansion.power_mean`), and evaluated on every call; the moments
+behind the barycenter are integrated separately, so the two routes of
+`beta_g` stay independent.  Under a weight that does not expand
+(`quad.PowerDensity`), S^(p) at non-integer p has no closed form and is
+refused.
 """
 
 from __future__ import annotations
@@ -44,16 +49,13 @@ from typing import Sequence
 
 from .geom import Cone, Vec, dot, vec
 from .quad import (
-    UNIT_WEIGHT,
     DHMoments,
     Expansion,
-    PowerDensity,
     WeightFn,
-    density_expansion,
     dh_moments,
     enclose,
-    power_density,
     tight,
+    weighted_density,
 )
 from .spherical import PLFunction, SphericalInput
 
@@ -209,33 +211,29 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     forms of its power, enclosed the same way; at non-integer p it is
     refused (`InvariantError`).  Every enclosed S is kept in the input's
     entry for the weight, by (v, l(v), p), so 1.5 and Fraction(3, 2) read
-    one enclosure.  `InvariantError` unless 1 <= p < inf."""
+    one enclosure.  `InvariantError` unless 1 <= p < inf, and a
+    ValueError for a weight that `quad.weighted_density` refuses."""
     _check_exponent(p)
     v = vec(v)
     record = _ray(si, v, pl)
-    entry = _weighted(si, g)
-    return _moment(si, v, record, p, entry, _density(entry))
+    return _moment(v, record, p, _weighted(si, g))
 
 
 class WeightEntry:
     """What the invariants read of an input under one weight g (None is
     the unit weight), kept in `SphericalInput.weight_entries`: the
-    weighted density over the section polytope (the expansion of g(xbar)
-    P, or the `quad.PowerDensity` of a weight that does not expand), the
-    `DHMoments` (set once the positivity checks of `quad.dh_moments`
-    pass), the barycenter as `Num`s and, when it is exact, as integer
-    numerators over one denominator for pairing, and every enclosed S_p
-    by (ray, l(v), p).  Each part is built on first use; a failure is not
-    kept, so every call raises it again."""
+    weighted density over the section polytope (`quad.weighted_density`,
+    whose checks of the weight pass before the entry exists), the
+    `DHMoments`, the barycenter as `Num`s and, when it is exact, as
+    integer numerators over one denominator for pairing, and every
+    enclosed S_p by (ray, l(v), p).  Each part is built on first use; a
+    failure is not kept, so every call raises it again."""
 
     __slots__ = ("g", "density", "moments", "barycenter", "exact_barycenter", "means")
 
     def __init__(self, si: SphericalInput, g: WeightFn | None):
         self.g = g
-        vp = si.section_polytope_v
-        weight = (g or UNIT_WEIGHT).products(si.projection, si.rank)
-        self.density = power_density(vp, si.dh, g, si.projection) if weight is None else \
-            density_expansion(vp, si.dh, weight)
+        self.density = weighted_density(si.section_polytope_v, si.dh, g, si.projection)
         self.moments = self.barycenter = self.exact_barycenter = None
         self.means: dict[tuple, Num] = {}
 
@@ -247,21 +245,12 @@ def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
     return entry
 
 
-def _density(entry: WeightEntry) -> Expansion | PowerDensity:
-    """The entry's weighted density; `InvariantError` if it is an
-    expansion whose mass is not positive."""
-    density = entry.density
-    if isinstance(density, Expansion) and density.mass <= 0:
-        raise InvariantError("nonpositive density mass")
-    return density
-
-
-def _moment(si: SphericalInput, v, ray: RayRecord, p, entry: WeightEntry,
-            density: Expansion | PowerDensity) -> Num:
+def _moment(v, ray: RayRecord, p, entry: WeightEntry) -> Num:
     """`S_p` along v (rational or integer), whose record is ray, under the
-    entry's weight, whose `_density` is density; p is checked by the
-    caller.  Every S_p that is not an exact Fraction is enclosed once and
-    kept in the entry by (v, l(v), p), p as given."""
+    entry's weight; p is checked by the caller.  Every S_p that is not an
+    exact Fraction is enclosed once and kept in the entry by (v, l(v), p),
+    p as given."""
+    density = entry.density
     expands = isinstance(density, Expansion)
     if expands and _is_integer(p):
         return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
@@ -276,8 +265,6 @@ def _moment(si: SphericalInput, v, ray: RayRecord, p, entry: WeightEntry,
             raise InvariantError(
                 f"S_p at the non-integer p = {p} under an affine-power weight of exponent "
                 f"{entry.g.exponent}: two powers of different affine forms have no closed form")
-        elif min(density.values) <= 0:
-            raise InvariantError("affine-power weight base not positive on the polytope")
         else:
             mean = density.mean(((ray.vertex_values, int(p)),))
         s = entry.means[key] = Num.from_float(*mean.float_with_error())
@@ -363,13 +350,12 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
     _check_exponent(p)
     table = _candidate_rows(si)
     entry = _weighted(si, g)
-    density = _density(entry)
     n = int(p) if _is_integer(p) else None
     rows = []
     keys = []
     for row in table:
         ray, a, t = row.ray, row.a, row.record.t_max
-        s = _moment(si, row.ints, row.record, p, entry, density)
+        s = _moment(row.ints, row.record, p, entry)
         # exact comparison key: A^p / S when S is exact and positive and p
         # integral; at p = 1 it is the ratio itself
         key = None
@@ -524,7 +510,7 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     record = _ray(si, v, si.log_discrepancy)
     a = record.value
     entry = _weighted(si, g)
-    s = _moment(si, v, record, 1, entry, _density(entry))
+    s = _moment(v, record, 1, entry)
     if s.is_exact:
         direct = Num.from_fraction(a - s.exact)
     else:

@@ -33,12 +33,17 @@ on it (`VPolytope.triangulation`):
   embedded Grundmann-Moller rules of degrees 7 and 9, whose error bound
   is an estimate; no invariant uses it, the tests keep it as a reference.
 
-A weight g of the projected coordinates picks its own route through its
-methods (`WeightFn`): `products` expands a polynomial or an affine power
-with a nonnegative integer exponent for the exact engine, and a constant
-to 1, since it cancels in every ratio that it weights; an affine power
-with any other exponent is one `power` l ** s of an affine form, and
-every integral under it is one closed form (`PowerDensity`).
+A weight g of the projected coordinates enters the integrals in one
+place, `weighted_density`, which checks it once per polytope, density,
+weight and projection, before anything is kept: g reads one coordinate
+per projection row (`WeightFn.check_dimension`), the density and g are
+positive at the vertices, and an expanded weighted density has a positive
+mass; every failure is a ValueError.  It then picks the route by the
+weight's methods (`WeightFn`): `products` expands a polynomial or an
+affine power with a nonnegative integer exponent for the exact engine,
+and a constant to 1, since it cancels in every ratio that it weights; an
+affine power with any other exponent is one `power` l ** s of an affine
+form, and every integral under it is one closed form (`PowerDensity`).
 
 Lower-dimensional polytopes are integrated in lattice coordinates on their
 affine hull (see `geom.lattice_chart`), which is the normalization under
@@ -276,9 +281,11 @@ class WeightFn:
     per row of the input's projection.
 
     Every decision about a weight is one of its methods: whether it is
-    constant, its exact expansion (`products`), and its positivity on a
-    polytope.  A weight that does not expand (`products` is None) is an
-    affine power, whose `power` gives its base and exact exponent."""
+    constant, whether it reads one coordinate per projection row
+    (`check_dimension`), its exact expansion (`products`), and its
+    positivity on a polytope.  A weight that does not expand (`products`
+    is None) is an affine power, whose `power` gives its base and exact
+    exponent.  `weighted_density` runs the checks and picks the route."""
 
     # number of projected coordinates g reads; None for a constant
     dim: int | None = None
@@ -293,6 +300,14 @@ class WeightFn:
     def constant_value(self) -> Fraction | float | None:
         """The constant value of g if it is constant, else None."""
         return None
+
+    def check_dimension(self, projection: Sequence[Vec]):
+        """ValueError unless g reads one coordinate per projection row: a
+        polynomial's ``dim`` and an affine power's ``xi`` have that length."""
+        if self.dim is not None and self.dim != len(projection):
+            raise ValueError(
+                f"the weight has dimension {self.dim}, but the projection "
+                f"has {len(projection)} rows (one weight coordinate per row)")
 
     def products(self, projection: Sequence[Vec], ambient_dim: int) -> list[Product] | None:
         """g(proj . x) as a sum of products of affine forms in ambient x, or
@@ -673,12 +688,9 @@ class Expansion:
 
     @cached_property
     def moments(self) -> "DHMoments":
-        mass = self.mass
-        if mass <= 0:
-            raise ValueError("nonpositive mass: density/weight not positive on polytope")
         moment = tuple(self.integral((([x[i] for x in self.vertices], 1),))
                        for i in range(self.dim))
-        return DHMoments(mass=mass, first_moment=moment, exact=True)
+        return DHMoments(mass=self.mass, first_moment=moment, exact=True)
 
 
 def _form_at(form: tuple[Fraction, list[tuple[int, tuple[int, ...]]]],
@@ -803,16 +815,33 @@ class PowerDensity:
         return DHMoments(mass, tuple(moment), exact=False)
 
 
-def power_density(vp: VPolytope, dh: DHDensity, g: WeightFn, projection: Sequence[Vec]) -> PowerDensity:
-    """The `PowerDensity` of g(xbar) * dh(x) over a polytope, for a weight
-    that does not expand; built on first use and kept in the polytope's
-    memo."""
-    base, s = g.power(projection, vp.dim)
-    key = ("power", dh, base, s)
+def weighted_density(vp: VPolytope, dh: DHDensity, g: WeightFn | None,
+                     projection: Sequence[Vec]) -> Expansion | PowerDensity:
+    """g(xbar) * dh(x) over a polytope (g None is the unit weight): the
+    expansion of a weight that expands, else the `PowerDensity` of its
+    power.  Every integral under a weight goes through here, and so do its
+    checks, each run once per key before anything is kept: g reads one
+    coordinate per projection row, dh and g are positive at the vertices,
+    and an expansion has a positive mass; each failure is a ValueError
+    (`ZeroFactorError` for a density factor vanishing on the polytope)
+    and is not kept, so every call raises it again."""
+    g = g or UNIT_WEIGHT
+    key = ("weighted", dh, g, tuple(projection))
     density = vp.memo.get(key)
     if density is None:
-        density = vp.memo[key] = PowerDensity(density_expansion(vp, dh, _UNIT_PRODUCTS),
-                                              tuple(base(x) for x in vp.vertices), s)
+        g.check_dimension(projection)
+        dh.check_positive_on(vp.vertices)
+        g.check_positive([tuple(dot(row, v) for row in projection) for v in vp.vertices])
+        weight = g.products(projection, vp.dim)
+        if weight is None:
+            base, s = g.power(projection, vp.dim)
+            density = PowerDensity(density_expansion(vp, dh, _UNIT_PRODUCTS),
+                                   tuple(base(x) for x in vp.vertices), s)
+        else:
+            density = density_expansion(vp, dh, weight)
+            if density.mass <= 0:
+                raise ValueError("nonpositive mass: density/weight not positive on polytope")
+        vp.memo[key] = density
     return density
 
 
@@ -997,21 +1026,9 @@ class DHMoments:
 
 def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec]) -> DHMoments:
     """Weighted mass and first moment over a polytope (g None is the unit
-    weight); exact whenever the weight expands to a polynomial, otherwise
-    enclosures (`PowerDensity.moments`).  Kept once computed, and so is
-    the pass of the positivity checks of the density and the weight.  The
+    weight), those of its `weighted_density`, which runs the checks of the
+    weight: exact whenever the weight expands to a polynomial, otherwise
+    enclosures (`PowerDensity.moments`); kept once computed.  The
     invariants call it once per input and weight and keep its result in
     the input's entry for the weight (`invariants.WeightEntry`)."""
-    vp = _as_vpolytope(p)
-    n = vp.dim
-    g = g or UNIT_WEIGHT
-    weight = g.products(projection, n)
-    # an expanded weight holds the rows of the projection that g reads
-    checked = ("positive", dh, g, tuple(projection) if weight is None else tuple(weight))
-    if checked not in vp.memo:
-        dh.check_positive_on(vp.vertices)
-        g.check_positive([tuple(dot(row, v) for row in projection) for v in vp.vertices])
-        vp.memo[checked] = True
-    if weight is not None:
-        return density_expansion(vp, dh, weight).moments
-    return power_density(vp, dh, g, projection).moments
+    return weighted_density(_as_vpolytope(p), dh, g, projection).moments

@@ -187,22 +187,9 @@ class RootSystem:
         two = (Fraction(2),) * self.rank
         return tuple(dot(inv[i], two) for i in range(self.rank))
 
-    def fw_from_alpha_coords(self, x: Vec) -> Vec:
-        cm = self.cartan_matrix
-        return tuple(
-            sum((Fraction(cm[i][j]) * x[j] for j in range(self.rank)), Fraction(0))
-            for i in range(self.rank))
-
-    def alpha_from_fw_coords(self, x: Vec) -> Vec:
-        inv = invert_matrix([vec(row) for row in self.cartan_matrix])
-        return tuple(dot(inv[i], x) for i in range(self.rank))
-
     @property
     def weyl_order(self) -> int:
         return _WEYL_ORDER[self.letter](self.rank)
-
-    def pairing_fw(self, lam_fw: Vec, root_index: int) -> Fraction:
-        return dot(self.coroot_covectors[root_index], lam_fw)
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
@@ -275,33 +262,17 @@ def dh_density(rs: RootSystem, active_roots: Sequence[int] | None, chi_fw,
     return DHDensity(m_rank, tuple(factors), normalization)
 
 
-def wonderful_moment_polytope(rs: RootSystem, method: str = "hrep") -> VPolytope:
+def wonderful_moment_polytope(rs: RootSystem) -> VPolytope:
     """Moment polytope of the canonical compactification of the adjoint
-    group, in root-lattice coordinates.
-
-    Two constructions are available and must agree: the H-description
-    {x dominant : x_i <= (2 rho)_i + 1} and the Weyl-orbit hull of
-    2 rho + sum(alpha_i) intersected with the dominant chamber.
-    """
+    group, in root-lattice coordinates: {x dominant : x_i <= (2 rho)_i +
+    1}, which is the Weyl-orbit hull of 2 rho + sum(alpha_i) intersected
+    with the dominant chamber (the tests build that hull as a reference)."""
     n = rs.rank
     two_rho = rs.two_rho_alpha_coords
     cm = rs.cartan_matrix
-    dominance = [affine_form([cm[i][j] for j in range(n)], 0) for i in range(n)]
-    if method == "hrep":
-        forms = list(dominance)
-        for i in range(n):
-            normal = [Fraction(0)] * n
-            normal[i] = Fraction(-1)
-            forms.append(AffineForm(tuple(normal), two_rho[i] + 1))
-        return vertex_enum(HPolytope(n, forms))
-    if method == "orbit":
-        seed_fw = vadd(vscale(rs.rho_fw, 2),
-                       rs.fw_from_alpha_coords((Fraction(1),) * n))
-        orbit_alpha = [rs.alpha_from_fw_coords(w) for w in weyl_orbit(rs, seed_fw)]
-        hull = VPolytope(n, orbit_alpha)
-        forms = list(hull.hrep[0]) + list(dominance)
-        for e in hull.hrep[1]:
-            forms.append(e)
-            forms.append(AffineForm(vneg(e.normal), -e.offset))
-        return vertex_enum(HPolytope(n, forms))
-    raise ValueError("method must be 'hrep' or 'orbit'")
+    forms = [affine_form([cm[i][j] for j in range(n)], 0) for i in range(n)]
+    for i in range(n):
+        normal = [Fraction(0)] * n
+        normal[i] = Fraction(-1)
+        forms.append(AffineForm(tuple(normal), two_rho[i] + 1))
+    return vertex_enum(HPolytope(n, forms))

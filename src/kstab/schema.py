@@ -359,12 +359,12 @@ def parse_weight_fn(block: dict | None) -> WeightFn | None:
 
 
 def check_weight_dimension(g: WeightFn | None, projection, where: str):
-    """A weight reads one coordinate per projection row: a polynomial's
-    ``dim`` and an affine power's ``xi`` must have that length."""
-    if g is not None and g.dim is not None and g.dim != len(projection):
-        raise SchemaValidationError(
-            f"{where}: the weight has dimension {g.dim}, but the projection "
-            f"has {len(projection)} rows (one weight coordinate per row)")
+    """`WeightFn.check_dimension` as a validation failure at ``where``."""
+    if g is not None:
+        try:
+            g.check_dimension(projection)
+        except ValueError as e:
+            raise SchemaValidationError(f"{where}: {e}") from e
 
 
 def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:

@@ -268,10 +268,6 @@ class SphericalInput:
         return vertex_enum(self.section_polytope)
 
     @cached_property
-    def anticanonical_polytope(self) -> HPolytope:
-        return section_polytope(self.anticanonical_divisors)
-
-    @cached_property
     def fan_cones(self) -> tuple[Cone, ...]:
         """The cone of each colored cone of the fan, with its colors from
         the section's divisors; built once."""
@@ -403,22 +399,22 @@ class SphericalInput:
             total *= ((val + f.rho_pair) / f.rho_pair) ** f.multiplicity
         return total
 
-    def level_sum(self, v: Vec, k: int, p, g: WeightFn | None = None,
-                  use_log_discrepancy: bool = True) -> tuple[Fraction, Fraction, Fraction]:
+    def level_sum(self, v: Vec, k: int, p, g: WeightFn | None = None) -> tuple[Fraction, Fraction, Fraction]:
         """Finite level-k truncation (S_k, d_k, T_k) of the expected
         vanishing order along v.
 
         S_k is the (g-weighted) mean of ((<m, v> + k l(v)) / k)^p over the
         lattice points of the dilated polytope, each weighted by its module
         dimension; d_k is the total (unweighted) dimension; T_k the maximum
-        value.
+        value, with l the log discrepancy.  ValueError unless g reads one
+        coordinate per projection row (`WeightFn.check_dimension`).
         """
+        g = g or UNIT_WEIGHT
+        g.check_dimension(self.projection)
         v = vec(v)
         k = int(k)
-        pl = self.log_discrepancy if use_log_discrepancy else self.section_support
-        lv = pl(v)
+        lv = self.log_discrepancy(v)
         pts = lattice_points(self.section_polytope, k)
-        g = g or UNIT_WEIGHT
         g_exact = g.products(self.projection, self.rank)
         power = None if g_exact is not None else g.power(self.projection, self.rank)
         s_num = Fraction(0) if power is None else 0.0

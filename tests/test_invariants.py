@@ -14,7 +14,7 @@ import kstab.powers
 import kstab.quad
 import kstab.soliton
 from conftest import complete_fans, fan_input, random_toric_input
-from kstab.fixtures import BUILTIN_NAMES, builtin_spherical_input
+from kstab.fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
 from kstab.geom import Cone, dot, vec
 from kstab.invariants import (
     InvariantError,
@@ -41,6 +41,7 @@ from kstab.quad import (
     Polynomial,
     density_expansion,
 )
+from kstab.schema import SchemaValidationError, check_weight_dimension, parse_input_document
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
 
@@ -127,16 +128,25 @@ def test_s_noninteger_p_equal_on_symmetric_rays():
     assert abs(values[0].value - 1.1876919823329444) <= values[0].error + 1e-16
 
 
-def test_s_noninteger_p_under_a_power_weight_is_refused(pgl2):
+@pytest.fixture(scope="module")
+def pgl2_one_row():
+    """The pgl2 builtin with one projection row, so that a weight reads
+    one coordinate."""
+    doc = builtin_document("pgl2")
+    doc["variety"]["projection"] = [["1"]]
+    return parse_input_document(doc)[0]
+
+
+def test_s_noninteger_p_under_a_power_weight_is_refused(pgl2_one_row):
     # two non-integer powers of two affine forms have no closed form; the
     # refusal names both exponents, on every call
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
     for _ in range(2):
         with pytest.raises(InvariantError, match=r"p = 1\.5 .* exponent 0\.5"):
-            S_p(pgl2, [-1], 1.5, g=g)
+            S_p(pgl2_one_row, [-1], 1.5, g=g)
         with pytest.raises(InvariantError, match=r"p = 5/2 .* exponent 0\.5"):
-            delta_p(pgl2, F(5, 2), g)
-    assert S_p(pgl2, [-1], 2, g=g).error <= 1e-12
+            delta_p(pgl2_one_row, F(5, 2), g)
+    assert S_p(pgl2_one_row, [-1], 2, g=g).error <= 1e-12
 
 
 def test_t_max_pgl2(pgl2):
@@ -796,13 +806,57 @@ def test_power_weight_with_a_nonpositive_base_is_refused_before_integrating(monk
     for a in (F(-100), F(-1)):
         g = AffinePowerWeight(vec([1, 0]), a, -1.0)
         for _ in range(2):
-            with pytest.raises(InvariantError, match="base not positive"):
+            with pytest.raises(ValueError, match="base not positive"):
                 beta_g(si, v, g)
-            with pytest.raises(InvariantError, match="base not positive"):
+            with pytest.raises(ValueError, match="base not positive"):
                 S_p(si, v, 2, pl=si.log_discrepancy, g=g)
-            with pytest.raises(InvariantError, match="base not positive"):
+            with pytest.raises(ValueError, match="base not positive"):
                 delta_p(si, 1, g)
     assert means == []
+
+
+def _weighted_calls(si, g):
+    """Every entry point that reads a weight, as (label, call)."""
+    v = si.candidates[0]
+    return [("S_1", lambda: S_p(si, v, 1, g=g)),
+            ("S_3/2", lambda: S_p(si, v, F(3, 2), g=g)),
+            *((f"delta_{p}", lambda p=p: delta_p(si, p, g)) for p in (1, 2, F(3, 2))),
+            ("delta_g", lambda: delta_g(si, g)),
+            ("barycenter_g", lambda: barycenter_g(si, g)),
+            ("beta_g", lambda: beta_g(si, v, g)),
+            ("ding_check", lambda: ding_check(si, g))]
+
+
+def test_weight_not_positive_at_a_vertex_is_refused_by_every_entry_point():
+    # g = x + 1/2 is negative at a vertex of the section polytope
+    si = _fresh("toric-bl1p2", 0)
+    g = PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(1, 2)}))
+    assert min(g.poly(x) for x in si.section_polytope_v.vertices) < 0
+    for _ in range(2):
+        for label, call in _weighted_calls(si, g):
+            with pytest.raises(ValueError, match="^polynomial weight not positive at a vertex$"):
+                call()
+                pytest.fail(label)
+
+
+@pytest.mark.parametrize("name, g", [
+    ("pgl2", AffinePowerWeight(vec([F(1, 3)]), F(1), 2)),
+    ("pgl2", PolynomialWeight(Polynomial(1, {(1,): F(1), (0,): F(3)}))),
+    ("toric-bl1p2", AffinePowerWeight(vec([F(1, 3)]), F(5), 0.5)),
+    ("toric-bl1p2", PolynomialWeight(Polynomial(3, {(0, 0, 1): F(1), (0, 0, 0): F(5)}))),
+], ids=["pgl2-affine-2", "pgl2-polynomial", "bl1p2-affine-0.5", "bl1p2-polynomial"])
+def test_weight_of_another_dimension_is_refused_by_every_entry_point(name, g):
+    si = _fresh(name, 0)
+    with pytest.raises(SchemaValidationError) as schema:
+        check_weight_dimension(g, si.projection, "weight_fn")
+    message = str(schema.value).removeprefix("weight_fn: ")
+    calls = [*_weighted_calls(si, g), ("level_sum", lambda: si.level_sum(si.candidates[0], 1, 1, g))]
+    for _ in range(2):
+        for label, call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+                pytest.fail(label)
+            assert str(refused.value) == message, label
 
 
 def test_barycenter_under_a_power_weight_on_a_large_polytope():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import affine_power
+from kstab.geom import AffineForm, HPolytope, VPolytope, dot, invert_matrix, vec, vertex_enum, vneg
 from kstab.quad import Polynomial, ZeroFactorError
 from kstab.rootsys import (
     RootSystem,
@@ -140,22 +141,36 @@ def test_dh_density_zero_factor_rejected():
 
 
 def test_wonderful_polytope_a1_interval():
-    v = wonderful_moment_polytope(RootSystem("A", 1), "hrep")
+    v = wonderful_moment_polytope(RootSystem("A", 1))
     assert v.vertices == ((F(0),), (F(2),))
+
+
+def _orbit_polytope(rs):
+    """The Weyl-orbit hull of 2 rho + sum(alpha_i) met with the dominant
+    chamber, in root-lattice coordinates."""
+    n = rs.rank
+    cm = [vec(row) for row in rs.cartan_matrix]
+    # in fundamental-weight coordinates 2 rho is all twos and alpha_i is
+    # column i of the Cartan matrix; the inverse takes them to root coordinates
+    seed_fw = tuple(2 + sum(row) for row in cm)
+    to_alpha = invert_matrix(cm)
+    hull = VPolytope(n, [tuple(dot(r, w) for r in to_alpha) for w in weyl_orbit(rs, seed_fw)])
+    forms = list(hull.hrep[0]) + [AffineForm(row, F(0)) for row in cm]
+    for e in hull.hrep[1]:
+        forms += [e, AffineForm(vneg(e.normal), -e.offset)]
+    return vertex_enum(HPolytope(n, forms))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_wonderful_polytope_constructions_agree(letter, rank):
     rs = RootSystem(letter, rank)
-    h = wonderful_moment_polytope(rs, "hrep")
-    o = wonderful_moment_polytope(rs, "orbit")
-    assert h.vertices == o.vertices
+    assert wonderful_moment_polytope(rs).vertices == _orbit_polytope(rs).vertices
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("B", 2), ("C", 3), ("G", 2)])
 def test_wonderful_polytope_in_dominant_chamber(letter, rank):
     rs = RootSystem(letter, rank)
-    v = wonderful_moment_polytope(rs, "hrep")
+    v = wonderful_moment_polytope(rs)
     cm = rs.cartan_matrix
     for x in v.vertices:
         for i in range(rs.rank):

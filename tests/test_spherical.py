@@ -226,7 +226,7 @@ def test_moment_polytope_relation_wonderful(wonderful_a1, wonderful_a2):
     for si, (letter, rank) in ((wonderful_a1, ("A", 1)), (wonderful_a2, ("A", 2))):
         rs = RootSystem(letter, rank)
         chi = rs.two_rho_alpha_coords
-        delta_plus = wonderful_moment_polytope(rs, "hrep")
+        delta_plus = wonderful_moment_polytope(rs)
         translated = si.section_polytope_v.translated(chi)
         assert translated.vertices == delta_plus.vertices
 
