@@ -1,20 +1,15 @@
 #!/usr/bin/env python3
 """Reeb-vector solves on the horospherical builtins, with Newton traces."""
 
-import argparse
-
 from kstab.fixtures import builtin_spherical_input
 from kstab.soliton import ReebProblem, solve_reeb
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    args = parser.parse_args()
     for name in ("toric-p1", "toric-bl1p2"):
         si, _ = builtin_spherical_input(name)
-        sol = solve_reeb(ReebProblem.from_spherical(si), tol=args.tol)
-        print(f"{name}: xi = {sol.xi.tolist()}  value = {sol.functional_value:.10f}"
+        sol = solve_reeb(ReebProblem.from_spherical(si))
+        print(f"{name}: xi = {list(sol.xi)}  value = {sol.functional_value:.10f}"
               f"  |grad| = {sol.gradient_norm:.2e}  iters = {sol.iterations}")
         for i, (value, gnorm, step) in enumerate(sol.trace):
             print(f"   it {i:2d}: value {value:.12f}  |grad| {gnorm:.3e}  "

@@ -27,7 +27,6 @@ from .quad import (
     Polynomial,
     PolynomialWeight,
     dh_moments,
-    integrate_numeric,
     integrate_poly,
 )
 from .rootsys import RootSystem, dh_density, weyl_dim, weyl_orbit, wonderful_moment_polytope
@@ -68,7 +67,6 @@ __all__ = [
     "dh_moments",
     "ding_check",
     "dual_polytope",
-    "integrate_numeric",
     "integrate_poly",
     "lattice_points",
     "load_input",

@@ -47,13 +47,7 @@ from .schema import (
     parse_weight_fn,
     validate_weight_fn,
 )
-from .soliton import (
-    MaxIterationsError,
-    NotHorosphericalError,
-    ReebProblem,
-    SolitonError,
-    solve_reeb,
-)
+from .soliton import NotHorosphericalError, ReebProblem, SolitonError, solve_reeb
 from .spherical import NotQCartierError, SphericalDataError
 
 EXIT_OK = 0
@@ -219,6 +213,21 @@ def _moment_exponent(text: str) -> Fraction | float:
     return p
 
 
+def _valuation_ray(text: str, rank: int) -> tuple[Fraction, ...]:
+    """The value of ``--ray``: ``rank`` coordinates of the input's rational
+    pattern, separated by commas or spaces, not all zero."""
+    coords = text.replace(",", " ").split()
+    for c in coords:
+        if not re.search(RATIONAL_PATTERN, c):
+            raise SchemaValidationError(f"--ray: {c!r} is not an integer or a rational a/b")
+    if len(coords) != rank:
+        raise SchemaValidationError(f"--ray: {len(coords)} coordinate(s) given, the input has rank {rank}")
+    ray = tuple(map(Fraction, coords))
+    if not any(ray):
+        raise SchemaValidationError("--ray: the zero vector is not a valuation ray")
+    return ray
+
+
 def _maybe_time(doc: dict, args, started: float) -> dict:
     doc["timing_ms"] = (time.perf_counter() - started) * 1000.0 if args.timing else None
     return doc
@@ -254,8 +263,7 @@ def _cmd_compute(args) -> int:
     elif args.invariant == "beta":
         if not args.ray:
             raise SchemaValidationError("--ray is required for beta")
-        ray = [Fraction(c) for c in args.ray.replace(",", " ").split()]
-        res = beta_g(si, ray, g)
+        res = beta_g(si, _valuation_ray(args.ray, si.rank), g)
         doc = {
             "schema_version": "1",
             "command": "compute",
@@ -299,7 +307,7 @@ def _cmd_reeb(args) -> int:
     started = time.perf_counter()
     si, _g, input_hash, notes = _load(args, "reeb")
     prob = ReebProblem.from_spherical(si)
-    solution = solve_reeb(prob, tol=args.tol)
+    solution = solve_reeb(prob)
     doc = {
         "schema_version": "1",
         "command": "reeb",
@@ -324,12 +332,7 @@ def _cmd_builtin(args) -> int:
         doc = builtin_document(args.name)
     except KeyError as e:
         raise SchemaValidationError(str(e)) from e
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, "json", args.out)
     return EXIT_OK
 
 
@@ -369,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reeb = sub.add_parser("reeb", help="Reeb vector for horospherical input")
     common(p_reeb)
-    p_reeb.add_argument("--tol", type=float, default=1e-10,
-                        help="gradient-norm stopping tolerance")
     p_reeb.set_defaults(func=_cmd_reeb)
 
     p_builtin = sub.add_parser("builtin", help="emit a builtin fixture")
@@ -410,8 +411,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kstab: out of scope: {e}", file=sys.stderr)
         return EXIT_SCOPE
     except (NotQCartierError, KltViolationError, SphericalDataError,
-            InvariantError, GeometryError, IntegrationError, MaxIterationsError,
-            SolitonError, ValueError) as e:
+            InvariantError, GeometryError, IntegrationError, SolitonError,
+            ValueError) as e:
         print(f"kstab: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_MATH
 

@@ -31,7 +31,8 @@ on it (`VPolytope.triangulation`):
   and Yau, Comm. Math. Phys. 280, 2008);
 * an adaptive cubature of float integrands (`integrate_numeric`), with
   embedded Grundmann-Moller rules of degrees 7 and 9, whose error bound
-  is an estimate; no invariant uses it, the tests keep it as a reference.
+  is an estimate; no answer uses it.  It is the tests' float reference,
+  kept in this module because the benchmark's tracer binds it here.
 
 A weight g of the projected coordinates enters the integrals in one
 place, `weighted_density`, which checks it once per polytope, density,
@@ -55,10 +56,10 @@ of its vertices.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, count
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Sequence
 
@@ -846,7 +847,7 @@ def weighted_density(vp: VPolytope, dh: DHDensity, g: WeightFn | None,
 
 
 # ---------------------------------------------------------------------------
-# Grundmann-Moller adaptive cubature
+# Grundmann-Moller adaptive cubature, the one part that needs numpy (a test extra)
 
 
 @dataclass(frozen=True)
@@ -897,13 +898,12 @@ def _gm_rules(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, 
     return _GM_CACHE[(n, 3)], _GM_CACHE[(n, 4)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _NumSimplex:
     verts: np.ndarray        # (n+1, n) chart coordinates
     detabs: float
-    index: int
-    value: np.ndarray = field(default=None)  # high-order estimate
-    error: float = 0.0
+    value: np.ndarray        # high-order estimate
+    error: float
 
 
 MAX_SUBDIVISIONS = 100_000
@@ -935,64 +935,42 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
 
     (nodes_lo, w_lo), (nodes_hi, w_hi) = _gm_rules(n)
 
-    def evaluate(sx: _NumSimplex):
-        pts_hi = nodes_hi @ sx.verts
-        pts_lo = nodes_lo @ sx.verts
-        amb_hi = pts_hi @ basis.T + origin
-        amb_lo = pts_lo @ basis.T + origin
-        vals_hi = np.asarray(f(amb_hi), dtype=float)
-        vals_lo = np.asarray(f(amb_lo), dtype=float)
-        if not (np.all(np.isfinite(vals_hi)) and np.all(np.isfinite(vals_lo))):
-            raise SingularIntegrandError("integrand not finite at a quadrature node")
-        i_hi = sx.detabs * (w_hi @ vals_hi)
-        i_lo = sx.detabs * (w_lo @ vals_lo)
-        sx.value = np.atleast_1d(i_hi)
-        sx.error = float(np.max(np.abs(np.atleast_1d(i_hi - i_lo))))
-
     leaves: dict[int, _NumSimplex] = {}
     heap: list[tuple[float, int]] = []
-    counter = 0
+    indices = count()
+
+    def add(verts, detabs: float) -> float:
+        """Keep the simplex with these chart vertices as a leaf, with its
+        two estimates; returns its error."""
+        vals_hi = np.asarray(f(nodes_hi @ verts @ basis.T + origin), dtype=float)
+        vals_lo = np.asarray(f(nodes_lo @ verts @ basis.T + origin), dtype=float)
+        if not (np.all(np.isfinite(vals_hi)) and np.all(np.isfinite(vals_lo))):
+            raise SingularIntegrandError("integrand not finite at a quadrature node")
+        i_hi = detabs * (w_hi @ vals_hi)
+        i_lo = detabs * (w_lo @ vals_lo)
+        sx = _NumSimplex(verts, detabs, np.atleast_1d(i_hi),
+                         float(np.max(np.abs(np.atleast_1d(i_hi - i_lo)))))
+        index = next(indices)
+        leaves[index] = sx
+        heapq.heappush(heap, (-sx.error, index))
+        return sx.error
+
     total_error = 0.0
     for s in vp.triangulation:
-        verts = np.array([[float(c) for c in v] for v in s.vertices])
-        sx = _NumSimplex(verts, float(s.volume_factor), counter)
-        counter += 1
-        evaluate(sx)
-        leaves[sx.index] = sx
-        total_error += sx.error
-        heapq.heappush(heap, (-sx.error, sx.index))
-
+        total_error += add(np.array([[float(c) for c in v] for v in s.vertices]),
+                           float(s.volume_factor))
     subdivisions = 0
-    while True:
-        if total_error <= tol:
-            break
-        if subdivisions >= max_subdivisions:
-            break
-        err, idx = heapq.heappop(heap)
-        if idx not in leaves or -err != leaves[idx].error:
-            continue
-        worst = leaves.pop(idx)
+    while not total_error <= tol and subdivisions < max_subdivisions:
+        worst = leaves.pop(heapq.heappop(heap)[1])
         total_error -= worst.error
-        # bisect the longest edge
-        best = (0, 1)
-        bestlen = -1.0
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                l = float(np.sum((worst.verts[i] - worst.verts[j]) ** 2))
-                if l > bestlen:
-                    bestlen = l
-                    best = (i, j)
-        i, j = best
+        # bisect the longest edge, the first in lexicographic order if tied
+        i, j = max(combinations(range(n + 1), 2),
+                   key=lambda e: float(np.sum((worst.verts[e[0]] - worst.verts[e[1]]) ** 2)))
         mid = (worst.verts[i] + worst.verts[j]) / 2.0
         for replaced in (i, j):
             child_verts = worst.verts.copy()
             child_verts[replaced] = mid
-            child = _NumSimplex(child_verts, worst.detabs / 2.0, counter)
-            counter += 1
-            evaluate(child)
-            leaves[child.index] = child
-            total_error += child.error
-            heapq.heappush(heap, (-child.error, child.index))
+            total_error += add(child_verts, worst.detabs / 2.0)
         subdivisions += 1
 
     ordered = [leaves[k] for k in sorted(leaves)]

@@ -133,13 +133,13 @@ def test_acceptance_7_reeb_solver(toric_bl1p2):
                      (VPolytope(2, [vec([1, 1]), vec([1, -1]),
                                     vec([-1, 1]), vec([-1, -1])]), 2)):
         prob = ReebProblem.from_polytope(delta, DHDensity(delta.dim, ()), m)
-        sol = solve_reeb(prob, tol=1e-10)
+        sol = solve_reeb(prob)
         assert sol.converged and sol.iterations <= 10
         assert sol.gradient_norm <= 1e-10
         assert np.allclose(sol.xi, 0.0, atol=1e-9)
 
     prob = ReebProblem.from_spherical(toric_bl1p2)
-    sol = solve_reeb(prob, tol=1e-10)
+    sol = solve_reeb(prob)
 
     # independent oracle: Gauss-Legendre/Duffy quadrature, grid search at
     # resolution 1e-3 near the solver's basin, then local refinement
@@ -211,7 +211,7 @@ def test_acceptance_7_reeb_solver(toric_bl1p2):
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(7, f"symmetric solves at origin (grad <= 1e-10, <= 10 iters); "
-               f"blow-up fixture xi = {sol.xi.round(8).tolist()} matches the "
+               f"blow-up fixture xi = {[round(c, 8) for c in sol.xi]} matches the "
                f"grid+refinement oracle to 1e-6; gradients match finite "
                f"differences to 1e-5 ({elapsed:.1f} s)")
 

@@ -126,6 +126,21 @@ def test_compute_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("ray, message", [
+    ("1/0,1", "--ray: '1/0' is not an integer or a rational a/b"),
+    ("1,x", "--ray: 'x' is not an integer or a rational a/b"),
+    ("1", "--ray: 1 coordinate(s) given, the input has rank 2"),
+    ("1,0,0", "--ray: 3 coordinate(s) given, the input has rank 2"),
+    ("0,0", "--ray: the zero vector is not a valuation ray"),
+], ids=["1/0,1", "1,x", "1", "1,0,0", "0,0"])
+def test_compute_beta_refuses_a_ray_that_is_not_one(tmp_path, capsys, ray, message):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(builtin_document("wonderful-a2")))
+    code, out, err = run_cli(
+        ["compute", "--input", str(path), "--invariant", "beta", f"--ray={ray}"], capsys)
+    assert (code, out, err) == (2, "", f"kstab: invalid input: {message}\n")
+
+
 def test_compute_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -422,6 +437,13 @@ def test_reeb_p1(p1_path, capsys):
     assert doc["gradient_norm"] <= 1e-10
 
 
+def test_reeb_takes_no_tolerance(p1_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reeb", "--input", p1_path, "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+
+
 def test_reeb_scope_refusal(pgl2_path, capsys):
     code, _, err = run_cli(["reeb", "--input", pgl2_path], capsys)
     assert code == 4
@@ -479,11 +501,12 @@ def test_integration_failure_exit_code(p1_path, capsys, monkeypatch):
 
 
 def test_commands_load_only_what_they_use(tmp_path):
-    # numpy serves the Reeb solve, jsonschema the wording of schema
-    # rejections, mpmath the interval closed forms (non-integer moments and
-    # weights that do not expand); one fresh process runs the commands from
-    # the lightest up and reports which of the three are loaded after each
-    # stage, and a second runs only a check under an affine power
+    # numpy serves no command (only the tests' cubature reference),
+    # jsonschema the wording of schema rejections, mpmath the interval
+    # closed forms (non-integer moments and weights that do not expand); one
+    # fresh process runs the commands from the lightest up and reports which
+    # of the three are loaded after each stage, a second runs only a check
+    # under an affine power, and both run again where numpy cannot be imported
     import kstab
     path = tmp_path / "bl.json"
     path.write_text(json.dumps(builtin_document("toric-bl1p2")))
@@ -497,7 +520,7 @@ def test_commands_load_only_what_they_use(tmp_path):
     prelude = (
         "import contextlib, io, sys\n"
         "def loaded():\n"
-        "    return sorted(m for m in ('numpy', 'jsonschema', 'mpmath') if m in sys.modules)\n"
+        "    return sorted(m for m in ('numpy', 'jsonschema', 'mpmath') if sys.modules.get(m))\n"
         "def run(*argv, code=0):\n"
         "    err = io.StringIO()\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
@@ -527,19 +550,23 @@ def test_commands_load_only_what_they_use(tmp_path):
         "print('power', loaded())\n")
     src = str(Path(kstab.__file__).resolve().parents[1])
 
-    def loads(code: str) -> list[str]:
-        proc = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True,
+    def loads(code: str, block: str = "") -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", block + prelude + code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    assert loads(stages) == [
+    expected = [
         "import []",
         "builtin []",
         "compute []",
-        "reeb ['numpy']",
+        "reeb []",
         "kstab: invalid input: at variety/rank: 0 is less than the minimum of 1",
         r"kstab: invalid input: --g: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'",
-        "reject ['jsonschema', 'numpy']",
+        "reject ['jsonschema']",
     ]
+    assert loads(stages) == expected
     assert loads(power_stage) == ["power ['mpmath']"]
+    no_numpy = "import sys\nsys.modules['numpy'] = None\n"
+    assert loads(stages, no_numpy) == expected
+    assert loads(power_stage, no_numpy) == ["power ['mpmath']"]

@@ -5,17 +5,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from kstab import soliton
 from kstab.geom import VPolytope, vec
 from kstab.invariants import ding_check
 from kstab.quad import AffineForm, DHDensity, DHFactor
 from kstab.soliton import (
     InfeasiblePointError,
+    NonConvexDetectedError,
     NotHorosphericalError,
     ReebProblem,
     SolitonError,
     reeb_functional,
     solve_reeb,
     stationarity_residual,
+    symmetric_eigenvalues,
 )
 
 INTERVAL = VPolytope(1, [vec([-1]), vec([1])])
@@ -38,7 +41,7 @@ def test_functional_at_origin_interval():
     value, grad, hess, _ = reeb_functional(prob, [0.0])
     assert abs(value - 2.0) < 1e-12
     assert abs(grad[0]) < 1e-12
-    assert hess[0, 0] > 0
+    assert hess[0][0] > 0
 
 
 def test_functional_at_half_interval():
@@ -82,7 +85,7 @@ def test_gradient_matches_finite_differences(bl1p2_problem):
 
 def test_symmetric_interval_solution_is_origin():
     prob = ReebProblem.from_polytope(INTERVAL, CONST1, 1)
-    sol = solve_reeb(prob, tol=1e-10)
+    sol = solve_reeb(prob)
     assert sol.converged and sol.iterations <= 10
     assert sol.gradient_norm <= 1e-10
     assert np.allclose(sol.xi, 0.0, atol=1e-10)
@@ -90,20 +93,20 @@ def test_symmetric_interval_solution_is_origin():
 
 def test_symmetric_square_solution_is_origin():
     prob = ReebProblem.from_polytope(SQUARE, CONST2, 2)
-    sol = solve_reeb(prob, tol=1e-10)
+    sol = solve_reeb(prob)
     assert sol.converged and sol.iterations <= 10
     assert np.allclose(sol.xi, 0.0, atol=1e-10)
 
 
 def test_bl1p2_on_symmetry_axis(bl1p2_problem):
-    sol = solve_reeb(bl1p2_problem, tol=1e-10)
+    sol = solve_reeb(bl1p2_problem)
     assert sol.converged
     assert abs(sol.xi[0] - sol.xi[1]) <= 1e-9
     assert np.linalg.norm(sol.xi) > 0.05
 
 
 def test_monotone_descent_and_convexity_certificates(bl1p2_problem):
-    sol = solve_reeb(bl1p2_problem, tol=1e-10)
+    sol = solve_reeb(bl1p2_problem)
     values = [t[0] for t in sol.trace]
     # non-increasing up to one unit of float resolution at the noise floor
     assert all(b <= a + 8e-16 * abs(a) for a, b in zip(values, values[1:]))
@@ -113,7 +116,7 @@ def test_monotone_descent_and_convexity_certificates(bl1p2_problem):
 
 
 def test_stationarity_certificate(bl1p2_problem):
-    sol = solve_reeb(bl1p2_problem, tol=1e-10)
+    sol = solve_reeb(bl1p2_problem)
     res = stationarity_residual(bl1p2_problem, sol.xi)
     m = bl1p2_problem.m
     assert res <= 1e-10 / (m + 1) * (1 + np.linalg.norm(sol.xi)) + 1e-11
@@ -123,15 +126,13 @@ def test_symmetry_equivariance(toric_bl1p2):
     # the coordinate swap preserves the polytope and density, so it must
     # fix the solution; a global sign flip negates it
     prob = ReebProblem.from_spherical(toric_bl1p2)
-    sol = solve_reeb(prob, tol=1e-10)
+    sol = solve_reeb(prob)
     swapped = VPolytope(2, [vec([v[1], v[0]]) for v in prob.delta.vertices])
-    sol_swapped = solve_reeb(ReebProblem.from_polytope(swapped, CONST2, 2),
-                             tol=1e-10)
+    sol_swapped = solve_reeb(ReebProblem.from_polytope(swapped, CONST2, 2))
     assert np.allclose(sol.xi[::-1], sol_swapped.xi, atol=1e-9)
     reflected = VPolytope(2, [vec([-v[0], -v[1]]) for v in prob.delta.vertices])
-    sol_reflected = solve_reeb(ReebProblem.from_polytope(reflected, CONST2, 2),
-                               tol=1e-10)
-    assert np.allclose(-sol.xi, sol_reflected.xi, atol=1e-9)
+    sol_reflected = solve_reeb(ReebProblem.from_polytope(reflected, CONST2, 2))
+    assert np.allclose([-c for c in sol.xi], sol_reflected.xi, atol=1e-9)
 
 
 def test_properness_along_random_rays():
@@ -162,7 +163,7 @@ def test_density_weighted_problem():
     # asymmetric density shifts the minimizer off the origin
     density = DHDensity(1, (DHFactor(AffineForm(vec([1]), F(2)), 1, F(1)),))
     prob = ReebProblem.from_polytope(INTERVAL, density, 1)
-    sol = solve_reeb(prob, tol=1e-10)
+    sol = solve_reeb(prob)
     assert sol.converged
     assert abs(sol.xi[0]) > 1e-3
     # stationarity: int (xi x + 1)^(-3) x (x + 2) dx = 0 at the solution
@@ -252,5 +253,61 @@ def test_grid_search_oracle_agreement(bl1p2_problem):
     refined = minimize(oracle_value, best, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14,
                                 "maxiter": 2000})
-    sol = solve_reeb(bl1p2_problem, tol=1e-10)
+    sol = solve_reeb(bl1p2_problem)
     assert np.linalg.norm(sol.xi - refined.x) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the answer against its closed form, and the float algebra against numpy
+
+
+def test_bl1p2_reeb_vector_matches_its_closed_form(bl1p2_problem):
+    # the minimizer is t (1, 1) with 3 t^2 - 8 t + 1 = 0, t = (4 - sqrt 13) / 3
+    # (the cone over dP1, Y^{2,1}); decided exactly: the quadratic changes
+    # sign between x - 1e-12 and x + 1e-12 for each component x
+    sol = solve_reeb(bl1p2_problem)
+    eps = F(1, 10 ** 12)
+
+    def q(t):
+        return 3 * t * t - 8 * t + 1
+
+    for x in sol.xi:
+        assert q(F(x) - eps) > 0 > q(F(x) + eps)
+
+
+def test_p2_reeb_vector_is_the_origin_without_a_step():
+    triangle = VPolytope(2, [vec([-1, -1]), vec([2, -1]), vec([-1, 2])])
+    sol = solve_reeb(ReebProblem.from_polytope(triangle, CONST2, 2))
+    assert sol.xi == (0.0, 0.0)
+    assert sol.iterations == 0 and sol.converged
+
+
+def _seeded_symmetric(n, definite, seed):
+    # positive definite, or with a negative diagonal entry, hence a
+    # negative eigenvalue (indefinite for n > 1)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if definite:
+        return a @ a.T + 0.1 * np.eye(n)
+    a = a + a.T
+    a[0, 0] = -1 - abs(a[0, 0])
+    return a
+
+
+@pytest.mark.parametrize("definite", [True, False])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jacobi_eigenvalues_match_eigvalsh(n, definite):
+    for seed in range(5):
+        a = _seeded_symmetric(n, definite, 100 * n + seed)
+        got = symmetric_eigenvalues(a.tolist())
+        scale = np.linalg.norm(a, 2)
+        assert np.allclose(got, np.linalg.eigvalsh(a), rtol=0, atol=1e-13 * scale)
+        assert (got[0] > 0) == definite
+
+
+def test_indefinite_hessian_is_refused(monkeypatch, bl1p2_problem):
+    value, grad, _hess, err = reeb_functional(bl1p2_problem, [0.0, 0.0])
+    monkeypatch.setattr(soliton, "reeb_functional",
+                        lambda prob, xi: (value, grad, [[1.0, 2.0], [2.0, 1.0]], err))
+    with pytest.raises(NonConvexDetectedError, match="min eigenvalue -1"):
+        solve_reeb(bl1p2_problem)
