@@ -24,7 +24,11 @@ out the thin cone between the rays (11, 1) and (10, 1); last, per builtin
 with a projection row, a polynomial and an affine power at exponent 0.5
 that change sign on the section polytope, under ``compute`` for
 ``barycenter``, ``beta`` and ``delta`` and under ``check``, so that the
-refusal of a weight that is not positive is compared too.
+refusal of a weight that is not positive is compared too; then ``builtin``
+for every name, so that the builtins' bytes are compared; then ``reeb`` on
+toric-p1 and toric-bl1p2 translated so that the origin is not interior to
+the section polytope; last, per builtin, ``--format csv`` under ``check``,
+``reeb``, ``barycenter`` and ``beta``, which have no per-ray table.
 """
 
 from __future__ import annotations
@@ -85,6 +89,14 @@ _INVALID_DOCUMENTS = {
         "constant": "1", "affine_power": {"xi": ["1"], "a": "3", "exponent": 2}}),
 }
 _INVALID_G = ("5", '{"constant": "x"}', '{"affine_power": {"xi": ["1"], "a": "3"}}')
+
+# divisor coefficients that translate a toric builtin's section polytope so
+# that the origin is not interior: [0, 2] for toric-p1, and a pentagon with
+# the origin as a vertex for toric-bl1p2
+_SHIFTED_COEFFS = {
+    "toric-p1": {"D0": "0", "Dinf": "2"},
+    "toric-bl1p2": {"D1": "0", "D2": "0", "E": "3", "D3": "3"},
+}
 
 
 def _thin_gap_document() -> dict:
@@ -186,6 +198,26 @@ def main():
                              ["check", *base]):
                     print(f"# {name} weight={label}")
                     print(_run([*argv, "--g", json.dumps(g)], root))
+        for name in BUILTIN_NAMES:
+            print(f"# {name} builtin")
+            print(_run(["builtin", name], root))
+        for name, coeffs in _SHIFTED_COEFFS.items():
+            doc = builtin_document(name)
+            for d in doc["variety"]["divisors"]:
+                d["coeff"] = coeffs[d["name"]]
+            path = Path(root, f"{name}-shifted.json")
+            path.write_text(json.dumps(doc))
+            print(f"# {name} origin not interior")
+            print(_run(["reeb", "--input", str(path)], root))
+        for name in BUILTIN_NAMES:
+            base = ["--input", str(Path(root, f"{name}.json")), "--format", "csv"]
+            si, _ = builtin_spherical_input(name)
+            ray = ",".join(str(c) for c in si.candidates[0])
+            for argv in (["check", *base], ["reeb", *base],
+                         ["compute", *base, "--invariant", "barycenter"],
+                         ["compute", *base, "--invariant", "beta", f"--ray={ray}"]):
+                print(f"# {name} format=csv")
+                print(_run(argv, root))
 
 
 if __name__ == "__main__":

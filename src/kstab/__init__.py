@@ -6,7 +6,7 @@ from the combinatorial data of a spherical variety.
 """
 
 from .fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
-from .geom import Cone, HPolytope, VPolytope, dual_polytope, vertex_enum
+from .geom import Cone, HPolytope, VPolytope, vertex_enum
 from .invariants import (
     DingVerdict,
     InvariantReport,
@@ -66,7 +66,6 @@ __all__ = [
     "dh_density",
     "dh_moments",
     "ding_check",
-    "dual_polytope",
     "integrate_poly",
     "lattice_points",
     "load_input",

@@ -115,15 +115,12 @@ def _emit(doc: dict, fmt: str, out_path: str | None):
     if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
-        rows = doc.get("rays")
-        if not isinstance(rows, list) or not rows:
-            raise SchemaValidationError("csv format needs a per-ray table")
         buf = io.StringIO()
         fields = ["ray", "log_discrepancy", "s_p", "t_max", "ratio_delta",
                   "ratio_alpha", "anomalies"]
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(fields)
-        for r in rows:
+        for r in doc["rays"]:
             writer.writerow([
                 " ".join(r["ray"]),
                 r["log_discrepancy"],
@@ -165,11 +162,24 @@ def _text_format(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse_csv_without_table(args):
+    """``--format csv`` refused, before any work, for a report that has no
+    per-ray table."""
+    if args.format != "csv":
+        return
+    if args.command in ("check", "reeb"):
+        raise SchemaValidationError(f"{args.command} has no per-ray table; use json or text")
+    if args.invariant in ("barycenter", "beta"):
+        raise SchemaValidationError("csv format needs a per-ray table")
+
+
 def _load(args, unweighted: str | None = None) -> tuple:
     """The input, its weight, the input's hash and report notes.
     ``unweighted`` names a command that reads no weight: a non-constant
     ``--g`` is refused there, and a non-constant document weight is dropped
-    with a note."""
+    with a note.  A ``--format csv`` that the command cannot write is
+    refused first."""
+    _refuse_csv_without_table(args)
     si, g_doc = load_input(args.input)
     g_flag = None
     if args.g:
@@ -297,8 +307,6 @@ def _cmd_check(args) -> int:
             "functional": _vec_json(verdict.witness["functional"]),
         },
     }
-    if args.format == "csv":
-        raise SchemaValidationError("check has no per-ray table; use json or text")
     _emit(_maybe_time(doc, args, started), args.format, args.out)
     return EXIT_OK
 
@@ -321,8 +329,6 @@ def _cmd_reeb(args) -> int:
     }
     if notes:
         doc["notes"] = notes
-    if args.format == "csv":
-        raise SchemaValidationError("reeb has no per-ray table; use json or text")
     _emit(_maybe_time(doc, args, started), args.format, args.out)
     return EXIT_OK
 

@@ -6,54 +6,7 @@ rational entries are strings so round trips are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rootsys import RootSystem
-
-
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _vec(v) -> list[str]:
-    return [_frac(c) for c in v]
-
-
-def pgl2_fixture() -> dict:
-    """Rank-one wonderful group compactification, anticanonically polarized.
-
-    Section polytope [-1, 1]; valuation cone spanned by -1; density factor
-    pairing 2x + 2 with multiplicity two, so level-k module dimensions are
-    the odd squares (1, 9, 25, ... at level 1)."""
-    return {
-        "schema_version": "1",
-        "variety": {
-            "rank": 1,
-            "dim_x": 3,
-            "divisors": [
-                {"name": "X1", "rho": ["-1"], "coeff": "1", "is_color": False},
-                {"name": "D1", "rho": ["2"], "coeff": "2", "is_color": True},
-            ],
-            "anticanonical_divisors": [
-                {"name": "X1", "rho": ["-1"], "coeff": "1", "is_color": False},
-                {"name": "D1", "rho": ["2"], "coeff": "2", "is_color": True},
-            ],
-            "fan": [
-                {"generators": [["-1"]], "divisors": ["X1"]},
-            ],
-            "valuation_cone": {"generators": [["-1"]]},
-            "projection": [],
-        },
-        "root_system": {
-            "type": "A",
-            "rank": 1,
-            "active_roots": "all",
-            "chi": ["2"],
-            "embed": [["2"]],
-            "squared": True,
-        },
-    }
 
 
 def wonderful_fixture(letter: str, rank: int) -> dict:
@@ -103,73 +56,51 @@ def wonderful_fixture(letter: str, rank: int) -> dict:
     }
 
 
-def toric_p1_fixture() -> dict:
-    """The projective line with its torus action, anticanonically polarized."""
-    return {
-        "schema_version": "1",
-        "variety": {
-            "rank": 1,
-            "dim_x": 1,
-            "divisors": [
-                {"name": "D0", "rho": ["1"], "coeff": "1", "is_color": False},
-                {"name": "Dinf", "rho": ["-1"], "coeff": "1", "is_color": False},
-            ],
-            "anticanonical_divisors": [
-                {"name": "D0", "rho": ["1"], "coeff": "1", "is_color": False},
-                {"name": "Dinf", "rho": ["-1"], "coeff": "1", "is_color": False},
-            ],
-            "fan": [
-                {"generators": [["1"]], "divisors": ["D0"]},
-                {"generators": [["-1"]], "divisors": ["Dinf"]},
-            ],
-            "valuation_cone": "all",
-            "projection": [["1"]],
-        },
-    }
-
-
-def toric_bl1p2_fixture() -> dict:
-    """The projective plane blown up in one torus-fixed point,
-    anticanonically polarized."""
-    rays = {"D1": ["1", "0"], "D2": ["0", "1"], "E": ["1", "1"],
-            "D3": ["-1", "-1"]}
+def toric_fixture(rays: dict[str, list[str]], cones: list[list[str]]) -> dict:
+    """A complete toric variety with its torus action, anticanonically
+    polarized: each torus-invariant divisor by name and primitive ray, and
+    each maximal cone by the names of its rays."""
+    rank = len(next(iter(rays.values())))
     divisors = [{"name": name, "rho": rho, "coeff": "1", "is_color": False}
                 for name, rho in rays.items()]
-    cones = [
-        {"generators": [rays["D1"], rays["E"]], "divisors": ["D1", "E"]},
-        {"generators": [rays["E"], rays["D2"]], "divisors": ["E", "D2"]},
-        {"generators": [rays["D2"], rays["D3"]], "divisors": ["D2", "D3"]},
-        {"generators": [rays["D3"], rays["D1"]], "divisors": ["D3", "D1"]},
-    ]
     return {
         "schema_version": "1",
         "variety": {
-            "rank": 2,
-            "dim_x": 2,
+            "rank": rank,
+            "dim_x": rank,
             "divisors": divisors,
             "anticanonical_divisors": [dict(d) for d in divisors],
-            "fan": cones,
+            "fan": [{"generators": [rays[name] for name in cone], "divisors": list(cone)}
+                    for cone in cones],
             "valuation_cone": "all",
-            "projection": [["1", "0"], ["0", "1"]],
+            "projection": [["1" if i == j else "0" for j in range(rank)] for i in range(rank)],
         },
     }
 
 
-BUILTIN_NAMES = ("pgl2", "wonderful-a1", "wonderful-a2", "toric-p1", "toric-bl1p2")
+_BUILTINS = {
+    # PGL(2) is the A1 wonderful compactification: section polytope [-1, 1],
+    # valuation cone spanned by -1, and a density factor pairing 2x + 2 with
+    # multiplicity two, so level-k module dimensions are the odd squares
+    # (1, 9, 25, ... at level 1)
+    "pgl2": lambda: wonderful_fixture("A", 1),
+    "wonderful-a1": lambda: wonderful_fixture("A", 1),
+    "wonderful-a2": lambda: wonderful_fixture("A", 2),
+    # the projective line
+    "toric-p1": lambda: toric_fixture({"D0": ["1"], "Dinf": ["-1"]}, [["D0"], ["Dinf"]]),
+    # the projective plane blown up in one torus-fixed point
+    "toric-bl1p2": lambda: toric_fixture(
+        {"D1": ["1", "0"], "D2": ["0", "1"], "E": ["1", "1"], "D3": ["-1", "-1"]},
+        [["D1", "E"], ["E", "D2"], ["D2", "D3"], ["D3", "D1"]]),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_document(name: str) -> dict:
-    if name == "pgl2":
-        return pgl2_fixture()
-    if name == "wonderful-a1":
-        return wonderful_fixture("A", 1)
-    if name == "wonderful-a2":
-        return wonderful_fixture("A", 2)
-    if name == "toric-p1":
-        return toric_p1_fixture()
-    if name == "toric-bl1p2":
-        return toric_bl1p2_fixture()
-    raise KeyError(f"unknown builtin fixture {name!r}")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin fixture {name!r}")
+    return _BUILTINS[name]()
 
 
 def builtin_spherical_input(name: str):

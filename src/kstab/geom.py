@@ -545,11 +545,6 @@ class VPolytope:
         return tuple(triangulate(VPolytope._trusted(chart.dim, mapped)))
 
     @cached_property
-    def dual(self) -> "DualPolytope":
-        """The dual body (see `dual_polytope`), built on first use and kept."""
-        return dual_polytope(self)
-
-    @cached_property
     def memo(self) -> dict:
         """Integrals over this polytope that `quad` keeps once computed."""
         return {}
@@ -561,40 +556,6 @@ class VPolytope:
 def vertex_enum(p: HPolytope) -> VPolytope:
     """Extreme points of an H-polytope in lexicographic order."""
     return VPolytope._trusted(p.dim, p.vertex_list)
-
-
-@dataclass(frozen=True)
-class DualPolytope:
-    """H-description {xi : <v_i, xi> + 1 >= 0} of the dual body of a
-    V-polytope; unbounded when 0 is not interior to the primal."""
-
-    dim: int
-    forms: tuple[AffineForm, ...]
-    bounded: bool
-
-    @cached_property
-    def polytope(self) -> HPolytope:
-        if not self.bounded:
-            raise UnboundedPolytopeError("dual body is unbounded")
-        return HPolytope(self.dim, self.forms)
-
-    def contains(self, x: Vec) -> bool:
-        return all(f(x) >= 0 for f in self.forms)
-
-
-def dual_polytope(v: VPolytope) -> DualPolytope:
-    """Dual body {xi : <xi, x> + 1 >= 0 on v}, irredundant forms only."""
-    pts = list(v.vertices) + [zero_vec(v.dim)]
-    keep = [p for p in _raw_extreme_points(pts, v.dim) if not is_zero_vec(p)]
-    forms = tuple(AffineForm(p, Fraction(1)) for p in keep)
-    try:
-        _raw_vertex_enum(forms, v.dim)
-        bounded = True
-    except UnboundedPolytopeError:
-        bounded = False
-    except EmptyPolytopeError:  # cannot happen: 0 is always feasible
-        raise AssertionError("dual body must contain the origin")
-    return DualPolytope(v.dim, forms, bounded)
 
 
 # ---------------------------------------------------------------------------

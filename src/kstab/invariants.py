@@ -134,12 +134,16 @@ class RayRecord:
 def _ray(si: SphericalInput, v: Vec, pl: PLFunction | None = None) -> RayRecord:
     """The record of ray v under pl (by default the section's support
     function), built on first use and kept in `SphericalInput.ray_records`.
+    `InvariantError` unless v has `si.rank` coordinates, and
     `NegativeValuesError` unless <x, v> + l(v) is nonnegative on the
     section polytope; a failure is not kept, so every call raises it."""
     pl = pl or si.section_support
     records = si.ray_records.setdefault(pl, {})
     record = records.get(v)
     if record is None:
+        if len(v) != si.rank:
+            raise InvariantError(f"ray ({', '.join(map(str, v))}) has {len(v)} coordinate(s), "
+                                 f"the input has rank {si.rank}")
         lv = pl(v)
         values = tuple(dot(x, v) + lv for x in si.section_polytope_v.vertices)
         if min(values) < 0:

@@ -2,8 +2,12 @@
 
 Minimizes the strictly convex functional
 ``xi |-> int_Delta (<xi, x> + 1)^(-m-1) P(x) dx``
-over the interior of the dual body of the section polytope by a damped
-Newton iteration with a fraction-to-boundary line search.  At the minimizer
+over the xi at which every vertex value ``<xi, x> + 1`` of the section
+polytope Delta is positive, by a damped Newton iteration with a
+fraction-to-boundary line search; feasibility and the line search read
+those vertex values, and the float route integrates with them.  The origin
+must be interior to Delta: otherwise the functional has no minimizer, and
+`ReebProblem.from_polytope` raises `SolitonError` (exit 3).  At the minimizer
 the first moment ``int (<xi, x> + 1)^(-m-2) x P dx`` vanishes, which is the
 combinatorial certificate that the punctured canonical cone carries a
 Ricci-flat Kaehler cone structure.
@@ -30,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .geom import AffineForm, DualPolytope, VPolytope, solve_linear, unit_vec
+from .geom import AffineForm, VPolytope, solve_linear, unit_vec
 from .quad import (
     DHDensity,
     Expansion,
@@ -76,14 +80,18 @@ class ReebProblem:
     delta: VPolytope
     dh: DHDensity
     m: int
-    dual: DualPolytope
 
     @classmethod
     def from_polytope(cls, delta: VPolytope, dh: DHDensity, m: int) -> "ReebProblem":
+        """`SolitonError` unless delta is full-dimensional with the origin
+        in its interior (every facet offset positive)."""
         if delta.affine_dim < delta.dim:
             raise SolitonError("section polytope must be full-dimensional")
+        if not all(f.offset > 0 for f in delta.hrep[0]):
+            raise SolitonError("the origin is not interior to the section polytope, "
+                               "so the Reeb functional has no minimizer")
         dh.check_positive_on(delta.vertices)
-        return cls(delta=delta, dh=dh, m=m, dual=delta.dual)
+        return cls(delta=delta, dh=dh, m=m)
 
     @classmethod
     def from_spherical(cls, si: SphericalInput) -> "ReebProblem":
@@ -99,11 +107,6 @@ class ReebProblem:
     @cached_property
     def vertex_array(self) -> tuple[Vector, ...]:
         return tuple(tuple(map(float, v)) for v in self.delta.vertices)
-
-    @cached_property
-    def dual_form_arrays(self) -> tuple[tuple[Vector, ...], Vector]:
-        return (tuple(tuple(map(float, f.normal)) for f in self.dual.forms),
-                tuple(float(f.offset) for f in self.dual.forms))
 
     @cached_property
     def expansions(self) -> tuple[Expansion, tuple[Expansion, ...], dict[tuple[int, int], Expansion]]:
@@ -131,21 +134,21 @@ class ReebSolution:
     trace: tuple[tuple[float, float, float], ...] = ()  # (value, |grad|, step)
 
 
-def _dual_form_values(prob: ReebProblem, xi: Vector) -> list[float]:
-    normals, offsets = prob.dual_form_arrays
-    return [sum(map(mul, normal, xi)) + c for normal, c in zip(normals, offsets)]
+def _vertex_values(prob: ReebProblem, xi: Vector) -> list[float]:
+    """<xi, x> + 1 at the vertices x of the section polytope."""
+    return [sum(map(mul, v, xi)) + 1.0 for v in prob.vertex_array]
 
 
 def reeb_functional(prob: ReebProblem, xi):
-    """(value, gradient, hessian, error bound of the value) at a strictly
-    interior point of the dual body, in closed form."""
+    """(value, gradient, hessian, error bound of the value) at a xi whose
+    vertex values are all positive, in closed form."""
     xi = tuple(map(float, xi))
     n, m = prob.dim, prob.m
-    if not all(v > 0 for v in _dual_form_values(prob, xi)):
-        raise InfeasiblePointError(f"xi={xi} is not interior to the dual body")
+    t = _vertex_values(prob, xi)
+    if not all(v > 0 for v in t):
+        raise InfeasiblePointError(f"xi={xi} makes <xi, x> + 1 nonpositive at a vertex")
     one, first, second = prob.expansions
     if prob.dim + prob.dh.degree <= m:
-        t = [sum(map(mul, v, xi)) + 1.0 for v in prob.vertex_array]
         value, err = one.integral_inverse_power(t, m + 1)
         grad = [e.integral_inverse_power(t, m + 2)[0] for e in first]
         hess_entries = [e.integral_inverse_power(t, m + 3)[0] for e in second.values()]
@@ -228,7 +231,7 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
     """Damped Newton minimization from xi = 0 (always strictly feasible)
     until the gradient norm is at most `GRADIENT_TOL`.
 
-    Steps are shrunk until every dual form keeps at least
+    Steps are shrunk until every vertex value <xi, x> + 1 keeps at least
     `BOUNDARY_FRACTION` of its pre-step value and the functional strictly
     decreases.
     """
@@ -248,12 +251,12 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
             return solution(iteration, True)
         step = tuple(map(float, solve_linear([tuple(map(Fraction, row)) for row in hess],
                                              [Fraction(-g) for g in grad])))
-        forms_before = _dual_form_values(prob, xi)
+        values_before = _vertex_values(prob, xi)
         t = 1.0
         for _ in range(80):
             candidate = tuple(x + t * d for x, d in zip(xi, step))
-            forms_after = _dual_form_values(prob, candidate)
-            if all(a >= BOUNDARY_FRACTION * b for a, b in zip(forms_after, forms_before)):
+            values_after = _vertex_values(prob, candidate)
+            if all(a >= BOUNDARY_FRACTION * b for a, b in zip(values_after, values_before)):
                 break
             t *= 0.5
         else:

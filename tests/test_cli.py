@@ -375,6 +375,24 @@ def test_compute_csv_table(pgl2_path, capsys):
     assert lines[1].split(",")[0] == "-1/1"
 
 
+@pytest.mark.parametrize("command, compute, message", [
+    (["check"], "ding_check", "check has no per-ray table; use json or text"),
+    (["reeb"], "solve_reeb", "reeb has no per-ray table; use json or text"),
+    (["compute", "--invariant", "barycenter"], "barycenter_g", "csv format needs a per-ray table"),
+    (["compute", "--invariant", "beta", "--ray", "1"], "beta_g", "csv format needs a per-ray table"),
+])
+def test_csv_without_a_table_is_refused_before_any_work(p1_path, capsys, monkeypatch,
+                                                        command, compute, message):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work done before the format was refused")
+
+    monkeypatch.setattr(f"kstab.cli.{compute}", no_work)
+    monkeypatch.setattr("kstab.cli.load_input", no_work)
+    code, out, err = run_cli([*command, "--input", p1_path, "--format", "csv"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"kstab: invalid input: {message}\n"
+
+
 def test_compute_text_format(pgl2_path, capsys):
     code, out, _ = run_cli(
         ["compute", "--input", pgl2_path, "--invariant", "delta",
@@ -448,6 +466,28 @@ def test_reeb_scope_refusal(pgl2_path, capsys):
     code, _, err = run_cli(["reeb", "--input", pgl2_path], capsys)
     assert code == 4
     assert "scope" in err
+
+
+def _shifted_document(tmp_path, name, coeffs):
+    """A builtin whose divisor coefficients are replaced, which translates
+    its section polytope."""
+    doc = builtin_document(name)
+    for d in doc["variety"]["divisors"]:
+        d["coeff"] = coeffs[d["name"]]
+    path = tmp_path / f"{name}-shifted.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, coeffs", [
+    ("toric-p1", {"D0": "0", "Dinf": "2"}),  # section polytope [0, 2]
+    ("toric-bl1p2", {"D1": "0", "D2": "0", "E": "3", "D3": "3"}),  # origin a vertex
+])
+def test_reeb_refuses_a_polytope_without_the_origin_inside(tmp_path, capsys, name, coeffs):
+    code, out, err = run_cli(["reeb", "--input", _shifted_document(tmp_path, name, coeffs)],
+                             capsys)
+    assert code == 3 and out == ""
+    assert "origin is not interior" in err
 
 
 def test_timing_flag_adds_field(pgl2_path, capsys):

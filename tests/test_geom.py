@@ -1,4 +1,4 @@
-"""Exact geometry kernel: vertex enumeration, duality, cones, triangulation."""
+"""Exact geometry kernel: vertex enumeration, cone duality, triangulation."""
 
 from fractions import Fraction as F
 
@@ -18,7 +18,6 @@ from kstab.geom import (
     affine_form,
     double_description,
     dot,
-    dual_polytope,
     hnf_rows,
     integer_kernel,
     invert_matrix,
@@ -73,47 +72,6 @@ def test_vertex_enum_single_point():
     p = HPolytope(2, [affine_form([1, 0], 0), affine_form([-1, 0], 0),
                       affine_form([0, 1], 0), affine_form([0, -1], 0)])
     assert vertex_enum(p).vertices == (vec([0, 0]),)
-
-
-# ---------------------------------------------------------------------------
-# dual polytope
-
-
-def test_dual_interval_self_dual():
-    d = dual_polytope(VPolytope(1, [vec([-1]), vec([1])]))
-    assert d.bounded
-    assert d.polytope.vertex_list == (vec([-1]), vec([1]))
-
-
-def test_dual_square_is_cross_polytope():
-    sq = VPolytope(2, [vec([1, 1]), vec([1, -1]), vec([-1, 1]), vec([-1, -1])])
-    d = dual_polytope(sq)
-    assert d.polytope.vertex_list == (
-        vec([-1, 0]), vec([0, -1]), vec([0, 1]), vec([1, 0]))
-
-
-def test_dual_shifted_interval():
-    # endpoints -1 and 3: -xi + 1 >= 0 and 3 xi + 1 >= 0
-    d = dual_polytope(VPolytope(1, [vec([-1]), vec([3])]))
-    assert d.polytope.vertex_list == (vec([F(-1, 3)]), vec([1]))
-
-
-def test_dual_unbounded_when_origin_not_interior():
-    d = dual_polytope(VPolytope(1, [vec([1]), vec([2])]))
-    assert not d.bounded
-
-
-def test_dual_form_irredundancy():
-    # interior point of the hull contributes no form
-    v = VPolytope(1, [vec([-1]), vec([1])])
-    d = dual_polytope(v)
-    assert len(d.forms) == 2
-
-
-def test_dual_involution():
-    sq = VPolytope(2, [vec([1, 1]), vec([1, -1]), vec([-1, 1]), vec([-1, -1])])
-    dd = dual_polytope(vertex_enum(dual_polytope(sq).polytope))
-    assert dd.polytope.vertex_list == sq.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +250,6 @@ def test_triangulation_volume_identity(points):
         oracle += ((a[0] - anchor[0]) * (b[1] - anchor[1])
                    - (a[1] - anchor[1]) * (b[0] - anchor[0]))
     assert area == abs(oracle) / 2
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(coord, coord), min_size=3, max_size=6))
-def test_dual_involution_random(points):
-    pts = [vec(p) for p in points] + [vec([1, 0]), vec([-1, 0]),
-                                      vec([0, 1]), vec([0, -1])]
-    v = VPolytope(2, pts)  # contains 0 in the interior by construction
-    d = dual_polytope(v)
-    assert d.bounded
-    dd = dual_polytope(vertex_enum(d.polytope))
-    assert dd.polytope.vertex_list == v.vertices
 
 
 def test_geom_is_exact():

@@ -154,6 +154,15 @@ def test_t_max_pgl2(pgl2):
     assert T_max(pgl2, [0]) == 0
 
 
+@pytest.mark.parametrize("call", [partial(S_p, p=1), T_max, beta_g])
+@pytest.mark.parametrize("ray", [[1], [1, 0, 0]])
+def test_wrong_length_ray_is_refused_by_name(toric_bl1p2, call, ray):
+    with pytest.raises(InvariantError) as exc:
+        call(toric_bl1p2, ray)
+    assert str(exc.value) == (f"ray ({', '.join(map(str, ray))}) has {len(ray)} coordinate(s), "
+                              "the input has rank 2")
+
+
 def test_t_max_positive_homogeneity(pgl2, toric_bl1p2):
     assert T_max(pgl2, [-2]) == 2 * T_max(pgl2, [-1])
     v = [1, 1]

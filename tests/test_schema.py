@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from conftest import random_toric_input
-from kstab.fixtures import BUILTIN_NAMES, _frac, _vec, builtin_document
+from kstab.fixtures import BUILTIN_NAMES, builtin_document
 from kstab.invariants import barycenter_g, delta_p
 from kstab.schema import _RAT, INPUT_SCHEMA, _conforms, parse_input_document
 
@@ -22,6 +23,15 @@ WEIGHT_VALIDATOR = DOCUMENT_VALIDATOR.evolve(schema=WEIGHT_SCHEMA)
 # what a mutation puts in place of a value, or under an added key
 SUBSTITUTES = (None, True, False, 0, 1.0, math.nan, "1/0", "1\n", [], {})
 ADDED_KEYS = ("extra", "rank", "coeff", "constant", "polynomial", "exponent")
+
+
+def _frac(x) -> str:
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+
+
+def _vec(v) -> list[str]:
+    return [_frac(c) for c in v]
 
 
 def toric_document(si) -> dict:

@@ -136,20 +136,24 @@ def test_symmetry_equivariance(toric_bl1p2):
 
 
 def test_properness_along_random_rays():
+    # the feasible set is {xi : <xi, x> + 1 > 0 at every vertex x}; along
+    # each ray it ends where the first vertex value reaches zero, and the
+    # functional grows without bound there
     prob = ReebProblem.from_polytope(SQUARE, CONST2, 2)
     rng = np.random.default_rng(7)
     base_value, _, _, _ = reeb_functional(prob, [0.0, 0.0])
-    normals = np.array([[float(c) for c in f.normal] for f in prob.dual.forms])
-    offsets = np.array([float(f.offset) for f in prob.dual.forms])
+    vertices = np.array([[float(c) for c in v] for v in prob.delta.vertices])
     for _ in range(10):
         d = rng.normal(size=2)
         d /= np.linalg.norm(d)
         # boundary crossing parameter along the ray
-        denom = normals @ d
+        denom = vertices @ d
         with np.errstate(divide="ignore"):
-            ts = np.where(denom < 0, -offsets / denom, np.inf)
+            ts = np.where(denom < 0, -1.0 / denom, np.inf)
         t_star = float(np.min(ts))
         assert np.isfinite(t_star)
+        with pytest.raises(InfeasiblePointError):
+            reeb_functional(prob, 1.0001 * t_star * d)
         grew = False
         for frac in (0.9, 0.99, 0.999, 0.9999):
             value, _, _, _ = reeb_functional(prob, frac * t_star * d)
@@ -177,7 +181,7 @@ def test_density_weighted_problem():
     [(-1, 0), (2, -1), (3, -1), (3, 2), (1, 3), (-1, 2)],
 ])
 def test_skewed_polygons_converge_at_default_tol(rays):
-    # far from symmetric: the minimizer lies near the dual body's boundary
+    # far from symmetric: the minimizer lies near the feasible set's boundary
     from conftest import toric_surface_input
     prob = ReebProblem.from_spherical(toric_surface_input(rays))
     sol = solve_reeb(prob)
@@ -199,6 +203,19 @@ def test_degenerate_polytope_refused():
     seg = VPolytope(2, [vec([0, 0]), vec([1, 1])])
     with pytest.raises(SolitonError):
         ReebProblem.from_polytope(seg, CONST2, 2)
+
+
+@pytest.mark.parametrize("points", [
+    [[F(1, 2)], [2]],  # the origin outside
+    [[0], [2]],  # the origin an endpoint
+    [[0, 0], [1, 0], [0, 1]],  # the origin a vertex
+])
+def test_origin_not_interior_refused(points):
+    # the functional has no minimizer: it decreases without end as xi
+    # grows along a direction that is nonnegative on the polytope
+    delta = VPolytope(len(points[0]), [vec(p) for p in points])
+    with pytest.raises(SolitonError, match="origin is not interior"):
+        ReebProblem.from_polytope(delta, DHDensity(delta.dim, ()), delta.dim)
 
 
 def test_pgl2_wonderful_check_polystable(pgl2):
@@ -242,7 +259,7 @@ def test_grid_search_oracle_agreement(bl1p2_problem):
             total += area2 * float(wts @ base ** -3)
         return total
 
-    # coarse grid over the interior of the dual body, then local refinement
+    # coarse grid over the feasible set, then local refinement
     grid = np.linspace(-0.9, 0.9, 37)
     best, best_val = None, np.inf
     for a in grid:
