@@ -22,8 +22,10 @@ search and evaluates no form again.
 
 Everything read under a weight g is kept in one `WeightEntry` per weight
 (`SphericalInput.weight_entries`, None for the unit weight): the weighted
-density, the moments (`quad.dh_moments`), the barycenter, and every
-enclosed S^(p), by (ray, l(v), p).  The density is
+density, the moments (`quad.dh_moments`), the barycenter, every
+enclosed S^(p), by (ray, l(v), p), and the per-ray rows of delta^g
+(denominators, ratios and notes), which depend only on the input, the
+weight and the rays; no other invariant's rows are kept.  The density is
 `quad.weighted_density`, which refuses with a ValueError, before the
 entry exists, a weight that does not read one coordinate per projection
 row, that is not positive at a vertex of the section polytope, or whose
@@ -229,16 +231,18 @@ class WeightEntry:
     weighted density over the section polytope (`quad.weighted_density`,
     whose checks of the weight pass before the entry exists), the
     `DHMoments`, the barycenter as `Num`s and, when it is exact, as
-    integer numerators over one denominator for pairing, and every
-    enclosed S_p by (ray, l(v), p).  Each part is built on first use; a
-    failure is not kept, so every call raises it again."""
+    integer numerators over one denominator for pairing, every enclosed
+    S_p by (ray, l(v), p), and the per-ray rows of `delta_g`.  Each part
+    is built on first use; a failure is not kept, so every call raises it
+    again."""
 
-    __slots__ = ("g", "density", "moments", "barycenter", "exact_barycenter", "means")
+    __slots__ = ("g", "density", "moments", "barycenter", "exact_barycenter", "means",
+                 "delta_g_rows")
 
     def __init__(self, si: SphericalInput, g: WeightFn | None):
         self.g = g
         self.density = weighted_density(si.section_polytope_v, si.dh, g, si.projection)
-        self.moments = self.barycenter = self.exact_barycenter = None
+        self.moments = self.barycenter = self.exact_barycenter = self.delta_g_rows = None
         self.means: dict[tuple, Num] = {}
 
 
@@ -467,10 +471,24 @@ def _pair(bar: tuple[Num, ...], f: Vec, shift: Fraction | int = 0) -> Num:
 
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
     """Weighted threshold min over rays of A / (A + <bar, v>), for the
-    anticanonical polarization."""
+    anticanonical polarization.  The per-ray rows, ratios and notes depend
+    only on the input, the weight and the rays, so they are built once and
+    kept in the weight's entry."""
     entry = _weighted(si, g)
     bary = _barycenter(si, entry)
-    bar = entry.exact_barycenter
+    if entry.delta_g_rows is None:
+        entry.delta_g_rows = _delta_g_rows(si, entry)
+    rows, ratios, notes = entry.delta_g_rows
+    value, mins = _argmin_ratios(ratios)
+    return InvariantReport(kind="delta_g", p=1, value=value, minimizing_rays=mins,
+                           table=rows, barycenter=bary, notes=notes)
+
+
+def _delta_g_rows(si: SphericalInput, entry: WeightEntry):
+    """The rows of `delta_g` under the entry's weight, whose barycenter is
+    built: the evaluations, the (ray, ratio, exact key) of each ray with a
+    positive denominator, and a note per ray without one."""
+    bary, bar = entry.barycenter, entry.exact_barycenter
     rows = []
     ratios = []
     notes: list[str] = []
@@ -492,9 +510,7 @@ def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
         ratio = _root_ratio(a, s, 1) if key is None else Num.from_fraction(key)
         rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha))
         ratios.append((ray, ratio, key))
-    value, mins = _argmin_ratios(ratios)
-    return InvariantReport(kind="delta_g", p=1, value=value, minimizing_rays=mins,
-                           table=tuple(rows), barycenter=bary, notes=tuple(notes))
+    return tuple(rows), tuple(ratios), tuple(notes)
 
 
 @dataclass(frozen=True)

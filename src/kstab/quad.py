@@ -26,9 +26,12 @@ on it (`VPolytope.triangulation`):
   a rising precision (non-integer moments S_p and weights that are such
   a power; module `powers`, loaded on first use); for s = -k with k > d
   + |a| the divided difference is a positive sum of reciprocal powers,
-  which `Expansion.integral_inverse_power` evaluates in floats (the Reeb
-  functional, whose P = 1 case is the volume function of Martelli, Sparks
-  and Yau, Comm. Math. Phys. 280, 2008);
+  which `integral_inverse_power` evaluates in floats, in one pass over a
+  float table that lists each simplex's distinct terms once with one
+  coefficient per integrand (`Expansion.inverse_power_tables`: the
+  expansion times 1, x_i and x_i x_j, for the Reeb functional, its
+  gradient and its Hessian, whose P = 1 case is the volume function of
+  Martelli, Sparks and Yau, Comm. Math. Phys. 280, 2008);
 * an adaptive cubature of float integrands (`integrate_numeric`), with
   embedded Grundmann-Moller rules of degrees 7 and 9, whose error bound
   is an estimate; no answer uses it.  It is the tests' float reference,
@@ -638,50 +641,21 @@ class Expansion:
         return integral_power(self._parts(factors), values, s)
 
     @cached_property
-    def _float_terms(self) -> list[tuple[list[int], list[tuple[float, tuple[int, ...], int]]]]:
-        """Per simplex: its vertex indices, and per term tau^a the float of
-        volume * scale * n_a * a!, the node multiplicities a_i + 1 and
-        r = d + |a|."""
-        out = []
+    def inverse_power_tables(self) -> tuple[FloatTable, FloatTable, FloatTable]:
+        """The float tables (`integral_inverse_power`) of the expanded sum
+        times 1, times each coordinate x_i and times each x_i x_j, i <= j in
+        lexicographic order: of width 1, n and n(n+1)/2.  The first lists
+        each simplex's terms in their order; the others list each distinct
+        tau^a of the simplex's products once."""
+        coords = [[x[i] for x in self.vertices] for i in range(self.dim)]
+        tables: tuple[list, list, list] = ([], [], [])
         for idx, volume, part in self.parts:
-            d = len(idx) - 1
-            out.append((idx, [
-                (float(volume * part.scale * n * prod(factorial(k) for k in a)),
-                 tuple(k + 1 for k in a), d + sum(a))
-                for a, n in part.terms.items()]))
-        return out
-
-    def integral_inverse_power(self, values: Sequence[float], k: int) -> tuple[float, float]:
-        """Integral of the expanded sum times ``l(x) ** -k``, for an affine
-        form l given by its float ``values`` at the polytope's vertices,
-        all positive, and k > d + |a| for every term tau^a; returned with a
-        first-order bound on its rounding error.
-
-        There the divided difference is, with y_i = 1 / t_i over the
-        repeated nodes, ``(k-r-1)! / (k-1)! * prod y_i * h_(k-r-1)(y)``,
-        h the complete homogeneous symmetric polynomial: every term has the
-        sign of its coefficient, and each is made of products and sums of
-        positive floats, with a relative rounding error below (k + 2)^2
-        units of 2^-53 to first order; the sum adds one unit per term."""
-        total = magnitude = 0.0
-        count = 0
-        for idx, terms in self._float_terms:
-            y = [1.0 / values[i] for i in idx]
-            for coef, mults, r in terms:
-                q = k - r - 1
-                if q < 0:
-                    raise IntegrationError(
-                        f"l ** -{k} against a degree-{r} term has no reciprocal-power form")
-                phi = prod(yi ** mu for yi, mu in zip(y, mults))
-                if q:
-                    phi *= _complete_homogeneous(y, mults, q) * (factorial(q) / factorial(k - 1))
-                else:
-                    phi /= factorial(k - 1)
-                term = coef * phi
-                total += term
-                magnitude += abs(term)
-                count += 1
-        return total, ((k + 2) ** 2 + count) * 2.0 ** -53 * magnitude
+            first = [part.times([c[i] for i in idx]) for c in coords]
+            second = [first[i].times([coords[j][t] for t in idx])
+                      for i in range(self.dim) for j in range(i, self.dim)]
+            for table, columns in zip(tables, ([part], first, second)):
+                table.append((idx, _float_rows(len(idx) - 1, volume, columns)))
+        return tuple(map(tuple, tables))
 
     @cached_property
     def mass(self) -> Fraction:
@@ -702,6 +676,64 @@ def _form_at(form: tuple[Fraction, list[tuple[int, tuple[int, ...]]]],
     y = [x.numerator * (den // x.denominator) for x in (*w, c)]
     total = sum(k * prod(map(y.__getitem__, key)) for k, key in terms)
     return Fraction(total * scale.numerator, scale.denominator * den ** p)
+
+
+# Per simplex: its vertex indices and its rows (coefficients, node
+# multiplicities a_i + 1, r = d + |a|), one coefficient per column.
+FloatRow = tuple[tuple[float, ...], tuple[int, ...], int]
+FloatTable = tuple[tuple[list[int], tuple[FloatRow, ...]], ...]
+
+
+def _float_rows(d: int, volume: Fraction, columns: Sequence[TauPoly]) -> tuple[FloatRow, ...]:
+    """The rows of a simplex of dimension d for the parts ``columns``: each
+    distinct tau^a once, in order of first appearance, with the float of
+    volume * scale * n_a * a! in each column (0.0 where it is absent)."""
+    rows: dict[tuple[int, ...], list[float]] = {}
+    for j, part in enumerate(columns):
+        for a, n in part.terms.items():
+            rows.setdefault(a, [0.0] * len(columns))[j] = \
+                float(volume * part.scale * n * prod(factorial(k) for k in a))
+    return tuple((tuple(c), tuple(k + 1 for k in a), d + sum(a)) for a, c in rows.items())
+
+
+def integral_inverse_power(table: FloatTable, values: Sequence[float],
+                           k: int) -> tuple[list[float], list[float]]:
+    """Integrals of each column of a float table
+    (`Expansion.inverse_power_tables`) times ``l(x) ** -k``, for an affine
+    form l given by its float ``values`` at the polytope's vertices, all
+    positive, and k > d + |a| for every term tau^a; returned with a
+    first-order bound on the rounding error of each.
+
+    There the divided difference is, with y_i = 1 / t_i over the
+    repeated nodes, ``(k-r-1)! / (k-1)! * prod y_i * h_(k-r-1)(y)``,
+    h the complete homogeneous symmetric polynomial, computed once per
+    row for every column: every term has the sign of its coefficient,
+    and each is made of products and sums of positive floats, with a
+    relative rounding error below (k + 2)^2 units of 2^-53 to first
+    order; the sum adds one unit per row."""
+    width = max((len(rows[0][0]) for _, rows in table if rows), default=0)
+    totals, magnitudes = [0.0] * width, [0.0] * width
+    count = 0
+    top = factorial(k - 1)
+    for idx, rows in table:
+        y = [1.0 / values[i] for i in idx]
+        for coefs, mults, r in rows:
+            q = k - r - 1
+            if q < 0:
+                raise IntegrationError(
+                    f"l ** -{k} against a degree-{r} term has no reciprocal-power form")
+            phi = prod(map(pow, y, mults))
+            if q:
+                phi *= _complete_homogeneous(y, mults, q) * (factorial(q) / top)
+            else:
+                phi /= top
+            for j, coef in enumerate(coefs):
+                term = coef * phi
+                totals[j] += term
+                magnitudes[j] += abs(term)
+            count += 1
+    bound = ((k + 2) ** 2 + count) * 2.0 ** -53
+    return totals, [bound * m for m in magnitudes]
 
 
 def _complete_homogeneous(y: Sequence[float], mults: Sequence[int], q: int) -> float:

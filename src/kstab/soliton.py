@@ -14,16 +14,20 @@ Ricci-flat Kaehler cone structure.
 
 The functional, its gradient and its Hessian are integrals of P, x_i P and
 x_i x_j P against powers -(m+1), -(m+2) and -(m+3) of one affine form, so
-they have closed forms (`quad.Expansion.integral_inverse_power`): the
-generalized Hermite-Genocchi identity, whose P = 1 case is the volume
-function of Martelli, Sparks and Yau.  When m + 1 <= dim + deg P, which
-only a raw user density can give, the closed form carries logarithms: it
-is reduced exactly to rational multiples of log t at the vertex values t,
+they have closed forms: the generalized Hermite-Genocchi identity, whose
+P = 1 case is the volume function of Martelli, Sparks and Yau.  The
+expansion of P is kept in the section polytope's memo under the density
+alone, and with it one float table per derivative order
+(`quad.Expansion.inverse_power_tables`), so that a functional call is one
+float pass per order (`quad.integral_inverse_power`) and a fresh problem
+on a warm input expands nothing.  When m + 1 <= dim + deg P, which only a
+raw user density can give, the closed form carries logarithms: it is
+reduced exactly to rational multiples of log t at the vertex values t,
 and only those logarithms are enclosed.
 
-The Newton algebra is plain Python on floats, dim <= 8: each step solves
-its system exactly (`geom.solve_linear`), and cyclic Jacobi gives the
-Hessian's least eigenvalue, which must be positive.
+The Newton algebra is plain Python on floats, dim <= 8: cyclic Jacobi
+gives the Hessian's eigenpairs, whose least eigenvalue must be positive,
+and the same decomposition gives the Newton step -V diag(1/lambda) V^T g.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .geom import AffineForm, VPolytope, solve_linear, unit_vec
+from .geom import AffineForm, VPolytope
 from .quad import (
     DHDensity,
     Expansion,
     density_expansion,
     enclose,
+    integral_inverse_power,
 )
 from .spherical import SphericalInput
 
@@ -84,21 +89,35 @@ class ReebProblem:
     @classmethod
     def from_polytope(cls, delta: VPolytope, dh: DHDensity, m: int) -> "ReebProblem":
         """`SolitonError` unless delta is full-dimensional with the origin
-        in its interior (every facet offset positive)."""
-        if delta.affine_dim < delta.dim:
-            raise SolitonError("section polytope must be full-dimensional")
-        if not all(f.offset > 0 for f in delta.hrep[0]):
-            raise SolitonError("the origin is not interior to the section polytope, "
-                               "so the Reeb functional has no minimizer")
+        in its interior (every facet offset positive), and a ValueError
+        unless dh is positive on it."""
+        problem = cls._checked(delta, (f.offset for f in delta.hrep[0]), dh, m)
         dh.check_positive_on(delta.vertices)
-        return cls(delta=delta, dh=dh, m=m)
+        return problem
 
     @classmethod
     def from_spherical(cls, si: SphericalInput) -> "ReebProblem":
+        """The problem of a horospherical input, whose parse has checked
+        the density on the section polytope; the origin is interior when
+        every inequality of the section polytope holds strictly there,
+        that is when the coefficient of every divisor with rho(D) != 0 is
+        positive (one with rho(D) = 0 bounds nothing)."""
         if not si.is_horospherical:
             raise NotHorosphericalError(
                 "Reeb solver requires the valuation cone to be the whole space")
-        return cls.from_polytope(si.section_polytope_v, si.dh, si.dim_x)
+        offsets = (f.offset for f in si.section_polytope.forms if any(f.normal))
+        return cls._checked(si.section_polytope_v, offsets, si.dh, si.dim_x)
+
+    @classmethod
+    def _checked(cls, delta: VPolytope, offsets, dh: DHDensity, m: int) -> "ReebProblem":
+        """`SolitonError` unless delta is full-dimensional and every offset
+        of its inequalities (their values at the origin) is positive."""
+        if delta.affine_dim < delta.dim:
+            raise SolitonError("section polytope must be full-dimensional")
+        if not all(offset > 0 for offset in offsets):
+            raise SolitonError("the origin is not interior to the section polytope, "
+                               "so the Reeb functional has no minimizer")
+        return cls(delta=delta, dh=dh, m=m)
 
     @property
     def dim(self) -> int:
@@ -109,18 +128,15 @@ class ReebProblem:
         return tuple(tuple(map(float, v)) for v in self.delta.vertices)
 
     @cached_property
-    def expansions(self) -> tuple[Expansion, tuple[Expansion, ...], dict[tuple[int, int], Expansion]]:
-        """P, x_i P and x_i x_j P (i <= j) expanded on the triangulation
-        of the section polytope, built once (and kept in its memo)."""
-        n = self.dim
-        x = [AffineForm(unit_vec(i, n), Fraction(0)) for i in range(n)]
-
-        def expand(*factors):
-            return density_expansion(self.delta, self.dh, [(Fraction(1), factors)])
-
-        return (expand(),
-                tuple(expand((x[i], 1)) for i in range(n)),
-                {(i, j): expand((x[i], 1), (x[j], 1)) for i in range(n) for j in range(i, n)})
+    def expansion(self) -> Expansion:
+        """P expanded on the triangulation of the section polytope, kept in
+        its memo under the density alone; its float tables are kept with it."""
+        key = ("reeb", self.dh)
+        expansion = self.delta.memo.get(key)
+        if expansion is None:
+            expansion = self.delta.memo[key] = density_expansion(self.delta, self.dh,
+                                                                 [(Fraction(1), ())])
+        return expansion
 
 
 @dataclass(frozen=True)
@@ -147,15 +163,16 @@ def reeb_functional(prob: ReebProblem, xi):
     t = _vertex_values(prob, xi)
     if not all(v > 0 for v in t):
         raise InfeasiblePointError(f"xi={xi} makes <xi, x> + 1 nonpositive at a vertex")
-    one, first, second = prob.expansions
     if prob.dim + prob.dh.degree <= m:
-        value, err = one.integral_inverse_power(t, m + 1)
-        grad = [e.integral_inverse_power(t, m + 2)[0] for e in first]
-        hess_entries = [e.integral_inverse_power(t, m + 3)[0] for e in second.values()]
+        one, first, second = prob.expansion.inverse_power_tables
+        (value,), (err,) = integral_inverse_power(one, t, m + 1)
+        grad = integral_inverse_power(first, t, m + 2)[0]
+        hess_entries = integral_inverse_power(second, t, m + 3)[0]
     else:
         value, err, grad, hess_entries = _enclosed_functional(prob, xi)
     hess = [[0.0] * n for _ in range(n)]
-    for (i, j), v in zip(second, hess_entries):
+    pairs = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), v in zip(pairs, hess_entries):
         hess[i][j] = hess[j][i] = (m + 1) * (m + 2) * v
     return value, tuple(-(m + 1) * g for g in grad), hess, err
 
@@ -169,12 +186,12 @@ def _enclosed_functional(prob: ReebProblem, xi: Vector):
     coordinate size on the polytope and t_min the least value of
     l = <xi, x> + 1 there, |int x^a P l^(-m-1-|a|)| <= (R / t_min)^|a| V,
     V the value."""
-    m = prob.m
-    one, first, second = prob.expansions
+    n, m = prob.dim, prob.m
     form = AffineForm(tuple(Fraction(c) for c in xi), Fraction(1))
     values = [form(x) for x in prob.delta.vertices]
-    jobs = [(one, m + 1, 0)] + [(e, m + 2, 1) for e in first] \
-        + [(e, m + 3, 2) for e in second.values()]
+    x = [([v[i] for v in prob.delta.vertices], 1) for i in range(n)]
+    jobs = [((), m + 1, 0)] + [((x[i],), m + 2, 1) for i in range(n)] \
+        + [((x[i], x[j]), m + 3, 2) for i in range(n) for j in range(i, n)]
     ratio = max(abs(c) for v in prob.vertex_array for c in v) / float(min(values))
 
     def accept(entries):
@@ -182,20 +199,23 @@ def _enclosed_functional(prob: ReebProblem, xi: Vector):
         return all(e.half_width <= scale * ratio ** order
                    for e, (_, _, order) in zip(entries, jobs))
 
-    totals = [e.integral_power(values, -k) for e, k, _ in jobs]
+    totals = [prob.expansion.integral_power(values, -k, factors) for factors, k, _ in jobs]
     entries = enclose(lambda prec: [total.enclosure(prec) for total in totals], accept)
     value, err = entries[0].float_with_error()
     rest = [e.mid for e in entries[1:]]
-    return value, err, rest[:len(first)], rest[len(first):]
+    return value, err, rest[:n], rest[n:]
 
 
-def symmetric_eigenvalues(a) -> list[float]:
-    """Ascending eigenvalues of a small symmetric matrix by cyclic Jacobi
-    rotations (Golub and Van Loan, Matrix Computations, 8.5); an entry at
-    most 2^-53 sqrt|a_pp a_qq| is left, which moves no eigenvalue by more
-    than a unit of roundoff."""
+def symmetric_eigenpairs(a) -> tuple[list[float], list[list[float]]]:
+    """Ascending eigenvalues of a small symmetric matrix and orthonormal
+    eigenvectors in the same order, by cyclic Jacobi rotations (Golub and
+    Van Loan, Matrix Computations, 8.5) accumulated into V = J_1 J_2 ...,
+    whose columns are the eigenvectors; an entry at most 2^-53
+    sqrt|a_pp a_qq| is left, which moves no eigenvalue by more than a
+    unit of roundoff."""
     a = [list(map(float, row)) for row in a]
     n = len(a)
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
     for _sweep in range(50):
         rotated = False
         for p in range(n - 1):
@@ -209,22 +229,36 @@ def symmetric_eigenvalues(a) -> list[float]:
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
                 app, aqq = a[p][p] - t * apq, a[q][q] + t * apq
-                for row in a:
+                for row in (*a, *v):
                     row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
                 a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
                               [s * x + c * y for x, y in zip(a[p], a[q])])
                 a[p][p], a[q][q], a[p][q], a[q][p] = app, aqq, 0.0, 0.0
         if not rotated:
             break
-    return sorted(a[i][i] for i in range(n))
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [[row[i] for row in v] for i in order]
 
 
-def _checked_min_eigenvalue(hess) -> float:
-    """The least eigenvalue of a Hessian, refused unless positive."""
-    min_eig = symmetric_eigenvalues(hess)[0]
+def _checked_eigenpairs(hess) -> tuple[list[float], list[list[float]]]:
+    """The eigenpairs of a Hessian, refused unless its least eigenvalue is
+    positive."""
+    eigen = symmetric_eigenpairs(hess)
+    min_eig = eigen[0][0]
     if not min_eig > 0:
         raise NonConvexDetectedError(f"Hessian not positive definite (min eigenvalue {min_eig})")
-    return min_eig
+    return eigen
+
+
+def newton_step(eigen: tuple[list[float], list[list[float]]], grad: Vector) -> Vector:
+    """-H^-1 g = -sum_k <v_k, g> / lambda_k v_k from the eigenpairs
+    (lambda_k, v_k) of H (`symmetric_eigenpairs`)."""
+    step = [0.0] * len(grad)
+    for lam, vk in zip(*eigen):
+        c = sum(map(mul, vk, grad)) / lam
+        for i, x in enumerate(vk):
+            step[i] -= c * x
+    return tuple(step)
 
 
 def solve_reeb(prob: ReebProblem) -> ReebSolution:
@@ -237,20 +271,19 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
     """
     xi = (0.0,) * prob.dim
     value, grad, hess, _err = reeb_functional(prob, xi)
-    min_eig = _checked_min_eigenvalue(hess)
+    eigen = _checked_eigenpairs(hess)
     trace: list[tuple[float, float, float]] = [(value, math.hypot(*grad), 0.0)]
 
     def solution(iterations: int, converged: bool) -> ReebSolution:
         return ReebSolution(xi=xi, functional_value=value, gradient_norm=math.hypot(*grad),
-                            hessian_min_eigval=min_eig, iterations=iterations,
+                            hessian_min_eigval=eigen[0][0], iterations=iterations,
                             converged=converged, trace=tuple(trace))
 
     for iteration in range(MAX_NEWTON_ITERATIONS):
         gnorm = math.hypot(*grad)
         if gnorm <= GRADIENT_TOL:
             return solution(iteration, True)
-        step = tuple(map(float, solve_linear([tuple(map(Fraction, row)) for row in hess],
-                                             [Fraction(-g) for g in grad])))
+        step = newton_step(eigen, grad)
         values_before = _vertex_values(prob, xi)
         t = 1.0
         for _ in range(80):
@@ -275,7 +308,7 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
             return solution(iteration, False)
         xi = candidate
         value, grad, hess, _err = cand
-        min_eig = _checked_min_eigenvalue(hess)
+        eigen = _checked_eigenpairs(hess)
         trace.append((value, math.hypot(*grad), t))
     raise MaxIterationsError(
         f"no convergence after {MAX_NEWTON_ITERATIONS} Newton steps",

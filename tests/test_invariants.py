@@ -42,6 +42,7 @@ from kstab.quad import (
     density_expansion,
 )
 from kstab.schema import SchemaValidationError, check_weight_dimension, parse_input_document
+from kstab.soliton import ReebProblem, SolitonError, solve_reeb
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
 
@@ -608,7 +609,7 @@ def _outcome(call, si):
     """What a call returns, or the type and message of what it raises."""
     try:
         return call(si)
-    except InvariantError as e:
+    except (InvariantError, SolitonError) as e:
         return type(e), str(e)
 
 
@@ -639,8 +640,12 @@ def _verdict(d):
 
 def _ray_calls(si):
     """Every invariant that reads the ray records or the entries of the
-    weights, as (label, call): unweighted and under each of `_weights`."""
+    weights, as (label, call): unweighted and under each of `_weights`;
+    and the Reeb solve, which reads the section polytope's memo, on a
+    horospherical input."""
     calls = [(("delta", p), lambda s, p=p: delta_p(s, p)) for p in (1, 2, 3, F(3, 2))]
+    if si.is_horospherical:
+        calls.append(("reeb", lambda s: solve_reeb(ReebProblem.from_spherical(s))))
     calls.append(("alpha", alpha))
     for ray in si.candidates:
         calls.append((("T", ray), lambda s, ray=ray: T_max(s, ray)))
@@ -734,12 +739,28 @@ def test_warm_calls_integrate_nothing_again(monkeypatch, g, exponents):
         delta_g(si, g)
         for p in exponents:
             delta_p(si, p, g)
+        solve_reeb(ReebProblem.from_spherical(si))
 
     one_round()
     assert integrations  # the spies see the first round's integrals
     integrations.clear()
     one_round()
     assert integrations == []
+
+
+def test_warm_delta_g_under_an_affine_power_pairs_nothing(monkeypatch):
+    # the rows depend only on the input, the weight and the rays
+    si = _fresh("toric-bl1p2", 0)
+    g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2))
+    first = delta_g(si, g)
+    calls = []
+    for name in ("_pair", "_root_ratio"):
+        monkeypatch.setattr(kstab.invariants, name,
+                            partial(_spied, getattr(kstab.invariants, name), calls))
+    assert delta_g(si, g) == first
+    assert calls == []
+    assert delta_g(_fresh("toric-bl1p2", 0), g) == first
+    assert set(calls) == {"_pair", "_root_ratio"}  # the spies see a fresh input's rows
 
 
 def _spied(fn, calls, *args, **kwargs):

@@ -1,24 +1,30 @@
 """Reeb solver: functional derivatives, Newton convergence, certificates."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from kstab import soliton
-from kstab.geom import VPolytope, vec
+from conftest import toric_surface_input
+from kstab import geom, soliton
+from kstab.fixtures import builtin_document, builtin_spherical_input
+from kstab.geom import VPolytope, solve_linear, unit_vec, vec
 from kstab.invariants import ding_check
-from kstab.quad import AffineForm, DHDensity, DHFactor
+from kstab.quad import AffineForm, DHDensity, DHFactor, density_expansion, integral_inverse_power
+from kstab.schema import parse_input_document
 from kstab.soliton import (
     InfeasiblePointError,
     NonConvexDetectedError,
     NotHorosphericalError,
     ReebProblem,
     SolitonError,
+    newton_step,
     reeb_functional,
     solve_reeb,
     stationarity_residual,
-    symmetric_eigenvalues,
+    symmetric_eigenpairs,
 )
 
 INTERVAL = VPolytope(1, [vec([-1]), vec([1])])
@@ -182,7 +188,6 @@ def test_density_weighted_problem():
 ])
 def test_skewed_polygons_converge_at_default_tol(rays):
     # far from symmetric: the minimizer lies near the feasible set's boundary
-    from conftest import toric_surface_input
     prob = ReebProblem.from_spherical(toric_surface_input(rays))
     sol = solve_reeb(prob)
     assert sol.converged
@@ -216,6 +221,29 @@ def test_origin_not_interior_refused(points):
     delta = VPolytope(len(points[0]), [vec(p) for p in points])
     with pytest.raises(SolitonError, match="origin is not interior"):
         ReebProblem.from_polytope(delta, DHDensity(delta.dim, ()), delta.dim)
+
+
+@pytest.mark.parametrize("name", ["toric-p1", "toric-bl1p2"])
+def test_fresh_problem_makes_no_double_description(monkeypatch, name):
+    # the parse holds the section polytope's inequalities, whose offsets
+    # decide that the origin is interior
+    si, _ = builtin_spherical_input(name)
+    calls = []
+    double_description = geom.double_description
+    monkeypatch.setattr(geom, "double_description",
+                        lambda *args: calls.append(args) or double_description(*args))
+    ReebProblem.from_spherical(si)
+    assert calls == []
+
+
+def test_divisor_with_zero_rho_bounds_nothing(toric_p1):
+    # 0 >= 0 holds everywhere, so it does not put the origin on the boundary
+    doc = builtin_document("toric-p1")
+    for key in ("divisors", "anticanonical_divisors"):
+        doc["variety"][key].append({"name": "C", "rho": ["0"], "coeff": "0", "is_color": True})
+    si, _ = parse_input_document(doc)
+    expected = solve_reeb(ReebProblem.from_spherical(toric_p1))
+    assert solve_reeb(ReebProblem.from_spherical(si)) == expected
 
 
 def test_pgl2_wonderful_check_polystable(pgl2):
@@ -314,12 +342,26 @@ def _seeded_symmetric(n, definite, seed):
 @pytest.mark.parametrize("definite", [True, False])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_jacobi_eigenvalues_match_eigvalsh(n, definite):
+    rng = np.random.default_rng(n)
     for seed in range(5):
         a = _seeded_symmetric(n, definite, 100 * n + seed)
-        got = symmetric_eigenvalues(a.tolist())
+        got, vectors = symmetric_eigenpairs(a.tolist())
         scale = np.linalg.norm(a, 2)
         assert np.allclose(got, np.linalg.eigvalsh(a), rtol=0, atol=1e-13 * scale)
         assert (got[0] > 0) == definite
+        if not definite:
+            continue
+        v = np.array(vectors).T  # the eigenvectors as columns
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-13
+        for lam, vk in zip(got, vectors):
+            assert np.linalg.norm(a @ vk - lam * np.array(vk)) <= 1e-13 * scale
+        # the step from the eigenpairs against the exact solution of the
+        # same float system
+        g = rng.normal(size=n).tolist()
+        step = newton_step((got, vectors), g)
+        exact = solve_linear([tuple(map(F, row)) for row in a.tolist()], [F(-x) for x in g])
+        assert max(abs(F(x) - e) for x, e in zip(step, exact)) \
+            <= F(1e-12) * max(abs(e) for e in exact)
 
 
 def test_indefinite_hessian_is_refused(monkeypatch, bl1p2_problem):
@@ -328,3 +370,43 @@ def test_indefinite_hessian_is_refused(monkeypatch, bl1p2_problem):
                         lambda prob, xi: (value, grad, [[1.0, 2.0], [2.0, 1.0]], err))
     with pytest.raises(NonConvexDetectedError, match="min eigenvalue -1"):
         solve_reeb(bl1p2_problem)
+
+
+def _seeded_polygon(seed):
+    """Rays of a seeded complete toric surface, counter-clockwise."""
+    rng = random.Random(seed)
+    rays = {(1, 0), (0, 1), (-1, -1)}
+    while len(rays) < 6:
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        if math.gcd(x, y) == 1:
+            rays.add((x, y))
+    return sorted(rays, key=lambda r: math.atan2(r[1], r[0]))
+
+
+@pytest.mark.parametrize("name, rays", [
+    ("toric-bl1p2", None),
+    ("P2", [(1, 0), (0, 1), (-1, -1)]),
+    ("dP7", [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)]),
+    ("seeded", _seeded_polygon(4)),
+])
+def test_merged_kernel_within_its_bound_of_the_exact_integrals(name, rays):
+    # each column of the gradient's and the Hessian's tables against the
+    # exact integral of its own expansion, x_i P or x_i x_j P, at the same
+    # vertex values: a rational xi, and no logarithmic node
+    si = builtin_spherical_input(name)[0] if rays is None else toric_surface_input(rays)
+    prob = ReebProblem.from_spherical(si)
+    n, m = prob.dim, prob.m
+    xi = (F(3, 64), F(-5, 128))
+    floats = [float(sum(a * b for a, b in zip(xi, x)) + 1) for x in prob.delta.vertices]
+    values = [F(t) for t in floats]
+    x = [AffineForm(unit_vec(i, n), F(0)) for i in range(n)]
+    columns = ([(x[i],) for i in range(n)],
+               [(x[i], x[j]) for i in range(n) for j in range(i, n)])
+    for table, factors, k in zip(prob.expansion.inverse_power_tables[1:], columns, (m + 2, m + 3)):
+        totals, bounds = integral_inverse_power(table, floats, k)
+        assert len(totals) == len(factors)
+        for total, bound, forms in zip(totals, bounds, factors):
+            product = (F(1), tuple((f, 1) for f in forms))
+            exact = density_expansion(prob.delta, prob.dh, [product]).integral_power(values, -k)
+            assert exact.terms == ()
+            assert abs(F(total) - F(exact.constant, exact.den)) <= F(bound)
