@@ -28,7 +28,11 @@ refusal of a weight that is not positive is compared too; then ``builtin``
 for every name, so that the builtins' bytes are compared; then ``reeb`` on
 toric-p1 and toric-bl1p2 translated so that the origin is not interior to
 the section polytope; last, per builtin, ``--format csv`` under ``check``,
-``reeb``, ``barycenter`` and ``beta``, which have no per-ray table.
+``reeb``, ``barycenter`` and ``beta``, which have no per-ray table; then
+``check`` on rejections whose first error in schema order is not the one
+jsonschema's ``best_match`` would pick: ``--g`` blocks whose key names a
+``oneOf`` branch that fails, and a toric-p1 document with two errors at
+the same depth.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ _INVALID_DOCUMENTS = {
         "constant": "1", "affine_power": {"xi": ["1"], "a": "3", "exponent": 2}}),
 }
 _INVALID_G = ("5", '{"constant": "x"}', '{"affine_power": {"xi": ["1"], "a": "3"}}')
+_FIRST_ERROR_G = ('{"constant": 3, "coeff": 1.0}', '{"affine_power": {}}')
 
 # divisor coefficients that translate a toric builtin's section polytope so
 # that the origin is not interior: [0, 2] for toric-p1, and a pentagon with
@@ -218,6 +223,15 @@ def main():
                          ["compute", *base, "--invariant", "beta", f"--ray={ray}"]):
                 print(f"# {name} format=csv")
                 print(_run(argv, root))
+        for g in _FIRST_ERROR_G:
+            print("# toric-p1 invalid --g, first error")
+            print(_run(["check", "--input", str(Path(root, "toric-p1.json")), "--g", g], root))
+        doc = builtin_document("toric-p1")
+        doc["variety"].update(dim_x=0, divisors=[])
+        path = Path(root, "invalid.json")
+        path.write_text(json.dumps(doc))
+        print("# toric-p1 invalid document dim-x-0-no-divisors, first error")
+        print(_run(["check", "--input", str(path)], root))
 
 
 if __name__ == "__main__":

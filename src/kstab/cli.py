@@ -322,6 +322,7 @@ def _cmd_reeb(args) -> int:
         "input_sha256": input_hash,
         "xi": [float(c) for c in solution.xi],
         "functional_value": solution.functional_value,
+        "functional_error": solution.functional_error,
         "gradient_norm": solution.gradient_norm,
         "hessian_min_eigenvalue": solution.hessian_min_eigval,
         "iterations": solution.iterations,

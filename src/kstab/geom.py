@@ -301,13 +301,6 @@ class Chart:
         d = vsub(x, self.origin)
         return tuple(dot(row, d) for row in self._left_inverse)
 
-    def from_chart(self, y: Vec) -> Vec:
-        out = list(self.origin)
-        for c, b in zip(y, self.basis, strict=True):
-            for i in range(len(out)):
-                out[i] += c * b[i]
-        return tuple(out)
-
     @property
     def is_identity(self) -> bool:
         n = self.ambient_dim
@@ -759,9 +752,6 @@ class Cone:
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(g) for g in other.generators) if other.generators \
             else True
-
-    def set_equal(self, other: "Cone") -> bool:
-        return self.contains_cone(other) and other.contains_cone(self)
 
     def relative_interior_point(self) -> Vec:
         """Some point in the relative interior (0 for the zero cone)."""

@@ -409,10 +409,6 @@ def alpha(si: SphericalInput) -> InvariantReport:
 # weighted barycenters, delta^g, beta^g
 
 
-def moments_g(si: SphericalInput, g: WeightFn | None = None) -> DHMoments:
-    return _moments(si, _weighted(si, g))
-
-
 def _moments(si: SphericalInput, entry: WeightEntry) -> DHMoments:
     if entry.moments is None:
         entry.moments = dh_moments(si.section_polytope_v, si.dh, entry.g, si.projection)

@@ -81,22 +81,6 @@ _POSITIVE_COUNT = {
     "G": lambda n: 6,
 }
 
-_WEYL_ORDER = {
-    "A": lambda n: _fact(n + 1),
-    "B": lambda n: _fact(n) * 2 ** n,
-    "C": lambda n: _fact(n) * 2 ** n,
-    "D": lambda n: _fact(n) * 2 ** (n - 1),
-    "G": lambda n: 12,
-}
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _pair(x: Vec, root: Vec) -> Fraction:
     """<x, root^vee> = 2 (x, root) / (root, root) in Euclidean coordinates."""
     return 2 * dot(x, root) / dot(root, root)
@@ -186,10 +170,6 @@ class RootSystem:
         inv = invert_matrix([vec(row) for row in self.cartan_matrix])
         two = (Fraction(2),) * self.rank
         return tuple(dot(inv[i], two) for i in range(self.rank))
-
-    @property
-    def weyl_order(self) -> int:
-        return _WEYL_ORDER[self.letter](self.rank)
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"

@@ -4,13 +4,13 @@ The on-disk format is UTF-8 JSON, schema version "1".  Rational numbers
 travel as strings "p/q" (or plain integers) so nothing is rounded on the
 wire; vectors are arrays of rationals.  Unknown fields are rejected.
 
-A document is accepted by ``_conforms``, a small interpreter of the
-keywords this schema uses, with the meaning jsonschema gives them under
-Draft 2020-12.  jsonschema is imported only when a document or a
-``weight_fn`` block fails that check: it words the rejection (its
-best-matching error), so a valid input never loads it.  The schema itself
-is a constant, so its validity against the 2020-12 meta-schema, and the
-agreement of ``_conforms`` with jsonschema, are checked by the test suite
+A document is checked by ``_error``, a small interpreter of the keywords
+this schema uses, with the meaning Draft 2020-12 gives them.  It stops at
+the first error, depth first in schema order, and words it as jsonschema
+words that keyword, so a rejection names one path and one message that
+do not depend on any installed package.  The schema itself is a
+constant: its validity against the 2020-12 meta-schema, and the
+checker's agreement with jsonschema, are checked by the test suite
 rather than in every process.
 """
 
@@ -20,7 +20,6 @@ import json
 import numbers
 import re
 from fractions import Fraction
-from functools import cache
 
 from .geom import Cone, unit_vec, vec
 from .quad import (
@@ -225,11 +224,7 @@ def _ratvec(xs):
     return vec([_fraction(x) for x in xs])
 
 
-class _UnknownKeyword(Exception):
-    """A schema keyword ``_conforms`` does not interpret."""
-
-
-_TYPES = {
+_TYPES = {  # as Draft 2020-12 reads them: a bool is no number, 1.0 is an integer
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
@@ -239,90 +234,109 @@ _TYPES = {
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
     or (isinstance(x, float) and x.is_integer()),
 }
+_OTHER_TYPE = object()  # a oneOf branch skipped for its type
 
 
-def _valid(x, schema) -> bool:
-    """Draft 2020-12 validity of ``x`` as jsonschema decides it, for the
-    keywords of INPUT_SCHEMA.  Each keyword but ``type`` constrains only
-    instances of its own type.  Any other keyword raises _UnknownKeyword
-    rather than returning False: inside ``oneOf`` a False branch could
-    leave exactly one other branch valid and so accept the instance."""
+def _has_type(x, name) -> bool:
+    if not isinstance(name, str) or name not in _TYPES:
+        raise TypeError(f"schema keyword type: {name!r}")
+    return _TYPES[name](x)
+
+
+def _error(x, schema):
+    """None when ``x`` is valid under ``schema`` as Draft 2020-12 decides
+    it, else (path, message) of its first error: keywords in schema order,
+    properties in schema order and items in array order, depth first.
+    Each keyword but ``type`` constrains only instances of its own type,
+    and each message is worded as jsonschema words it.
+
+    A ``oneOf`` that accepts no branch reports the error of the one branch
+    whose ``type`` the instance has, or, when several have it, of the one
+    whose ``required`` keys the instance holds; otherwise, and when it
+    accepts several branches, it reports its own message.  Any keyword of
+    another form raises TypeError: it is a schema edit this checker does
+    not interpret, never a verdict on the instance."""
     for key, value in schema.items():
         if key in ("$schema", "title"):
             continue
         if key == "type":
-            if not isinstance(value, str) or value not in _TYPES:
-                raise _UnknownKeyword(key)
-            ok = _TYPES[value](x)
+            if not _has_type(x, value):
+                return (), f"{x!r} is not of type {value!r}"
         elif key == "properties":
-            ok = not isinstance(x, dict) or all(
-                _valid(x[k], sub) for k, sub in value.items() if k in x)
+            if isinstance(x, dict):
+                for k, sub in value.items():
+                    if k in x:
+                        e = _error(x[k], sub)
+                        if e is not None:
+                            return (k, *e[0]), e[1]
         elif key == "required":
-            ok = not isinstance(x, dict) or all(k in x for k in value)
+            if isinstance(x, dict):
+                for k in value:
+                    if k not in x:
+                        return (), f"{k!r} is a required property"
         elif key == "additionalProperties" and value is False:
-            ok = not isinstance(x, dict) or all(
-                k in schema.get("properties", {}) for k in x)
+            if isinstance(x, dict):
+                known = schema.get("properties", {})
+                extras = sorted(k for k in x if k not in known)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    return (), (f"Additional properties are not allowed "
+                                f"({', '.join(map(repr, extras))} {verb} unexpected)")
         elif key == "items":
-            ok = not isinstance(x, list) or all(_valid(e, value) for e in x)
-        elif key == "minItems":
-            ok = not isinstance(x, list) or len(x) >= value
-        elif key == "minLength":
-            ok = not isinstance(x, str) or len(x) >= value
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    e = _error(item, value)
+                    if e is not None:
+                        return (i, *e[0]), e[1]
+        elif key in ("minItems", "minLength"):
+            if isinstance(x, list if key == "minItems" else str) and len(x) < value:
+                return (), f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
         elif key == "minimum":
-            ok = not _TYPES["number"](x) or not x < value
+            if _TYPES["number"](x) and x < value:
+                return (), f"{x!r} is less than the minimum of {value!r}"
         elif key == "maximum":
-            ok = not _TYPES["number"](x) or not x > value
+            if _TYPES["number"](x) and x > value:
+                return (), f"{x!r} is greater than the maximum of {value!r}"
         elif key == "pattern":
-            ok = not isinstance(x, str) or re.search(value, x) is not None
+            if isinstance(x, str) and re.search(value, x) is None:
+                return (), f"{x!r} does not match {value!r}"
         elif key == "const" and isinstance(value, str):
-            ok = isinstance(x, str) and x == value
+            if not (isinstance(x, str) and x == value):
+                return (), f"{value!r} was expected"
         elif key == "enum" and all(isinstance(e, str) for e in value):
-            ok = isinstance(x, str) and x in value
+            if not (isinstance(x, str) and x in value):
+                return (), f"{x!r} is not one of {value!r}"
         elif key == "oneOf":
-            ok = sum(_valid(x, sub) for sub in value) == 1
+            # a branch whose type the instance lacks fails whatever else it
+            # holds, and its error is never the one reported
+            errors = []
+            for sub in value:
+                errors.append(_error(x, sub) if "type" not in sub or _has_type(x, sub["type"])
+                              else _OTHER_TYPE)
+            valid = errors.count(None)
+            if valid == 1:
+                continue
+            if valid:
+                # jsonschema's order: the later valid branches, then the first
+                first, *later = [sub for sub, e in zip(value, errors) if e is None]
+                reprs = ", ".join(map(repr, [*later, first]))
+                return (), f"{x!r} is valid under each of {reprs}"
+            typed = [i for i, e in enumerate(errors) if e is not _OTHER_TYPE and "type" in value[i]]
+            if len(typed) > 1 and isinstance(x, dict):
+                typed = [i for i in typed if all(k in x for k in value[i].get("required", ()))]
+            if len(typed) == 1:
+                return errors[typed[0]]
+            return (), f"{x!r} is not valid under any of the given schemas"
         else:
-            raise _UnknownKeyword(key)
-        if not ok:
-            return False
-    return True
-
-
-def _conforms(instance, schema) -> bool:
-    """True only if ``instance`` is valid under ``schema``.  False when it
-    is not, or when the schema holds a keyword ``_valid`` does not
-    interpret: a schema edit can then only send a document on to
-    jsonschema, never wave it through."""
-    try:
-        return _valid(instance, schema)
-    except _UnknownKeyword:
-        return False
-
-
-@cache
-def _validator():
-    """The schema's validator, built on first use only."""
-    from jsonschema.validators import validator_for
-
-    return validator_for(INPUT_SCHEMA)(INPUT_SCHEMA)
-
-
-@cache
-def _weight_fn_validator():
-    """The same validator for a standalone ``weight_fn`` block."""
-    return _validator().evolve(schema=INPUT_SCHEMA["properties"]["weight_fn"])
-
-
-def _best_error(validator, instance):
-    from jsonschema.exceptions import best_match
-
-    return best_match(validator.iter_errors(instance))
+            raise TypeError(f"schema keyword {key}: {value!r}")
+    return None
 
 
 def validate_document(doc: dict):
-    e = None if _conforms(doc, INPUT_SCHEMA) else _best_error(_validator(), doc)
+    e = _error(doc, INPUT_SCHEMA)
     if e is not None:
-        path = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise SchemaValidationError(f"at {path}: {e.message}") from e
+        path = "/".join(map(str, e[0])) or "(root)"
+        raise SchemaValidationError(f"at {path}: {e[1]}")
     if "root_system" in doc and "dh" in doc:
         raise SchemaValidationError(
             "give either root_system or dh, not both")
@@ -330,12 +344,10 @@ def validate_document(doc: dict):
 
 def validate_weight_fn(block):
     """Schema check of a ``weight_fn`` block given on its own; the message
-    is that of the best-matching schema error."""
-    if _conforms(block, INPUT_SCHEMA["properties"]["weight_fn"]):
-        return
-    e = _best_error(_weight_fn_validator(), block)
+    is that of its first schema error, without the path."""
+    e = _error(block, INPUT_SCHEMA["properties"]["weight_fn"])
     if e is not None:
-        raise SchemaValidationError(e.message) from e
+        raise SchemaValidationError(e[1])
 
 
 def parse_weight_fn(block: dict | None) -> WeightFn | None:

@@ -143,6 +143,7 @@ class ReebProblem:
 class ReebSolution:
     xi: Vector
     functional_value: float
+    functional_error: float  # bound on |functional_value - F(xi)|, from `reeb_functional`
     gradient_norm: float
     hessian_min_eigval: float
     iterations: int
@@ -270,12 +271,13 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
     decreases.
     """
     xi = (0.0,) * prob.dim
-    value, grad, hess, _err = reeb_functional(prob, xi)
+    value, grad, hess, err = reeb_functional(prob, xi)
     eigen = _checked_eigenpairs(hess)
     trace: list[tuple[float, float, float]] = [(value, math.hypot(*grad), 0.0)]
 
     def solution(iterations: int, converged: bool) -> ReebSolution:
-        return ReebSolution(xi=xi, functional_value=value, gradient_norm=math.hypot(*grad),
+        return ReebSolution(xi=xi, functional_value=value, functional_error=err,
+                            gradient_norm=math.hypot(*grad),
                             hessian_min_eigval=eigen[0][0], iterations=iterations,
                             converged=converged, trace=tuple(trace))
 
@@ -307,15 +309,10 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
             # stagnation at rounding noise: report the current iterate
             return solution(iteration, False)
         xi = candidate
-        value, grad, hess, _err = cand
+        value, grad, hess, err = cand
         eigen = _checked_eigenpairs(hess)
         trace.append((value, math.hypot(*grad), t))
     raise MaxIterationsError(
         f"no convergence after {MAX_NEWTON_ITERATIONS} Newton steps",
         solution(MAX_NEWTON_ITERATIONS, False))
 
-
-def stationarity_residual(prob: ReebProblem, xi) -> float:
-    """Norm of int (<xi,x>+1)^(-m-2) x P dx at xi (zero at the minimizer)."""
-    _value, grad, _hess, _err = reeb_functional(prob, xi)
-    return math.hypot(*(g / (prob.m + 1) for g in grad))

@@ -165,13 +165,17 @@ def test_cone_dual_orthant_self_dual():
     assert c.dual().rays == (vec([0, 1]), vec([1, 0]))
 
 
+def _same_cone(a: Cone, b: Cone) -> bool:
+    return a.contains_cone(b) and b.contains_cone(a)
+
+
 def test_cone_dual_involution_random():
     import random
     rng = random.Random(9)
     for _ in range(20):
         gens = [vec([rng.randint(-3, 3) for _ in range(3)]) for _ in range(4)]
         c = Cone(3, gens)
-        assert c.dual().dual().set_equal(c)
+        assert _same_cone(c.dual().dual(), c)
 
 
 def test_intersect_orthant_halfplane():
@@ -182,7 +186,7 @@ def test_intersect_orthant_halfplane():
 
 def test_intersect_idempotent():
     c = Cone(2, [vec([2, 1]), vec([1, 3])])
-    assert c.intersect(c).set_equal(c)
+    assert _same_cone(c.intersect(c), c)
 
 
 def test_intersect_membership_sampling_oracle():
@@ -362,7 +366,9 @@ def test_lattice_chart_round_trip():
     chart = lattice_chart([vec([0, 0, 0]), vec([2, 2, 0]), vec([1, 1, 3])])
     assert chart.dim == 2
     for p in (vec([0, 0, 0]), vec([2, 2, 0]), vec([1, 1, 3]), vec([3, 3, 3])):
-        assert chart.from_chart(chart.to_chart(p)) == p
+        y = chart.to_chart(p)
+        assert tuple(o + sum(c * b[i] for c, b in zip(y, chart.basis))
+                     for i, o in enumerate(chart.origin)) == p
 
 
 def test_simplex_volume_factor():

@@ -28,7 +28,6 @@ from kstab.invariants import (
     delta_g,
     delta_p,
     ding_check,
-    moments_g,
 )
 from kstab.quad import (
     AffineForm,
@@ -40,6 +39,7 @@ from kstab.quad import (
     PolynomialWeight,
     Polynomial,
     density_expansion,
+    dh_moments,
 )
 from kstab.schema import SchemaValidationError, check_weight_dimension, parse_input_document
 from kstab.soliton import ReebProblem, SolitonError, solve_reeb
@@ -507,8 +507,8 @@ def wonderful_rank3():
 
 
 def test_wonderful_a3_moments_pinned(wonderful_rank3):
-    from kstab.invariants import moments_g
-    m = moments_g(wonderful_rank3["A"])
+    si = wonderful_rank3["A"]
+    m = dh_moments(si.section_polytope_v, si.dh, None, si.projection)
     assert m.exact
     assert m.mass == F(2243664235225939, 81729648000)
     assert m.first_moment == (
@@ -893,7 +893,7 @@ def test_barycenter_under_a_power_weight_on_a_large_polytope():
     # the random surface of seed 1 has mass 1565; its weighted integrals
     # are enclosed to a tolerance relative to their size
     si = random_toric_input(random.Random(1))
-    assert moments_g(si).mass > 1500
+    assert dh_moments(si.section_polytope_v, si.dh, None, si.projection).mass > 1500
     bary = barycenter_g(si, _weights(si)["affine-1/2"])
     assert len(bary) == 2
     for b in bary:

@@ -1,4 +1,5 @@
-"""The schema's own checker against jsonschema, the reference."""
+"""The schema's own checker: its literal (path, message) per keyword, and
+its agreement with jsonschema, the reference."""
 
 import copy
 import json
@@ -14,7 +15,7 @@ from jsonschema.validators import validator_for
 from conftest import random_toric_input
 from kstab.fixtures import BUILTIN_NAMES, builtin_document
 from kstab.invariants import barycenter_g, delta_p
-from kstab.schema import _RAT, INPUT_SCHEMA, _conforms, parse_input_document
+from kstab.schema import _RAT, INPUT_SCHEMA, _error, parse_input_document
 
 WEIGHT_SCHEMA = INPUT_SCHEMA["properties"]["weight_fn"]
 DOCUMENT_VALIDATOR = validator_for(INPUT_SCHEMA)(INPUT_SCHEMA)
@@ -117,26 +118,108 @@ def mutate(draw, instance):
     return holder[0]
 
 
+def _reference_errors(validator, instance) -> set:
+    """Every (path, message) jsonschema reports for ``instance``, with the
+    errors inside each ``oneOf``."""
+    found = set()
+    stack = list(validator.iter_errors(instance))
+    while stack:
+        e = stack.pop()
+        found.add((tuple(e.absolute_path), e.message))
+        stack.extend(e.context)
+    return found
+
+
+def _agrees(validator, instance):
+    """The checker accepts what jsonschema accepts, and an error it reports
+    is one jsonschema reports too, worded alike."""
+    error = _error(instance, validator.schema)
+    assert (error is None) == validator.is_valid(instance), json.dumps(instance)
+    if error is not None:
+        assert error in _reference_errors(validator, instance), (json.dumps(instance), error)
+
+
 def test_builtin_documents_conform():
     for name in BUILTIN_NAMES:
-        assert _conforms(builtin_document(name), INPUT_SCHEMA), name
+        assert _error(builtin_document(name), INPUT_SCHEMA) is None, name
 
 
 @settings(max_examples=400, deadline=None)
 @given(documents(), st.data())
 def test_conforms_agrees_with_jsonschema_on_mutated_documents(doc, data):
-    mutated = mutate(data.draw, doc)
-    assert _conforms(mutated, INPUT_SCHEMA) == DOCUMENT_VALIDATOR.is_valid(mutated), \
-        json.dumps(mutated)
+    _agrees(DOCUMENT_VALIDATOR, mutate(data.draw, doc))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2), st.data())
 def test_conforms_agrees_with_jsonschema_on_mutated_weight_blocks(dim, data):
     block = data.draw(st.sampled_from(weight_blocks(dim)))
-    mutated = mutate(data.draw, block)
-    assert _conforms(mutated, WEIGHT_SCHEMA) == WEIGHT_VALIDATOR.is_valid(mutated), \
-        json.dumps(mutated)
+    _agrees(WEIGHT_VALIDATOR, mutate(data.draw, block))
+
+
+_OBJECT_A = {"type": "object", "properties": {"a": {}}, "required": ["a"],
+             "additionalProperties": False}
+_OBJECT_B = {"type": "object", "properties": {"b": {}}, "required": ["b"],
+             "additionalProperties": False}
+
+# one row per keyword branch of the checker and per oneOf outcome: the
+# first error, depth first in schema order, as a literal (path, message)
+WORDING = [
+    ({"type": "integer", "minimum": 1}, 1.0, None),
+    ({"type": "integer"}, True, ((), "True is not of type 'integer'")),
+    ({"properties": {"a": {"properties": {"b": {"type": "string"}}}}}, {"a": {"b": 1}},
+     (("a", "b"), "1 is not of type 'string'")),
+    ({"properties": {"b": {"type": "string"}, "a": {"type": "string"}}}, {"a": 1, "b": 2},
+     (("b",), "2 is not of type 'string'")),
+    ({"required": ["z"], "properties": {"a": {"type": "string"}}}, {"a": 1},
+     ((), "'z' is a required property")),
+    ({"required": ["a", "b"]}, {"b": 1}, ((), "'a' is a required property")),
+    (_OBJECT_A, {"a": 1, "x": 2}, ((), "Additional properties are not allowed ('x' was unexpected)")),
+    (_OBJECT_A, {"z": 1, "a": 1, "y": 2},
+     ((), "Additional properties are not allowed ('y', 'z' were unexpected)")),
+    ({"items": {"type": "integer"}}, [1, "2", None], ((1,), "'2' is not of type 'integer'")),
+    ({"minItems": 1}, [], ((), "[] should be non-empty")),
+    ({"minItems": 2}, [1], ((), "[1] is too short")),
+    ({"minLength": 1}, "", ((), "'' should be non-empty")),
+    ({"minLength": 3}, "ab", ((), "'ab' is too short")),
+    ({"minimum": 1}, 0, ((), "0 is less than the minimum of 1")),
+    ({"maximum": 8}, 9.5, ((), "9.5 is greater than the maximum of 8")),
+    ({"pattern": "^a$"}, "b", ((), "'b' does not match '^a$'")),
+    ({"const": "all"}, "some", ((), "'all' was expected")),
+    ({"enum": ["A", "B"]}, "C", ((), "'C' is not one of ['A', 'B']")),
+    # oneOf: the one branch of the instance's type
+    ({"oneOf": [{"type": "string", "minLength": 2}, {"type": "integer"}]}, "a",
+     ((), "'a' is too short")),
+    ({"oneOf": [{"type": "array"}, {"type": "object", "properties": {"a": {"type": "integer"}}}]},
+     {"a": "1"}, (("a",), "'1' is not of type 'integer'")),
+    # ... else the one of that type whose required keys the instance holds
+    ({"oneOf": [_OBJECT_A, _OBJECT_B]}, {"b": 1, "c": 2},
+     ((), "Additional properties are not allowed ('c' was unexpected)")),
+    # ... else its own message
+    ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, None,
+     ((), "None is not valid under any of the given schemas")),
+    ({"oneOf": [{"const": "all"}, {"type": "array"}]}, "some",
+     ((), "'some' is not valid under any of the given schemas")),
+    ({"oneOf": [_OBJECT_A, _OBJECT_B]}, {"a": 1, "b": 2},
+     ((), "{'a': 1, 'b': 2} is not valid under any of the given schemas")),
+    ({"oneOf": [_OBJECT_A, _OBJECT_B]}, {},
+     ((), "{} is not valid under any of the given schemas")),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1,
+     ((), "1 is valid under each of {'type': 'integer'}, {'type': 'number'}")),
+    ({"oneOf": [{"type": "string", "required": ["a"], "minLength": 9},
+                {"type": "string", "required": ["z"], "pattern": "^x"}]},
+     "abc", ((), "'abc' is not valid under any of the given schemas")),  # required reads objects only
+]
+
+
+@pytest.mark.parametrize("schema, instance, expected", WORDING)
+def test_first_error_is_worded_by_the_checker(schema, instance, expected):
+    assert _error(instance, schema) == expected
+
+
+@pytest.mark.parametrize("schema, instance", [row[:2] for row in WORDING])
+def test_first_error_is_one_jsonschema_reports(schema, instance):
+    _agrees(validator_for(schema)(schema), instance)
 
 
 @pytest.mark.parametrize("schema, instance", [
@@ -160,7 +243,7 @@ def test_conforms_agrees_with_jsonschema_on_mutated_weight_blocks(dim, data):
     (_RAT, "\u0661/2"),                     # ARABIC-INDIC DIGIT ONE
 ])
 def test_conforms_agrees_with_jsonschema_on_each_keyword(schema, instance):
-    assert _conforms(instance, schema) == validator_for(schema)(schema).is_valid(instance)
+    _agrees(validator_for(schema)(schema), instance)
 
 
 @pytest.mark.parametrize("schema, instance", [
@@ -173,13 +256,14 @@ def test_conforms_agrees_with_jsonschema_on_each_keyword(schema, instance):
     ({"additionalProperties": {"type": "string"}}, {}),
 ])
 def test_an_unknown_keyword_never_conforms(schema, instance):
-    # jsonschema may well accept these; the checker leaves them to it
-    assert not _conforms(instance, schema)
+    # jsonschema may well accept these; the checker refuses to read them
+    with pytest.raises(TypeError):
+        _error(instance, schema)
 
 
 @pytest.mark.parametrize("text", ["1\n", "-3/4\n", "\u0661/2", "1/\u0662", "\uff11"])
 def test_rationals_are_ascii_digits_to_the_end_of_the_string(text):
-    assert not _conforms(text, _RAT)
+    assert _error(text, _RAT) is not None
     assert not validator_for(_RAT)(_RAT).is_valid(text)
 
 
@@ -224,7 +308,7 @@ def test_integral_floats_are_read_as_integers(name):
     # Draft 2020-12 counts 1.0 as an integer, so these documents are valid
     doc = _with_density_and_weight(name)
     floats = _floats_for_integers(doc)
-    assert _conforms(floats, INPUT_SCHEMA) and DOCUMENT_VALIDATOR.is_valid(floats)
+    assert _error(floats, INPUT_SCHEMA) is None and DOCUMENT_VALIDATOR.is_valid(floats)
     si, g = parse_input_document(doc)
     si_f, g_f = parse_input_document(floats)
     assert type(si_f.rank) is int and type(si_f.dim_x) is int

@@ -23,7 +23,6 @@ from kstab.soliton import (
     newton_step,
     reeb_functional,
     solve_reeb,
-    stationarity_residual,
     symmetric_eigenpairs,
 )
 
@@ -31,6 +30,12 @@ INTERVAL = VPolytope(1, [vec([-1]), vec([1])])
 SQUARE = VPolytope(2, [vec([1, 1]), vec([1, -1]), vec([-1, 1]), vec([-1, -1])])
 CONST1 = DHDensity(1, ())
 CONST2 = DHDensity(2, ())
+
+
+def stationarity_residual(prob: ReebProblem, xi) -> float:
+    """Norm of int (<xi,x>+1)^(-m-2) x P dx at xi (zero at the minimizer)."""
+    grad = reeb_functional(prob, xi)[1]
+    return math.hypot(*(g / (prob.m + 1) for g in grad))
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,12 @@ def test_stationarity_certificate(bl1p2_problem):
     res = stationarity_residual(bl1p2_problem, sol.xi)
     m = bl1p2_problem.m
     assert res <= 1e-10 / (m + 1) * (1 + np.linalg.norm(sol.xi)) + 1e-11
+
+
+def test_solution_keeps_the_functional_error_bound(bl1p2_problem):
+    sol = solve_reeb(bl1p2_problem)
+    assert sol.functional_error > 0
+    assert sol.functional_error == reeb_functional(bl1p2_problem, sol.xi)[3]
 
 
 def test_symmetry_equivariance(toric_bl1p2):
