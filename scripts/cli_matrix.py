@@ -67,7 +67,7 @@ def _sign_changing_weights(si) -> dict[str, dict]:
     midpoint of its range over the section polytope: x - mid and
     (x - mid) ** 0.5."""
     dim = len(si.projection)
-    first = [dot(si.projection[0], x) for x in si.section_polytope_v.vertices]
+    first = [dot(si.projection[0], x) for x in si.section_polytope.vertices]
     a = str(-(min(first) + max(first)) / 2)
     unit = [1] + [0] * (dim - 1)
     return {

@@ -14,8 +14,10 @@ alpha, then per weight (none, a polynomial, affine powers with exponents
 the exponent 1/2 unless the input has no projection, which makes every
 weight constant), the barycenter, the Ding check, delta_g and beta along
 each candidate ray.  All calls on one input share it, so later calls read
-what earlier ones kept.  A call that raises prints the type and message
-of its error.
+what earlier ones kept.  After every input, the level-k sums
+(`SphericalInput.level_sum`) along each one's first candidate ray at k = 1
+and 2 and p = 1 and 3/2, for every input whose density gives dimension
+counts.  A call that raises prints the type and message of its error.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _weights(si) -> dict:
         terms[(2,) + (0,) * (dim - 1)] = Fraction(1)
     xi = tuple(Fraction(1, 5) if i == 0 else Fraction(0) for i in range(dim))
     low = min((sum(c * x for c, x in zip(si.projection[0], v)) / 5
-               for v in si.section_polytope_v.vertices), default=0) if dim else 0
+               for v in si.section_polytope.vertices), default=0) if dim else 0
     a = 1 - min(Fraction(low), Fraction(0))
     return {
         "polynomial": kstab.PolynomialWeight(kstab.Polynomial(dim, terms)),
@@ -71,8 +73,10 @@ def _show(label: str, call):
 
 
 def main():
+    inputs = []
     for name, doc in _documents():
         si, _ = kstab.parse_input_document(doc)
+        inputs.append((name, si))
         print(f"# {name}")
         _show("alpha", lambda: kstab.alpha(si))
         for label, g in [("none", None), *_weights(si).items()]:
@@ -84,6 +88,14 @@ def main():
             _show("delta_g", lambda: kstab.delta_g(si, g))
             for ray in si.candidates:
                 _show(f"beta {ray}", lambda ray=ray: kstab.beta_g(si, ray, g))
+    print("# level sums")
+    for name, si in inputs:
+        if si.dh.supports_dimension_counts:
+            ray = si.candidates[0]
+            for k in (1, 2):
+                for p in (1, Fraction(3, 2)):
+                    _show(f"{name} level_sum {ray} k={k} p={p}",
+                          lambda k=k, p=p: si.level_sum(ray, k, p))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from the combinatorial data of a spherical variety.
 """
 
 from .fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
-from .geom import Cone, HPolytope, VPolytope, vertex_enum
+from .geom import Cone, VPolytope
 from .invariants import (
     DingVerdict,
     InvariantReport,
@@ -29,7 +29,7 @@ from .quad import (
     dh_moments,
     integrate_poly,
 )
-from .rootsys import RootSystem, dh_density, weyl_dim, weyl_orbit, wonderful_moment_polytope
+from .rootsys import RootSystem, dh_density
 from .schema import load_input, parse_input_document
 from .soliton import ReebProblem, ReebSolution, solve_reeb
 from .spherical import DivisorRecord, SphericalInput, lattice_points
@@ -45,7 +45,6 @@ __all__ = [
     "DHFactor",
     "DingVerdict",
     "DivisorRecord",
-    "HPolytope",
     "InvariantReport",
     "Polynomial",
     "PolynomialWeight",
@@ -71,8 +70,4 @@ __all__ = [
     "load_input",
     "parse_input_document",
     "solve_reeb",
-    "vertex_enum",
-    "weyl_dim",
-    "weyl_orbit",
-    "wonderful_moment_polytope",
 ]

@@ -424,18 +424,6 @@ def affine_form(normal, offset) -> AffineForm:
     return AffineForm(vec(normal), Fraction(offset))
 
 
-def _raw_vertex_enum(forms: Sequence[AffineForm], dim: int) -> list[Vec]:
-    halfspaces = [(Fraction(1),) + zero_vec(dim)]
-    halfspaces += [(f.offset,) + f.normal for f in forms]
-    rays, lineality = double_description(halfspaces, dim + 1)
-    verts = [tuple(x / r[0] for x in r[1:]) for r in rays if r[0] > 0]
-    if not verts:
-        raise EmptyPolytopeError("no feasible point")
-    if lineality or any(r[0] == 0 for r in rays):
-        raise UnboundedPolytopeError("nontrivial recession cone")
-    return lex_sorted(verts)
-
-
 def _raw_extreme_points(points: Sequence[Vec], dim: int) -> list[Vec]:
     pts = lex_sorted(set(points))
     if not pts:
@@ -462,40 +450,29 @@ def _raw_facets(points: Sequence[Vec], dim: int) -> tuple[list[AffineForm], list
     return forms, eqs
 
 
-class HPolytope:
-    """Bounded nonempty intersection of halfspaces {x : form(x) >= 0}."""
-
-    def __init__(self, dim: int, forms: Sequence[AffineForm]):
-        self.dim = dim
-        self.forms = tuple(forms)
-        self._vertices = tuple(_raw_vertex_enum(self.forms, dim))
-
-    @property
-    def vertex_list(self) -> tuple[Vec, ...]:
-        return self._vertices
-
-    def contains(self, x: Vec) -> bool:
-        return all(f(x) >= 0 for f in self.forms)
-
-    def scaled(self, k) -> "HPolytope":
-        k = Fraction(k)
-        if k <= 0:
-            raise ValueError("positive dilation factor required")
-        return HPolytope(self.dim, [AffineForm(f.normal, k * f.offset) for f in self.forms])
-
-    def translated(self, t: Vec) -> "HPolytope":
-        return HPolytope(self.dim, [f.translated(t) for f in self.forms])
-
-    def __repr__(self):
-        return f"HPolytope(dim={self.dim}, forms={len(self.forms)})"
-
-
 class VPolytope:
-    """Convex hull of finitely many points; stores exactly the extreme points."""
+    """The convex hull of finitely many points, or by `from_inequalities`
+    an intersection of halfspaces: its extreme points, and on first use
+    its facets (`hrep`)."""
 
     def __init__(self, dim: int, points: Sequence[Vec]):
         self.dim = dim
         self.vertices = tuple(_raw_extreme_points([vec(p) for p in points], dim))
+
+    @classmethod
+    def from_inequalities(cls, dim: int, forms: Sequence[AffineForm]) -> "VPolytope":
+        """The polytope {x : form(x) >= 0 for every form}, by one double
+        description; `EmptyPolytopeError` when it is empty and
+        `UnboundedPolytopeError` when it is unbounded."""
+        halfspaces = [(Fraction(1),) + zero_vec(dim)]
+        halfspaces += [(f.offset,) + f.normal for f in forms]
+        rays, lineality = double_description(halfspaces, dim + 1)
+        verts = [tuple(x / r[0] for x in r[1:]) for r in rays if r[0] > 0]
+        if not verts:
+            raise EmptyPolytopeError("no feasible point")
+        if lineality or any(r[0] == 0 for r in rays):
+            raise UnboundedPolytopeError("nontrivial recession cone")
+        return cls._trusted(dim, verts)
 
     @classmethod
     def _trusted(cls, dim: int, vertices: Sequence[Vec]) -> "VPolytope":
@@ -544,11 +521,6 @@ class VPolytope:
 
     def __repr__(self):
         return f"VPolytope(dim={self.dim}, vertices={len(self.vertices)})"
-
-
-def vertex_enum(p: HPolytope) -> VPolytope:
-    """Extreme points of an H-polytope in lexicographic order."""
-    return VPolytope._trusted(p.dim, p.vertex_list)
 
 
 # ---------------------------------------------------------------------------

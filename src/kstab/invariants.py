@@ -22,15 +22,17 @@ search and evaluates no form again.
 
 Everything read under a weight g is kept in one `WeightEntry` per weight
 (`SphericalInput.weight_entries`, None for the unit weight): the weighted
-density, the moments (`quad.dh_moments`), the barycenter, every
-enclosed S^(p), by (ray, l(v), p), and the per-ray rows of delta^g
-(denominators, ratios and notes), which depend only on the input, the
-weight and the rays; no other invariant's rows are kept.  The density is
-`quad.weighted_density`, which refuses with a ValueError, before the
-entry exists, a weight that does not read one coordinate per projection
-row, that is not positive at a vertex of the section polytope, or whose
-expanded mass is not positive; so S^(p), delta^(p) and every other
-invariant under g run the same checks.  Each call looks its entry up
+density, the barycenter, read once from the density's moments
+(`quad.dh_moments`), its pairings shift + <bar, f> with the rays and
+facet normals that alpha, delta^g, beta^g and the Ding check read, by
+(f, shift), every enclosed S^(p), by (ray, l(v), p), and the per-ray
+rows of delta^g (denominators, ratios and notes), which depend only on
+the input, the weight and the rays; no other invariant's rows are kept.
+The density is `quad.weighted_density`, which refuses with a ValueError,
+before the entry exists, a weight that does not read one coordinate per
+projection row, that is not positive at a vertex of the section polytope,
+or whose expanded mass is not positive; so S^(p), delta^(p) and every
+other invariant under g run the same checks.  Each call looks its entry up
 once, and each part is built on first use; a failure is not kept.  At
 integer p under a weight that expands, S^(p) is one Fraction, F_p(v,
 l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> + c)^p a form in
@@ -51,7 +53,6 @@ from typing import Sequence
 
 from .geom import Cone, Vec, dot, vec
 from .quad import (
-    DHMoments,
     Expansion,
     WeightFn,
     dh_moments,
@@ -147,7 +148,7 @@ def _ray(si: SphericalInput, v: Vec, pl: PLFunction | None = None) -> RayRecord:
             raise InvariantError(f"ray ({', '.join(map(str, v))}) has {len(v)} coordinate(s), "
                                  f"the input has rank {si.rank}")
         lv = pl(v)
-        values = tuple(dot(x, v) + lv for x in si.section_polytope_v.vertices)
+        values = tuple(dot(x, v) + lv for x in si.section_polytope.vertices)
         if min(values) < 0:
             raise NegativeValuesError(
                 f"<x, v> + l(v) negative on the section polytope for v={v}")
@@ -230,19 +231,19 @@ class WeightEntry:
     the unit weight), kept in `SphericalInput.weight_entries`: the
     weighted density over the section polytope (`quad.weighted_density`,
     whose checks of the weight pass before the entry exists), the
-    `DHMoments`, the barycenter as `Num`s and, when it is exact, as
-    integer numerators over one denominator for pairing, every enclosed
-    S_p by (ray, l(v), p), and the per-ray rows of `delta_g`.  Each part
-    is built on first use; a failure is not kept, so every call raises it
-    again."""
+    barycenter as `Num`s, its pairings shift + <bar, f> by (f, shift)
+    (`_pairing`), every enclosed S_p by (ray, l(v), p), and the per-ray
+    rows of `delta_g`.  The moments behind the barycenter stay in the
+    density (`quad.dh_moments`).  Each part is built on first use; a
+    failure is not kept, so every call raises it again."""
 
-    __slots__ = ("g", "density", "moments", "barycenter", "exact_barycenter", "means",
-                 "delta_g_rows")
+    __slots__ = ("g", "density", "barycenter", "pairings", "means", "delta_g_rows")
 
     def __init__(self, si: SphericalInput, g: WeightFn | None):
         self.g = g
-        self.density = weighted_density(si.section_polytope_v, si.dh, g, si.projection)
-        self.moments = self.barycenter = self.exact_barycenter = self.delta_g_rows = None
+        self.density = weighted_density(si.section_polytope, si.dh, g, si.projection)
+        self.barycenter = self.delta_g_rows = None
+        self.pairings: dict[tuple, Num] = {}
         self.means: dict[tuple, Num] = {}
 
 
@@ -388,11 +389,10 @@ def alpha(si: SphericalInput) -> InvariantReport:
     ratios = []
     entry = _weighted(si, None)
     _barycenter(si, entry)
-    bar = entry.exact_barycenter
     for row in _candidate_rows(si):
         ray, a, t = row.ray, row.a, row.record.t_max
         # S_1(v) = <bar, v> + l(v), exactly
-        s = Num.from_fraction(_pair_exact(bar, row.ints) + row.record.value)
+        s = _pairing(entry, row.ints, row.record.value)
         if t <= 0:
             rows.append(RayEvaluation(ray, a, s, t, _INFINITE, row.ratio_alpha,
                                       ("vanishing-maximum",)))
@@ -409,12 +409,6 @@ def alpha(si: SphericalInput) -> InvariantReport:
 # weighted barycenters, delta^g, beta^g
 
 
-def _moments(si: SphericalInput, entry: WeightEntry) -> DHMoments:
-    if entry.moments is None:
-        entry.moments = dh_moments(si.section_polytope_v, si.dh, entry.g, si.projection)
-    return entry.moments
-
-
 def barycenter_g(si: SphericalInput, g: WeightFn | None = None) -> tuple[Num, ...]:
     """Weighted barycenter int g(xbar) P x / int g(xbar) P of the section
     polytope."""
@@ -422,24 +416,13 @@ def barycenter_g(si: SphericalInput, g: WeightFn | None = None) -> tuple[Num, ..
 
 
 def _barycenter(si: SphericalInput, entry: WeightEntry) -> tuple[Num, ...]:
+    """The entry's barycenter, from the moments of `quad.dh_moments`: exact
+    when they are, else the floats of their enclosures with error bounds."""
     if entry.barycenter is None:
-        m = _moments(si, entry)
-        if m.exact:
-            den = math.lcm(*(c.denominator for c in m.barycenter))
-            entry.exact_barycenter = (tuple(c.numerator * (den // c.denominator)
-                                            for c in m.barycenter), den)
-            entry.barycenter = tuple(map(Num.from_fraction, m.barycenter))
-        else:
-            entry.barycenter = tuple(Num.from_float(*c.float_with_error()) for c in m.barycenter)
+        m = dh_moments(si.section_polytope, si.dh, entry.g, si.projection)
+        entry.barycenter = tuple(Num.from_fraction(c) if m.exact
+                                 else Num.from_float(*c.float_with_error()) for c in m.barycenter)
     return entry.barycenter
-
-
-def _pair_exact(bar: tuple[tuple[int, ...], int], f: Vec) -> Fraction:
-    """<bar, f> for a barycenter given as integer numerators over one
-    denominator and a rational or integer functional f."""
-    nums, den = bar
-    e = math.lcm(*(x.denominator for x in f))
-    return Fraction(sum(n * x.numerator * (e // x.denominator) for n, x in zip(nums, f)), den * e)
 
 
 def _float_sum(terms: list[float], error: float) -> Num:
@@ -456,13 +439,23 @@ def _float_sum(terms: list[float], error: float) -> Num:
     return Num(sum(terms), None, (error + rounding) * (1 + (2 * n + 4) * _UNIT))
 
 
-def _pair(bar: tuple[Num, ...], f: Vec, shift: Fraction | int = 0) -> Num:
-    """shift + <bar, f> for a rational shift and functional f and a
-    barycenter that is not exact: a float with error sum |f_i| err_i plus
-    the rounding."""
-    ff = [float(c) for c in f]
-    return _float_sum([float(shift)] + [b.value * c for b, c in zip(bar, ff)],
-                      sum(b.error * abs(c) for b, c in zip(bar, ff)))
+def _pairing(entry: WeightEntry, f: Vec, shift: Fraction | int = 0) -> Num:
+    """shift + <bar, f> for a rational or integer shift and functional f
+    and the entry's barycenter bar, which the caller has built; kept in
+    the entry by (f, shift).  Exact when bar is; otherwise a float with
+    error sum |f_i| err_i plus the rounding (`_float_sum`)."""
+    key = (f, shift)
+    s = entry.pairings.get(key)
+    if s is None:
+        bar = entry.barycenter
+        if all(b.is_exact for b in bar):
+            s = Num.from_fraction(sum((b.exact * c for b, c in zip(bar, f)), Fraction(shift)))
+        else:
+            ff = [float(c) for c in f]
+            s = _float_sum([float(shift)] + [b.value * c for b, c in zip(bar, ff)],
+                           sum(b.error * abs(c) for b, c in zip(bar, ff)))
+        entry.pairings[key] = s
+    return s
 
 
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
@@ -484,18 +477,17 @@ def _delta_g_rows(si: SphericalInput, entry: WeightEntry):
     """The rows of `delta_g` under the entry's weight, whose barycenter is
     built: the evaluations, the (ray, ratio, exact key) of each ray with a
     positive denominator, and a note per ray without one."""
-    bary, bar = entry.barycenter, entry.exact_barycenter
     rows = []
     ratios = []
     notes: list[str] = []
     for row in _candidate_rows(si, si.log_discrepancy):
         ray, a, t = row.ray, row.a, row.record.t_max
-        if bar is not None:
-            denom = a + _pair_exact(bar, row.ints)
-            s, positive = Num.from_fraction(max(denom, Fraction(0))), denom > 0
-            note = f"nonpositive weighted mean {denom}"
+        s = _pairing(entry, row.ints, a)
+        if s.is_exact:
+            positive, note = s.exact > 0, f"nonpositive weighted mean {s.exact}"
+            if not positive:
+                s = Num.from_fraction(Fraction(0))
         else:
-            s = _pair(bary, row.ints, a)
             positive, note = s.value - s.error > 0, "weighted mean not certifiably positive"
         if not positive:
             notes.append(f"ray {ray}: {note}")
@@ -532,11 +524,8 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     else:
         direct = _float_sum([float(a), -s.value], s.error)
     _barycenter(si, entry)
-    if entry.exact_barycenter is not None:
-        pairing = Num.from_fraction(-_pair_exact(entry.exact_barycenter, v))
-    else:
-        mean = _pair(entry.barycenter, v)
-        pairing = Num(-mean.value, None, mean.error)
+    mean = _pairing(entry, v)
+    pairing = Num.from_fraction(-mean.exact) if mean.is_exact else Num(-mean.value, None, mean.error)
     if direct.is_exact and pairing.is_exact:
         if direct.exact != pairing.exact:
             raise InternalInconsistencyError(
@@ -585,17 +574,13 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     """
     entry = _weighted(si, g)
     bary = _barycenter(si, entry)
-    bar = entry.exact_barycenter
-    exact = bar is not None
+    exact = all(b.is_exact for b in bary)
     neg_v = si.valuation_cone.negated()
     dual = neg_v.dual()
 
     def enclosure(functional: Vec) -> tuple:
-        if exact:
-            val = _pair_exact(bar, functional)
-            return val, val
-        pairing = _pair(bary, functional)
-        return pairing.value - pairing.error, pairing.value + pairing.error
+        s = _pairing(entry, functional)
+        return (s.exact, s.exact) if exact else (s.value - s.error, s.value + s.error)
 
     # the dual cone's facet functionals are the rays of the negated
     # valuation cone, its must-vanish functionals the lineality.  A

@@ -1,7 +1,8 @@
 """Integration engines over rational polytopes.
 
-Every route shares one triangulation, built once per `VPolytope` and kept
-on it (`VPolytope.triangulation`):
+Every route takes a `VPolytope`, the one polytope type, however it was
+given, and shares its triangulation, built once and kept on it
+(`VPolytope.triangulation`):
 
 * an exact engine for sums of products of affine forms
   ``c * prod_j l_j(x) ** m_j``.  On a simplex with vertices s_0..s_d each
@@ -12,10 +13,11 @@ on it (`VPolytope.triangulation`):
   simplex", Math. Comp. 80, 2011).  Densities, weights, powers of
   (<x, v> + l(v)) and coordinates are all such products, and a general
   `Polynomial` enters monomial by monomial.  The tau-expansion of a
-  weighted density is kept per polytope, so each further factor only
-  multiplies into it.  Its integral times (<x, w> + c) ** p, p an integer,
-  is a form F_p of degree p in (w, c) with integer coefficients, built
-  once per expansion and p (`Expansion.power_integral`);
+  weighted density is kept once per polytope, density and weight
+  (`density_expansion`), so each further factor only multiplies into it.
+  Its integral times (<x, w> + c) ** p, p an integer, is a form F_p of
+  degree p in (w, c) with integer coefficients, built once per expansion
+  and p (`Expansion.power_integral`);
 * closed forms for such an expansion times ``l(x) ** s`` with one affine
   form l and a rational exponent s, by the generalized Hermite-Genocchi
   identity ``int tau^a F^(d+|a|)(sum tau_i t_i) = a! F[t_i repeated a_i + 1
@@ -68,12 +70,10 @@ from typing import Callable, Sequence
 
 from .geom import (
     AffineForm,
-    HPolytope,
     VPolytope,
     Vec,
     dot,
     unit_vec,
-    vertex_enum,
 )
 
 
@@ -780,26 +780,19 @@ def _monomial_products(f: Polynomial) -> list[Product]:
             for e, c in f.terms.items()]
 
 
-def _as_vpolytope(p) -> VPolytope:
-    if isinstance(p, VPolytope):
-        return p
-    if isinstance(p, HPolytope):
-        return vertex_enum(p)
-    raise TypeError("expected HPolytope or VPolytope")
-
-
-def integrate_poly(p, f: Polynomial) -> Fraction:
+def integrate_poly(vp: VPolytope, f: Polynomial) -> Fraction:
     """Exact integral of a polynomial over a rational polytope.
 
     Lower-dimensional polytopes are integrated against the lattice measure of
     their affine hull; a 0-dimensional polytope integrates to f(point).
     """
-    return Expansion(_as_vpolytope(p), _monomial_products(f)).integral()
+    return Expansion(vp, _monomial_products(f)).integral()
 
 
 def density_expansion(vp: VPolytope, dh: DHDensity, weight: Sequence[Product]) -> Expansion:
     """The expansion of weight(x) * dh(x) over a polytope; built on first use
-    and kept in the polytope's memo."""
+    and kept in the polytope's memo under (dh, weight) alone, so the unit
+    weight's serves `PowerDensity` and the Reeb functional too."""
     key = ("density", dh, tuple(weight))
     expansion = vp.memo.get(key)
     if expansion is None:
@@ -941,7 +934,7 @@ class _NumSimplex:
 MAX_SUBDIVISIONS = 100_000
 
 
-def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
+def integrate_numeric(vp: VPolytope, f: Callable[[np.ndarray], np.ndarray], tol: float,
                       max_subdivisions: int = MAX_SUBDIVISIONS) -> Quadrature:
     """Adaptive cubature of a smooth integrand over a rational polytope.
 
@@ -954,7 +947,6 @@ def integrate_numeric(p, f: Callable[[np.ndarray], np.ndarray], tol: float,
     """
     import numpy as np
 
-    vp = _as_vpolytope(p)
     chart = vp.chart
     n = chart.dim
     if n == 0:
@@ -1034,11 +1026,13 @@ class DHMoments:
         return tuple(m / self.mass for m in self.first_moment)
 
 
-def dh_moments(p, dh: DHDensity, g: WeightFn | None, projection: Sequence[Vec]) -> DHMoments:
+def dh_moments(vp: VPolytope, dh: DHDensity, g: WeightFn | None,
+               projection: Sequence[Vec]) -> DHMoments:
     """Weighted mass and first moment over a polytope (g None is the unit
     weight), those of its `weighted_density`, which runs the checks of the
     weight: exact whenever the weight expands to a polynomial, otherwise
-    enclosures (`PowerDensity.moments`); kept once computed.  The
-    invariants call it once per input and weight and keep its result in
-    the input's entry for the weight (`invariants.WeightEntry`)."""
-    return weighted_density(_as_vpolytope(p), dh, g, projection).moments
+    enclosures (`PowerDensity.moments`); kept with the density, the one
+    copy of them.  The invariants read it once per input and weight, for
+    the barycenter that they keep in the input's entry for the weight
+    (`invariants.WeightEntry`)."""
+    return weighted_density(vp, dh, g, projection).moments

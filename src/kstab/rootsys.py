@@ -14,17 +14,11 @@ from functools import cached_property
 from typing import Sequence
 
 from .geom import (
-    HPolytope,
-    VPolytope,
     Vec,
-    affine_form,
     dot,
-    invert_matrix,
     solve_linear,
     unit_vec,
-    vadd,
     vec,
-    vertex_enum,
     vneg,
     vscale,
     vsub,
@@ -35,12 +29,6 @@ from .quad import AffineForm, DHDensity, DHFactor, ZeroFactorError
 class RootSystemError(Exception):
     pass
 
-
-class OrbitTooLargeError(RootSystemError):
-    pass
-
-
-ORBIT_LIMIT = 10 ** 6
 
 _SUPPORTED = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9),
               "D": range(2, 9), "G": (2,)}
@@ -160,53 +148,8 @@ class RootSystem:
         """<rho, alpha^vee> per positive root (rho = all-ones in fw coords)."""
         return tuple(sum(c, Fraction(0)) for c in self.coroot_covectors)
 
-    @property
-    def rho_fw(self) -> Vec:
-        return (Fraction(1),) * self.rank
-
-    @cached_property
-    def two_rho_alpha_coords(self) -> Vec:
-        """2*rho written over the simple roots (root-lattice coordinates)."""
-        inv = invert_matrix([vec(row) for row in self.cartan_matrix])
-        two = (Fraction(2),) * self.rank
-        return tuple(dot(inv[i], two) for i in range(self.rank))
-
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
-
-
-def weyl_dim(rs: RootSystem, lam_fw) -> Fraction:
-    """Product formula for the dimension of the module with highest weight
-    ``lam_fw`` (fundamental-weight coordinates); a positive integer for
-    dominant integral weights, the rational product value in general."""
-    lam = vec(lam_fw)
-    shifted = vadd(lam, rs.rho_fw)
-    total = Fraction(1)
-    for cov, rp in zip(rs.coroot_covectors, rs.rho_pairings):
-        total *= dot(cov, shifted) / rp
-    return total
-
-
-def weyl_orbit(rs: RootSystem, lam_fw) -> list[Vec]:
-    """Orbit of a weight under all simple reflections, lexicographic order."""
-    lam = vec(lam_fw)
-    cm = rs.cartan_matrix
-    columns = [tuple(Fraction(cm[i][j]) for i in range(rs.rank))
-               for j in range(rs.rank)]
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for i in range(rs.rank):
-                refl = vsub(mu, vscale(columns[i], mu[i]))
-                if refl not in seen:
-                    if len(seen) >= ORBIT_LIMIT:
-                        raise OrbitTooLargeError(f"orbit exceeds {ORBIT_LIMIT}")
-                    seen.add(refl)
-                    nxt.append(refl)
-        frontier = nxt
-    return sorted(seen)
 
 
 def dh_density(rs: RootSystem, active_roots: Sequence[int] | None, chi_fw,
@@ -240,19 +183,3 @@ def dh_density(rs: RootSystem, active_roots: Sequence[int] | None, chi_fw,
         factors.append(DHFactor(AffineForm(normal, offset), mult, rho_pair))
         normalization *= rho_pair ** mult
     return DHDensity(m_rank, tuple(factors), normalization)
-
-
-def wonderful_moment_polytope(rs: RootSystem) -> VPolytope:
-    """Moment polytope of the canonical compactification of the adjoint
-    group, in root-lattice coordinates: {x dominant : x_i <= (2 rho)_i +
-    1}, which is the Weyl-orbit hull of 2 rho + sum(alpha_i) intersected
-    with the dominant chamber (the tests build that hull as a reference)."""
-    n = rs.rank
-    two_rho = rs.two_rho_alpha_coords
-    cm = rs.cartan_matrix
-    forms = [affine_form([cm[i][j] for j in range(n)], 0) for i in range(n)]
-    for i in range(n):
-        normal = [Fraction(0)] * n
-        normal[i] = Fraction(-1)
-        forms.append(AffineForm(tuple(normal), two_rho[i] + 1))
-    return vertex_enum(HPolytope(n, forms))

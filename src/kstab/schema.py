@@ -332,11 +332,17 @@ def _error(x, schema):
     return None
 
 
+def _located(e: tuple) -> str:
+    """A (path, message) of `_error` as the message at its path, which is
+    "(root)" for the checked instance itself."""
+    path, message = e
+    return f"at {'/'.join(map(str, path)) or '(root)'}: {message}"
+
+
 def validate_document(doc: dict):
     e = _error(doc, INPUT_SCHEMA)
     if e is not None:
-        path = "/".join(map(str, e[0])) or "(root)"
-        raise SchemaValidationError(f"at {path}: {e[1]}")
+        raise SchemaValidationError(_located(e))
     if "root_system" in doc and "dh" in doc:
         raise SchemaValidationError(
             "give either root_system or dh, not both")
@@ -344,10 +350,10 @@ def validate_document(doc: dict):
 
 def validate_weight_fn(block):
     """Schema check of a ``weight_fn`` block given on its own; the message
-    is that of its first schema error, without the path."""
+    is that of its first schema error, at its path inside the block."""
     e = _error(block, INPUT_SCHEMA["properties"]["weight_fn"])
     if e is not None:
-        raise SchemaValidationError(e[1])
+        raise SchemaValidationError(_located(e))
 
 
 def parse_weight_fn(block: dict | None) -> WeightFn | None:

@@ -16,8 +16,9 @@ The functional, its gradient and its Hessian are integrals of P, x_i P and
 x_i x_j P against powers -(m+1), -(m+2) and -(m+3) of one affine form, so
 they have closed forms: the generalized Hermite-Genocchi identity, whose
 P = 1 case is the volume function of Martelli, Sparks and Yau.  The
-expansion of P is kept in the section polytope's memo under the density
-alone, and with it one float table per derivative order
+expansion of P is the one that the unweighted invariants read, kept once
+in the section polytope's memo (`quad.density_expansion`), and with it
+one float table per derivative order
 (`quad.Expansion.inverse_power_tables`), so that a functional call is one
 float pass per order (`quad.integral_inverse_power`) and a fresh problem
 on a warm input expands nothing.  When m + 1 <= dim + deg P, which only a
@@ -40,6 +41,7 @@ from operator import mul
 
 from .geom import AffineForm, VPolytope
 from .quad import (
+    _UNIT_PRODUCTS,
     DHDensity,
     Expansion,
     density_expansion,
@@ -105,8 +107,8 @@ class ReebProblem:
         if not si.is_horospherical:
             raise NotHorosphericalError(
                 "Reeb solver requires the valuation cone to be the whole space")
-        offsets = (f.offset for f in si.section_polytope.forms if any(f.normal))
-        return cls._checked(si.section_polytope_v, offsets, si.dh, si.dim_x)
+        offsets = (d.coeff for d in si.divisors if any(d.rho))
+        return cls._checked(si.section_polytope, offsets, si.dh, si.dim_x)
 
     @classmethod
     def _checked(cls, delta: VPolytope, offsets, dh: DHDensity, m: int) -> "ReebProblem":
@@ -129,14 +131,10 @@ class ReebProblem:
 
     @cached_property
     def expansion(self) -> Expansion:
-        """P expanded on the triangulation of the section polytope, kept in
-        its memo under the density alone; its float tables are kept with it."""
-        key = ("reeb", self.dh)
-        expansion = self.delta.memo.get(key)
-        if expansion is None:
-            expansion = self.delta.memo[key] = density_expansion(self.delta, self.dh,
-                                                                 [(Fraction(1), ())])
-        return expansion
+        """P expanded on the triangulation of the section polytope: the
+        unit-weight expansion that `quad.density_expansion` keeps in the
+        polytope's memo, with its float tables."""
+        return density_expansion(self.delta, self.dh, _UNIT_PRODUCTS)
 
 
 @dataclass(frozen=True)

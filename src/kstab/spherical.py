@@ -14,23 +14,24 @@ checked for exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .geom import (
+    AffineForm,
     Cone,
     EmptyPolytopeError,
-    HPolytope,
     UnboundedPolytopeError,
     Vec,
+    VPolytope,
     dot,
     lex_sorted,
     primitive,
     rowspace_solution,
     vec,
-    vertex_enum,
     vneg,
     vsub,
 )
@@ -124,15 +125,14 @@ class PLFunction:
                         "piecewise-linear pieces disagree on a shared face")
 
 
-def section_polytope(divisors: Sequence[DivisorRecord]) -> HPolytope:
+def section_polytope(divisors: Sequence[DivisorRecord]) -> VPolytope:
     """{m : <rho(D), m> + n_D >= 0 for every B-stable divisor D}."""
     if not divisors:
         raise SphericalDataError("no divisor records")
     dim = len(divisors[0].rho)
-    from .geom import AffineForm
     forms = [AffineForm(d.rho, d.coeff) for d in divisors]
     try:
-        return HPolytope(dim, forms)
+        return VPolytope.from_inequalities(dim, forms)
     except EmptyPolytopeError as e:
         raise SphericalDataError(f"section polytope is empty: {e}") from e
     except UnboundedPolytopeError as e:
@@ -202,16 +202,14 @@ def _span(rays) -> str:
     return ", ".join("(" + ", ".join(map(str, r)) + ")" for r in sorted(rays)) or "0"
 
 
-def lattice_points(p: HPolytope, k: int) -> list[Vec]:
-    """Integer points of the dilate k*p, in lexicographic order."""
+def lattice_points(p: VPolytope, k: int) -> list[Vec]:
+    """Integer points of the dilate k*p, in lexicographic order: the points
+    m of the box around k times the vertices with m / k in p."""
     if k < 1:
         raise ValueError("dilation level must be >= 1")
-    dilated = p.scaled(k)
-    verts = dilated.vertex_list
     n = p.dim
-    lo = [min(v[i] for v in verts) for i in range(n)]
-    hi = [max(v[i] for v in verts) for i in range(n)]
-    import math
+    lo = [k * min(v[i] for v in p.vertices) for i in range(n)]
+    hi = [k * max(v[i] for v in p.vertices) for i in range(n)]
     ranges = []
     count = 1
     for i in range(n):
@@ -223,12 +221,8 @@ def lattice_points(p: HPolytope, k: int) -> list[Vec]:
         if count > LATTICE_POINT_LIMIT:
             raise TooManyPointsError(f"more than {LATTICE_POINT_LIMIT} candidates")
         ranges.append(range(a, b + 1))
-    out = []
-    for tup in itertools.product(*ranges):
-        x = vec(tup)
-        if dilated.contains(x):
-            out.append(x)
-    return out
+    return [vec(m) for m in itertools.product(*ranges)
+            if p.contains(tuple(Fraction(c, k) for c in m))]
 
 
 @dataclass
@@ -253,19 +247,16 @@ class SphericalInput:
         if self.dh.dim != self.rank:
             raise SphericalDataError("density dimension does not match rank")
         self._validate_fan()
-        self.dh.check_positive_on(self.section_polytope_v.vertices)
+        self.dh.check_positive_on(self.section_polytope.vertices)
         if self.complete:
             self._check_completeness()
 
     # -- derived geometry ----------------------------------------------------
 
     @cached_property
-    def section_polytope(self) -> HPolytope:
+    def section_polytope(self) -> VPolytope:
+        """`section_polytope` of the divisors; its memo keeps the integrals."""
         return section_polytope(self.divisors)
-
-    @cached_property
-    def section_polytope_v(self):
-        return vertex_enum(self.section_polytope)
 
     @cached_property
     def fan_cones(self) -> tuple[Cone, ...]:

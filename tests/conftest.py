@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kstab.fixtures import builtin_spherical_input
-from kstab.geom import Cone, vec
+from kstab.geom import Cone, VPolytope, dot, invert_matrix, vec, vscale, vsub
 from kstab.quad import AffineForm, DHDensity, DHFactor, Polynomial
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
@@ -40,6 +40,61 @@ def affine_power(form: AffineForm, k: int) -> Polynomial:
     for _ in range(k):
         power = power * linear
     return power
+
+
+# ---------------------------------------------------------------------------
+# root-system oracles: weights in fundamental-weight coordinates
+
+
+def weyl_dim(rs, lam_fw) -> F:
+    """Weyl's product formula for the dimension of the module with highest
+    weight ``lam_fw``; a positive integer for dominant integral weights,
+    the rational product value in general."""
+    shifted = tuple(x + 1 for x in vec(lam_fw))  # lam + rho
+    total = F(1)
+    for cov, rp in zip(rs.coroot_covectors, rs.rho_pairings):
+        total *= dot(cov, shifted) / rp
+    return total
+
+
+def weyl_orbit(rs, lam_fw) -> list:
+    """Orbit of a weight under the simple reflections, in lexicographic
+    order."""
+    lam = vec(lam_fw)
+    cm = rs.cartan_matrix
+    columns = [tuple(F(cm[i][j]) for i in range(rs.rank)) for j in range(rs.rank)]
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(rs.rank):
+                refl = vsub(mu, vscale(columns[i], mu[i]))
+                if refl not in seen:
+                    seen.add(refl)
+                    nxt.append(refl)
+        frontier = nxt
+    return sorted(seen)
+
+
+def two_rho_alpha_coords(rs) -> tuple:
+    """2 rho written over the simple roots (root-lattice coordinates)."""
+    inv = invert_matrix([vec(row) for row in rs.cartan_matrix])
+    two = (F(2),) * rs.rank
+    return tuple(dot(inv[i], two) for i in range(rs.rank))
+
+
+def wonderful_moment_polytope(rs) -> VPolytope:
+    """Moment polytope of the canonical compactification of the adjoint
+    group, in root-lattice coordinates: {x dominant : x_i <= (2 rho)_i +
+    1}, which is the Weyl-orbit hull of 2 rho + sum(alpha_i) met with the
+    dominant chamber."""
+    n = rs.rank
+    cm = rs.cartan_matrix
+    forms = [AffineForm(vec(cm[i]), F(0)) for i in range(n)]
+    for i, c in enumerate(two_rho_alpha_coords(rs)):
+        forms.append(AffineForm(tuple(F(-1 if j == i else 0) for j in range(n)), c + 1))
+    return VPolytope.from_inequalities(n, forms)
 
 
 @pytest.fixture(scope="session")
@@ -122,7 +177,7 @@ def random_toric_input(rng: random.Random) -> SphericalInput:
         return base
     records, cones = base.divisors, base.fan
     factors = []
-    verts = base.section_polytope_v.vertices
+    verts = base.section_polytope.vertices
     for _ in range(rng.randint(1, 2)):
         normal = vec([rng.randint(-2, 2), rng.randint(-2, 2)])
         low = min(normal[0] * v[0] + normal[1] * v[1] for v in verts)

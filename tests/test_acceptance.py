@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from conftest import eval_float, random_spherical_input
+from conftest import eval_float, random_spherical_input, two_rho_alpha_coords
 from kstab.geom import Cone, VPolytope, vec
 from kstab.invariants import alpha, barycenter_g, delta_p, ding_check
 from kstab.quad import (
@@ -76,7 +76,7 @@ def test_acceptance_4_wonderful_alpha(wonderful_a1, wonderful_a2):
     # closed form: min_i 1 / (1 + <2 rho, v_i>) in root-lattice coordinates
     for si, rs in ((wonderful_a1, RootSystem("A", 1)),
                    (wonderful_a2, RootSystem("A", 2))):
-        closed = min(F(1) / (1 + c) for c in rs.two_rho_alpha_coords)
+        closed = min(F(1) / (1 + c) for c in two_rho_alpha_coords(rs))
         assert alpha(si).value.exact == closed
     assert alpha(wonderful_a1).value.exact == F(1, 2)
     assert alpha(wonderful_a2).value.exact == F(1, 3)
@@ -90,7 +90,7 @@ def test_acceptance_5_barycenter_shift(pgl2, wonderful_a1, wonderful_a2):
              ("wonderful-a2", wonderful_a2, (F(2), F(2)))]
     for name, si, chi in cases:
         base = tuple(b.exact for b in barycenter_g(si))
-        moved = dh_moments(si.section_polytope_v.translated(chi),
+        moved = dh_moments(si.section_polytope.translated(chi),
                            si.dh.translated(chi), ConstantWeight(F(1)),
                            si.projection)
         assert moved.exact

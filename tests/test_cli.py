@@ -240,16 +240,38 @@ def test_compute_weighted_delta(pgl2_path, capsys):
 
 
 @pytest.mark.parametrize("g, message", [
-    ("5", "5 is not valid under any of the given schemas"),
-    ('{"constant": "x"}', r"'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'"),
-    ('{"affine_power": {"xi": ["1"], "a": "1"}}', "'exponent' is a required property"),
+    ("5", "at (root): 5 is not valid under any of the given schemas"),
+    ('{"constant": "x"}', r"at constant: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'"),
+    ('{"affine_power": {"xi": ["1"], "a": "1"}}',
+     "at affine_power: 'exponent' is a required property"),
 ], ids=["5", '{"constant": "x"}', '{"affine_power": {"xi": ["1"], "a": "1"}}'])
 def test_invalid_g_reports_best_schema_error(pgl2_path, capsys, g, message):
-    # the first schema error of the block, without its path
+    # the first schema error of the block, at its path inside the block
     code, out, err = run_cli(
         ["compute", "--input", pgl2_path, "--invariant", "alpha", "--g", g], capsys)
     assert code == 2 and out == ""
     assert err == f"kstab: invalid input: --g: {message}\n"
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"affine_power": {}}, "at affine_power: 'xi' is a required property"),
+    ({"polynomial": {"dim": float("nan"), "terms": []}},
+     "at polynomial/dim: nan is not of type 'integer'"),
+    ({"polynomial": {"dim": 1, "terms": [{"exponent": [1], "coeff": "x"}]}},
+     r"at polynomial/terms/0/coeff: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'"),
+], ids=["affine_power-empty", "polynomial-dim-nan", "polynomial-coeff"])
+def test_g_rejection_names_its_path_as_a_document_does(p1_path, tmp_path, capsys, block, message):
+    # the path inside a --g block is the path inside the document's
+    # weight_fn block, worded by the same formatter
+    code, out, err = run_cli(["check", "--input", p1_path, "--g", json.dumps(block)], capsys)
+    assert (code, out, err) == (2, "", f"kstab: invalid input: --g: {message}\n")
+    doc = builtin_document("toric-p1")
+    doc["weight_fn"] = block
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["check", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"kstab: invalid input: {message.replace('at ', 'at weight_fn/', 1)}\n"
 
 
 def test_g_parse_errors_carry_the_flag_prefix(p1_path, capsys):
@@ -603,7 +625,7 @@ def test_commands_load_only_what_they_use(tmp_path):
         "compute []",
         "reeb []",
         "kstab: invalid input: at variety/rank: 0 is less than the minimum of 1",
-        r"kstab: invalid input: --g: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'",
+        r"kstab: invalid input: --g: at constant: 'x' does not match '^-?[0-9]+(/[1-9][0-9]*)?$(?!\\n)'",
         "reject []",
     ]
     assert loads(stages) == expected

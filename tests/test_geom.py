@@ -10,7 +10,6 @@ from kstab.geom import (
     Cone,
     DegenerateInputError,
     EmptyPolytopeError,
-    HPolytope,
     Simplex,
     UnboundedPolytopeError,
     VPolytope,
@@ -31,7 +30,6 @@ from kstab.geom import (
     triangulate,
     unit_vec,
     vec,
-    vertex_enum,
     vscale,
     vsub,
 )
@@ -42,36 +40,36 @@ from kstab.geom import (
 
 
 def test_vertex_enum_interval():
-    p = HPolytope(1, [affine_form([1], 1), affine_form([-1], 1)])
-    assert vertex_enum(p).vertices == (vec([-1]), vec([1]))
+    p = VPolytope.from_inequalities(1, [affine_form([1], 1), affine_form([-1], 1)])
+    assert p.vertices == (vec([-1]), vec([1]))
 
 
 def test_vertex_enum_pgl2_polytope():
-    p = HPolytope(1, [affine_form([-1], 1), affine_form([2], 2)])
-    assert vertex_enum(p).vertices == (vec([-1]), vec([1]))
+    p = VPolytope.from_inequalities(1, [affine_form([-1], 1), affine_form([2], 2)])
+    assert p.vertices == (vec([-1]), vec([1]))
 
 
 def test_vertex_enum_square():
-    p = HPolytope(2, [affine_form([1, 0], 1), affine_form([-1, 0], 1),
-                      affine_form([0, 1], 1), affine_form([0, -1], 1)])
-    assert vertex_enum(p).vertices == (
+    p = VPolytope.from_inequalities(2, [affine_form([1, 0], 1), affine_form([-1, 0], 1),
+                                        affine_form([0, 1], 1), affine_form([0, -1], 1)])
+    assert p.vertices == (
         vec([-1, -1]), vec([-1, 1]), vec([1, -1]), vec([1, 1]))
 
 
 def test_vertex_enum_empty():
     with pytest.raises(EmptyPolytopeError):
-        HPolytope(1, [affine_form([1], -1), affine_form([-1], -1)])
+        VPolytope.from_inequalities(1, [affine_form([1], -1), affine_form([-1], -1)])
 
 
 def test_vertex_enum_unbounded():
     with pytest.raises(UnboundedPolytopeError):
-        HPolytope(1, [affine_form([1], 0)])
+        VPolytope.from_inequalities(1, [affine_form([1], 0)])
 
 
 def test_vertex_enum_single_point():
-    p = HPolytope(2, [affine_form([1, 0], 0), affine_form([-1, 0], 0),
-                      affine_form([0, 1], 0), affine_form([0, -1], 0)])
-    assert vertex_enum(p).vertices == (vec([0, 0]),)
+    p = VPolytope.from_inequalities(2, [affine_form([1, 0], 0), affine_form([-1, 0], 0),
+                                        affine_form([0, 1], 0), affine_form([0, -1], 0)])
+    assert p.vertices == (vec([0, 0]),)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +222,7 @@ def test_hrep_vrep_round_trip(points):
         return
     forms, eqs = v.hrep
     assert eqs == ()  # full-dimensional
-    again = vertex_enum(HPolytope(2, forms))
+    again = VPolytope.from_inequalities(2, forms)
     assert again.vertices == v.vertices
 
 
@@ -257,10 +255,10 @@ def test_triangulation_volume_identity(points):
 
 
 def test_geom_is_exact():
-    p = HPolytope(1, [affine_form([3], 1), affine_form([-7], 2)])
-    for v in p.vertex_list:
+    p = VPolytope.from_inequalities(1, [affine_form([3], 1), affine_form([-7], 2)])
+    for v in p.vertices:
         assert all(isinstance(c, F) for c in v)
-    assert p.vertex_list == ((F(-1, 3),), (F(2, 7),))
+    assert p.vertices == ((F(-1, 3),), (F(2, 7),))
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_barycenter_shift_identity(pgl2, wonderful_a1, wonderful_a2):
              (wonderful_a2, (F(2), F(2)))]
     for si, chi in cases:
         base = barycenter_g(si)
-        shifted_poly = si.section_polytope_v.translated(chi)
+        shifted_poly = si.section_polytope.translated(chi)
         shifted_density = si.dh.translated(chi)
         m = dh_moments(shifted_poly, shifted_density, ConstantWeight(F(1)),
                        si.projection)
@@ -435,10 +435,12 @@ def test_inexact_pairing_encloses_the_exact_sum(coords, shift):
     # the error of shift + <bar, f> covers the rounding of its float
     # arithmetic: a barycenter on a wall of the dual cone is never
     # certified on either side of it
-    from kstab.invariants import Num, _pair
+    from types import SimpleNamespace
+
+    from kstab.invariants import Num, _pairing
     bar = tuple(Num.from_float(b, e) for b, e, _ in coords)
     f = vec([c for _, _, c in coords])
-    pairing = _pair(bar, f, shift)
+    pairing = _pairing(SimpleNamespace(barycenter=bar, pairings={}), f, shift)
     exact = shift + sum(F(b) * c for b, _, c in coords)
     slack = sum(F(e) * abs(c) for _, e, c in coords)
     assert F(pairing.value) - F(pairing.error) <= exact - slack
@@ -481,7 +483,7 @@ def test_ding_quad_tol_reaches_the_moments():
         complete=False,
     )
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
-    m = dh_moments(si.section_polytope_v, si.dh, g, si.projection)
+    m = dh_moments(si.section_polytope, si.dh, g, si.projection)
     assert not m.exact
     # the section polytope is the square [-1, 1]^2 and g = (x/3 + 1)^(1/2)
     with mpmath.workdps(40):
@@ -508,7 +510,7 @@ def wonderful_rank3():
 
 def test_wonderful_a3_moments_pinned(wonderful_rank3):
     si = wonderful_rank3["A"]
-    m = dh_moments(si.section_polytope_v, si.dh, None, si.projection)
+    m = dh_moments(si.section_polytope, si.dh, None, si.projection)
     assert m.exact
     assert m.mass == F(2243664235225939, 81729648000)
     assert m.first_moment == (
@@ -529,7 +531,7 @@ def test_s1_is_barycenter_pairing_rank3(wonderful_rank3):
 def test_integer_moments_rank3_match_the_multiplied_expansion(wonderful_rank3):
     from kstab.geom import dot
     for si in wonderful_rank3.values():
-        poly = si.section_polytope_v
+        poly = si.section_polytope
         density = density_expansion(poly, si.dh, [(F(1), ())])
         for v in si.candidates:
             values = [dot(x, v) + si.section_support(v) for x in poly.vertices]
@@ -624,7 +626,7 @@ def _weights(si):
         return constant
     xi = vec([F(1, 5)] + [0] * (dim - 1))
     low = min(dot(xi, [dot(row, x) for row in si.projection])
-              for x in si.section_polytope_v.vertices)
+              for x in si.section_polytope.vertices)
     a = 1 - min(low, 0)
     square = Polynomial(dim, {(0,) * dim: F(2), (2,) + (0,) * (dim - 1): F(1)})
     return {"polynomial": PolynomialWeight(square),
@@ -720,13 +722,19 @@ def test_warm_calls_integrate_nothing_again(monkeypatch, g, exponents):
     si = _fresh("toric-bl1p2", 0)
     integrations = []
     modules = (kstab.quad, kstab.invariants, kstab.soliton, kstab.powers)
-    for home, name in ((kstab.quad, "dh_moments"), (kstab.quad, "density_expansion"),
-                       (kstab.quad, "integrate_numeric"), (kstab.powers, "integral_power")):
+    for home, name in ((kstab.quad, "dh_moments"), (kstab.quad, "integrate_numeric"),
+                       (kstab.powers, "integral_power")):
         fn = getattr(home, name)
         spy = partial(_spied, fn, integrations)
         for module in modules:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, spy)
+    # a fresh Reeb problem looks its expansion up in the memo, which
+    # expands nothing: count the expansions built
+    init = kstab.quad.Expansion.__init__
+    monkeypatch.setattr(
+        kstab.quad.Expansion, "__init__",
+        lambda self, *args: integrations.append("Expansion") or init(self, *args))
     enclosure = kstab.powers.PowerIntegral.enclosure
     monkeypatch.setattr(kstab.powers.PowerIntegral, "enclosure",
                         lambda self, prec: integrations.append("enclosure") or enclosure(self, prec))
@@ -754,13 +762,30 @@ def test_warm_delta_g_under_an_affine_power_pairs_nothing(monkeypatch):
     g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2))
     first = delta_g(si, g)
     calls = []
-    for name in ("_pair", "_root_ratio"):
+    for name in ("_pairing", "_root_ratio"):
         monkeypatch.setattr(kstab.invariants, name,
                             partial(_spied, getattr(kstab.invariants, name), calls))
     assert delta_g(si, g) == first
     assert calls == []
     assert delta_g(_fresh("toric-bl1p2", 0), g) == first
-    assert set(calls) == {"_pair", "_root_ratio"}  # the spies see a fresh input's rows
+    assert set(calls) == {"_pairing", "_root_ratio"}  # the spies see a fresh input's rows
+
+
+def test_warm_ding_and_beta_under_an_affine_power_pair_nothing_again(monkeypatch):
+    # the pairings of the enclosed barycenter are kept in the weight's
+    # entry; beta's direct route, A - S, still sums on each call
+    si = _fresh("toric-bl1p2", 0)
+    g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2))
+    v = si.candidates[0]
+    ding, beta = _verdict(ding_check(si, g)), beta_g(si, v, g)
+    assert not ding.exact and not beta.from_barycenter.is_exact
+    calls = []
+    monkeypatch.setattr(kstab.invariants, "_float_sum",
+                        partial(_spied, kstab.invariants._float_sum, calls))
+    assert _verdict(ding_check(si, g)) == ding
+    assert calls == []
+    assert beta_g(si, v, g) == beta
+    assert calls == ["_float_sum"]
 
 
 def _spied(fn, calls, *args, **kwargs):
@@ -861,7 +886,7 @@ def test_weight_not_positive_at_a_vertex_is_refused_by_every_entry_point():
     # g = x + 1/2 is negative at a vertex of the section polytope
     si = _fresh("toric-bl1p2", 0)
     g = PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(1, 2)}))
-    assert min(g.poly(x) for x in si.section_polytope_v.vertices) < 0
+    assert min(g.poly(x) for x in si.section_polytope.vertices) < 0
     for _ in range(2):
         for label, call in _weighted_calls(si, g):
             with pytest.raises(ValueError, match="^polynomial weight not positive at a vertex$"):
@@ -893,11 +918,11 @@ def test_barycenter_under_a_power_weight_on_a_large_polytope():
     # the random surface of seed 1 has mass 1565; its weighted integrals
     # are enclosed to a tolerance relative to their size
     si = random_toric_input(random.Random(1))
-    assert dh_moments(si.section_polytope_v, si.dh, None, si.projection).mass > 1500
+    assert dh_moments(si.section_polytope, si.dh, None, si.projection).mass > 1500
     bary = barycenter_g(si, _weights(si)["affine-1/2"])
     assert len(bary) == 2
     for b in bary:
         assert not b.is_exact and 0 < b.error <= 1e-12 * max(1, abs(b.value))
     # a positive weight keeps the barycenter inside the polytope
     point = tuple(F(b.value) for b in bary)
-    assert all(form(point) > 0 for form in si.section_polytope.forms)
+    assert all(dot(d.rho, point) + d.coeff > 0 for d in si.divisors)

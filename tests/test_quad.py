@@ -14,7 +14,6 @@ from conftest import affine_power, eval_float
 from kstab import geom
 from kstab.geom import (
     AffineForm,
-    HPolytope,
     Simplex,
     VPolytope,
     affine_form,
@@ -44,9 +43,9 @@ from kstab.quad import (
 )
 from kstab.rootsys import RootSystem, dh_density
 
-INTERVAL = HPolytope(1, [affine_form([1], 1), affine_form([-1], 1)])
-UNIT_SQUARE = HPolytope(2, [affine_form([1, 0], 0), affine_form([-1, 0], 1),
-                            affine_form([0, 1], 0), affine_form([0, -1], 1)])
+INTERVAL = VPolytope.from_inequalities(1, [affine_form([1], 1), affine_form([-1], 1)])
+UNIT_SQUARE = VPolytope.from_inequalities(2, [affine_form([1, 0], 0), affine_form([-1, 0], 1),
+                                              affine_form([0, 1], 0), affine_form([0, -1], 1)])
 
 
 def std_simplex(d):
@@ -107,10 +106,10 @@ def test_poly_refinement_invariance():
     # square separately and compare with the whole
     p = Polynomial(2, {(2, 1): F(3), (0, 0): F(1), (1, 1): F(-2)})
     whole = integrate_poly(UNIT_SQUARE, p)
-    left = HPolytope(2, [affine_form([1, 0], 0), affine_form([-1, 0], F(1, 2)),
-                         affine_form([0, 1], 0), affine_form([0, -1], 1)])
-    right = HPolytope(2, [affine_form([1, 0], F(-1, 2)), affine_form([-1, 0], 1),
-                          affine_form([0, 1], 0), affine_form([0, -1], 1)])
+    left = VPolytope.from_inequalities(2, [affine_form([1, 0], 0), affine_form([-1, 0], F(1, 2)),
+                                           affine_form([0, 1], 0), affine_form([0, -1], 1)])
+    right = VPolytope.from_inequalities(2, [affine_form([1, 0], F(-1, 2)), affine_form([-1, 0], 1),
+                                            affine_form([0, 1], 0), affine_form([0, -1], 1)])
     assert integrate_poly(left, p) + integrate_poly(right, p) == whole
 
 
@@ -128,11 +127,11 @@ def test_poly_affinity_under_unimodular_maps():
                 c, d = c + k * a, d + k * b
         # A^{-1}(square): forms x -> form(Ax)
         forms = []
-        for f in UNIT_SQUARE.forms:
+        for f in UNIT_SQUARE.hrep[0]:
             n0 = f.normal[0] * a + f.normal[1] * c
             n1 = f.normal[0] * b + f.normal[1] * d
             forms.append(affine_form([n0, n1], f.offset))
-        preimage = HPolytope(2, forms)
+        preimage = VPolytope.from_inequalities(2, forms)
         composed = p.compose_affine(vec([0, 0]), [vec([a, c]), vec([b, d])])
         assert integrate_poly(preimage, composed) == integrate_poly(UNIT_SQUARE, p)
 
@@ -599,7 +598,7 @@ def test_dh_moments_positive_mass_required():
 def test_dh_factor_vanishing_on_polytope_rejected():
     flat = DHDensity(1, (DHFactor(affine_form([0], 0), 1),))
     with pytest.raises(ZeroFactorError):
-        flat.check_positive_on(INTERVAL.vertex_list)
+        flat.check_positive_on(INTERVAL.vertices)
 
 
 def test_weight_constant_detection():

@@ -5,17 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import affine_power
-from kstab.geom import AffineForm, HPolytope, VPolytope, dot, invert_matrix, vec, vertex_enum, vneg
-from kstab.quad import Polynomial, ZeroFactorError
-from kstab.rootsys import (
-    RootSystem,
-    RootSystemError,
-    dh_density,
+from conftest import (
+    affine_power,
+    two_rho_alpha_coords,
     weyl_dim,
     weyl_orbit,
     wonderful_moment_polytope,
 )
+from kstab.geom import AffineForm, VPolytope, dot, invert_matrix, vec, vneg
+from kstab.quad import Polynomial, ZeroFactorError
+from kstab.rootsys import RootSystem, RootSystemError, dh_density
 
 
 def _polynomial(d):
@@ -169,7 +168,7 @@ def _orbit_polytope(rs):
     forms = list(hull.hrep[0]) + [AffineForm(row, F(0)) for row in cm]
     for e in hull.hrep[1]:
         forms += [e, AffineForm(vneg(e.normal), -e.offset)]
-    return vertex_enum(HPolytope(n, forms))
+    return VPolytope.from_inequalities(n, forms)
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
@@ -189,6 +188,6 @@ def test_wonderful_polytope_in_dominant_chamber(letter, rank):
 
 
 def test_two_rho_alpha_coordinates():
-    assert RootSystem("A", 2).two_rho_alpha_coords == (F(2), F(2))
-    assert RootSystem("B", 2).two_rho_alpha_coords == (F(3), F(4))
-    assert RootSystem("G", 2).two_rho_alpha_coords == (F(10), F(6))
+    assert two_rho_alpha_coords(RootSystem("A", 2)) == (F(2), F(2))
+    assert two_rho_alpha_coords(RootSystem("B", 2)) == (F(3), F(4))
+    assert two_rho_alpha_coords(RootSystem("G", 2)) == (F(10), F(6))

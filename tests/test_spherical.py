@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_fans, fan_input, random_toric_input
-from kstab.geom import Cone, vec
+from kstab.geom import Cone, dot, vec
 from kstab.quad import AffineForm, DHDensity, DHFactor
 from kstab.spherical import (
     ColoredConeData,
@@ -34,7 +34,7 @@ def _cones(fan, recs, dim):
 
 
 def test_section_polytope_pgl2(pgl2):
-    assert pgl2.section_polytope.vertex_list == ((F(-1),), (F(1),))
+    assert pgl2.section_polytope.vertices == ((F(-1),), (F(1),))
 
 
 def test_section_polytope_unbounded_rejected():
@@ -50,7 +50,7 @@ def test_section_polytope_translation_covariance():
     shifted = [DivisorRecord(r.name, r.rho, r.coeff - r.rho[0] * t, r.is_color)
                for r in recs]
     moved = section_polytope(shifted)
-    assert moved.vertex_list == tuple((v[0] + t,) for v in base.vertex_list)
+    assert moved.vertices == tuple((v[0] + t,) for v in base.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,29 @@ def test_lattice_points_interval(pgl2):
     assert len(lattice_points(pgl2.section_polytope, 3)) == 7
 
 
+def test_lattice_points_at_four_levels_make_one_double_description(monkeypatch):
+    # the box comes from k times the vertices and membership from k times
+    # the facets, which are built once per polytope
+    import itertools
+
+    import kstab.geom
+    from kstab.fixtures import builtin_spherical_input
+    si = builtin_spherical_input("toric-bl1p2")[0]
+    calls = []
+    dd = kstab.geom.double_description
+    monkeypatch.setattr(kstab.geom, "double_description",
+                        lambda *args: calls.append(args) or dd(*args))
+    levels = {k: lattice_points(si.section_polytope, k) for k in range(1, 5)}
+    assert len(calls) == 1
+    for k, points in levels.items():
+        box = itertools.product(range(-5 * k, 5 * k + 1), repeat=2)
+        assert points == [vec(m) for m in box
+                          if all(dot(d.rho, m) + k * d.coeff >= 0 for d in si.divisors)]
+
+
 def test_lattice_points_origin_polytope():
-    from kstab.geom import HPolytope, affine_form
-    pt = HPolytope(1, [affine_form([1], 0), affine_form([-1], 0)])
+    from kstab.geom import VPolytope, affine_form
+    pt = VPolytope.from_inequalities(1, [affine_form([1], 0), affine_form([-1], 0)])
     for k in (1, 2, 5):
         assert lattice_points(pt, k) == [(F(0),)]
 
@@ -222,12 +242,13 @@ def test_level_sum_requires_root_data(toric_bl1p2):
 
 def test_moment_polytope_relation_wonderful(wonderful_a1, wonderful_a2):
     # section polytope + weight of the section = canonical moment polytope
-    from kstab.rootsys import RootSystem, wonderful_moment_polytope
+    from conftest import two_rho_alpha_coords, wonderful_moment_polytope
+    from kstab.rootsys import RootSystem
     for si, (letter, rank) in ((wonderful_a1, ("A", 1)), (wonderful_a2, ("A", 2))):
         rs = RootSystem(letter, rank)
-        chi = rs.two_rho_alpha_coords
+        chi = two_rho_alpha_coords(rs)
         delta_plus = wonderful_moment_polytope(rs)
-        translated = si.section_polytope_v.translated(chi)
+        translated = si.section_polytope.translated(chi)
         assert translated.vertices == delta_plus.vertices
 
 
