@@ -32,7 +32,9 @@ the section polytope; last, per builtin, ``--format csv`` under ``check``,
 ``check`` on rejections whose first error in schema order is not the one
 jsonschema's ``best_match`` would pick: ``--g`` blocks whose key names a
 ``oneOf`` branch that fails, and a toric-p1 document with two errors at
-the same depth.
+the same depth; then ``check`` and ``compute --invariant delta`` on
+toric-bl1p2 and toric-p1 with coefficients whose section polytope is a
+segment and a point, which are refused as line bundles that are not big.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ _INVALID_DOCUMENTS = {
 }
 _INVALID_G = ("5", '{"constant": "x"}', '{"affine_power": {"xi": ["1"], "a": "3"}}')
 _FIRST_ERROR_G = ('{"constant": 3, "coeff": 1.0}', '{"affine_power": {}}')
+
+# divisor coefficients that make a toric builtin's section polytope lower
+# dimensional: a segment for toric-bl1p2 and a point for toric-p1
+_NOT_BIG_COEFFS = {
+    "toric-bl1p2": {"D1": "0", "D2": "0", "E": "-1", "D3": "1"},
+    "toric-p1": {"D0": "0", "Dinf": "0"},
+}
 
 # divisor coefficients that translate a toric builtin's section polytope so
 # that the origin is not interior: [0, 2] for toric-p1, and a pentagon with
@@ -232,6 +241,16 @@ def main():
         path.write_text(json.dumps(doc))
         print("# toric-p1 invalid document dim-x-0-no-divisors, first error")
         print(_run(["check", "--input", str(path)], root))
+        for name, coeffs in _NOT_BIG_COEFFS.items():
+            doc = builtin_document(name)
+            for d in doc["variety"]["divisors"]:
+                d["coeff"] = coeffs[d["name"]]
+            path = Path(root, f"{name}-not-big.json")
+            path.write_text(json.dumps(doc))
+            for argv in (["check", "--input", str(path)],
+                         ["compute", "--input", str(path), "--invariant", "delta"]):
+                print(f"# {name} section polytope not full-dimensional")
+                print(_run(argv, root))
 
 
 if __name__ == "__main__":

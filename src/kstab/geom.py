@@ -1,9 +1,8 @@
 """Exact rational convex geometry.
 
 Vertex/facet conversion by the double description method, polyhedral cone
-duality, triangulation, and integer lattice charts for lower-dimensional
-polytopes.  Coordinates are `fractions.Fraction` throughout and nothing in
-this module rounds.
+duality and triangulation of full-dimensional polytopes.  Coordinates are
+`fractions.Fraction` throughout and nothing in this module rounds.
 """
 
 from __future__ import annotations
@@ -97,10 +96,6 @@ def _integral(v) -> tuple[int, ...]:
     return tuple(k // g for k in ints)
 
 
-def lex_sorted(vectors: Iterable[Vec]) -> list[Vec]:
-    return sorted(vectors)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
@@ -180,16 +175,6 @@ def matrix_rank(rows: Sequence[Vec]) -> int:
     return len(_rref([list(r) for r in rows], len(rows[0]))) if rows else 0
 
 
-def invert_matrix(rows: Sequence[Vec]) -> list[Vec]:
-    """Exact inverse of a square matrix given as rows, by one reduction of
-    ``[A | I]``."""
-    n = len(rows)
-    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    if len(_rref(m, n)) < n:
-        raise DegenerateInputError("singular matrix")
-    return [tuple(r[n:]) for r in m]
-
-
 # ---------------------------------------------------------------------------
 # integer lattice utilities (Hermite-style elimination)
 
@@ -244,95 +229,11 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(row) for row in m[:r]]
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice {x in Z^n : rows . x = 0}."""
-    k = len(rows)
-    # augmented rows: [ <row_j, e_i> for j ] + identity part
-    aug = [[rows[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(n)]
-           for i in range(n)]
-    r = _hermite(aug, k)
-    return hnf_rows([row[k:] for row in aug[r:]])
-
-
-def lattice_span_basis(directions: Sequence[Vec], n: int) -> list[Vec]:
-    """Basis of Z^n intersected with the rational span of ``directions``."""
-    ints = _int_rows([d for d in directions if not is_zero_vec(d)])
-    if not ints:
-        return []
-    ortho = integer_kernel(ints, n)
-    span = integer_kernel(ortho, n) if ortho else hnf_rows(
-        [[1 if j == i else 0 for j in range(n)] for i in range(n)])
-    return [vec(b) for b in span]
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Affine chart x = origin + B y identifying the affine hull of a point
-    set with Q^r, where the columns of B are a basis of the direction
-    lattice.  Lebesgue measure in chart coordinates is the lattice-normalized
-    measure on the affine hull."""
-
-    origin: Vec
-    basis: tuple[Vec, ...]  # r column vectors of length n
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.origin)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def _left_inverse(self) -> tuple[Vec, ...]:
-        # rows of (B^T B)^{-1} B^T
-        r = self.dim
-        gram = [tuple(dot(self.basis[i], self.basis[j]) for j in range(r))
-                for i in range(r)]
-        ginv = invert_matrix(gram)
-        rows = []
-        for i in range(r):
-            rows.append(tuple(
-                sum((ginv[i][k] * self.basis[k][t] for k in range(r)), Fraction(0))
-                for t in range(self.ambient_dim)))
-        return tuple(rows)
-
-    def to_chart(self, x: Vec) -> Vec:
-        d = vsub(x, self.origin)
-        return tuple(dot(row, d) for row in self._left_inverse)
-
-    @property
-    def is_identity(self) -> bool:
-        n = self.ambient_dim
-        return (self.dim == n and is_zero_vec(self.origin)
-                and all(self.basis[i] == unit_vec(i, n) for i in range(n)))
-
-
-def identity_chart(n: int) -> Chart:
-    return Chart(zero_vec(n), tuple(unit_vec(i, n) for i in range(n)))
-
-
-def lattice_chart(points: Sequence[Vec]) -> Chart:
-    """Chart onto the affine hull of ``points`` with an integer lattice basis."""
-    if not points:
-        raise DegenerateInputError("no points")
-    n = len(points[0])
-    origin = points[0]
-    dirs = [vsub(p, origin) for p in points[1:]]
-    dirs = [d for d in dirs if not is_zero_vec(d)]
-    if not dirs:
-        return Chart(origin, ())
-    if matrix_rank(dirs) == n:
-        return identity_chart(n)
-    basis = lattice_span_basis(dirs, n)
-    return Chart(origin, tuple(basis))
-
-
 # ---------------------------------------------------------------------------
 # double description
 
 
-def _canonical_lineality(vectors: Sequence[Vec], n: int) -> tuple[Vec, ...]:
+def _canonical_lineality(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
     if not vectors:
         return ()
     basis = hnf_rows(_int_rows(vectors))
@@ -398,7 +299,7 @@ def double_description(halfspaces: Sequence[Vec], dim: int) -> tuple[tuple[Vec, 
         bit <<= 1
 
     out = tuple(tuple(map(Fraction, r)) for r in sorted(set(rays)))
-    return out, _canonical_lineality(lineality, dim)
+    return out, _canonical_lineality(lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +316,9 @@ class AffineForm:
     def __call__(self, x: Vec) -> Fraction:
         return dot(self.normal, x) + self.offset
 
-    def translated(self, t: Vec) -> "AffineForm":
-        """Form cutting the same halfspace translated by +t."""
-        return AffineForm(self.normal, self.offset - dot(self.normal, t))
-
-
-def affine_form(normal, offset) -> AffineForm:
-    return AffineForm(vec(normal), Fraction(offset))
-
 
 def _raw_extreme_points(points: Sequence[Vec], dim: int) -> list[Vec]:
-    pts = lex_sorted(set(points))
+    pts = sorted(set(points))
     if not pts:
         raise DegenerateInputError("no points")
     gens = [(Fraction(1),) + p for p in pts]
@@ -437,7 +330,7 @@ def _raw_extreme_points(points: Sequence[Vec], dim: int) -> list[Vec]:
     for r in rrays:
         assert r[0] > 0
         out.append(tuple(x / r[0] for x in r[1:]))
-    return lex_sorted(out)
+    return sorted(out)
 
 
 def _raw_facets(points: Sequence[Vec], dim: int) -> tuple[list[AffineForm], list[AffineForm]]:
@@ -478,7 +371,7 @@ class VPolytope:
     def _trusted(cls, dim: int, vertices: Sequence[Vec]) -> "VPolytope":
         obj = cls.__new__(cls)
         obj.dim = dim
-        obj.vertices = tuple(lex_sorted(vertices))
+        obj.vertices = tuple(sorted(vertices))
         return obj
 
     @cached_property
@@ -490,9 +383,6 @@ class VPolytope:
         forms, eqs = self.hrep
         return all(f(x) >= 0 for f in forms) and all(e(x) == 0 for e in eqs)
 
-    def translated(self, t: Vec) -> "VPolytope":
-        return VPolytope._trusted(self.dim, [vadd(v, t) for v in self.vertices])
-
     @cached_property
     def affine_dim(self) -> int:
         if len(self.vertices) <= 1:
@@ -501,18 +391,9 @@ class VPolytope:
         return matrix_rank(dirs)
 
     @cached_property
-    def chart(self) -> Chart:
-        """Lattice chart of the affine hull (the identity when full-dimensional)."""
-        return lattice_chart(list(self.vertices))
-
-    @cached_property
     def triangulation(self) -> tuple[Simplex, ...]:
-        """Triangulation in chart coordinates, built on first use and kept."""
-        chart = self.chart
-        if chart.is_identity:
-            return tuple(triangulate(self))
-        mapped = [chart.to_chart(x) for x in self.vertices]
-        return tuple(triangulate(VPolytope._trusted(chart.dim, mapped)))
+        """`triangulate`, built on first use and kept."""
+        return tuple(triangulate(self))
 
     @cached_property
     def memo(self) -> dict:
@@ -566,11 +447,6 @@ class Simplex:
                     mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
         return abs(det)
 
-    @cached_property
-    def volume(self) -> Fraction:
-        from math import factorial
-        return self.volume_factor / factorial(self.dim)
-
 
 def _triangulate_points(vertices: list[Vec], dim: int) -> list[tuple[Vec, ...]]:
     """Triangulation (as vertex tuples) of a full-dimensional polytope by
@@ -590,7 +466,7 @@ def _triangulate_points(vertices: list[Vec], dim: int) -> list[tuple[Vec, ...]]:
         drop = next(i for i, c in enumerate(f.normal) if c != 0)
         proj = [tuple(x for i, x in enumerate(v) if i != drop) for v in face_verts]
         back = {p: v for p, v in zip(proj, face_verts)}
-        for sub in _triangulate_points(lex_sorted(back.keys()), dim - 1):
+        for sub in _triangulate_points(sorted(back.keys()), dim - 1):
             out.append((apex,) + tuple(back[p] for p in sub))
     return out
 
@@ -599,8 +475,7 @@ def triangulate(v: VPolytope) -> list[Simplex]:
     """Simplices with disjoint interiors covering a full-dimensional polytope."""
     if v.affine_dim < v.dim:
         raise DegenerateInputError(
-            f"polytope has affine dimension {v.affine_dim} < {v.dim}; "
-            "project to its affine hull first")
+            f"polytope has affine dimension {v.affine_dim} < {v.dim}")
     return [Simplex(t) for t in _triangulate_points(list(v.vertices), v.dim)]
 
 
@@ -720,10 +595,6 @@ class Cone:
             gens.append(l)
             gens.append(vneg(l))
         return Cone(self.dim, gens)
-
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(g) for g in other.generators) if other.generators \
-            else True
 
     def relative_interior_point(self) -> Vec:
         """Some point in the relative interior (0 for the zero cone)."""

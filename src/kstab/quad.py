@@ -1,8 +1,11 @@
 """Integration engines over rational polytopes.
 
-Every route takes a `VPolytope`, the one polytope type, however it was
-given, and shares its triangulation, built once and kept on it
-(`VPolytope.triangulation`):
+Every route takes a full-dimensional `VPolytope`, the one polytope type,
+however it was given, and shares its triangulation, built once and kept on
+it (`VPolytope.triangulation`); `geom.triangulate` refuses a polytope of
+lower dimension, such as the section polytope of a line bundle that is not
+big, which `spherical.section_polytope` refuses before anything integrates
+over it:
 
 * an exact engine for sums of products of affine forms
   ``c * prod_j l_j(x) ** m_j``.  On a simplex with vertices s_0..s_d each
@@ -17,7 +20,7 @@ given, and shares its triangulation, built once and kept on it
   (`density_expansion`), so each further factor only multiplies into it.
   Its integral times (<x, w> + c) ** p, p an integer, is a form F_p of
   degree p in (w, c) with integer coefficients, built once per expansion
-  and p (`Expansion.power_integral`);
+  and p and divided by the mass (`Expansion.power_mean`);
 * closed forms for such an expansion times ``l(x) ** s`` with one affine
   form l and a rational exponent s, by the generalized Hermite-Genocchi
   identity ``int tau^a F^(d+|a|)(sum tau_i t_i) = a! F[t_i repeated a_i + 1
@@ -50,12 +53,6 @@ affine power with a nonnegative integer exponent for the exact engine,
 and a constant to 1, since it cancels in every ratio that it weights; an
 affine power with any other exponent is one `power` l ** s of an affine
 form, and every integral under it is one closed form (`PowerDensity`).
-
-Lower-dimensional polytopes are integrated in lattice coordinates on their
-affine hull (see `geom.lattice_chart`), which is the normalization under
-which level-k lattice sums converge to these integrals: the chart simplex
-gives the volume factor and the forms are evaluated at the ambient images
-of its vertices.
 """
 
 from __future__ import annotations
@@ -235,9 +232,13 @@ class DHDensity:
     normalization: Fraction = Fraction(1)
 
     def __post_init__(self):
+        if self.normalization <= 0:
+            raise ValueError("the density normalization must be positive")
         for f in self.factors:
             if f.multiplicity < 1:
                 raise ValueError("factor multiplicities must be positive")
+            if f.rho_pair is not None and f.rho_pair <= 0:
+                raise ValueError("factor rho_pair values must be positive")
 
     def __hash__(self):  # computed once: densities key the integrals' memo
         return self._hash
@@ -259,16 +260,6 @@ class DHDensity:
         for f in self.factors:
             total *= f.form(x) ** f.multiplicity
         return total
-
-    def translated(self, t: Vec) -> "DHDensity":
-        """Density for the polytope translated by +t (same values pointwise:
-        new(x) = old(x - t))."""
-        return DHDensity(
-            self.dim,
-            tuple(DHFactor(f.form.translated(t), f.multiplicity, f.rho_pair)
-                  for f in self.factors),
-            self.normalization,
-        )
 
     def check_positive_on(self, vertices: Sequence[Vec]):
         """Nonnegative at every vertex and not identically zero per factor."""
@@ -522,18 +513,15 @@ class Expansion:
     stored expansions."""
 
     def __init__(self, vp: VPolytope, products: Sequence[Product]):
-        chart = vp.chart
         self.dim = vp.dim
         self.vertices = vp.vertices
-        # simplex vertices as indices into the polytope's (ambient) vertices
-        index = {x if chart.is_identity else chart.to_chart(x): i
-                 for i, x in enumerate(vp.vertices)}
+        # simplex vertices as indices into the polytope's vertices
+        index = {x: i for i, x in enumerate(vp.vertices)}
         self.parts: list[tuple[list[int], Fraction, TauPoly]] = []
         for s in vp.triangulation:
             idx = [index[t] for t in s.vertices]
             tau = expand_products(products, [vp.vertices[i] for i in idx])
             self.parts.append((idx, s.volume_factor, tau))
-        self._power_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
         self._mean_forms: dict[int, tuple[Fraction, list[tuple[int, tuple[int, ...]]]]] = {}
 
     def _parts(self, factors: Sequence[tuple[Sequence[Fraction], int]]):
@@ -549,26 +537,16 @@ class Expansion:
         order."""
         return sum((volume * part.integral() for _, volume, part in self._parts(factors)), Fraction(0))
 
-    def power_integral(self, w: Sequence[Fraction | int], c: Fraction | int, p: int) -> Fraction:
-        """``F_p(w, c)``, the integral of the expanded sum times ``(<x, w> +
-        c) ** p`` for an integer p >= 0 and rational or integer w and c: the
-        form that `_power_form` builds once per p, at (w, c) scaled to integers."""
-        return _form_at(self._form(p), w, c, p)
-
     def power_mean(self, w: Sequence[Fraction | int], c: Fraction | int, p: int) -> Fraction:
-        """``F_p(w, c) / mass``: `power_integral` with 1 / mass folded into
-        the scale of the form once per p."""
+        """``F_p(w, c) / mass``, F_p(w, c) the integral of the expanded sum
+        times ``(<x, w> + c) ** p`` for an integer p >= 0 and rational or
+        integer w and c: the form that `_power_form` builds once per p, with
+        1 / mass folded into its scale, at (w, c) scaled to integers."""
         form = self._mean_forms.get(p)
         if form is None:
-            scale, terms = self._form(p)
+            scale, terms = self._power_form(p)
             form = self._mean_forms[p] = (scale / self.mass, terms)
         return _form_at(form, w, c, p)
-
-    def _form(self, p: int) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
-        form = self._power_forms.get(p)
-        if form is None:
-            form = self._power_forms[p] = self._power_form(p)
-        return form
 
     def _power_form(self, p: int) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
         """``(scale, [(coefficient, key), ...])`` with integer coefficients:
@@ -781,11 +759,8 @@ def _monomial_products(f: Polynomial) -> list[Product]:
 
 
 def integrate_poly(vp: VPolytope, f: Polynomial) -> Fraction:
-    """Exact integral of a polynomial over a rational polytope.
-
-    Lower-dimensional polytopes are integrated against the lattice measure of
-    their affine hull; a 0-dimensional polytope integrates to f(point).
-    """
+    """Exact integral of a polynomial over a full-dimensional rational
+    polytope; a lower-dimensional one raises `geom.DegenerateInputError`."""
     return Expansion(vp, _monomial_products(f)).integral()
 
 
@@ -925,7 +900,7 @@ def _gm_rules(n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, 
 
 @dataclass(frozen=True)
 class _NumSimplex:
-    verts: np.ndarray        # (n+1, n) chart coordinates
+    verts: np.ndarray        # (n+1, n) vertex coordinates
     detabs: float
     value: np.ndarray        # high-order estimate
     error: float
@@ -936,9 +911,10 @@ MAX_SUBDIVISIONS = 100_000
 
 def integrate_numeric(vp: VPolytope, f: Callable[[np.ndarray], np.ndarray], tol: float,
                       max_subdivisions: int = MAX_SUBDIVISIONS) -> Quadrature:
-    """Adaptive cubature of a smooth integrand over a rational polytope.
+    """Adaptive cubature of a smooth integrand over a full-dimensional
+    rational polytope.
 
-    ``f`` maps an (k, ambient_dim) float array to shape (k,) or (k, m);
+    ``f`` maps an (k, dim) float array to shape (k,) or (k, m);
     the result value follows that shape.  The reported error bound is the
     summed embedded-rule discrepancy, an estimate rather than an
     enclosure, held at or below ``tol`` unless the
@@ -947,16 +923,7 @@ def integrate_numeric(vp: VPolytope, f: Callable[[np.ndarray], np.ndarray], tol:
     """
     import numpy as np
 
-    chart = vp.chart
-    n = chart.dim
-    if n == 0:
-        val = np.asarray(f(np.array([[float(c) for c in chart.origin]])))[0]
-        return Quadrature(value=val if val.shape else float(val),
-                          error_bound=0.0, subdivisions=0)
-    origin = np.array([float(c) for c in chart.origin])
-    basis = np.array([[float(chart.basis[j][i]) for j in range(n)]
-                      for i in range(len(chart.origin))])  # ambient x chart
-
+    n = vp.dim
     (nodes_lo, w_lo), (nodes_hi, w_hi) = _gm_rules(n)
 
     leaves: dict[int, _NumSimplex] = {}
@@ -964,10 +931,10 @@ def integrate_numeric(vp: VPolytope, f: Callable[[np.ndarray], np.ndarray], tol:
     indices = count()
 
     def add(verts, detabs: float) -> float:
-        """Keep the simplex with these chart vertices as a leaf, with its
-        two estimates; returns its error."""
-        vals_hi = np.asarray(f(nodes_hi @ verts @ basis.T + origin), dtype=float)
-        vals_lo = np.asarray(f(nodes_lo @ verts @ basis.T + origin), dtype=float)
+        """Keep the simplex with these vertices as a leaf, with its two
+        estimates; returns its error."""
+        vals_hi = np.asarray(f(nodes_hi @ verts), dtype=float)
+        vals_lo = np.asarray(f(nodes_lo @ verts), dtype=float)
         if not (np.all(np.isfinite(vals_hi)) and np.all(np.isfinite(vals_lo))):
             raise SingularIntegrandError("integrand not finite at a quadrature node")
         i_hi = detabs * (w_hi @ vals_hi)

@@ -17,6 +17,7 @@ rather than in every process.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import re
 from fractions import Fraction
@@ -371,8 +372,12 @@ def parse_weight_fn(block: dict | None) -> WeightFn | None:
         return PolynomialWeight(Polynomial(dim, terms))
     if "affine_power" in block:
         ap = block["affine_power"]
-        return AffinePowerWeight(_ratvec(ap["xi"]), _fraction(ap["a"]),
-                                 ap["exponent"])
+        exponent = ap["exponent"]
+        # JSON's NaN, Infinity and 1e400 are numbers to the schema
+        if isinstance(exponent, float) and not math.isfinite(exponent):
+            raise SchemaValidationError(
+                f"affine_power exponent must be a finite number, not {exponent}")
+        return AffinePowerWeight(_ratvec(ap["xi"]), _fraction(ap["a"]), exponent)
     raise SchemaValidationError("unrecognized weight_fn block")
 
 

@@ -28,7 +28,6 @@ from .geom import (
     Vec,
     VPolytope,
     dot,
-    lex_sorted,
     primitive,
     rowspace_solution,
     vec,
@@ -126,18 +125,26 @@ class PLFunction:
 
 
 def section_polytope(divisors: Sequence[DivisorRecord]) -> VPolytope:
-    """{m : <rho(D), m> + n_D >= 0 for every B-stable divisor D}."""
+    """{m : <rho(D), m> + n_D >= 0 for every B-stable divisor D}, refused
+    unless it is a nonempty polytope of dimension the rank: S(v) and delta
+    are normalized by its volume, vol(L), which is zero for a line bundle
+    that is not big."""
     if not divisors:
         raise SphericalDataError("no divisor records")
     dim = len(divisors[0].rho)
     forms = [AffineForm(d.rho, d.coeff) for d in divisors]
     try:
-        return VPolytope.from_inequalities(dim, forms)
+        polytope = VPolytope.from_inequalities(dim, forms)
     except EmptyPolytopeError as e:
         raise SphericalDataError(f"section polytope is empty: {e}") from e
     except UnboundedPolytopeError as e:
         raise SphericalDataError(
             f"section polytope is unbounded (bundle not ample?): {e}") from e
+    if polytope.affine_dim < dim:
+        raise SphericalDataError(
+            f"section polytope has dimension {polytope.affine_dim} < rank {dim}: "
+            "the line bundle is not big")
+    return polytope
 
 
 def colored_generators(cone_data: ColoredConeData,
@@ -195,7 +202,7 @@ def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
     if not rays:
         raise EmptyCandidateSetError(
             "all fan/valuation intersections are trivial")
-    return lex_sorted(rays)
+    return sorted(rays)
 
 
 def _span(rays) -> str:

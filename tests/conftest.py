@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from kstab.fixtures import builtin_spherical_input
-from kstab.geom import Cone, VPolytope, dot, invert_matrix, vec, vscale, vsub
+from kstab.geom import Cone, DegenerateInputError, VPolytope, _rref, dot, vadd, vec, vscale, vsub
 from kstab.quad import AffineForm, DHDensity, DHFactor, Polynomial
 from kstab.spherical import ColoredConeData, DivisorRecord, SphericalInput
 
@@ -28,6 +28,33 @@ def eval_float(poly, pts):
                 t = t * pts[:, i] ** ei
         out += t
     return out
+
+
+def affine_form(normal, offset) -> AffineForm:
+    return AffineForm(vec(normal), F(offset))
+
+
+def translated_polytope(vp: VPolytope, t) -> VPolytope:
+    """The polytope vp + t."""
+    return VPolytope(vp.dim, [vadd(v, t) for v in vp.vertices])
+
+
+def translated_density(dh: DHDensity, t) -> DHDensity:
+    """The density on the polytope translated by +t, with the same values
+    pointwise: new(x) = old(x - t)."""
+    return DHDensity(dh.dim, tuple(
+        DHFactor(AffineForm(f.form.normal, f.form.offset - dot(f.form.normal, t)),
+                 f.multiplicity, f.rho_pair) for f in dh.factors), dh.normalization)
+
+
+def invert_matrix(rows) -> list:
+    """Exact inverse of a square matrix given as rows, by one reduction of
+    ``[A | I]``."""
+    n = len(rows)
+    m = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    if len(_rref(m, n)) < n:
+        raise DegenerateInputError("singular matrix")
+    return [tuple(r[n:]) for r in m]
 
 
 def affine_power(form: AffineForm, k: int) -> Polynomial:

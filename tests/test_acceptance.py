@@ -11,7 +11,13 @@ from functools import partial
 
 import numpy as np
 
-from conftest import eval_float, random_spherical_input, two_rho_alpha_coords
+from conftest import (
+    eval_float,
+    random_spherical_input,
+    translated_density,
+    translated_polytope,
+    two_rho_alpha_coords,
+)
 from kstab.geom import Cone, VPolytope, vec
 from kstab.invariants import alpha, barycenter_g, delta_p, ding_check
 from kstab.quad import (
@@ -90,8 +96,8 @@ def test_acceptance_5_barycenter_shift(pgl2, wonderful_a1, wonderful_a2):
              ("wonderful-a2", wonderful_a2, (F(2), F(2)))]
     for name, si, chi in cases:
         base = tuple(b.exact for b in barycenter_g(si))
-        moved = dh_moments(si.section_polytope.translated(chi),
-                           si.dh.translated(chi), ConstantWeight(F(1)),
+        moved = dh_moments(translated_polytope(si.section_polytope, chi),
+                           translated_density(si.dh, chi), ConstantWeight(F(1)),
                            si.projection)
         assert moved.exact
         assert base == tuple(c - t for c, t in zip(moved.barycenter, chi))

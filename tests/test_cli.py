@@ -282,6 +282,41 @@ def test_g_parse_errors_carry_the_flag_prefix(p1_path, capsys):
     assert err == "kstab: invalid input: --g: polynomial exponent length != dim\n"
 
 
+@pytest.mark.parametrize("exponent, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")])
+def test_non_finite_affine_power_exponent_is_invalid(p1_path, tmp_path, capsys, exponent, shown):
+    # JSON numbers to the schema, refused when the weight is parsed, from
+    # --g and from the document alike
+    block = f'{{"affine_power": {{"xi": ["1"], "a": "2", "exponent": {exponent}}}}}'
+    message = f"affine_power exponent must be a finite number, not {shown}"
+    code, out, err = run_cli(
+        ["compute", "--input", p1_path, "--invariant", "barycenter", "--g", block], capsys)
+    assert (code, out, err) == (2, "", f"kstab: invalid input: --g: {message}\n")
+    doc = builtin_document("toric-p1")
+    doc["weight_fn"] = json.loads(block)
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["compute", "--input", str(path), "--invariant", "barycenter"], capsys)
+    assert (code, out, err) == (2, "", f"kstab: invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("dh, factor, message", [
+    ({"normalization": "0"}, {}, "the density normalization must be positive"),
+    ({"normalization": "-1"}, {}, "the density normalization must be positive"),
+    ({}, {"rho_pair": "0"}, "factor rho_pair values must be positive"),
+])
+@pytest.mark.parametrize("command", [["check"], ["compute", "--invariant", "delta"], ["reeb"]])
+def test_nonpositive_density_normalization_or_rho_pair_is_refused(tmp_path, capsys, dh, factor,
+                                                                   message, command):
+    doc = builtin_document("toric-bl1p2")
+    doc["dh"] = {"factors": [{"normal": ["1", "0"], "offset": "3", "multiplicity": 1, **factor}],
+                 **dh}
+    path = tmp_path / "dh.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([*command, "--input", str(path)], capsys)
+    assert (code, out, err) == (3, "", f"kstab: ValueError: {message}\n")
+
+
 _UNWEIGHTED = [(["compute", "--invariant", "alpha"], "compute --invariant alpha"),
                (["reeb"], "reeb")]
 _P1_WEIGHTS = [{"polynomial": {"dim": 1, "terms": [{"exponent": [2], "coeff": "1"},
@@ -492,8 +527,8 @@ def test_reeb_scope_refusal(pgl2_path, capsys):
 
 
 def _shifted_document(tmp_path, name, coeffs):
-    """A builtin whose divisor coefficients are replaced, which translates
-    its section polytope."""
+    """A builtin whose divisor coefficients are replaced, which moves or
+    reshapes its section polytope."""
     doc = builtin_document(name)
     for d in doc["variety"]["divisors"]:
         d["coeff"] = coeffs[d["name"]]
@@ -511,6 +546,18 @@ def test_reeb_refuses_a_polytope_without_the_origin_inside(tmp_path, capsys, nam
                              capsys)
     assert code == 3 and out == ""
     assert "origin is not interior" in err
+
+
+@pytest.mark.parametrize("name, coeffs, dims", [
+    ("toric-bl1p2", {"D1": "0", "D2": "0", "E": "-1", "D3": "1"}, "1 < rank 2"),  # a segment
+    ("toric-p1", {"D0": "0", "Dinf": "0"}, "0 < rank 1"),  # a point
+])
+@pytest.mark.parametrize("command", [["check"], ["compute", "--invariant", "delta"], ["reeb"]])
+def test_refuses_a_line_bundle_that_is_not_big(tmp_path, capsys, name, coeffs, dims, command):
+    path = _shifted_document(tmp_path, name, coeffs)
+    code, out, err = run_cli([*command, "--input", path], capsys)
+    assert code == 3 and out == ""
+    assert f"section polytope has dimension {dims}: the line bundle is not big" in err
 
 
 def test_timing_flag_adds_field(pgl2_path, capsys):

@@ -13,7 +13,13 @@ import kstab.invariants
 import kstab.powers
 import kstab.quad
 import kstab.soliton
-from conftest import complete_fans, fan_input, random_toric_input
+from conftest import (
+    complete_fans,
+    fan_input,
+    random_toric_input,
+    translated_density,
+    translated_polytope,
+)
 from kstab.fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
 from kstab.geom import Cone, dot, vec
 from kstab.invariants import (
@@ -282,8 +288,8 @@ def test_barycenter_shift_identity(pgl2, wonderful_a1, wonderful_a2):
              (wonderful_a2, (F(2), F(2)))]
     for si, chi in cases:
         base = barycenter_g(si)
-        shifted_poly = si.section_polytope.translated(chi)
-        shifted_density = si.dh.translated(chi)
+        shifted_poly = translated_polytope(si.section_polytope, chi)
+        shifted_density = translated_density(si.dh, chi)
         m = dh_moments(shifted_poly, shifted_density, ConstantWeight(F(1)),
                        si.projection)
         shifted_bar = m.barycenter

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_power, eval_float
+from conftest import affine_form, affine_power, eval_float
 from kstab import geom
 from kstab.geom import (
     AffineForm,
     Simplex,
     VPolytope,
-    affine_form,
-    lattice_chart,
+    DegenerateInputError,
     matrix_rank,
     unit_vec,
     vec,
@@ -136,18 +135,13 @@ def test_poly_affinity_under_unimodular_maps():
         assert integrate_poly(preimage, composed) == integrate_poly(UNIT_SQUARE, p)
 
 
-def test_poly_lower_dimensional_lattice_measure():
+def test_poly_lower_dimensional_refused():
     seg = VPolytope(2, [vec([0, 0]), vec([2, 2])])
-    one = Polynomial.constant(2, 1)
-    # the segment meets three lattice points; its lattice length is 2
-    assert integrate_poly(seg, one) == 2
-    x0 = Polynomial.coordinate(2, 0)
-    assert integrate_poly(seg, x0) == 2  # int_0^2 t dt
-
-
-def test_poly_zero_dimensional():
+    with pytest.raises(DegenerateInputError, match="affine dimension 1 < 2"):
+        integrate_poly(seg, Polynomial.constant(2, 1))
     pt = VPolytope(1, [vec([3])])
-    assert integrate_poly(pt, Polynomial.coordinate(1, 0)) == 3
+    with pytest.raises(DegenerateInputError, match="affine dimension 0 < 1"):
+        integrate_poly(pt, Polynomial.coordinate(1, 0))
 
 
 def test_triangulation_built_once(monkeypatch):
@@ -168,9 +162,8 @@ def test_triangulation_built_once(monkeypatch):
 
 def _substitution_route(vertices, products) -> F:
     """Integral over the simplex conv(vertices) by the substitution route:
-    expand the integrand in x, compose onto the lattice chart of the affine
-    hull and then onto the simplex's edge coordinates, and integrate each
-    monomial over the standard simplex."""
+    expand the integrand in x, compose onto the simplex's edge coordinates
+    and integrate each monomial over the standard simplex."""
     n = len(vertices[0])
     f = Polynomial(n, {})
     for c, factors in products:
@@ -178,9 +171,7 @@ def _substitution_route(vertices, products) -> F:
         for form, k in factors:
             term = term * affine_power(form, k)
         f = f + term
-    chart = lattice_chart(list(vertices))
-    f = f.compose_affine(chart.origin, chart.basis)
-    s = Simplex(tuple(chart.to_chart(v) for v in vertices))
+    s = Simplex(tuple(vertices))
     g = f.compose_affine(s.vertices[0], s.edge_columns)
     return s.volume_factor * sum(
         (c * F(prod(factorial(a) for a in e), factorial(s.dim + sum(e)))
@@ -192,10 +183,9 @@ _RAT = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 @st.composite
 def _simplex_and_products(draw):
-    d = draw(st.integers(1, 3))
-    n = d + draw(st.integers(0, 1))  # n > d: a simplex seen through its chart
+    n = draw(st.integers(1, 3))
     point = st.tuples(*[_RAT] * n)
-    vertices = draw(st.lists(point, min_size=d + 1, max_size=d + 1, unique=True))
+    vertices = draw(st.lists(point, min_size=n + 1, max_size=n + 1, unique=True))
     form = st.builds(AffineForm, st.tuples(*[_RAT] * n), _RAT)
     factors = st.lists(st.tuples(form, st.integers(1, 3)), min_size=0, max_size=3)
     products = draw(st.lists(st.tuples(_RAT, factors.map(tuple)), min_size=1, max_size=3))
@@ -221,13 +211,11 @@ _SMALL = st.integers(-2, 2).map(F)
 
 @st.composite
 def _simplex_products_and_form(draw):
-    """A simplex with small integer vertices (possibly seen through a
-    chart), a density-like sum of products and a form whose values at the
-    vertices tie and vanish often."""
-    d = draw(st.integers(1, 3))
-    n = d + draw(st.integers(0, 1))
-    vertices = draw(st.lists(st.tuples(*[_SMALL] * n), min_size=d + 1,
-                             max_size=d + 1, unique=True))
+    """A simplex with small integer vertices, a density-like sum of
+    products and a form whose values at the vertices tie and vanish often."""
+    n = draw(st.integers(1, 3))
+    vertices = draw(st.lists(st.tuples(*[_SMALL] * n), min_size=n + 1,
+                             max_size=n + 1, unique=True))
     small_form = st.builds(AffineForm, st.tuples(*[st.sampled_from([F(-1), F(0), F(1)])] * n),
                            st.sampled_from([F(-1), F(0), F(1), F(2)]))
     factors = st.lists(st.tuples(small_form, st.integers(1, 2)), min_size=0, max_size=2)
@@ -251,10 +239,10 @@ def test_integral_power_matches_exact_kernel_at_integer_exponents(case, s):
 
 @st.composite
 def _simplex_density_and_values(draw):
-    """A simplex (possibly seen through a chart), a density whose squared
-    factors give terms tau^a with several a_i > 0, so that nodes repeat,
-    and values at the vertices that tie and vanish often: on a simplex
-    every choice of vertex values is that of an affine form."""
+    """A simplex, a density whose squared factors give terms tau^a with
+    several a_i > 0, so that nodes repeat, and values at the vertices that
+    tie and vanish often: on a simplex every choice of vertex values is that
+    of an affine form."""
     vertices, products, _ = draw(_simplex_products_and_form())
     values = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1)])
     return vertices, products, draw(st.lists(values, min_size=len(vertices), max_size=len(vertices)))
@@ -363,8 +351,10 @@ def test_power_form_matches_exact_kernel_on_simplices(case, p):
     n = len(vertices[0])
     assume(matrix_rank([vsub(v, vertices[0]) for v in vertices[1:]]) == len(vertices) - 1)
     expansion = Expansion(VPolytope(n, vertices), products)
+    assume(expansion.mass != 0)
     values = [form(x) for x in expansion.vertices]
-    assert expansion.power_integral(form.normal, form.offset, p) == expansion.integral(((values, p),))
+    integral = expansion.power_mean(form.normal, form.offset, p) * expansion.mass
+    assert integral == expansion.integral(((values, p),))
 
 
 @st.composite
@@ -387,10 +377,11 @@ def test_power_form_at_rays_matches_exact_kernel(case):
     polytope, products, rays = case
     assume(polytope.affine_dim == polytope.dim)
     expansion = Expansion(polytope, products)
+    assume(expansion.mass != 0)
     for v, lv in rays:
         values = [sum(a * b for a, b in zip(x, v)) + lv for x in expansion.vertices]
         for p in range(5):
-            assert expansion.power_integral(v, lv, p) == expansion.integral(((values, p),))
+            assert expansion.power_mean(v, lv, p) * expansion.mass == expansion.integral(((values, p),))
 
 
 @st.composite
@@ -415,8 +406,10 @@ def test_power_form_matches_exact_kernel_on_polytopes(case, p):
     polytope, density, form = case
     assume(polytope.affine_dim == polytope.dim and len(polytope.triangulation) > 1)
     expansion = density_expansion(polytope, density, [(F(1), ())])
+    assume(expansion.mass != 0)
     values = [form(x) for x in expansion.vertices]
-    assert expansion.power_integral(form.normal, form.offset, p) == expansion.integral(((values, p),))
+    integral = expansion.power_mean(form.normal, form.offset, p) * expansion.mass
+    assert integral == expansion.integral(((values, p),))
 
 
 def test_power_form_built_once_per_exponent(monkeypatch):
@@ -429,7 +422,7 @@ def test_power_form_built_once_per_exponent(monkeypatch):
     for p in (2, 3, 2):
         for t in range(3):
             values = [F(x[0] - t, 3) + x[1] for x in expansion.vertices]
-            value = expansion.power_integral((F(1, 3), F(1)), F(-t, 3), p)
+            value = expansion.power_mean((F(1, 3), F(1)), F(-t, 3), p) * expansion.mass
             assert value == expansion.integral(((values, p),))
     assert builds == [2, 3]
 
@@ -438,7 +431,7 @@ def test_moments_do_not_use_the_power_form(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("the power form was used")
 
-    monkeypatch.setattr(Expansion, "power_integral", refuse)
+    monkeypatch.setattr(Expansion, "power_mean", refuse)
     monkeypatch.setattr(Expansion, "_power_form", refuse)
     # (x + 1)(2 - x) is symmetric about x = 1/2
     density = DHDensity(2, (DHFactor(affine_form([1, 0], 1)), DHFactor(affine_form([-1, 0], 2))))

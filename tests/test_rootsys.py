@@ -7,12 +7,13 @@ import pytest
 
 from conftest import (
     affine_power,
+    invert_matrix,
     two_rho_alpha_coords,
     weyl_dim,
     weyl_orbit,
     wonderful_moment_polytope,
 )
-from kstab.geom import AffineForm, VPolytope, dot, invert_matrix, vec, vneg
+from kstab.geom import AffineForm, VPolytope, dot, vec, vneg
 from kstab.quad import Polynomial, ZeroFactorError
 from kstab.rootsys import RootSystem, RootSystemError, dh_density
 

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_fans, fan_input, random_toric_input
+from conftest import (
+    affine_form,
+    complete_fans,
+    fan_input,
+    random_toric_input,
+    translated_polytope,
+)
+from kstab.fixtures import builtin_document
 from kstab.geom import Cone, dot, vec
 from kstab.quad import AffineForm, DHDensity, DHFactor
+from kstab.schema import parse_input_document
 from kstab.spherical import (
     ColoredConeData,
     DivisorRecord,
@@ -40,6 +48,19 @@ def test_section_polytope_pgl2(pgl2):
 def test_section_polytope_unbounded_rejected():
     with pytest.raises(SphericalDataError):
         section_polytope([DivisorRecord("D", vec([1]), F(0), False)])
+
+
+@pytest.mark.parametrize("name, coeffs, message", [
+    # x >= 0, y >= 0, x + y <= 1 and x + y >= 1: a segment
+    ("toric-bl1p2", {"D1": "0", "D2": "0", "E": "-1", "D3": "1"}, "dimension 1 < rank 2"),
+    ("toric-p1", {"D0": "0", "Dinf": "0"}, "dimension 0 < rank 1"),
+])
+def test_lower_dimensional_section_polytope_refused(name, coeffs, message):
+    doc = builtin_document(name)
+    for d in doc["variety"]["divisors"]:
+        d["coeff"] = coeffs[d["name"]]
+    with pytest.raises(SphericalDataError, match=f"{message}: the line bundle is not big"):
+        parse_input_document(doc)
 
 
 def test_section_polytope_translation_covariance():
@@ -185,7 +206,7 @@ def test_lattice_points_at_four_levels_make_one_double_description(monkeypatch):
 
 
 def test_lattice_points_origin_polytope():
-    from kstab.geom import VPolytope, affine_form
+    from kstab.geom import VPolytope
     pt = VPolytope.from_inequalities(1, [affine_form([1], 0), affine_form([-1], 0)])
     for k in (1, 2, 5):
         assert lattice_points(pt, k) == [(F(0),)]
@@ -248,7 +269,7 @@ def test_moment_polytope_relation_wonderful(wonderful_a1, wonderful_a2):
         rs = RootSystem(letter, rank)
         chi = two_rho_alpha_coords(rs)
         delta_plus = wonderful_moment_polytope(rs)
-        translated = si.section_polytope.translated(chi)
+        translated = translated_polytope(si.section_polytope, chi)
         assert translated.vertices == delta_plus.vertices
 
 
