@@ -135,10 +135,17 @@ def test_poly_affinity_under_unimodular_maps():
         assert integrate_poly(preimage, composed) == integrate_poly(UNIT_SQUARE, p)
 
 
-def test_poly_lower_dimensional_refused():
+def test_poly_lower_dimensional_lattice_measure():
+    # integrate_poly refuses a polytope of lower dimension than its ambient
+    # space, such as a segment in the plane
     seg = VPolytope(2, [vec([0, 0]), vec([2, 2])])
     with pytest.raises(DegenerateInputError, match="affine dimension 1 < 2"):
         integrate_poly(seg, Polynomial.constant(2, 1))
+    with pytest.raises(DegenerateInputError, match="affine dimension 1 < 2"):
+        integrate_poly(seg, Polynomial.coordinate(2, 0))
+
+
+def test_poly_zero_dimensional():
     pt = VPolytope(1, [vec([3])])
     with pytest.raises(DegenerateInputError, match="affine dimension 0 < 1"):
         integrate_poly(pt, Polynomial.coordinate(1, 0))
