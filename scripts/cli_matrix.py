@@ -34,7 +34,10 @@ jsonschema's ``best_match`` would pick: ``--g`` blocks whose key names a
 ``oneOf`` branch that fails, and a toric-p1 document with two errors at
 the same depth; then ``check`` and ``compute --invariant delta`` on
 toric-bl1p2 and toric-p1 with coefficients whose section polytope is a
-segment and a point, which are refused as line bundles that are not big.
+segment and a point, which are refused as line bundles that are not big;
+last, ``reeb`` on toric-bl1p2 with a raw density of one degree-1 factor at
+``dim_x`` 2, which is refused since the degree exceeds dim_x - rank, and
+at ``dim_x`` 3, where it equals dim_x - rank.
 """
 
 from __future__ import annotations
@@ -251,6 +254,14 @@ def main():
                          ["compute", "--input", str(path), "--invariant", "delta"]):
                 print(f"# {name} section polytope not full-dimensional")
                 print(_run(argv, root))
+        for dim_x in (2, 3):
+            doc = builtin_document("toric-bl1p2")
+            doc["variety"]["dim_x"] = dim_x
+            doc["dh"] = {"factors": [{"normal": ["1", "0"], "offset": "3", "multiplicity": 1}]}
+            path = Path(root, f"toric-bl1p2-dh-dim-{dim_x}.json")
+            path.write_text(json.dumps(doc))
+            print(f"# toric-bl1p2 degree-1 density, dim_x {dim_x}")
+            print(_run(["reeb", "--input", str(path)], root))
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ from .quad import (
     tight,
     weighted_density,
 )
-from .spherical import PLFunction, SphericalInput
+from .spherical import PLFunction, SphericalInput, _is_integer
 
 
 class InvariantError(Exception):
@@ -107,16 +107,6 @@ class Num:
 
 _INFINITE = Num(math.inf)
 _UNIT = 2.0 ** -53  # the unit roundoff of a float
-
-
-def _is_integer(p) -> bool:
-    if isinstance(p, int):
-        return True
-    if isinstance(p, Fraction):
-        return p.denominator == 1
-    if isinstance(p, float):
-        return p.is_integer()
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +157,9 @@ def _check_exponent(p):
 class CandidateRow:
     """A candidate ray v as the invariants read it under one PL function l:
     v, its primitive integer coordinates, A(v) (checked positive), the
-    `RayRecord` of v under l and A(v) / T (0 where T = 0)."""
+    `RayRecord` of v under l and A(v) / T, where T > 0: the values are
+    nonnegative on the full-dimensional section polytope, on which no
+    nonzero v is constant."""
 
     ray: Vec
     ints: tuple[int, ...]
@@ -191,8 +183,7 @@ def _candidate_rows(si: SphericalInput, pl: PLFunction | None = None) -> tuple[C
 def _candidate_row(si: SphericalInput, pl: PLFunction, v: Vec) -> CandidateRow:
     a = _ray_log_discrepancy(si, v)
     record = _ray(si, v, pl)
-    t = record.t_max
-    return CandidateRow(v, tuple(x.numerator for x in v), a, record, a / t if t > 0 else Fraction(0))
+    return CandidateRow(v, tuple(x.numerator for x in v), a, record, a / record.t_max)
 
 
 def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
@@ -371,11 +362,7 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
         if n is not None and s.is_exact and s.exact > 0:
             key = a ** n / s.exact
         ratio = Num.from_fraction(key) if n == 1 and key is not None else _root_ratio(a, s, p)
-        anomalies = ()
-        if t <= 0:
-            anomalies = ("vanishing-maximum",)
-            ratio = _INFINITE
-        rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha, anomalies))
+        rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha))
         keys.append((ray, ratio, key))
     value, mins = _argmin_ratios(keys)
     return InvariantReport(kind="delta", p=p, value=value,
@@ -393,10 +380,6 @@ def alpha(si: SphericalInput) -> InvariantReport:
         ray, a, t = row.ray, row.a, row.record.t_max
         # S_1(v) = <bar, v> + l(v), exactly
         s = _pairing(entry, row.ints, row.record.value)
-        if t <= 0:
-            rows.append(RayEvaluation(ray, a, s, t, _INFINITE, row.ratio_alpha,
-                                      ("vanishing-maximum",)))
-            continue
         ratio = row.ratio_alpha
         rows.append(RayEvaluation(ray, a, s, t, _root_ratio(a, s, 1), ratio))
         ratios.append((ray, Num.from_fraction(ratio), ratio))

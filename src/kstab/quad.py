@@ -36,7 +36,8 @@ over it:
   coefficient per integrand (`Expansion.inverse_power_tables`: the
   expansion times 1, x_i and x_i x_j, for the Reeb functional, its
   gradient and its Hessian, whose P = 1 case is the volume function of
-  Martelli, Sparks and Yau, Comm. Math. Phys. 280, 2008);
+  Martelli, Sparks and Yau, Comm. Math. Phys. 280, 2008; there k = m + 1
+  exceeds d + |a|, since `soliton.ReebProblem` refuses deg P > m - d);
 * an adaptive cubature of float integrands (`integrate_numeric`), with
   embedded Grundmann-Moller rules of degrees 7 and 9, whose error bound
   is an estimate; no answer uses it.  It is the tests' float reference,

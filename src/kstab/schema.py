@@ -351,33 +351,45 @@ def validate_document(doc: dict):
 
 def validate_weight_fn(block):
     """Schema check of a ``weight_fn`` block given on its own; the message
-    is that of its first schema error, at its path inside the block."""
-    e = _error(block, INPUT_SCHEMA["properties"]["weight_fn"])
+    is that of its first error, schema errors first, at its path inside
+    the block."""
+    e = _error(block, INPUT_SCHEMA["properties"]["weight_fn"]) or _weight_fn_error(block)
     if e is not None:
         raise SchemaValidationError(_located(e))
 
 
+def _weight_fn_error(block: dict) -> tuple | None:
+    """The first error of a schema-valid ``weight_fn`` block that the schema
+    cannot express, as a (path, message) inside the block: a polynomial
+    exponent whose length is not dim, or an affine_power exponent that is
+    not finite (JSON's NaN, Infinity and 1e400 are numbers to the schema)."""
+    if "polynomial" in block:
+        p = block["polynomial"]
+        for i, t in enumerate(p["terms"]):
+            if len(t["exponent"]) != int(p["dim"]):
+                return ("polynomial", "terms", i, "exponent"), "polynomial exponent length != dim"
+    if "affine_power" in block:
+        exponent = block["affine_power"]["exponent"]
+        if isinstance(exponent, float) and not math.isfinite(exponent):
+            return ("affine_power", "exponent"), \
+                f"affine_power exponent must be a finite number, not {exponent}"
+    return None
+
+
 def parse_weight_fn(block: dict | None) -> WeightFn | None:
+    """The weight of a ``weight_fn`` block that `validate_weight_fn`
+    accepts."""
     if block is None:
         return None
     if "constant" in block:
         return ConstantWeight(_fraction(block["constant"]))
     if "polynomial" in block:
         p = block["polynomial"]
-        dim = int(p["dim"])
         terms = {tuple(map(int, t["exponent"])): _fraction(t["coeff"]) for t in p["terms"]}
-        for e in terms:
-            if len(e) != dim:
-                raise SchemaValidationError("polynomial exponent length != dim")
-        return PolynomialWeight(Polynomial(dim, terms))
+        return PolynomialWeight(Polynomial(int(p["dim"]), terms))
     if "affine_power" in block:
         ap = block["affine_power"]
-        exponent = ap["exponent"]
-        # JSON's NaN, Infinity and 1e400 are numbers to the schema
-        if isinstance(exponent, float) and not math.isfinite(exponent):
-            raise SchemaValidationError(
-                f"affine_power exponent must be a finite number, not {exponent}")
-        return AffinePowerWeight(_ratvec(ap["xi"]), _fraction(ap["a"]), exponent)
+        return AffinePowerWeight(_ratvec(ap["xi"]), _fraction(ap["a"]), ap["exponent"])
     raise SchemaValidationError("unrecognized weight_fn block")
 
 
@@ -480,7 +492,11 @@ def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
         projection=projection,
         complete=var.get("complete", True),
     )
-    g = parse_weight_fn(doc.get("weight_fn"))
+    block = doc.get("weight_fn")
+    e = None if block is None else _weight_fn_error(block)
+    if e is not None:
+        raise SchemaValidationError(_located((("weight_fn", *e[0]), e[1])))
+    g = parse_weight_fn(block)
     check_weight_dimension(g, projection, "weight_fn")
     return si, g
 

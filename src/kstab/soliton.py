@@ -21,10 +21,9 @@ in the section polytope's memo (`quad.density_expansion`), and with it
 one float table per derivative order
 (`quad.Expansion.inverse_power_tables`), so that a functional call is one
 float pass per order (`quad.integral_inverse_power`) and a fresh problem
-on a warm input expands nothing.  When m + 1 <= dim + deg P, which only a
-raw user density can give, the closed form carries logarithms: it is
-reduced exactly to rational multiples of log t at the vertex values t,
-and only those logarithms are enclosed.
+on a warm input expands nothing.  That form needs deg P <= m - dim, which
+a horospherical density meets with equality (Brion, Duke Math. J. 58,
+1989), so `ReebProblem` refuses a density of higher degree (exit 3).
 
 The Newton algebra is plain Python on floats, dim <= 8: cyclic Jacobi
 gives the Hessian's eigenpairs, whose least eigenvalue must be positive,
@@ -35,17 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .geom import AffineForm, VPolytope
+from .geom import VPolytope
 from .quad import (
     _UNIT_PRODUCTS,
     DHDensity,
     Expansion,
     density_expansion,
-    enclose,
     integral_inverse_power,
 )
 from .spherical import SphericalInput
@@ -112,10 +109,13 @@ class ReebProblem:
 
     @classmethod
     def _checked(cls, delta: VPolytope, offsets, dh: DHDensity, m: int) -> "ReebProblem":
-        """`SolitonError` unless delta is full-dimensional and every offset
-        of its inequalities (their values at the origin) is positive."""
+        """`SolitonError` unless delta is full-dimensional, dh has degree
+        at most m - dim and every offset of its inequalities (their values
+        at the origin) is positive."""
         if delta.affine_dim < delta.dim:
             raise SolitonError("section polytope must be full-dimensional")
+        if delta.dim + dh.degree > m:
+            raise SolitonError(f"density degree {dh.degree} exceeds dim_x - rank = {m} - {delta.dim}")
         if not all(offset > 0 for offset in offsets):
             raise SolitonError("the origin is not interior to the section polytope, "
                                "so the Reeb functional has no minimizer")
@@ -162,47 +162,15 @@ def reeb_functional(prob: ReebProblem, xi):
     t = _vertex_values(prob, xi)
     if not all(v > 0 for v in t):
         raise InfeasiblePointError(f"xi={xi} makes <xi, x> + 1 nonpositive at a vertex")
-    if prob.dim + prob.dh.degree <= m:
-        one, first, second = prob.expansion.inverse_power_tables
-        (value,), (err,) = integral_inverse_power(one, t, m + 1)
-        grad = integral_inverse_power(first, t, m + 2)[0]
-        hess_entries = integral_inverse_power(second, t, m + 3)[0]
-    else:
-        value, err, grad, hess_entries = _enclosed_functional(prob, xi)
+    one, first, second = prob.expansion.inverse_power_tables
+    (value,), (err,) = integral_inverse_power(one, t, m + 1)
+    grad = integral_inverse_power(first, t, m + 2)[0]
+    hess_entries = integral_inverse_power(second, t, m + 3)[0]
     hess = [[0.0] * n for _ in range(n)]
     pairs = ((i, j) for i in range(n) for j in range(i, n))
     for (i, j), v in zip(pairs, hess_entries):
         hess[i][j] = hess[j][i] = (m + 1) * (m + 2) * v
     return value, tuple(-(m + 1) * g for g in grad), hess, err
-
-
-def _enclosed_functional(prob: ReebProblem, xi: Vector):
-    """The integrals of `reeb_functional` (value with its error bound,
-    then the unscaled gradient and Hessian entries) from interval
-    enclosures, for densities whose degree leaves no reciprocal-power form.
-
-    Each entry is tight to 2^-52 of its natural scale: with R the largest
-    coordinate size on the polytope and t_min the least value of
-    l = <xi, x> + 1 there, |int x^a P l^(-m-1-|a|)| <= (R / t_min)^|a| V,
-    V the value."""
-    n, m = prob.dim, prob.m
-    form = AffineForm(tuple(Fraction(c) for c in xi), Fraction(1))
-    values = [form(x) for x in prob.delta.vertices]
-    x = [([v[i] for v in prob.delta.vertices], 1) for i in range(n)]
-    jobs = [((), m + 1, 0)] + [((x[i],), m + 2, 1) for i in range(n)] \
-        + [((x[i], x[j]), m + 3, 2) for i in range(n) for j in range(i, n)]
-    ratio = max(abs(c) for v in prob.vertex_array for c in v) / float(min(values))
-
-    def accept(entries):
-        scale = 2.0 ** -52 * abs(entries[0].mid)
-        return all(e.half_width <= scale * ratio ** order
-                   for e, (_, _, order) in zip(entries, jobs))
-
-    totals = [prob.expansion.integral_power(values, -k, factors) for factors, k, _ in jobs]
-    entries = enclose(lambda prec: [total.enclosure(prec) for total in totals], accept)
-    value, err = entries[0].float_with_error()
-    rest = [e.mid for e in entries[1:]]
-    return value, err, rest[:n], rest[n:]
 
 
 def symmetric_eigenpairs(a) -> tuple[list[float], list[list[float]]]:

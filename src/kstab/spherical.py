@@ -28,7 +28,6 @@ from .geom import (
     Vec,
     VPolytope,
     dot,
-    primitive,
     rowspace_solution,
     vec,
     vneg,
@@ -191,14 +190,10 @@ def build_pl_function(divisors: Sequence[DivisorRecord],
 
 def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
     """Primitive generators of the extreme rays of every fan cone met with
-    the valuation cone (``meets``); when an intersection carries lineality
-    its basis is appended with both signs."""
+    the valuation cone (``meets``), each pointed since its fan cone is."""
     rays: set[Vec] = set()
     for piece in meets:
         rays.update(piece.rays)
-        for l in piece.lineality:
-            rays.add(primitive(l))
-            rays.add(primitive(vneg(l)))
     if not rays:
         raise EmptyCandidateSetError(
             "all fan/valuation intersections are trivial")
@@ -207,6 +202,18 @@ def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
 
 def _span(rays) -> str:
     return ", ".join("(" + ", ".join(map(str, r)) + ")" for r in sorted(rays)) or "0"
+
+
+def _is_integer(p) -> bool:
+    """Whether a moment exponent is an integer, of whichever number type:
+    2, Fraction(2) and 2.0 read the same exact moment."""
+    if isinstance(p, int):
+        return True
+    if isinstance(p, Fraction):
+        return p.denominator == 1
+    if isinstance(p, float):
+        return p.is_integer()
+    return False
 
 
 def lattice_points(p: VPolytope, k: int) -> list[Vec]:
@@ -430,7 +437,7 @@ class SphericalInput:
             else:
                 base, s = power
                 w = float(base(tuple(c / k for c in m))) ** float(s) * float(dim_m)
-            if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
+            if _is_integer(p):
                 term = w * value ** int(p)
             else:
                 term = float(w) * float(value) ** float(p)

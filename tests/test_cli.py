@@ -279,7 +279,24 @@ def test_g_parse_errors_carry_the_flag_prefix(p1_path, capsys):
     code, out, err = run_cli(
         ["compute", "--input", p1_path, "--invariant", "barycenter", "--g", g], capsys)
     assert code == 2 and out == ""
-    assert err == "kstab: invalid input: --g: polynomial exponent length != dim\n"
+    assert err == ("kstab: invalid input: --g: at polynomial/terms/0/exponent: "
+                   "polynomial exponent length != dim\n")
+
+
+def test_polynomial_exponent_length_is_located(tmp_path, capsys):
+    # the offending term's exponent, in the document as under --g
+    doc = builtin_document("toric-p1")
+    doc["weight_fn"] = {"polynomial": {"dim": 1, "terms": [
+        {"exponent": [2], "coeff": "1"}, {"exponent": [1, 0], "coeff": "1"}]}}
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    message = "at {}polynomial/terms/1/exponent: polynomial exponent length != dim"
+    code, out, err = run_cli(["check", "--input", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"kstab: invalid input: {message.format('weight_fn/')}\n")
+    g = json.dumps(doc.pop("weight_fn"))
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["check", "--input", str(path), "--g", g], capsys)
+    assert (code, out, err) == (2, "", f"kstab: invalid input: --g: {message.format('')}\n")
 
 
 @pytest.mark.parametrize("exponent, shown", [
@@ -288,16 +305,16 @@ def test_non_finite_affine_power_exponent_is_invalid(p1_path, tmp_path, capsys, 
     # JSON numbers to the schema, refused when the weight is parsed, from
     # --g and from the document alike
     block = f'{{"affine_power": {{"xi": ["1"], "a": "2", "exponent": {exponent}}}}}'
-    message = f"affine_power exponent must be a finite number, not {shown}"
+    message = f"affine_power/exponent: affine_power exponent must be a finite number, not {shown}"
     code, out, err = run_cli(
         ["compute", "--input", p1_path, "--invariant", "barycenter", "--g", block], capsys)
-    assert (code, out, err) == (2, "", f"kstab: invalid input: --g: {message}\n")
+    assert (code, out, err) == (2, "", f"kstab: invalid input: --g: at {message}\n")
     doc = builtin_document("toric-p1")
     doc["weight_fn"] = json.loads(block)
     path = tmp_path / "weighted.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(["compute", "--input", str(path), "--invariant", "barycenter"], capsys)
-    assert (code, out, err) == (2, "", f"kstab: invalid input: {message}\n")
+    assert (code, out, err) == (2, "", f"kstab: invalid input: at weight_fn/{message}\n")
 
 
 @pytest.mark.parametrize("dh, factor, message", [
@@ -546,6 +563,31 @@ def test_reeb_refuses_a_polytope_without_the_origin_inside(tmp_path, capsys, nam
                              capsys)
     assert code == 3 and out == ""
     assert "origin is not interior" in err
+
+
+def _degree_one_density_document(tmp_path, dim_x):
+    """toric-bl1p2 (rank 2) with a raw density of one degree-1 factor."""
+    doc = builtin_document("toric-bl1p2")
+    doc["variety"]["dim_x"] = dim_x
+    doc["dh"] = {"factors": [{"normal": ["1", "0"], "offset": "3", "multiplicity": 1}]}
+    path = tmp_path / f"dh-dim-{dim_x}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_reeb_refuses_a_density_of_degree_above_dim_x_minus_rank(tmp_path, capsys):
+    code, out, err = run_cli(["reeb", "--input", _degree_one_density_document(tmp_path, 2)],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == "kstab: SolitonError: density degree 1 exceeds dim_x - rank = 2 - 2\n"
+    # at dim_x 3 the degree is dim_x - rank, and the closed form holds
+    code, out, err = run_cli(["reeb", "--input", _degree_one_density_document(tmp_path, 3)],
+                             capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["xi"] == [0.1705275943654729, 0.10253878345295296]
+    assert doc["functional_value"] == 11.426017630858
 
 
 @pytest.mark.parametrize("name, coeffs, dims", [

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_fans, fan_input, random_spherical_input
 from kstab.geom import vec
-from kstab.invariants import S_p, T_max, alpha, beta_g, delta_p
+from kstab.invariants import S_p, T_max, _candidate_rows, alpha, beta_g, delta_p
 from kstab.spherical import OutsideFanSupportError
 
 P_RANGE = (1, 2, 3, 4)
@@ -113,6 +113,18 @@ def test_properties_on_random_inputs(seed):
     rng = random.Random(1000 + seed)
     si = random_spherical_input(rng)
     _run_battery(si, rng)
+
+
+def test_every_candidate_row_has_a_positive_maximum(all_builtins):
+    # <x, v> + l(v) is nonnegative at the vertices of the full-dimensional
+    # section polytope, on which a nonzero ray is not constant, so T > 0
+    inputs = [*all_builtins.values(),
+              *(random_spherical_input(random.Random(1000 + seed)) for seed in range(50))]
+    for si in inputs:
+        for pl in (si.section_support, si.log_discrepancy):
+            rows = _candidate_rows(si, pl)
+            assert len(rows) == len(si.candidates)
+            assert all(row.record.t_max > 0 for row in rows)
 
 
 @settings(max_examples=15, deadline=None)

@@ -181,15 +181,24 @@ def test_properness_along_random_rays():
 
 
 def test_density_weighted_problem():
-    # asymmetric density shifts the minimizer off the origin
+    # asymmetric density shifts the minimizer off the origin; its degree 1
+    # is m - dim, as for a horospherical variety of dimension 2 and rank 1
     density = DHDensity(1, (DHFactor(AffineForm(vec([1]), F(2)), 1, F(1)),))
-    prob = ReebProblem.from_polytope(INTERVAL, density, 1)
+    prob = ReebProblem.from_polytope(INTERVAL, density, 2)
     sol = solve_reeb(prob)
     assert sol.converged
     assert abs(sol.xi[0]) > 1e-3
-    # stationarity: int (xi x + 1)^(-3) x (x + 2) dx = 0 at the solution
+    # stationarity: int (xi x + 1)^(-4) x (x + 2) dx = 0 at the solution
     res = stationarity_residual(prob, sol.xi)
     assert res < 1e-9
+
+
+def test_density_of_degree_above_m_minus_dim_refused():
+    # no horospherical variety has it: its Duistermaat-Heckman density has
+    # degree dim_x - rank exactly
+    density = DHDensity(1, (DHFactor(AffineForm(vec([1]), F(2)), 1, F(1)),))
+    with pytest.raises(SolitonError, match=r"density degree 1 exceeds dim_x - rank = 1 - 1"):
+        ReebProblem.from_polytope(INTERVAL, density, 1)
 
 
 @pytest.mark.parametrize("rays", [

@@ -26,7 +26,6 @@ from kstab.spherical import (
     SphericalDataError,
     SphericalInput,
     build_pl_function,
-    candidate_set_E,
     colored_generators,
     lattice_points,
     section_polytope,
@@ -160,22 +159,6 @@ def test_candidates_subset_of_valuation_cone(all_builtins):
             assert si.valuation_cone.contains(ray)
 
 
-def test_candidates_with_lineality_appends_both_signs():
-    # valuation cone = full line, fan = single ray cone: the intersection
-    # with each fan cone is pointed, but a halfspace valuation cone meeting
-    # a containing cone keeps its lineality
-    recs = (DivisorRecord("A", vec([1, 0]), F(1), False),
-            DivisorRecord("B", vec([-1, 0]), F(1), False),
-            DivisorRecord("C", vec([0, 1]), F(1), False))
-    fan = (ColoredConeData((vec([1, 0]), vec([-1, 0]), vec([0, 1])), ("A", "B", "C")),)
-    # the fan cone is the upper halfplane: not strictly convex, so this is
-    # exercised through candidate_set_E directly rather than SphericalInput
-    vcone = Cone(2, [vec([1, 0]), vec([-1, 0]), vec([0, 1])])
-    rays = candidate_set_E([c.intersect(vcone) for c in _cones(fan, recs, 2)])
-    assert (F(0), F(1)) in rays
-    assert (F(1), F(0)) in rays and (F(-1), F(0)) in rays
-
-
 # ---------------------------------------------------------------------------
 # lattice points and level sums
 
@@ -215,6 +198,14 @@ def test_lattice_points_origin_polytope():
 def test_level_sum_pgl2_level_one(pgl2):
     s, d, t = pgl2.level_sum(vec([-1]), 1, 1)
     assert (s, d, t) == (F(11, 35), 35, 2)
+
+
+def test_level_sum_reads_an_integral_float_p_as_the_integer(pgl2):
+    # as S_p does: 2, Fraction(2) and 2.0 give the same exact mean
+    exact = pgl2.level_sum(vec([-1]), 2, 2)
+    assert exact[0] == F(41, 110)
+    assert pgl2.level_sum(vec([-1]), 2, 2.0) == pgl2.level_sum(vec([-1]), 2, F(2)) == exact
+    assert type(pgl2.level_sum(vec([-1]), 2, 2.0)[0]) is F
 
 
 def test_level_sum_trivial_valuation(pgl2):
