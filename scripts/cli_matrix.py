@@ -37,7 +37,12 @@ toric-bl1p2 and toric-p1 with coefficients whose section polytope is a
 segment and a point, which are refused as line bundles that are not big;
 last, ``reeb`` on toric-bl1p2 with a raw density of one degree-1 factor at
 ``dim_x`` 2, which is refused since the degree exceeds dim_x - rank, and
-at ``dim_x`` 3, where it equals dim_x - rank.
+at ``dim_x`` 3, where it equals dim_x - rank; then ``check`` and
+``compute --invariant delta`` on fans whose cones overlap (the quadrant
+fan with the fan of P^2, and the quadrant fan with a cone listed twice)
+and on toric-p1 whose anticanonical record of D0 has another ``rho``, all
+refused; last, ``check`` on toric-p1 carrying the retired ``complete``
+field, which the schema refuses.
 """
 
 from __future__ import annotations
@@ -116,17 +121,32 @@ _SHIFTED_COEFFS = {
 }
 
 
-def _thin_gap_document() -> dict:
-    """A toric surface whose fan misses the cone between (11, 1) and (10, 1)."""
-    rays = [["1", "0"], ["11", "1"], ["10", "1"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
+def _toric_document(rays: list[tuple[int, int]], cones: list[tuple[int, ...]]) -> dict:
+    """A toric surface with one divisor of coefficient 1 per ray and one
+    cone per tuple of ray indices."""
+    rays = [[str(c) for c in r] for r in rays]
     divisors = [{"name": f"D{i}", "rho": r, "coeff": "1", "is_color": False}
                 for i, r in enumerate(rays)]
-    fan = [{"generators": [rays[i], rays[(i + 1) % 6]], "divisors": [f"D{i}", f"D{(i + 1) % 6}"]}
-           for i in range(6) if i != 1]
+    fan = [{"generators": [rays[i] for i in c], "divisors": [f"D{i}" for i in c]}
+           for c in cones]
     return {"schema_version": "1",
             "variety": {"rank": 2, "dim_x": 2, "divisors": divisors,
                         "anticanonical_divisors": [dict(d) for d in divisors], "fan": fan,
                         "valuation_cone": "all", "projection": [["1", "0"], ["0", "1"]]}}
+
+
+# a toric surface whose fan misses the cone between (11, 1) and (10, 1)
+_THIN_GAP = ([(1, 0), (11, 1), (10, 1), (0, 1), (-1, 0), (0, -1)],
+             [(i, (i + 1) % 6) for i in range(6) if i != 1])
+
+# fans whose cones overlap: the quadrant fan with the two other cones of
+# the fan of P^2, and the quadrant fan with its first cone listed twice
+_QUADRANTS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+_OVERLAPPING_FANS = {
+    "quadrants-and-p2": (_QUADRANTS + [(-1, -1)],
+                         [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 0)]),
+    "duplicated-cone": (_QUADRANTS, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]),
+}
 
 
 def _commands(path: str, ray: str) -> list[list[str]]:
@@ -199,7 +219,7 @@ def main():
             print("# toric-p1 invalid --g")
             print(_run(["check", "--input", str(Path(root, "toric-p1.json")), "--g", g], root))
         path = Path(root, "thin-gap.json")
-        path.write_text(json.dumps(_thin_gap_document()))
+        path.write_text(json.dumps(_toric_document(*_THIN_GAP)))
         print("# thin-gap fan")
         print(_run(["check", "--input", str(path)], root))
         for name in BUILTIN_NAMES:
@@ -262,6 +282,24 @@ def main():
             path.write_text(json.dumps(doc))
             print(f"# toric-bl1p2 degree-1 density, dim_x {dim_x}")
             print(_run(["reeb", "--input", str(path)], root))
+        refused = {f"{label} fan": _toric_document(*fan)
+                   for label, fan in _OVERLAPPING_FANS.items()}
+        doc = builtin_document("toric-p1")
+        doc["variety"]["anticanonical_divisors"][0]["rho"] = ["2"]
+        refused["toric-p1 anticanonical D0 with rho 2"] = doc
+        for label, doc in refused.items():
+            path = Path(root, "refused.json")
+            path.write_text(json.dumps(doc))
+            for argv in (["check", "--input", str(path)],
+                         ["compute", "--input", str(path), "--invariant", "delta"]):
+                print(f"# {label}")
+                print(_run(argv, root))
+        doc = builtin_document("toric-p1")
+        doc["variety"]["complete"] = True
+        path = Path(root, "complete.json")
+        path.write_text(json.dumps(doc))
+        print("# toric-p1 with the retired complete field")
+        print(_run(["check", "--input", str(path)], root))
 
 
 if __name__ == "__main__":

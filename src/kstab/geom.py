@@ -1,8 +1,11 @@
 """Exact rational convex geometry.
 
 Vertex/facet conversion by the double description method, polyhedral cone
-duality and triangulation of full-dimensional polytopes.  Coordinates are
-`fractions.Fraction` throughout and nothing in this module rounds.
+duality and triangulation of full-dimensional polytopes.  One elimination,
+`_rref`, answers every linear-algebra question (solutions, kernels, ranks
+and the canonical lineality basis), and each hull or intersection is one
+double description.  Coordinates are `fractions.Fraction` throughout and
+nothing in this module rounds.
 """
 
 from __future__ import annotations
@@ -152,23 +155,9 @@ def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
 
 def rowspace_solution(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
     """The unique solution of ``rows . x = rhs`` lying in the row space of
-    ``rows`` (components along the kernel set to zero)."""
-    x0 = solve_linear(rows, rhs)
-    if x0 is None:
-        return None
-    n = len(x0)
-    ker = kernel_basis(rows, n)
-    if not ker:
-        return x0
-    gram = [tuple(dot(ki, kj) for kj in ker) for ki in ker]
-    rhs2 = [dot(ki, x0) for ki in ker]
-    c = solve_linear(gram, rhs2)
-    assert c is not None
-    out = list(x0)
-    for ci, k in zip(c, ker):
-        for j in range(n):
-            out[j] -= ci * k[j]
-    return tuple(out)
+    ``rows``, that is orthogonal to their kernel, or None if inconsistent."""
+    ker = kernel_basis(rows, len(rows[0]))
+    return solve_linear(list(rows) + ker, list(rhs) + [Fraction(0)] * len(ker))
 
 
 def matrix_rank(rows: Sequence[Vec]) -> int:
@@ -176,75 +165,25 @@ def matrix_rank(rows: Sequence[Vec]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer lattice utilities (Hermite-style elimination)
-
-
-def _int_rows(rows: Sequence[Vec]) -> list[list[int]]:
-    out = []
-    for r in rows:
-        l = 1
-        for x in r:
-            l = l * x.denominator // gcd(l, x.denominator)
-        out.append([int(x * l) for x in r])
-    return out
-
-
-def _hermite(m: list[list[int]], ncols: int) -> int:
-    """Integer row operations on m, in place, to reduced Hermite form in its
-    first ``ncols`` columns: each pivot positive and the entries above it
-    reduced modulo it, the rows below the pivots zero there.  Returns the
-    number of pivot rows."""
-    r = 0
-    for col in range(ncols):
-        if r == len(m):
-            break
-        # make a single nonzero entry in this column among rows r..
-        while True:
-            nz = [i for i in range(r, len(m)) if m[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(m[i][col]))
-            i0, i1 = nz[0], nz[1]
-            q = m[i1][col] // m[i0][col]
-            m[i1] = [a - q * b for a, b in zip(m[i1], m[i0])]
-        if not nz:
-            continue
-        m[r], m[nz[0]] = m[nz[0]], m[r]
-        if m[r][col] < 0:
-            m[r] = [-a for a in m[r]]
-        for i in range(r):
-            q = m[i][col] // m[r][col]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
-def hnf_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Hermite-reduced basis of the lattice generated by integer rows."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    r = _hermite(m, len(m[0]))
-    return [tuple(row) for row in m[:r]]
-
-
-# ---------------------------------------------------------------------------
 # double description
 
 
 def _canonical_lineality(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
+    """A basis of the span of ``vectors`` that depends on the span alone:
+    its reduced row echelon rows, each scaled to primitive integers, sorted."""
     if not vectors:
         return ()
-    basis = hnf_rows(_int_rows(vectors))
-    return tuple(sorted(vec(b) for b in basis))
+    m = [list(v) for v in vectors]
+    rank = len(_rref(m, len(m[0])))
+    return tuple(sorted(primitive(r) for r in m[:rank]))
 
 
 def double_description(halfspaces: Sequence[Vec], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """Minimal generators of the cone {y : <h, y> >= 0 for all h}.
 
     Returns (rays, lineality): primitive extreme rays modulo the lineality
-    space, and a lattice basis of the lineality space.  Both are sorted
+    space, and the canonical basis of the lineality space, which depends on
+    the space alone (`_canonical_lineality`).  Both are sorted
     lexicographically.  Rays are kept as primitive integer tuples and the
     halfspaces scaled to integers (Fukuda and Prodon, "Double description
     method revisited", 1996), each ray with the bit set of the processed
@@ -317,22 +256,6 @@ class AffineForm:
         return dot(self.normal, x) + self.offset
 
 
-def _raw_extreme_points(points: Sequence[Vec], dim: int) -> list[Vec]:
-    pts = sorted(set(points))
-    if not pts:
-        raise DegenerateInputError("no points")
-    gens = [(Fraction(1),) + p for p in pts]
-    frays, flin = double_description(gens, dim + 1)
-    half = list(frays) + [l for l in flin] + [vneg(l) for l in flin]
-    rrays, rlin = double_description(half, dim + 1)
-    assert not rlin
-    out = []
-    for r in rrays:
-        assert r[0] > 0
-        out.append(tuple(x / r[0] for x in r[1:]))
-    return sorted(out)
-
-
 def _raw_facets(points: Sequence[Vec], dim: int) -> tuple[list[AffineForm], list[AffineForm]]:
     """(inequality forms, equality forms) describing conv(points) exactly,
     with irredundant inequalities."""
@@ -350,7 +273,16 @@ class VPolytope:
 
     def __init__(self, dim: int, points: Sequence[Vec]):
         self.dim = dim
-        self.vertices = tuple(_raw_extreme_points([vec(p) for p in points], dim))
+        pts = sorted({vec(p) for p in points})
+        if not pts:
+            raise DegenerateInputError("no points")
+        # a point is a vertex where its tight facets and the equations have
+        # rank dim
+        forms, eqs = _raw_facets(pts, dim)
+        normals = [e.normal for e in eqs]
+        self.vertices = tuple(
+            p for p in pts
+            if matrix_rank(normals + [f.normal for f in forms if f(p) == 0]) == dim)
 
     @classmethod
     def from_inequalities(cls, dim: int, forms: Sequence[AffineForm]) -> "VPolytope":
@@ -428,8 +360,6 @@ class Simplex:
         """Absolute determinant of the edge matrix."""
         cols = [list(c) for c in self.edge_columns]
         n = len(cols)
-        if n == 0:
-            return Fraction(1)
         mat = [[cols[j][i] for j in range(n)] for i in range(n)]
         det = Fraction(1)
         for c in range(n):
@@ -451,8 +381,6 @@ class Simplex:
 def _triangulate_points(vertices: list[Vec], dim: int) -> list[tuple[Vec, ...]]:
     """Triangulation (as vertex tuples) of a full-dimensional polytope by
     pulling from its lexicographically smallest vertex."""
-    if dim == 0:
-        return [tuple(vertices[:1])]
     if len(vertices) == dim + 1:
         return [tuple(vertices)]
     apex = vertices[0]

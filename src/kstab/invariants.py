@@ -496,8 +496,11 @@ BETA_CONSISTENCY_TOL = 1e-8
 
 def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     """Ding slope A(v) - S^g(v) computed along two independent routes which
-    must agree: direct integration, and pairing the weighted barycenter."""
+    must agree: direct integration, and pairing the weighted barycenter.
+    `InvariantError` for the zero vector, which is no valuation ray."""
     v = vec(v)
+    if not any(v):
+        raise InvariantError("beta: the zero vector is not a valuation ray")
     record = _ray(si, v, si.log_discrepancy)
     a = record.value
     entry = _weighted(si, g)

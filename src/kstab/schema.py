@@ -103,7 +103,6 @@ INPUT_SCHEMA = {
                     ]
                 },
                 "projection": _RATMAT,
-                "complete": {"type": "boolean"},
             },
             "required": ["rank", "dim_x", "divisors", "anticanonical_divisors",
                          "fan", "valuation_cone"],
@@ -490,7 +489,6 @@ def parse_input_document(doc: dict) -> tuple[SphericalInput, WeightFn | None]:
         valuation_cone=valuation_cone,
         dh=density,
         projection=projection,
-        complete=var.get("complete", True),
     )
     block = doc.get("weight_fn")
     e = None if block is None else _weight_fn_error(block)

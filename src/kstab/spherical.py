@@ -7,8 +7,8 @@ anticanonical section (the latter restricting to the log discrepancy on the
 valuation cone), the finite candidate ray set over which the stability
 thresholds are minimized, and the level-k truncations of the expected
 vanishing order.  The minimum over the candidates is the paper's minimum
-only when the fan covers the valuation cone, which a complete input is
-checked for exactly.
+only when the fan covers the valuation cone, which every input is checked
+for exactly, with no two of its cones overlapping there.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .geom import (
@@ -41,10 +42,6 @@ class SphericalDataError(Exception):
 
 
 class NotQCartierError(SphericalDataError):
-    pass
-
-
-class EmptyCandidateSetError(SphericalDataError):
     pass
 
 
@@ -194,9 +191,6 @@ def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
     rays: set[Vec] = set()
     for piece in meets:
         rays.update(piece.rays)
-    if not rays:
-        raise EmptyCandidateSetError(
-            "all fan/valuation intersections are trivial")
     return sorted(rays)
 
 
@@ -243,9 +237,10 @@ def lattice_points(p: VPolytope, k: int) -> list[Vec]:
 class SphericalInput:
     """Validated combinatorial description of a polarized spherical variety.
 
-    With ``complete`` the valuation cone must be full-dimensional and the
-    fan must cover it (`_check_completeness`, an exact decision); without
-    it neither is checked."""
+    The valuation cone must be full-dimensional and the fan must cover it
+    without overlap (`_check_completeness`, an exact decision), and the two
+    sections must list the same B-stable prime divisors
+    (`_check_anticanonical`)."""
 
     rank: int
     dim_x: int
@@ -255,15 +250,14 @@ class SphericalInput:
     valuation_cone: Cone
     dh: DHDensity
     projection: tuple[Vec, ...] = ()
-    complete: bool = True
 
     def __post_init__(self):
         if self.dh.dim != self.rank:
             raise SphericalDataError("density dimension does not match rank")
+        self._check_anticanonical()
         self._validate_fan()
         self.dh.check_positive_on(self.section_polytope.vertices)
-        if self.complete:
-            self._check_completeness()
+        self._check_completeness()
 
     # -- derived geometry ----------------------------------------------------
 
@@ -295,15 +289,9 @@ class SphericalInput:
     @cached_property
     def log_discrepancy(self) -> PLFunction:
         """PL function of the anticanonical section; equals the log
-        discrepancy on the valuation cone.  Its cones are `fan_cones`
-        wherever the anticanonical divisors give the colors the same
-        images."""
-        cones = []
-        for data, cone in zip(self.fan, self.fan_cones):
-            gens = colored_generators(data, self.anticanonical_divisors)
-            same = gens == colored_generators(data, self.divisors)
-            cones.append(cone if same else Cone(self.rank, gens))
-        return build_pl_function(self.anticanonical_divisors, self.fan, cones)
+        discrepancy on the valuation cone.  Its cones are `fan_cones`, as
+        both sections give each divisor the same image and color flag."""
+        return build_pl_function(self.anticanonical_divisors, self.fan, self.fan_cones)
 
     @cached_property
     def candidates(self) -> list[Vec]:
@@ -335,6 +323,18 @@ class SphericalInput:
 
     # -- validation ----------------------------------------------------------
 
+    def _check_anticanonical(self):
+        """Both sections list every B-stable prime divisor D, so they must
+        name the same divisors with the same rho(D) and color flag; only the
+        coefficients may differ."""
+        own = {d.name: (d.rho, d.is_color) for d in self.divisors}
+        anti = {d.name: (d.rho, d.is_color) for d in self.anticanonical_divisors}
+        for name in [*own, *anti]:
+            if own.get(name) != anti.get(name):
+                raise SphericalDataError(
+                    f"divisor {name!r} is not listed with the same rho and "
+                    "is_color in divisors and in anticanonical_divisors")
+
     def _validate_fan(self):
         by_name = {d.name: d for d in self.divisors}
         for i, (cone_data, cone) in enumerate(zip(self.fan, self.fan_cones)):
@@ -352,15 +352,20 @@ class SphericalInput:
 
     def _check_completeness(self):
         """Exact decision that the fan covers the valuation cone V, which
-        must be full-dimensional.  Once each generator of V is found in some
-        fan cone (a quick refusal with a pointed message), every wall
-        (facet) of a full-dimensional piece, a fan cone met with V, must
-        lie in a facet of V or have another piece on its other side that
-        contains it.  A point of V that no piece covers would be reached
-        from inside a piece across the relative interior of a wall, so when
-        every wall passes the pieces cover V; when the cones meet in common
-        faces, as in a fan, a wall that fails marks a region of V left
-        uncovered."""
+        must be full-dimensional, by pieces (fan cones met with V that are
+        full-dimensional) no two of which overlap.  Fan cones may overlap
+        outside V: a colored fan only asks that each point of V lie in the
+        relative interior of at most one cone (Knop, "The Luna-Vust theory
+        of spherical embeddings", 1991).  A pair is intersected only when
+        no facet hyperplane of one piece leaves the other on its far side.
+
+        Once each generator of V is found in some fan cone (a quick refusal
+        with a pointed message), every wall (facet) of a piece must lie in
+        a facet of V or have another piece on its other side that contains
+        it.  A point of V that no piece covers would be reached from inside
+        a piece across the relative interior of a wall, so when every wall
+        passes the pieces cover V; when the cones meet in common faces, as
+        in a fan, a wall that fails marks a region of V left uncovered."""
         vcone = self.valuation_cone
         if vcone.span_equations:
             raise SphericalDataError(
@@ -370,10 +375,23 @@ class SphericalInput:
             if not any(c.contains(r) for c in self.fan_cones):
                 raise SphericalDataError(
                     f"valuation cone generator {r} is not covered by the fan")
-        pieces = [m for m in self.fan_meets if not m.span_equations]
+        # each piece -> its fan cone
+        pieces = {m: c for c, m in zip(self.fan_cones, self.fan_meets)
+                  if not m.span_equations}
         if not pieces:
             raise SphericalDataError(
                 "no cone of the fan meets the valuation cone in a full-dimensional cone")
+        # facet normals and rays of each piece, primitive, as ints
+        ints = {m: ([tuple(x.numerator for x in n) for n in m.facet_normals],
+                    [tuple(x.numerator for x in r) for r in m.rays]) for m in pieces}
+        for a, b in itertools.combinations(pieces, 2):
+            if any(all(sum(map(mul, n, r)) <= 0 for r in ints[q][1])
+                   for p, q in ((a, b), (b, a)) for n in ints[p][0]):
+                continue
+            if not a.intersect(b).span_equations:
+                raise SphericalDataError(
+                    f"the cones spanned by {_span(pieces[a].rays)} and by "
+                    f"{_span(pieces[b].rays)} overlap inside the valuation cone")
         # (facet normal, rays of the wall) -> its piece
         walls = {(n, frozenset(r for r in m.rays if dot(n, r) == 0)): m
                  for m in pieces for n in m.facet_normals}

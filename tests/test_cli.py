@@ -160,6 +160,29 @@ def test_compute_unknown_field_rejected(tmp_path, capsys):
     assert "surprise" in err or "additional" in err.lower()
 
 
+def test_mismatched_anticanonical_record_exit_code(tmp_path, capsys):
+    # toric-p1 whose anticanonical D0 has another rho used to give
+    # delta^(1) = 1/2 with exit 0
+    doc = builtin_document("toric-p1")
+    doc["variety"]["anticanonical_divisors"][0]["rho"] = ["2"]
+    path = tmp_path / "anti.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["compute", "--input", str(path), "--invariant", "delta"], capsys)
+    assert code == 3 and not out
+    assert "divisor 'D0'" in err
+
+
+def test_complete_field_is_refused(tmp_path, capsys):
+    doc = builtin_document("toric-p1")
+    doc["variety"]["complete"] = True
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["check", "--input", str(path)], capsys)
+    assert code == 2 and not out
+    assert "complete" in err
+
+
 def test_compute_not_q_cartier_exit_code(tmp_path, capsys):
     doc = builtin_document("toric-p1")
     # make the per-cone system inconsistent: two incident divisors with

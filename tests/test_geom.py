@@ -18,11 +18,11 @@ from kstab.geom import (
     _canonical_lineality,
     double_description,
     dot,
-    hnf_rows,
     is_zero_vec,
     kernel_basis,
     matrix_rank,
     primitive,
+    rowspace_solution,
     solve_linear,
     triangulate,
     unit_vec,
@@ -328,22 +328,48 @@ def test_exact_elimination_properties(matrix, x0):
 
 
 @settings(max_examples=150, deadline=None)
-@given(low_rank_matrices(), st.data())
-def test_hnf_rows_invariant_under_unimodular_row_operations(matrix, data):
-    _a, ints = matrix
-    m = len(ints)
-    op = data.draw(st.sampled_from(["add", "swap", "negate"]))
-    i = data.draw(st.integers(0, m - 1))
-    j = data.draw(st.integers(0, m - 1))
-    moved = [list(row) for row in ints]
-    if op == "add" and i != j:
-        q = data.draw(st.integers(-3, 3))
-        moved[j] = [x + q * y for x, y in zip(moved[j], moved[i])]
-    elif op == "swap":
-        moved[i], moved[j] = moved[j], moved[i]
-    else:
-        moved[i] = [-x for x in moved[i]]
-    assert hnf_rows(moved) == hnf_rows(ints)
+@given(low_rank_matrices(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                     min_size=4, max_size=4))
+def test_rowspace_solution_is_the_solution_orthogonal_to_the_kernel(matrix, x0):
+    a, _ints = matrix
+    m, n = len(a), len(a[0])
+    ker = kernel_basis(a, n)
+    rhs = _apply(a, x0[:n])
+    sol = rowspace_solution(a, rhs)
+    assert sol is not None and _apply(a, sol) == rhs
+    assert all(dot(sol, k) == 0 for k in ker)
+    rhs = tuple(F(i + 1, 3) for i in range(m))
+    assert (rowspace_solution(a, rhs) is None) == (solve_linear(a, rhs) is None)
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _full_row_rank(draw, k, n):
+    return draw(st.lists(st.tuples(*[_rational] * n), min_size=k, max_size=k)
+                .filter(lambda rows: matrix_rank(rows) == k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_lineality_depends_on_the_span_alone(data):
+    # B of full row rank and T invertible: T.B spans the same space
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    b = data.draw(_full_row_rank(k, n))
+    t = data.draw(_full_row_rank(k, k))
+    tb = [tuple(sum((c * row[j] for c, row in zip(trow, b)), F(0)) for j in range(n))
+          for trow in t]
+    basis = _canonical_lineality(b)
+    assert basis == _canonical_lineality(tb)
+    assert len(basis) == k and matrix_rank(list(b) + list(basis)) == k
+    assert all(primitive(v) == v for v in basis)
+
+
+def test_canonical_lineality_of_a_multiple():
+    assert _canonical_lineality([vec([2, 0])]) == _canonical_lineality([vec([1, 0])]) \
+        == ((F(1), F(0)),)
 
 
 def test_simplex_volume_factor():

@@ -64,7 +64,6 @@ def _interval_input(lo, hi, vcone_gens, fan_side, density=None):
         fan=fan, valuation_cone=Cone(1, [vec([g]) for g in vcone_gens]),
         dh=density or DHDensity(1, ()),
         projection=(vec([1]),),
-        complete=False,
     )
 
 
@@ -190,7 +189,6 @@ def test_negative_values_guard():
         valuation_cone=Cone(1, [vec([1])]),
         dh=DHDensity(1, ()),
         projection=(vec([1]),),
-        complete=False,
     )
     with pytest.raises(NegativeValuesError):
         S_p(si, [1], 1, pl=si.log_discrepancy)
@@ -330,9 +328,11 @@ def test_delta_g_polynomial_weight(toric_bl1p2):
 # beta
 
 
-def test_beta_zero_ray(pgl2):
-    b = beta_g(pgl2, [0])
-    assert b.from_integral.exact == 0 and b.from_barycenter.exact == 0
+def test_beta_zero_ray(pgl2, toric_bl1p2):
+    # the zero vector is no valuation ray, as under --ray
+    for si in (pgl2, toric_bl1p2):
+        with pytest.raises(InvariantError, match="zero vector"):
+            beta_g(si, [0] * si.rank)
 
 
 def test_beta_pgl2(pgl2):
@@ -393,44 +393,43 @@ def test_ding_constant_weight_matches_default(pgl2):
         ding_check(pgl2).verdict
 
 
-def test_ding_numeric_certified_unstable():
-    # genuinely numeric weight with a certified sign: verdict is decided
-    recs = tuple(DivisorRecord(n, vec(r), F(1), False) for n, r in
-                 [("E", [1, 0]), ("W", [-1, 0]), ("N", [0, 1]), ("S", [0, -1])])
-    si = SphericalInput(
+def _square_input(cones, vcone_gens):
+    """The square [-1, 1]^2 of P1 x P1 with the given fan cones, each a
+    tuple of divisor names whose rays span it, under the valuation cone
+    spanned by ``vcone_gens``; the weight reads x only."""
+    rays = {"E": [1, 0], "W": [-1, 0], "N": [0, 1], "S": [0, -1]}
+    recs = tuple(DivisorRecord(n, vec(r), F(1), False) for n, r in rays.items())
+    return SphericalInput(
         rank=2, dim_x=2,
         divisors=recs, anticanonical_divisors=recs,
-        fan=(ColoredConeData((vec([1, 0]),), ("E",)),),
-        valuation_cone=Cone(2, [vec([1, 0])]),
+        fan=tuple(ColoredConeData(tuple(vec(rays[n]) for n in c), c) for c in cones),
+        valuation_cone=Cone(2, [vec(g) for g in vcone_gens]),
         dh=DHDensity(2, ()),
         projection=(vec([1, 0]),),
-        complete=False,
     )
+
+
+def test_ding_numeric_certified_unstable():
+    # genuinely numeric weight with a certified sign: verdict is decided
+    si = _square_input([("E", "N")], [[1, 0], [0, 1]])
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
     v = ding_check(si, g)
     assert not v.exact
     assert v.verdict == "unstable"
+    assert v.witness["kind"] == "facet" and v.witness["functional"] == vec([-1, 0])
 
 
 def test_ding_numeric_boundary_is_indeterminate():
-    # the barycenter lies exactly on a facet of the dual cone, but the
-    # weight forces the numeric path: the verdict must stay open
-    recs = tuple(DivisorRecord(n, vec(r), F(1), False) for n, r in
-                 [("E", [1, 0]), ("W", [-1, 0]), ("N", [0, 1]), ("S", [0, -1])])
-    si = SphericalInput(
-        rank=2, dim_x=2,
-        divisors=recs, anticanonical_divisors=recs,
-        fan=(ColoredConeData((vec([0, 1]),), ("N",)),),
-        valuation_cone=Cone(2, [vec([0, 1])]),
-        dh=DHDensity(2, ()),
-        projection=(vec([1, 0]),),  # weight depends on x only; bar_y = 0
-        complete=False,
-    )
+    # the barycenter lies exactly on the boundary of the dual cone, but the
+    # weight forces the numeric path: the verdict must stay open.  The
+    # weight depends on x only, so bar_y = 0 on the equation y = 0 of -V
+    si = _square_input([("N", "W"), ("W", "S")], [[0, 1], [-1, 0], [0, -1]])
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
     v = ding_check(si, g)
     assert not v.exact
     assert v.verdict == "indeterminate"
     assert v.semistable is None and v.polystable is None
+    assert v.witness["kind"] == "equality" and v.witness["functional"] == vec([0, 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,17 +476,7 @@ def test_ding_quad_tol_reaches_the_moments():
     # that barycenter_g reports
     import mpmath
     from kstab.quad import dh_moments
-    recs = tuple(DivisorRecord(n, vec(r), F(1), False) for n, r in
-                 [("E", [1, 0]), ("W", [-1, 0]), ("N", [0, 1]), ("S", [0, -1])])
-    si = SphericalInput(
-        rank=2, dim_x=2,
-        divisors=recs, anticanonical_divisors=recs,
-        fan=(ColoredConeData((vec([1, 0]),), ("E",)),),
-        valuation_cone=Cone(2, [vec([1, 0])]),
-        dh=DHDensity(2, ()),
-        projection=(vec([1, 0]),),
-        complete=False,
-    )
+    si = _square_input([("E", "N")], [[1, 0], [0, 1]])
     g = AffinePowerWeight(vec([F(1, 3)]), F(1), 0.5)
     m = dh_moments(si.section_polytope, si.dh, g, si.projection)
     assert not m.exact
