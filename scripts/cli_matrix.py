@@ -42,7 +42,12 @@ at ``dim_x`` 3, where it equals dim_x - rank; then ``check`` and
 fan with the fan of P^2, and the quadrant fan with a cone listed twice)
 and on toric-p1 whose anticanonical record of D0 has another ``rho``, all
 refused; last, ``check`` on toric-p1 carrying the retired ``complete``
-field, which the schema refuses.
+field, which the schema refuses; then ``check`` and ``compute --invariant
+delta`` on toric-p1 with the zero cone listed (answered as without it), on
+toric-bl1p2 with a face that names the unknown divisor ``Zzz`` (refused)
+and on a fan whose cones overlap only outside the valuation cone y >= 0
+(answered), and ``beta`` along (1, -1) under the same valuation cone on a
+fan cone that reaches below it (refused).
 """
 
 from __future__ import annotations
@@ -121,9 +126,10 @@ _SHIFTED_COEFFS = {
 }
 
 
-def _toric_document(rays: list[tuple[int, int]], cones: list[tuple[int, ...]]) -> dict:
+def _toric_document(rays: list[tuple[int, int]], cones: list[tuple[int, ...]],
+                    valuation_cone="all") -> dict:
     """A toric surface with one divisor of coefficient 1 per ray and one
-    cone per tuple of ray indices."""
+    cone per tuple of ray indices, under ``valuation_cone``."""
     rays = [[str(c) for c in r] for r in rays]
     divisors = [{"name": f"D{i}", "rho": r, "coeff": "1", "is_color": False}
                 for i, r in enumerate(rays)]
@@ -132,7 +138,8 @@ def _toric_document(rays: list[tuple[int, int]], cones: list[tuple[int, ...]]) -
     return {"schema_version": "1",
             "variety": {"rank": 2, "dim_x": 2, "divisors": divisors,
                         "anticanonical_divisors": [dict(d) for d in divisors], "fan": fan,
-                        "valuation_cone": "all", "projection": [["1", "0"], ["0", "1"]]}}
+                        "valuation_cone": valuation_cone,
+                        "projection": [["1", "0"], ["0", "1"]]}}
 
 
 # a toric surface whose fan misses the cone between (11, 1) and (10, 1)
@@ -147,6 +154,12 @@ _OVERLAPPING_FANS = {
                          [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 0)]),
     "duplicated-cone": (_QUADRANTS, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]),
 }
+
+# the valuation cone y >= 0, a fan whose first and last cones overlap only
+# below it, and a fan whose first cone reaches below it
+_HALF_PLANE = {"generators": [["1", "0"], ["-1", "0"], ["0", "1"]]}
+_OVERLAP_OUTSIDE_V = ([(-1, -4), (1, 2), (-1, 2), (0, -1)], [(0, 1), (1, 2), (2, 3)])
+_BELOW_V = ([(1, -1), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
 
 
 def _commands(path: str, ray: str) -> list[list[str]]:
@@ -300,6 +313,25 @@ def main():
         path.write_text(json.dumps(doc))
         print("# toric-p1 with the retired complete field")
         print(_run(["check", "--input", str(path)], root))
+        zero_cone = builtin_document("toric-p1")
+        zero_cone["variety"]["fan"].append({"generators": [], "divisors": []})
+        unknown = builtin_document("toric-bl1p2")
+        unknown["variety"]["fan"].append({"generators": [["1", "0"]], "divisors": ["D1", "Zzz"]})
+        listed = {"toric-p1 with the zero cone": zero_cone,
+                  "toric-bl1p2 with Zzz on a face": unknown,
+                  "fan overlapping outside the valuation cone":
+                      _toric_document(*_OVERLAP_OUTSIDE_V, _HALF_PLANE)}
+        for label, doc in listed.items():
+            path = Path(root, "listed.json")
+            path.write_text(json.dumps(doc))
+            for argv in (["check", "--input", str(path)],
+                         ["compute", "--input", str(path), "--invariant", "delta"]):
+                print(f"# {label}")
+                print(_run(argv, root))
+        path = Path(root, "below-v.json")
+        path.write_text(json.dumps(_toric_document(*_BELOW_V, _HALF_PLANE)))
+        print("# ray outside the valuation cone")
+        print(_run(["compute", "--input", str(path), "--invariant", "beta", "--ray=1,-1"], root))
 
 
 if __name__ == "__main__":

@@ -499,18 +499,9 @@ class Cone:
                 and all(dot(l, x) == 0 for l in self.span_equations))
 
     def intersect(self, other: "Cone") -> "Cone":
-        """The cone of points in both, built once per pair of cone objects."""
+        """The cone of points in both, by one double description per call."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if other not in self._meets:
-            self._meets[other] = self._intersect(other)
-        return self._meets[other]
-
-    @cached_property
-    def _meets(self) -> dict:
-        return {}
-
-    def _intersect(self, other: "Cone") -> "Cone":
         half: list[Vec] = []
         for c in (self, other):
             half.extend(c.facet_normals)

@@ -2,13 +2,13 @@
 
 The input is the boundary-divisor data of a chosen eigensection, a colored
 fan, and the valuation cone.  From it we build the section polytope, the
-piecewise-linear support functions attached to the section and to the
-anticanonical section (the latter restricting to the log discrepancy on the
-valuation cone), the finite candidate ray set over which the stability
-thresholds are minimized, and the level-k truncations of the expected
-vanishing order.  The minimum over the candidates is the paper's minimum
-only when the fan covers the valuation cone, which every input is checked
-for exactly, with no two of its cones overlapping there.
+piecewise-linear functions of the section and of the anticanonical section
+(the log discrepancy), each on the pieces of the fan in the valuation cone
+and checked on their walls, the finite candidate ray set over which the
+stability thresholds are minimized, and the level-k truncations of the
+expected vanishing order.  The minimum over the candidates is the paper's
+minimum only when the fan covers the valuation cone, which every input is
+checked for exactly, with no two of its pieces overlapping there.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ class PLPiece:
 
 @dataclass(frozen=True, eq=False)
 class PLFunction:
-    """Piecewise-linear function on the support of the colored fan.  Its
-    value at each ray is kept, so each ray's cone search runs once; two
-    functions are equal only if they are the same object."""
+    """Piecewise-linear function on the valuation cone, one piece per
+    full-dimensional meet of a fan cone with it.  Each ray's value is kept;
+    two functions are equal only if they are the same object."""
 
     pieces: tuple[PLPiece, ...]
     _values: dict[Vec, Fraction] = field(default_factory=dict, init=False, repr=False)
@@ -107,17 +107,7 @@ class PLFunction:
         for piece in self.pieces:
             if piece.cone.contains(v):
                 return dot(piece.linear, v)
-        raise OutsideFanSupportError(f"{v} lies outside the fan support")
-
-    def check_continuity(self):
-        """Exact agreement of adjacent pieces on their shared face."""
-        for a, b in itertools.combinations(self.pieces, 2):
-            face = a.cone.intersect(b.cone)
-            diff = vsub(a.linear, b.linear)
-            for g in face.generators:
-                if dot(diff, g) != 0:
-                    raise SphericalDataError(
-                        "piecewise-linear pieces disagree on a shared face")
+        raise OutsideFanSupportError(f"{_span([v])} lies outside the valuation cone")
 
 
 def section_polytope(divisors: Sequence[DivisorRecord]) -> VPolytope:
@@ -146,12 +136,10 @@ def section_polytope(divisors: Sequence[DivisorRecord]) -> VPolytope:
 def colored_generators(cone_data: ColoredConeData,
                        divisors: Sequence[DivisorRecord]) -> list[Vec]:
     """Generators of a colored cone: its valuation-cone generators and the
-    images of its colors among ``divisors`` (names not listed there are
-    skipped)."""
+    images of its colors among ``divisors``, which list every name."""
     by_name = {d.name: d for d in divisors}
     return list(cone_data.generators) + [
-        by_name[n].rho for n in cone_data.divisor_names
-        if n in by_name and by_name[n].is_color]
+        by_name[n].rho for n in cone_data.divisor_names if by_name[n].is_color]
 
 
 def build_pl_function(divisors: Sequence[DivisorRecord],
@@ -159,17 +147,13 @@ def build_pl_function(divisors: Sequence[DivisorRecord],
                       cones: Sequence[Cone]) -> PLFunction:
     """Per-cone linear forms m_Y with <rho(D), m_Y> = n_D for every incident
     divisor; underdetermined directions are set to zero (row-space solution).
-    ``cones[i]`` is the cone of ``fan[i]`` with its colors from
-    ``divisors``.
+    ``cones[i]`` is the cone of ``fan[i]``, on which its piece is read.
+    Continuity is the caller's to check (`SphericalInput._pl_function`).
     """
     by_name = {d.name: d for d in divisors}
     pieces = []
     for cone_data, cone in zip(fan, cones, strict=True):
-        incident = []
-        for name in cone_data.divisor_names:
-            if name not in by_name:
-                raise SphericalDataError(f"fan references unknown divisor {name!r}")
-            incident.append(by_name[name])
+        incident = [by_name[name] for name in cone_data.divisor_names]
         if not incident:
             raise SphericalDataError("colored cone with no incident divisors")
         rows = [d.rho for d in incident]
@@ -180,9 +164,7 @@ def build_pl_function(divisors: Sequence[DivisorRecord],
                 "inconsistent per-cone system: no piecewise-linear function "
                 "interpolates the divisor coefficients")
         pieces.append(PLPiece(cone, sol))
-    pl = PLFunction(tuple(pieces))
-    pl.check_continuity()
-    return pl
+    return PLFunction(tuple(pieces))
 
 
 def candidate_set_E(meets: Sequence[Cone]) -> list[Vec]:
@@ -257,7 +239,7 @@ class SphericalInput:
         self._check_anticanonical()
         self._validate_fan()
         self.dh.check_positive_on(self.section_polytope.vertices)
-        self._check_completeness()
+        self._pieces, self._walls = self._check_completeness()
 
     # -- derived geometry ----------------------------------------------------
 
@@ -284,14 +266,26 @@ class SphericalInput:
     @cached_property
     def section_support(self) -> PLFunction:
         """PL function of the chosen section of the polarization."""
-        return build_pl_function(self.divisors, self.fan, self.fan_cones)
+        return self._pl_function(self.divisors)
 
     @cached_property
     def log_discrepancy(self) -> PLFunction:
-        """PL function of the anticanonical section; equals the log
-        discrepancy on the valuation cone.  Its cones are `fan_cones`, as
-        both sections give each divisor the same image and color flag."""
-        return build_pl_function(self.anticanonical_divisors, self.fan, self.fan_cones)
+        """PL function of the anticanonical section: the log discrepancy.
+        It reads the section's pieces, as both sections give each divisor
+        the same image and color flag."""
+        return self._pl_function(self.anticanonical_divisors)
+
+    def _pl_function(self, divisors) -> PLFunction:
+        """`build_pl_function` of ``divisors`` on the pieces, refused unless
+        the two pieces at each wall inside V agree on the wall's rays."""
+        pl = build_pl_function(divisors, [self.fan[k] for k in self._pieces.values()],
+                               list(self._pieces))
+        linear = {piece.cone: piece.linear for piece in pl.pieces}
+        for a, b, wall in self._walls:
+            if any(dot(vsub(linear[a], linear[b]), r) for r in wall):
+                raise SphericalDataError(
+                    f"piecewise-linear pieces disagree on the wall spanned by {_span(wall)}")
+        return pl
 
     @cached_property
     def candidates(self) -> list[Vec]:
@@ -337,20 +331,20 @@ class SphericalInput:
 
     def _validate_fan(self):
         by_name = {d.name: d for d in self.divisors}
-        for i, (cone_data, cone) in enumerate(zip(self.fan, self.fan_cones)):
+        for name in (n for cone_data in self.fan for n in cone_data.divisor_names):
+            if name not in by_name:
+                raise SphericalDataError(f"fan references unknown divisor {name!r}")
+            if by_name[name].is_color and all(c == 0 for c in by_name[name].rho):
+                raise SphericalDataError(f"color {name!r} has rho = 0 inside a colored cone")
+        for i, cone in enumerate(self.fan_cones):
             if not cone.is_strictly_convex:
                 raise SphericalDataError("colored cone is not strictly convex")
-            for name in cone_data.divisor_names:
-                rec = by_name.get(name)
-                if rec is not None and rec.is_color and all(c == 0 for c in rec.rho):
-                    raise SphericalDataError(
-                        f"color {name!r} has rho = 0 inside a colored cone")
             probe = self.fan_meets[i].relative_interior_point()
             if not cone.in_relative_interior(probe):
                 raise SphericalDataError(
                     "relative interior of a colored cone misses the valuation cone")
 
-    def _check_completeness(self):
+    def _check_completeness(self) -> tuple[dict, list]:
         """Exact decision that the fan covers the valuation cone V, which
         must be full-dimensional, by pieces (fan cones met with V that are
         full-dimensional) no two of which overlap.  Fan cones may overlap
@@ -365,7 +359,11 @@ class SphericalInput:
         it.  A point of V that no piece covers would be reached from inside
         a piece across the relative interior of a wall, so when every wall
         passes the pieces cover V; when the cones meet in common faces, as
-        in a fan, a wall that fails marks a region of V left uncovered."""
+        in a fan, a wall that fails marks a region of V left uncovered.
+
+        Returns the pieces, each to its fan index, and the walls inside V as
+        (piece, piece across, wall rays); pieces that share a point of V are
+        linked through walls containing it, which is all continuity needs."""
         vcone = self.valuation_cone
         if vcone.span_equations:
             raise SphericalDataError(
@@ -375,9 +373,8 @@ class SphericalInput:
             if not any(c.contains(r) for c in self.fan_cones):
                 raise SphericalDataError(
                     f"valuation cone generator {r} is not covered by the fan")
-        # each piece -> its fan cone
-        pieces = {m: c for c, m in zip(self.fan_cones, self.fan_meets)
-                  if not m.span_equations}
+        # each piece -> the index of its fan cone
+        pieces = {m: k for k, m in enumerate(self.fan_meets) if not m.span_equations}
         if not pieces:
             raise SphericalDataError(
                 "no cone of the fan meets the valuation cone in a full-dimensional cone")
@@ -390,23 +387,25 @@ class SphericalInput:
                 continue
             if not a.intersect(b).span_equations:
                 raise SphericalDataError(
-                    f"the cones spanned by {_span(pieces[a].rays)} and by "
-                    f"{_span(pieces[b].rays)} overlap inside the valuation cone")
+                    f"the cones spanned by {_span(self.fan_cones[pieces[a]].rays)} and by "
+                    f"{_span(self.fan_cones[pieces[b]].rays)} overlap inside the valuation cone")
         # (facet normal, rays of the wall) -> its piece
         walls = {(n, frozenset(r for r in m.rays if dot(n, r) == 0)): m
                  for m in pieces for n in m.facet_normals}
+        pairs = []
         for (n, wall), m in walls.items():
             if any(all(dot(u, r) == 0 for r in wall) for u in vcone.facet_normals):
                 continue
             twin = vneg(n)
-            if (twin, wall) in walls or any(
-                    twin in q.facet_normals and all(q.contains(r) for r in wall)
-                    for q in pieces):
-                continue
-            raise SphericalDataError(
-                f"no cone of the fan lies across the wall spanned by {_span(wall)} of "
-                f"the cone spanned by {_span(m.rays)}: the fan misses part of the "
-                f"valuation cone there, or its cones do not meet in common faces")
+            q = walls.get((twin, wall)) or next((q for q in pieces if twin in q.facet_normals
+                                                 and all(q.contains(r) for r in wall)), None)
+            if q is None:
+                raise SphericalDataError(
+                    f"no cone of the fan lies across the wall spanned by {_span(wall)} of "
+                    f"the cone spanned by {_span(m.rays)}: the fan misses part of the "
+                    f"valuation cone there, or its cones do not meet in common faces")
+            pairs.append((m, q, wall))
+        return pieces, pairs
 
     # -- level-k sums ----------------------------------------------------------
 

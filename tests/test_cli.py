@@ -173,6 +173,26 @@ def test_mismatched_anticanonical_record_exit_code(tmp_path, capsys):
     assert "divisor 'D0'" in err
 
 
+def test_beta_along_a_ray_outside_the_valuation_cone_exit_code(tmp_path, capsys):
+    # V = {y >= 0}; the fan cone of (1, -1) and (0, 1) reaches below it,
+    # and beta along (1, -1) used to print -1/3 with exit 0
+    rays = [["1", "-1"], ["0", "1"], ["-1", "-1"]]
+    divisors = [{"name": f"D{i}", "rho": r, "coeff": "1", "is_color": False}
+                for i, r in enumerate(rays)]
+    doc = {"schema_version": "1", "variety": {
+        "rank": 2, "dim_x": 2, "divisors": divisors,
+        "anticanonical_divisors": [dict(d) for d in divisors],
+        "fan": [{"generators": rays[:2], "divisors": ["D0", "D1"]},
+                {"generators": rays[1:], "divisors": ["D1", "D2"]}],
+        "valuation_cone": {"generators": [["1", "0"], ["-1", "0"], ["0", "1"]]},
+        "projection": [["1", "0"], ["0", "1"]]}}
+    path = tmp_path / "half-plane.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["compute", "--input", str(path), "--invariant", "beta",
+                              "--ray", "1,-1"], capsys)
+    assert code == 3 and not out
+    assert err == "kstab: OutsideFanSupportError: (1, -1) lies outside the valuation cone\n"
+
 def test_complete_field_is_refused(tmp_path, capsys):
     doc = builtin_document("toric-p1")
     doc["variety"]["complete"] = True

@@ -4,6 +4,8 @@ Exact inequalities are tested exactly: monotonicity of power means via
 cross-powers, subadditivity via squared comparisons, never through floats.
 """
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,9 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_fans, fan_input, random_spherical_input
-from kstab.geom import vec
+from kstab.geom import dot, vec, vsub
 from kstab.invariants import S_p, T_max, _candidate_rows, alpha, beta_g, delta_p
-from kstab.spherical import OutsideFanSupportError
+from kstab.spherical import (
+    ColoredConeData,
+    OutsideFanSupportError,
+    SphericalDataError,
+    build_pl_function,
+)
 
 P_RANGE = (1, 2, 3, 4)
 SCALES = (F(2), F(7), F(1, 3))
@@ -165,3 +172,26 @@ def test_support_function_positive_homogeneity(seed):
                 assert h(w) == c * h(v)
             except OutsideFanSupportError:
                 raise AssertionError("scaled candidate left the fan support")
+
+
+@settings(max_examples=40, deadline=None)
+@given(complete_fans(ranks=(2, 3)), st.data())
+def test_wall_check_decides_like_the_all_pairs_check(case, data):
+    # one divisor dropped from one cone's incidence list; the oracle
+    # compares every two pieces over their whole meet inside V
+    rays, cones, vcone = case
+    si = fan_input(rays, cones, vcone)
+    k = data.draw(st.integers(0, len(si.fan) - 1))
+    names = si.fan[k].divisor_names
+    drop = data.draw(st.integers(0, len(names) - 1))
+    cone = ColoredConeData(si.fan[k].generators, names[:drop] + names[drop + 1:])
+    si = dataclasses.replace(si, fan=si.fan[:k] + (cone,) + si.fan[k + 1:])
+    pl = build_pl_function(si.divisors, si.fan, si.fan_meets)
+    disagree = any(dot(vsub(a.linear, b.linear), g) != 0
+                   for a, b in itertools.combinations(pl.pieces, 2)
+                   for g in a.cone.intersect(b.cone).generators)
+    if disagree:
+        with pytest.raises(SphericalDataError, match="disagree on the wall"):
+            si.section_support
+    else:
+        si.section_support

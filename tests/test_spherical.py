@@ -1,5 +1,6 @@
 """Spherical data model: polytopes, support functions, candidates, level sums."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from conftest import (
 )
 from kstab.fixtures import builtin_document
 from kstab.geom import Cone, dot, vec
+from kstab.invariants import S_p, T_max, alpha, beta_g, delta_p, ding_check
 from kstab.quad import AffineForm, DHDensity, DHFactor
 from kstab.schema import parse_input_document
 from kstab.spherical import (
@@ -336,6 +338,115 @@ def test_cones_overlapping_outside_the_valuation_cone_accepted():
     with pytest.raises(SphericalDataError, match="overlap"):
         fan_input(rays, cones, Cone.full_space(2))
 
+
+HALF_PLANE = Cone(2, [vec([1, 0]), vec([-1, 0]), vec([0, 1])])  # V = {y >= 0}
+
+
+def test_cones_overlapping_outside_the_valuation_cone_get_invariants():
+    # the pieces are compared across their walls inside V only, so the
+    # overlap below the x-axis no longer refuses the first invariant
+    rays = [(-1, -4), (1, 2), (-1, 2), (0, -1)]
+    si = fan_input(rays, [(rays[0], rays[1]), (rays[1], rays[2]), (rays[2], rays[3])],
+                   HALF_PLANE)
+    assert delta_p(si, 1).value.exact == F(1, 2)
+    assert alpha(si).value.exact == F(1, 6)
+    assert ding_check(si).verdict == "unstable"
+
+
+def test_invariants_along_a_ray_outside_the_valuation_cone_refused():
+    # the fan cone of (1, -1) and (0, 1) reaches below V; along (1, -1) its
+    # linear form gave S^(1) = 4/3, T = 4 and beta = -1/3, which are no
+    # log discrepancies
+    si = fan_input([(1, -1), (0, 1), (-1, -1)], [((1, -1), (0, 1)), ((0, 1), (-1, -1))],
+                   HALF_PLANE)
+    for invariant in (lambda v: S_p(si, v, 1), lambda v: T_max(si, v),
+                      lambda v: beta_g(si, v)):
+        with pytest.raises(OutsideFanSupportError,
+                           match=r"^\(1, -1\) lies outside the valuation cone$"):
+            invariant((1, -1))
+
+
+def test_pieces_that_disagree_on_a_wall_refused():
+    # the first quadrant lists only D0, so its linear form (1, 0) agrees
+    # with the fourth quadrant's (1, -1) on the wall (1, 0) but not with the
+    # second quadrant's (-1, 1) on the wall (0, 1)
+    si = fan_input(QUADRANTS, QUADRANT_CONES)
+    first = ColoredConeData(si.fan[0].generators, ("D0",))
+    si = dataclasses.replace(si, fan=(first,) + si.fan[1:])
+    with pytest.raises(SphericalDataError, match=r"^piecewise-linear pieces disagree on "
+                                                 r"the wall spanned by \(0, 1\)$"):
+        si.section_support
+
+
+def _answers(doc):
+    si, _ = parse_input_document(doc)
+    return delta_p(si, 1).value.exact, alpha(si).value.exact, ding_check(si).verdict
+
+
+@pytest.mark.parametrize("name, answers", [
+    ("toric-p1", (F(1), F(1, 2), "polystable")),
+    ("wonderful-a2", (F(9888, 5023), F(1, 3), "polystable")),
+])
+def test_the_zero_cone_is_no_piece(name, answers):
+    # the open orbit's cone has no generators and no incident divisors
+    doc = builtin_document(name)
+    assert _answers(doc) == answers
+    doc["variety"]["fan"].append({"generators": [], "divisors": []})
+    assert _answers(doc) == answers
+
+
+def test_listed_faces_change_no_answer():
+    doc = builtin_document("toric-bl1p2")
+    assert _answers(doc) == (F(6, 7), F(1, 3), "unstable")
+    doc["variety"]["fan"] += [{"generators": [["1", "0"]], "divisors": ["D1"]},
+                              {"generators": [["1", "1"]], "divisors": ["E"]}]
+    assert _answers(doc) == (F(6, 7), F(1, 3), "unstable")
+
+
+def test_a_piece_with_no_incident_divisors_refused():
+    doc = builtin_document("toric-p1")
+    doc["variety"]["fan"][0]["divisors"] = []
+    si, _ = parse_input_document(doc)
+    with pytest.raises(SphericalDataError, match="colored cone with no incident divisors"):
+        si.section_support
+
+
+@pytest.mark.parametrize("face", [False, True])
+def test_unknown_divisor_refused_at_parse(face):
+    doc = builtin_document("toric-bl1p2")
+    if face:
+        doc["variety"]["fan"].append({"generators": [["1", "0"]], "divisors": ["D1", "Zzz"]})
+    else:
+        doc["variety"]["fan"][0]["divisors"].append("Zzz")
+    with pytest.raises(SphericalDataError, match="^fan references unknown divisor 'Zzz'$"):
+        parse_input_document(doc)
+
+
+def _with_cone(name, cone):
+    doc = builtin_document(name)
+    doc["variety"]["fan"].append(cone)
+    return doc
+
+
+def _with_color_of_rho_zero():
+    doc = builtin_document("wonderful-a2")
+    for key in ("divisors", "anticanonical_divisors"):
+        doc["variety"][key].append({"name": "C0", "rho": ["0", "0"], "coeff": "1",
+                                    "is_color": True})
+    doc["variety"]["fan"][0]["divisors"].append("C0")
+    return doc
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _with_cone("toric-p1", {"generators": [["1"], ["-1"]], "divisors": ["D0", "Dinf"]}),
+     "colored cone is not strictly convex"),
+    (lambda: _with_cone("pgl2", {"generators": [["1"]], "divisors": []}),
+     "relative interior of a colored cone misses the valuation cone"),
+    (_with_color_of_rho_zero, "color 'C0' has rho = 0 inside a colored cone"),
+], ids=["not-strictly-convex", "misses-the-valuation-cone", "color-of-rho-zero"])
+def test_fan_refusals_at_parse(make, message):
+    with pytest.raises(SphericalDataError, match=f"^{message}$"):
+        parse_input_document(make())
 
 def test_anticanonical_records_must_match_the_divisors():
     # rho(D) and the color flag belong to D; only the coefficient depends
