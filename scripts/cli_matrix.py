@@ -26,8 +26,9 @@ that change sign on the section polytope, under ``compute`` for
 ``barycenter``, ``beta`` and ``delta`` and under ``check``, so that the
 refusal of a weight that is not positive is compared too; then ``builtin``
 for every name, so that the builtins' bytes are compared; then ``reeb`` on
-toric-p1 and toric-bl1p2 translated so that the origin is not interior to
-the section polytope; last, per builtin, ``--format csv`` under ``check``,
+toric-p1 and toric-bl1p2 with only the section in ``divisors`` translated
+so that the origin is not interior to its polytope, which the Reeb solve
+does not read (it reads the anticanonical section); last, per builtin, ``--format csv`` under ``check``,
 ``reeb``, ``barycenter`` and ``beta``, which have no per-ray table; then
 ``check`` on rejections whose first error in schema order is not the one
 jsonschema's ``best_match`` would pick: ``--g`` blocks whose key names a
@@ -47,7 +48,12 @@ delta`` on toric-p1 with the zero cone listed (answered as without it), on
 toric-bl1p2 with a face that names the unknown divisor ``Zzz`` (refused)
 and on a fan whose cones overlap only outside the valuation cone y >= 0
 (answered), and ``beta`` along (1, -1) under the same valuation cone on a
-fan cone that reaches below it (refused).
+fan cone that reaches below it (refused); last, P^2 and toric-p1 with
+the section in ``divisors`` moved by a character (coefficients 2, 1, 0
+and 3/2, 1/2) under ``check``, ``beta`` along the first candidate,
+``reeb`` and ``delta`` under an affine power at exponent 0.5, which give
+the canonical documents' answers, and ``reeb`` on toric-p1 and
+toric-bl1p2 with both sections translated as above, which is refused.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from pathlib import Path
 from kstab.cli import main as kstab_main
 from kstab.fixtures import BUILTIN_NAMES, builtin_document, builtin_spherical_input
 from kstab.geom import dot
+from kstab.schema import parse_input_document
 
 
 def _weights(dim: int) -> dict[str, dict]:
@@ -160,6 +167,15 @@ _OVERLAPPING_FANS = {
 _HALF_PLANE = {"generators": [["1", "0"], ["-1", "0"], ["0", "1"]]}
 _OVERLAP_OUTSIDE_V = ([(-1, -4), (1, 2), (-1, 2), (0, -1)], [(0, 1), (1, 2), (2, 3)])
 _BELOW_V = ([(1, -1), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+
+# P^2 and toric-p1 with the section in divisors moved by the characters
+# (1, 0) and 1/2, and the first coordinate of an affine-power weight
+_P2 = ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
+_MOVED_COEFFS = {
+    "p2": {"D0": "2", "D1": "1", "D2": "0"},
+    "toric-p1": {"D0": "3/2", "Dinf": "1/2"},
+}
+_MOVED_XI = "1/4"
 
 
 def _commands(path: str, ray: str) -> list[list[str]]:
@@ -332,6 +348,31 @@ def main():
         path.write_text(json.dumps(_toric_document(*_BELOW_V, _HALF_PLANE)))
         print("# ray outside the valuation cone")
         print(_run(["compute", "--input", str(path), "--invariant", "beta", "--ray=1,-1"], root))
+        for name, coeffs in _MOVED_COEFFS.items():
+            doc = _toric_document(*_P2) if name == "p2" else builtin_document(name)
+            si, _ = parse_input_document(doc)
+            for d in doc["variety"]["divisors"]:
+                d["coeff"] = coeffs[d["name"]]
+            path = Path(root, f"{name}-moved.json")
+            path.write_text(json.dumps(doc))
+            ray = ",".join(str(c) for c in si.candidates[0])
+            g = {"affine_power": {"xi": [_MOVED_XI] + ["0"] * (si.rank - 1), "a": "1",
+                                  "exponent": 0.5}}
+            base = ["--input", str(path)]
+            for argv in (["check", *base],
+                         ["compute", *base, "--invariant", "beta", f"--ray={ray}"],
+                         ["reeb", *base],
+                         ["compute", *base, "--invariant", "delta", "--g", json.dumps(g)]):
+                print(f"# {name} section moved")
+                print(_run(argv, root))
+        for name, coeffs in _SHIFTED_COEFFS.items():
+            doc = builtin_document(name)
+            for d in doc["variety"]["divisors"] + doc["variety"]["anticanonical_divisors"]:
+                d["coeff"] = coeffs[d["name"]]
+            path = Path(root, f"{name}-shifted-both.json")
+            path.write_text(json.dumps(doc))
+            print(f"# {name} both sections translated, origin not interior")
+            print(_run(["reeb", "--input", str(path)], root))
 
 
 if __name__ == "__main__":

@@ -469,27 +469,6 @@ class Cone:
     def is_full_space(self) -> bool:
         return not self.facet_normals and not self.span_equations
 
-    def dual(self) -> "Cone":
-        """The dual cone {m : <m, g> >= 0 for every generator g}, built once."""
-        return self._dual
-
-    @cached_property
-    def _dual(self) -> "Cone":
-        rays, lin = self._dual_pair
-        gens = list(rays)
-        for l in lin:
-            gens.append(l)
-            gens.append(vneg(l))
-        return Cone(self.dim, gens)
-
-    def negated(self) -> "Cone":
-        """The cone -C, built once."""
-        return self._negated
-
-    @cached_property
-    def _negated(self) -> "Cone":
-        return Cone(self.dim, [vneg(g) for g in self.generators])
-
     def contains(self, x: Vec) -> bool:
         return (all(dot(r, x) >= 0 for r in self.facet_normals)
                 and all(dot(l, x) == 0 for l in self.span_equations))

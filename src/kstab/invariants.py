@@ -4,21 +4,26 @@ Every invariant here is a minimum over the finite candidate ray set of the
 valuation cone: the p-th-moment threshold delta^(p), the tangency threshold
 alpha, their weighted variants, and the Ding-type verdicts obtained by
 testing the weighted barycenter against the dual of the negated valuation
-cone.  Rational inputs give exact rational answers; every other answer
-reads closed forms enclosed with directed rounding, and its error bound
-adds theirs and a bound on the rounding of the float arithmetic after
-them.  No numeric path decides a boundary question by float comparison.
+cone.  delta^(p), alpha, S, T and the barycenter read the input's own
+section; the Ding check, beta^g and delta^g are statements about X, and
+read the input of its anticanonical section
+(`SphericalInput.anticanonical`), which is the input itself when the
+document's section is the canonical one.  Rational inputs give exact
+rational answers; every other answer reads closed forms enclosed with
+directed rounding, and its error bound adds theirs and a bound on the
+rounding of the float arithmetic after them.  No numeric path decides a
+boundary question by float comparison.
 
-Each of them reads, per ray v and PL function l, one `RayRecord` built on
-first use and kept on the input (`SphericalInput.ray_records`): l(v), the
-values of <x, v> + l(v) at the section polytope's vertices (checked
-nonnegative when the record is built) and their maximum T; the vertex
-values serve T, non-integer p and the weights that do not expand.
-delta^(p), alpha and delta^g iterate the input's candidate table
-(`SphericalInput.candidate_table`), one `CandidateRow` per candidate ray
-and PL function, in candidate order: the ray, its primitive integer
-coordinates, A(v), its record and A(v) / T.  So a warm input runs no cone
-search and evaluates no form again.
+Each of them reads, per ray v, one `RayRecord` built on first use and kept
+on the input (`SphericalInput.ray_records`): l(v) for the section's
+support function l, the values of <x, v> + l(v) at the section polytope's
+vertices (checked nonnegative when the record is built) and their maximum
+T; the vertex values serve T, non-integer p and the weights that do not
+expand.  delta^(p), alpha and delta^g iterate the input's candidate table
+(`SphericalInput.candidate_table`), one `CandidateRow` per candidate ray,
+in candidate order: the ray, its primitive integer coordinates, A(v), its
+record and A(v) / T.  So a warm input runs no cone search and evaluates
+no form again.
 
 Everything read under a weight g is kept in one `WeightEntry` per weight
 (`SphericalInput.weight_entries`, None for the unit weight): the weighted
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geom import Cone, Vec, dot, vec
+from .geom import Vec, dot, vec, vneg
 from .quad import (
     Expansion,
     WeightFn,
@@ -60,7 +65,7 @@ from .quad import (
     tight,
     weighted_density,
 )
-from .spherical import PLFunction, SphericalInput, _is_integer
+from .spherical import SphericalInput, _is_integer
 
 
 class InvariantError(Exception):
@@ -115,29 +120,28 @@ _UNIT = 2.0 ** -53  # the unit roundoff of a float
 
 @dataclass(frozen=True, slots=True)
 class RayRecord:
-    """What the invariants read about a ray v under a PL function l: l(v),
-    the values of <x, v> + l(v) at the vertices of the section polytope,
-    in its vertex order, and their maximum T."""
+    """What the invariants read about a ray v under the section's support
+    function l: l(v), the values of <x, v> + l(v) at the vertices of the
+    section polytope, in its vertex order, and their maximum T."""
 
     value: Fraction
     vertex_values: tuple[Fraction, ...]
     t_max: Fraction
 
 
-def _ray(si: SphericalInput, v: Vec, pl: PLFunction | None = None) -> RayRecord:
-    """The record of ray v under pl (by default the section's support
-    function), built on first use and kept in `SphericalInput.ray_records`.
-    `InvariantError` unless v has `si.rank` coordinates, and
-    `NegativeValuesError` unless <x, v> + l(v) is nonnegative on the
-    section polytope; a failure is not kept, so every call raises it."""
-    pl = pl or si.section_support
-    records = si.ray_records.setdefault(pl, {})
+def _ray(si: SphericalInput, v: Vec) -> RayRecord:
+    """The record of ray v, built on first use and kept in
+    `SphericalInput.ray_records`.  `InvariantError` unless v has `si.rank`
+    coordinates, and `NegativeValuesError` unless <x, v> + l(v) is
+    nonnegative on the section polytope; a failure is not kept, so every
+    call raises it."""
+    records = si.ray_records
     record = records.get(v)
     if record is None:
         if len(v) != si.rank:
             raise InvariantError(f"ray ({', '.join(map(str, v))}) has {len(v)} coordinate(s), "
                                  f"the input has rank {si.rank}")
-        lv = pl(v)
+        lv = si.section_support(v)
         values = tuple(dot(x, v) + lv for x in si.section_polytope.vertices)
         if min(values) < 0:
             raise NegativeValuesError(
@@ -155,11 +159,11 @@ def _check_exponent(p):
 
 @dataclass(frozen=True, slots=True)
 class CandidateRow:
-    """A candidate ray v as the invariants read it under one PL function l:
-    v, its primitive integer coordinates, A(v) (checked positive), the
-    `RayRecord` of v under l and A(v) / T, where T > 0: the values are
-    nonnegative on the full-dimensional section polytope, on which no
-    nonzero v is constant."""
+    """A candidate ray v as the invariants read it: v, its primitive
+    integer coordinates, A(v) (checked positive), the `RayRecord` of v and
+    A(v) / T, where T > 0: the values are nonnegative on the
+    full-dimensional section polytope, on which no nonzero v is
+    constant."""
 
     ray: Vec
     ints: tuple[int, ...]
@@ -168,33 +172,37 @@ class CandidateRow:
     ratio_alpha: Fraction
 
 
-def _candidate_rows(si: SphericalInput, pl: PLFunction | None = None) -> tuple[CandidateRow, ...]:
-    """The rows of the candidates under pl (by default the section's
-    support function), in candidate order, built on first use and kept in
-    `SphericalInput.candidate_table`; each ray is checked for A(v) > 0 and
-    then for its record, in order, and a failure is not kept."""
-    pl = pl or si.section_support
-    rows = si.candidate_table.get(pl)
-    if rows is None:
-        rows = si.candidate_table[pl] = tuple(_candidate_row(si, pl, v) for v in si.candidates)
-    return rows
+def _candidate_rows(si: SphericalInput):
+    """The rows of the candidates, in candidate order, built on first use
+    and kept in `SphericalInput.candidate_table` by ray; each ray is
+    checked for A(v) > 0 and then for its record, in order, and a failure
+    is not kept, so the table holds the rows of a prefix of the
+    candidates."""
+    table = si.candidate_table
+    if len(table) < len(si.candidates):
+        for v in si.candidates[len(table):]:
+            table[v] = _candidate_row(si, v)
+    return table.values()
 
 
-def _candidate_row(si: SphericalInput, pl: PLFunction, v: Vec) -> CandidateRow:
-    a = _ray_log_discrepancy(si, v)
-    record = _ray(si, v, pl)
+def _candidate_row(si: SphericalInput, v: Vec) -> CandidateRow:
+    a = si.log_discrepancy(v)
+    if a <= 0:
+        raise KltViolationError(f"log discrepancy {a} <= 0 at ray {v}")
+    record = _ray(si, v)
     return CandidateRow(v, tuple(x.numerator for x in v), a, record, a / record.t_max)
 
 
-def T_max(si: SphericalInput, v, pl: PLFunction | None = None) -> Fraction:
-    """max over the section polytope of <x, v> + l(v), exact."""
-    return _ray(si, vec(v), pl).t_max
+def T_max(si: SphericalInput, v) -> Fraction:
+    """max over the section polytope of <x, v> + l(v), exact, for the
+    section's support function l."""
+    return _ray(si, vec(v)).t_max
 
 
-def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
-        g: WeightFn | None = None) -> Num:
+def S_p(si: SphericalInput, v, p, g: WeightFn | None = None) -> Num:
     """p-th moment of the expected vanishing order along v:
-    int g(xbar) P (.)^p / int g(xbar) P.
+    int g(xbar) P (<x, v> + l(v))^p / int g(xbar) P over the section
+    polytope, for the section's support function l.
 
     Exact for integer p and exact weights: S is F_p(v, l(v)) / mass, with
     F_p(v, l(v)) = int g(xbar) P (<x, v> + l(v))^p read off the form in
@@ -213,7 +221,7 @@ def S_p(si: SphericalInput, v, p, pl: PLFunction | None = None,
     ValueError for a weight that `quad.weighted_density` refuses."""
     _check_exponent(p)
     v = vec(v)
-    record = _ray(si, v, pl)
+    record = _ray(si, v)
     return _moment(v, record, p, _weighted(si, g))
 
 
@@ -295,13 +303,6 @@ class InvariantReport:
     table: tuple[RayEvaluation, ...]
     barycenter: tuple[Num, ...] | None = None
     notes: tuple[str, ...] = ()
-
-
-def _ray_log_discrepancy(si: SphericalInput, v: Vec) -> Fraction:
-    a = si.log_discrepancy(v)
-    if a <= 0:
-        raise KltViolationError(f"log discrepancy {a} <= 0 at ray {v}")
-    return a
 
 
 def _root_ratio(a: Fraction, s: Num, p) -> Num:
@@ -442,10 +443,12 @@ def _pairing(entry: WeightEntry, f: Vec, shift: Fraction | int = 0) -> Num:
 
 
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
-    """Weighted threshold min over rays of A / (A + <bar, v>), for the
-    anticanonical polarization.  The per-ray rows, ratios and notes depend
-    only on the input, the weight and the rays, so they are built once and
-    kept in the weight's entry."""
+    """Weighted threshold min over rays of A / (A + <bar, v>), with bar the
+    weighted barycenter of -K_X's section polytope (`si.anticanonical`).
+    The per-ray rows, ratios and notes depend only on the input, the
+    weight and the rays, so they are built once and kept in the weight's
+    entry."""
+    si = si.anticanonical
     entry = _weighted(si, g)
     bary = _barycenter(si, entry)
     if entry.delta_g_rows is None:
@@ -463,7 +466,7 @@ def _delta_g_rows(si: SphericalInput, entry: WeightEntry):
     rows = []
     ratios = []
     notes: list[str] = []
-    for row in _candidate_rows(si, si.log_discrepancy):
+    for row in _candidate_rows(si):
         ray, a, t = row.ray, row.a, row.record.t_max
         s = _pairing(entry, row.ints, a)
         if s.is_exact:
@@ -495,13 +498,15 @@ BETA_CONSISTENCY_TOL = 1e-8
 
 
 def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
-    """Ding slope A(v) - S^g(v) computed along two independent routes which
-    must agree: direct integration, and pairing the weighted barycenter.
+    """Ding slope A(v) - S^g(v) on -K_X's section polytope
+    (`si.anticanonical`), computed along two independent routes which must
+    agree: direct integration, and pairing the weighted barycenter.
     `InvariantError` for the zero vector, which is no valuation ray."""
     v = vec(v)
     if not any(v):
         raise InvariantError("beta: the zero vector is not a valuation ray")
-    record = _ray(si, v, si.log_discrepancy)
+    si = si.anticanonical
+    record = _ray(si, v)
     a = record.value
     entry = _weighted(si, g)
     s = _moment(v, record, 1, entry)
@@ -531,7 +536,6 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
 @dataclass(frozen=True)
 class DingVerdict:
     barycenter: tuple[Num, ...]
-    dual_cone: Cone
     semistable: bool | None
     polystable: bool | None
     witness: dict | None = None
@@ -549,8 +553,9 @@ class DingVerdict:
 
 
 def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
-    """Stability verdict from the membership of the weighted barycenter in
-    the dual cone of the negated valuation cone.
+    """Stability verdict from the membership of the weighted barycenter of
+    -K_X's section polytope (`si.anticanonical`) in the dual cone of the
+    negated valuation cone -V.
 
     With exact barycenters the verdict is exact.  A barycenter under a
     weight that does not expand is only judged through the intervals its
@@ -558,33 +563,34 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     bounds and by its own rounding; if an interval touches a facet the
     verdict is indeterminate rather than guessed.
     """
+    si = si.anticanonical
     entry = _weighted(si, g)
     bary = _barycenter(si, entry)
     exact = all(b.is_exact for b in bary)
-    neg_v = si.valuation_cone.negated()
-    dual = neg_v.dual()
+    cone = si.valuation_cone
 
     def enclosure(functional: Vec) -> tuple:
         s = _pairing(entry, functional)
         return (s.exact, s.exact) if exact else (s.value - s.error, s.value + s.error)
 
-    # the dual cone's facet functionals are the rays of the negated
-    # valuation cone, its must-vanish functionals the lineality.  A
+    # the dual cone's facet functionals are the rays of -V, V's rays
+    # negated, and its must-vanish functionals V's lineality.  A
     # certified violation decides "unstable" regardless of other
     # ambiguity; otherwise a pairing that touches a boundary rules out
     # polystability when exact and leaves the verdict open when not
     boundary = None
-    for kind, functionals in (("equality", neg_v.lineality), ("facet", neg_v.rays)):
+    for kind, functionals in (("equality", cone.lineality),
+                              ("facet", sorted(vneg(r) for r in cone.rays))):
         for f in functionals:
             lo, hi = enclosure(f)
             if hi < 0 or (kind == "equality" and lo > 0):
                 witness = {"kind": kind, "functional": f, "value": lo if exact else (lo + hi) / 2}
-                return DingVerdict(bary, dual, False, False, witness, exact)
+                return DingVerdict(bary, False, False, witness, exact)
             if boundary is None and lo <= 0 and not (kind == "equality" and lo == hi == 0):
                 boundary = {"kind": "boundary-facet", "functional": f, "value": lo} if exact \
                     else {"kind": kind, "functional": f, "enclosure": (lo, hi)}
     if boundary is None:
-        return DingVerdict(bary, dual, True, True, None, exact)
+        return DingVerdict(bary, True, True, None, exact)
     if exact:
-        return DingVerdict(bary, dual, True, False, boundary, True)
-    return DingVerdict(bary, dual, None, None, boundary, False)
+        return DingVerdict(bary, True, False, boundary, True)
+    return DingVerdict(bary, None, None, boundary, False)

@@ -3,7 +3,7 @@
 Minimizes the strictly convex functional
 ``xi |-> int_Delta (<xi, x> + 1)^(-m-1) P(x) dx``
 over the xi at which every vertex value ``<xi, x> + 1`` of the section
-polytope Delta is positive, by a damped Newton iteration with a
+polytope Delta of -K_X is positive, by a damped Newton iteration with a
 fraction-to-boundary line search; feasibility and the line search read
 those vertex values, and the float route integrates with them.  The origin
 must be interior to Delta: otherwise the functional has no minimizer, and
@@ -96,14 +96,16 @@ class ReebProblem:
 
     @classmethod
     def from_spherical(cls, si: SphericalInput) -> "ReebProblem":
-        """The problem of a horospherical input, whose parse has checked
-        the density on the section polytope; the origin is interior when
-        every inequality of the section polytope holds strictly there,
-        that is when the coefficient of every divisor with rho(D) != 0 is
-        positive (one with rho(D) = 0 bounds nothing)."""
+        """The problem of a horospherical input on -K_X's section polytope
+        (`si.anticanonical`), whose parse has checked the density there;
+        the origin is interior when every inequality of that polytope
+        holds strictly there, that is when the anticanonical coefficient
+        of every divisor with rho(D) != 0 is positive (one with rho(D) = 0
+        bounds nothing)."""
         if not si.is_horospherical:
             raise NotHorosphericalError(
                 "Reeb solver requires the valuation cone to be the whole space")
+        si = si.anticanonical
         offsets = (d.coeff for d in si.divisors if any(d.rho))
         return cls._checked(si.section_polytope, offsets, si.dh, si.dim_x)
 

@@ -2,20 +2,23 @@
 
 The input is the boundary-divisor data of a chosen eigensection, a colored
 fan, and the valuation cone.  From it we build the section polytope, the
-piecewise-linear functions of the section and of the anticanonical section
-(the log discrepancy), each on the pieces of the fan in the valuation cone
-and checked on their walls, the finite candidate ray set over which the
-stability thresholds are minimized, and the level-k truncations of the
-expected vanishing order.  The minimum over the candidates is the paper's
-minimum only when the fan covers the valuation cone, which every input is
-checked for exactly, with no two of its pieces overlapping there.
+piecewise-linear function of the section on the pieces of the fan in the
+valuation cone, checked on their walls, the finite candidate ray set over
+which the stability thresholds are minimized, and the level-k truncations
+of the expected vanishing order.  The anticanonical section gives a second
+input over the same fan (`SphericalInput.anticanonical`), whose section
+function is the log discrepancy; it is the input itself when both sections
+give every divisor the same coefficient.  The minimum over the candidates
+is the paper's minimum only when the fan covers the valuation cone, which
+every input is checked for exactly, with no two of its pieces overlapping
+there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -87,23 +90,15 @@ class PLPiece:
     linear: Vec  # element of M tensor Q defining the function on the cone
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PLFunction:
     """Piecewise-linear function on the valuation cone, one piece per
-    full-dimensional meet of a fan cone with it.  Each ray's value is kept;
-    two functions are equal only if they are the same object."""
+    full-dimensional meet of a fan cone with it."""
 
     pieces: tuple[PLPiece, ...]
-    _values: dict[Vec, Fraction] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, v: Vec) -> Fraction:
         v = vec(v)
-        value = self._values.get(v)
-        if value is None:
-            value = self._values[v] = self._evaluate(v)
-        return value
-
-    def _evaluate(self, v: Vec) -> Fraction:
         for piece in self.pieces:
             if piece.cone.contains(v):
                 return dot(piece.linear, v)
@@ -148,7 +143,7 @@ def build_pl_function(divisors: Sequence[DivisorRecord],
     """Per-cone linear forms m_Y with <rho(D), m_Y> = n_D for every incident
     divisor; underdetermined directions are set to zero (row-space solution).
     ``cones[i]`` is the cone of ``fan[i]``, on which its piece is read.
-    Continuity is the caller's to check (`SphericalInput._pl_function`).
+    Continuity is the caller's to check (`SphericalInput.section_support`).
     """
     by_name = {d.name: d for d in divisors}
     pieces = []
@@ -265,20 +260,10 @@ class SphericalInput:
 
     @cached_property
     def section_support(self) -> PLFunction:
-        """PL function of the chosen section of the polarization."""
-        return self._pl_function(self.divisors)
-
-    @cached_property
-    def log_discrepancy(self) -> PLFunction:
-        """PL function of the anticanonical section: the log discrepancy.
-        It reads the section's pieces, as both sections give each divisor
-        the same image and color flag."""
-        return self._pl_function(self.anticanonical_divisors)
-
-    def _pl_function(self, divisors) -> PLFunction:
-        """`build_pl_function` of ``divisors`` on the pieces, refused unless
-        the two pieces at each wall inside V agree on the wall's rays."""
-        pl = build_pl_function(divisors, [self.fan[k] for k in self._pieces.values()],
+        """PL function of the chosen section of the polarization:
+        `build_pl_function` on the pieces, refused unless the two pieces at
+        each wall inside V agree on the wall's rays."""
+        pl = build_pl_function(self.divisors, [self.fan[k] for k in self._pieces.values()],
                                list(self._pieces))
         linear = {piece.cone: piece.linear for piece in pl.pieces}
         for a, b, wall in self._walls:
@@ -288,12 +273,33 @@ class SphericalInput:
         return pl
 
     @cached_property
+    def anticanonical(self) -> SphericalInput:
+        """The input of the anticanonical section, over the same fan and
+        density: the input itself when both sections give every divisor
+        the same coefficient, else the input whose ``divisors`` are the
+        ``anticanonical_divisors``, built and checked on first use; its
+        refusals name that list."""
+        coeff = {d.name: d.coeff for d in self.divisors}
+        if all(d.coeff == coeff[d.name] for d in self.anticanonical_divisors):
+            return self
+        try:
+            return replace(self, divisors=self.anticanonical_divisors)
+        except (SphericalDataError, ValueError) as e:
+            raise type(e)(f"anticanonical_divisors: {e}") from e
+
+    @property
+    def log_discrepancy(self) -> PLFunction:
+        """The log discrepancy A: the PL function of the anticanonical
+        section, `anticanonical.section_support`."""
+        return self.anticanonical.section_support
+
+    @cached_property
     def candidates(self) -> list[Vec]:
         return candidate_set_E(self.fan_meets)
 
     @cached_property
     def ray_records(self) -> dict:
-        """Per PL function and ray, the `invariants.RayRecord` that every
+        """Per ray, the `invariants.RayRecord` of the section that every
         invariant reads, filled as the invariants build them."""
         return {}
 
@@ -306,9 +312,9 @@ class SphericalInput:
 
     @cached_property
     def candidate_table(self) -> dict:
-        """Per PL function, one `invariants.CandidateRow` per candidate ray,
-        in candidate order: the table that delta^(p), alpha and delta^g
-        iterate, filled as the invariants build it."""
+        """Per candidate ray, its `invariants.CandidateRow`, in candidate
+        order: the table that delta^(p), alpha and delta^g iterate, filled
+        as the invariants build it."""
         return {}
 
     @property
@@ -428,14 +434,16 @@ class SphericalInput:
         S_k is the (g-weighted) mean of ((<m, v> + k l(v)) / k)^p over the
         lattice points of the dilated polytope, each weighted by its module
         dimension; d_k is the total (unweighted) dimension; T_k the maximum
-        value, with l the log discrepancy.  ValueError unless g reads one
-        coordinate per projection row (`WeightFn.check_dimension`).
+        value, with l the section's support function, so that S_k tends
+        to `invariants.S_p` and T_k to `invariants.T_max`.  ValueError
+        unless g reads one coordinate per projection row
+        (`WeightFn.check_dimension`).
         """
         g = g or UNIT_WEIGHT
         g.check_dimension(self.projection)
         v = vec(v)
         k = int(k)
-        lv = self.log_discrepancy(v)
+        lv = self.section_support(v)
         pts = lattice_points(self.section_polytope, k)
         g_exact = g.products(self.projection, self.rank)
         power = None if g_exact is not None else g.power(self.projection, self.rank)

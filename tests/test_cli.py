@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from kstab.cli import main
-from kstab.fixtures import BUILTIN_NAMES, builtin_document
+from kstab.fixtures import BUILTIN_NAMES, builtin_document, toric_fixture
 from kstab.schema import INPUT_SCHEMA, parse_input_document, validate_document
 
 
@@ -586,11 +586,11 @@ def test_reeb_scope_refusal(pgl2_path, capsys):
     assert "scope" in err
 
 
-def _shifted_document(tmp_path, name, coeffs):
-    """A builtin whose divisor coefficients are replaced, which moves or
-    reshapes its section polytope."""
+def _shifted_document(tmp_path, name, coeffs, keys=("divisors",)):
+    """A builtin whose divisor coefficients are replaced in the lists
+    ``keys``, which moves or reshapes their section polytope."""
     doc = builtin_document(name)
-    for d in doc["variety"]["divisors"]:
+    for d in (d for key in keys for d in doc["variety"][key]):
         d["coeff"] = coeffs[d["name"]]
     path = tmp_path / f"{name}-shifted.json"
     path.write_text(json.dumps(doc))
@@ -602,10 +602,53 @@ def _shifted_document(tmp_path, name, coeffs):
     ("toric-bl1p2", {"D1": "0", "D2": "0", "E": "3", "D3": "3"}),  # origin a vertex
 ])
 def test_reeb_refuses_a_polytope_without_the_origin_inside(tmp_path, capsys, name, coeffs):
-    code, out, err = run_cli(["reeb", "--input", _shifted_document(tmp_path, name, coeffs)],
-                             capsys)
+    # the Reeb solve reads -K_X's section, so both lists are translated
+    path = _shifted_document(tmp_path, name, coeffs, ("divisors", "anticanonical_divisors"))
+    code, out, err = run_cli(["reeb", "--input", path], capsys)
     assert code == 3 and out == ""
     assert "origin is not interior" in err
+
+
+def _p2_document():
+    """The projective plane, anticanonically polarized."""
+    return toric_fixture({"D0": ["1", "0"], "D1": ["0", "1"], "D2": ["-1", "-1"]},
+                         [["D0", "D1"], ["D1", "D2"], ["D2", "D0"]])
+
+
+@pytest.mark.parametrize("make, coeffs, xi", [
+    (_p2_document, {"D0": "2", "D1": "1", "D2": "0"}, ["1/4", "0"]),  # by (1, 0)
+    (lambda: builtin_document("toric-p1"), {"D0": "3/2", "Dinf": "1/2"}, ["1/4"]),  # by 1/2
+], ids=["p2", "toric-p1"])
+def test_answers_about_x_read_the_anticanonical_section(tmp_path, capsys, make, coeffs, xi):
+    # the section in divisors moved by a character is still one of -K_X:
+    # check, beta, reeb and weighted delta give the canonical document's
+    # answers, which used to be "unstable", a wrong beta or xi, or exit 3
+    paths = {}
+    for label in ("canonical", "moved"):
+        doc = make()
+        if label == "moved":
+            for d in doc["variety"]["divisors"]:
+                d["coeff"] = coeffs[d["name"]]
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(json.dumps(doc))
+    si, _ = parse_input_document(make())
+    g = json.dumps({"affine_power": {"xi": xi, "a": "1", "exponent": 0.5}})
+    commands = [["check"], ["reeb"], ["compute", "--invariant", "delta", "--g", g]]
+    commands += [["compute", "--invariant", "beta", "--ray=" + ",".join(map(str, v))]
+                 for v in si.candidates]
+    for command in commands:
+        answers = []
+        for path in paths.values():
+            code, out, err = run_cli([*command, "--input", str(path)], capsys)
+            assert (code, err) == (0, ""), command
+            answers.append({k: v for k, v in json.loads(out).items() if k != "input_sha256"})
+        assert answers[0] == answers[1], command
+        if command == ["check"]:
+            assert answers[1]["verdict"] == "polystable"
+        elif command == ["reeb"]:
+            assert answers[1]["xi"] == [0.0] * si.rank
+        elif "beta" in command:
+            assert answers[1]["from_integral"]["exact"] == "0/1"
 
 
 def _degree_one_density_document(tmp_path, dim_x):

@@ -176,25 +176,24 @@ def test_t_max_positive_homogeneity(pgl2, toric_bl1p2):
 
 
 def test_negative_values_guard():
-    # inconsistent anticanonical data: h(1) = -2 makes <x, 1> + h(1)
-    # negative on the section polytope [1, 2]
+    # the cone of the ray 1 lists L, whose rho is -1, as its incident
+    # divisor: l(1) = -2 makes <x, 1> + l(1) negative on the section
+    # polytope [1, 2] of the input's own section
     recs = (DivisorRecord("R", vec([1]), F(-1), False),
             DivisorRecord("L", vec([-1]), F(2), False))
-    bad_anti = (DivisorRecord("R", vec([1]), F(-2), False),
-                DivisorRecord("L", vec([-1]), F(2), False))
     si = SphericalInput(
         rank=1, dim_x=1,
-        divisors=recs, anticanonical_divisors=bad_anti,
-        fan=(ColoredConeData((vec([1]),), ("R",)),),
+        divisors=recs, anticanonical_divisors=recs,
+        fan=(ColoredConeData((vec([1]),), ("L",)),),
         valuation_cone=Cone(1, [vec([1])]),
         dh=DHDensity(1, ()),
         projection=(vec([1]),),
     )
     with pytest.raises(NegativeValuesError):
-        S_p(si, [1], 1, pl=si.log_discrepancy)
+        S_p(si, [1], 1)
     # a failed check is not kept: the second call raises too
     with pytest.raises(NegativeValuesError):
-        S_p(si, [1], 1, pl=si.log_discrepancy)
+        S_p(si, [1], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +629,6 @@ def _weights(si):
             **constant}
 
 
-def _verdict(d):
-    """A Ding verdict without its dual cone, which compares by identity."""
-    return replace(d, dual_cone=d.dual_cone.generators)
-
-
 def _ray_calls(si):
     """Every invariant that reads the ray records or the entries of the
     weights, as (label, call): unweighted and under each of `_weights`;
@@ -646,10 +640,10 @@ def _ray_calls(si):
     calls.append(("alpha", alpha))
     for ray in si.candidates:
         calls.append((("T", ray), lambda s, ray=ray: T_max(s, ray)))
-        calls.append((("T-anti", ray), lambda s, ray=ray: T_max(s, ray, s.log_discrepancy)))
+        calls.append((("T-anti", ray), lambda s, ray=ray: T_max(s.anticanonical, ray)))
     for name, g in [("none", None), *_weights(si).items()]:
         calls.append((("barycenter", name), lambda s, g=g: barycenter_g(s, g)))
-        calls.append((("ding", name), lambda s, g=g: _verdict(ding_check(s, g))))
+        calls.append((("ding", name), lambda s, g=g: ding_check(s, g)))
         calls.append((("delta_g", name), lambda s, g=g: delta_g(s, g)))
         for ray in si.candidates:
             calls.append((("beta", name, ray), lambda s, ray=ray, g=g: beta_g(s, ray, g)))
@@ -772,12 +766,12 @@ def test_warm_ding_and_beta_under_an_affine_power_pair_nothing_again(monkeypatch
     si = _fresh("toric-bl1p2", 0)
     g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2))
     v = si.candidates[0]
-    ding, beta = _verdict(ding_check(si, g)), beta_g(si, v, g)
+    ding, beta = ding_check(si, g), beta_g(si, v, g)
     assert not ding.exact and not beta.from_barycenter.is_exact
     calls = []
     monkeypatch.setattr(kstab.invariants, "_float_sum",
                         partial(_spied, kstab.invariants._float_sum, calls))
-    assert _verdict(ding_check(si, g)) == ding
+    assert ding_check(si, g) == ding
     assert calls == []
     assert beta_g(si, v, g) == beta
     assert calls == ["_float_sum"]
@@ -859,7 +853,7 @@ def test_power_weight_with_a_nonpositive_base_is_refused_before_integrating(monk
             with pytest.raises(ValueError, match="base not positive"):
                 beta_g(si, v, g)
             with pytest.raises(ValueError, match="base not positive"):
-                S_p(si, v, 2, pl=si.log_discrepancy, g=g)
+                S_p(si.anticanonical, v, 2, g=g)
             with pytest.raises(ValueError, match="base not positive"):
                 delta_p(si, 1, g)
     assert means == []

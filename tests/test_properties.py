@@ -13,9 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_fans, fan_input, random_spherical_input
+from conftest import complete_fans, fan_input, random_spherical_input, random_toric_input
+from kstab.fixtures import builtin_spherical_input
 from kstab.geom import dot, vec, vsub
-from kstab.invariants import S_p, T_max, _candidate_rows, alpha, beta_g, delta_p
+from kstab.invariants import (
+    InvariantError,
+    S_p,
+    T_max,
+    _candidate_rows,
+    alpha,
+    beta_g,
+    delta_g,
+    delta_p,
+    ding_check,
+)
+from kstab.soliton import ReebProblem, SolitonError, solve_reeb
 from kstab.spherical import (
     ColoredConeData,
     OutsideFanSupportError,
@@ -128,10 +140,65 @@ def test_every_candidate_row_has_a_positive_maximum(all_builtins):
     inputs = [*all_builtins.values(),
               *(random_spherical_input(random.Random(1000 + seed)) for seed in range(50))]
     for si in inputs:
-        for pl in (si.section_support, si.log_discrepancy):
-            rows = _candidate_rows(si, pl)
+        for s in (si, si.anticanonical):
+            rows = _candidate_rows(s)
             assert len(rows) == len(si.candidates)
             assert all(row.record.t_max > 0 for row in rows)
+
+
+def _moved(si, chi):
+    """si with only its section moved by the character chi, n_D ->
+    n_D + <rho(D), chi>: the same line bundle, its section polytope
+    translated by -chi."""
+    divisors = tuple(dataclasses.replace(d, coeff=d.coeff + dot(d.rho, chi)) for d in si.divisors)
+    return dataclasses.replace(si, divisors=divisors)
+
+
+def _answers(si, weights):
+    """Every answer that a moved section must leave alone, by label: a
+    refusal by its type and message."""
+    calls = {("delta", p): lambda p=p: delta_p(si, p) for p in (1, 2, F(3, 2))}
+    calls["alpha"] = lambda: alpha(si)
+    for v in si.candidates:
+        calls["S", v] = lambda v=v: [S_p(si, v, p) for p in (1, 2, F(3, 2))]
+        calls["T", v] = lambda v=v: T_max(si, v)
+        calls["level_sum", v] = lambda v=v: [si.level_sum(v, k, p) for k in (1, 2) for p in (1, 2)]
+    for name, g in [("none", None), *weights.items()]:
+        calls["check", name] = lambda g=g: ding_check(si, g)
+        calls["delta_g", name] = lambda g=g: delta_g(si, g)
+        for v in si.candidates:
+            calls["beta", name, v] = lambda v=v, g=g: beta_g(si, v, g)
+    calls["reeb"] = lambda: solve_reeb(ReebProblem.from_spherical(si))
+    out = {}
+    for label, call in calls.items():
+        try:
+            out[label] = call()
+        except (InvariantError, SolitonError) as e:
+            out[label] = type(e), str(e)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_moving_the_section_changes_no_answer(seed):
+    # P = 1 on these inputs, so the density does not move with the section:
+    # delta^(p), alpha, S, T and the level sums read the moved section, and
+    # check, beta, delta^g and xi read the anticanonical one, which stays
+    from test_invariants import _weights
+
+    rng = random.Random(seed)
+    if seed < 4:
+        base = builtin_spherical_input(("toric-p1", "toric-bl1p2")[seed % 2])[0]
+    else:
+        base = random_toric_input(rng)
+        while base.dh.factors:
+            base = random_toric_input(rng)
+    chi = vec([0] * base.rank)
+    while not any(chi):
+        chi = vec([rng.randint(-3, 3) for _ in range(base.rank)])
+    moved = _moved(base, chi)
+    assert moved.anticanonical is not moved
+    weights = _weights(base)
+    assert _answers(moved, weights) == _answers(base, weights)
 
 
 @settings(max_examples=15, deadline=None)

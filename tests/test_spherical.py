@@ -230,6 +230,49 @@ def test_level_sum_converges_to_continuum(pgl2):
     assert errors[-1] < errors[0]
 
 
+def _moved_p1():
+    """toric-p1 with its section moved by the character 1/2: the section
+    polytope is [-3/2, 1/2], and the anticanonical section is still the
+    canonical one."""
+    doc = builtin_document("toric-p1")
+    for d in doc["variety"]["divisors"]:
+        d["coeff"] = {"D0": "3/2", "Dinf": "1/2"}[d["name"]]
+    return parse_input_document(doc)[0]
+
+
+def test_level_sum_of_a_moved_section_tends_to_its_s_and_t():
+    # l(1) = 3/2 for this section, so S_1 = 1 and T = 2 along 1; the
+    # level sums read the same l, not the log discrepancy l(1) = 1
+    si = _moved_p1()
+    v = vec([1])
+    assert (S_p(si, v, 1).exact, T_max(si, v)) == (1, 2)
+    assert [si.level_sum(v, k, 1)[0] for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert [si.level_sum(v, k, 1)[2] for k in (1, 2, 4)] == [F(3, 2), 2, 2]
+
+
+def test_one_input_per_section(all_builtins):
+    # a document whose two lists agree is its own anticanonical input, with
+    # one PL function; a moved section gets the input of the other list
+    for si in all_builtins.values():
+        assert si.anticanonical is si and si.log_discrepancy is si.section_support
+    si = _moved_p1()
+    anti = si.anticanonical
+    assert anti is not si and anti.divisors == si.anticanonical_divisors
+    assert anti.anticanonical is anti and si.log_discrepancy is anti.section_support
+    assert [si.log_discrepancy(v) for v in si.candidates] == [1, 1]
+    assert [si.section_support(v) for v in si.candidates] == [F(1, 2), F(3, 2)]
+
+
+def test_anticanonical_refusal_names_its_list():
+    doc = builtin_document("toric-p1")
+    for d in doc["variety"]["anticanonical_divisors"]:
+        d["coeff"] = "0"
+    si, _ = parse_input_document(doc)
+    with pytest.raises(SphericalDataError, match="^anticanonical_divisors: section polytope "
+                                                 "has dimension 0 < rank 1"):
+        delta_p(si, 1)
+
+
 def test_level_sum_requires_root_data(toric_bl1p2):
     s, d, t = toric_bl1p2.level_sum(vec([1, 0]), 2, 1)
     # toric module dimensions are all 1: d_2 = #(2*Delta cap Z^2)
