@@ -53,7 +53,11 @@ the section in ``divisors`` moved by a character (coefficients 2, 1, 0
 and 3/2, 1/2) under ``check``, ``beta`` along the first candidate,
 ``reeb`` and ``delta`` under an affine power at exponent 0.5, which give
 the canonical documents' answers, and ``reeb`` on toric-p1 and
-toric-bl1p2 with both sections translated as above, which is refused.
+toric-bl1p2 with both sections translated as above, which is refused;
+last, ``barycenter`` on toric-p1 whose anticanonical section is a point,
+which is refused when the document is read, and ``delta`` on toric-p1 at
+p = 10^400, which no float holds, and at p = 1e300, whose exact moment
+overflows, both refused.
 """
 
 from __future__ import annotations
@@ -373,6 +377,17 @@ def main():
             path.write_text(json.dumps(doc))
             print(f"# {name} both sections translated, origin not interior")
             print(_run(["reeb", "--input", str(path)], root))
+        doc = builtin_document("toric-p1")
+        for d in doc["variety"]["anticanonical_divisors"]:
+            d["coeff"] = "0"
+        path = Path(root, "toric-p1-anticanonical-point.json")
+        path.write_text(json.dumps(doc))
+        print("# toric-p1 anticanonical section polytope a point")
+        print(_run(["compute", "--input", str(path), "--invariant", "barycenter"], root))
+        for p in ("1" + "0" * 400, "1e300"):
+            print("# toric-p1 p too large")
+            print(_run(["compute", "--input", str(Path(root, "toric-p1.json")),
+                        "--invariant", "delta", f"--p={p}"], root))
 
 
 if __name__ == "__main__":

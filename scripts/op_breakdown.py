@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Per op kind of a benchmark workload: how many ops ran, their share of
-all ops, their share of warm op time, and the median and p90 of a warm op,
-so that one can see which ops set each percentile of a timed run.
+all ops, their share of warm op time, the median and p90 of a warm op,
+and the time of the first, cold round and its share of all op time, so
+that one can see which ops set each percentile of a timed run and what
+the cold round costs.
 
     python3 scripts/op_breakdown.py numeric-integrals 2 36
 
@@ -53,22 +55,28 @@ def main(argv: list[str]) -> int:
     warm = records[per_round:] or records
     counts: dict[str, int] = {}
     times: dict[str, list[float]] = {}
+    cold: dict[str, float] = {}
     for r in records:
         counts[kind(r.label)] = counts.get(kind(r.label), 0) + 1
+    for r in records[:per_round]:
+        cold[kind(r.label)] = cold.get(kind(r.label), 0.0) + r.seconds
     for r in warm:
         times.setdefault(kind(r.label), []).append(r.seconds)
     warm_total = sum(r.seconds for r in warm)
+    total = sum(r.seconds for r in records)
     rounds = len(records) / per_round
     print(f"workload {workload}, seed {seed}: {len(records)} ops in {rounds:.3g} rounds, "
-          f"{len(warm)} warm ops, {sum(not r.ok for r in records)} failed")
+          f"{len(warm)} warm ops, {sum(not r.ok for r in records)} failed; cold round "
+          f"{1e3 * sum(cold.values()):.1f} ms, {100 * sum(cold.values()) / total:.1f}% of op time")
     print(f"{'kind':24s} {'count':>7s} {'ops %':>7s} {'warm time %':>12s} "
-          f"{'median us':>10s} {'p90 us':>10s}")
+          f"{'median us':>10s} {'p90 us':>10s} {'cold ms':>9s} {'cold %':>7s}")
     for k in sorted(counts, key=lambda k: -sum(times.get(k, ()))):
         samples = sorted(times.get(k, ()))
         median = run.percentile(samples, 50) * 1e6 if samples else float("nan")
         p90 = run.percentile(samples, 90) * 1e6 if samples else float("nan")
         print(f"{k:24s} {counts[k]:7d} {100 * counts[k] / len(records):7.1f} "
-              f"{100 * sum(samples) / warm_total:12.1f} {median:10.1f} {p90:10.1f}")
+              f"{100 * sum(samples) / warm_total:12.1f} {median:10.1f} {p90:10.1f} "
+              f"{1e3 * cold.get(k, 0.0):9.2f} {100 * cold.get(k, 0.0) / total:7.1f}")
     for r in records:
         if not r.ok:
             print(f"failed: {r.label}: {r.cause}")

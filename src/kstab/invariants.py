@@ -30,9 +30,12 @@ Everything read under a weight g is kept in one `WeightEntry` per weight
 density, the barycenter, read once from the density's moments
 (`quad.dh_moments`), its pairings shift + <bar, f> with the rays and
 facet normals that alpha, delta^g, beta^g and the Ding check read, by
-(f, shift), every enclosed S^(p), by (ray, l(v), p), and the per-ray
-rows of delta^g (denominators, ratios and notes), which depend only on
-the input, the weight and the rays; no other invariant's rows are kept.
+(f, shift), every S^(p), exact or enclosed, by (ray, l(v), p), and the
+rows of delta^(p), alpha and delta^g by (kind, p): the per-ray table, the
+minimum, the minimizing rays and delta^g's notes, which depend only on
+the input, the weight, the rays and p.  So a warm call builds only its
+report, whose p is the one asked, and an entry grows by one row set per
+distinct p asked.
 The density is `quad.weighted_density`, which refuses with a ValueError,
 before the entry exists, a weight that does not read one coordinate per
 projection row, that is not positive at a vertex of the section polytope,
@@ -42,11 +45,10 @@ once, and each part is built on first use; a failure is not kept.  At
 integer p under a weight that expands, S^(p) is one Fraction, F_p(v,
 l(v)) / mass, with F_p(w, c) = int g(xbar) P (<x, w> + c)^p a form in
 (w, c) built once per expansion and p and 1 / mass folded into its scale
-(`quad.Expansion.power_mean`), and evaluated on every call; the moments
-behind the barycenter are integrated separately, so the two routes of
-`beta_g` stay independent.  Under a weight that does not expand
-(`quad.PowerDensity`), S^(p) at non-integer p has no closed form and is
-refused.
+(`quad.Expansion.power_mean`); the moments behind the barycenter are
+integrated separately, so the two routes of `beta_g` stay independent.
+Under a weight that does not expand (`quad.PowerDensity`), S^(p) at
+non-integer p has no closed form and is refused.
 """
 
 from __future__ import annotations
@@ -152,8 +154,13 @@ def _ray(si: SphericalInput, v: Vec) -> RayRecord:
 
 def _check_exponent(p):
     """`InvariantError` unless the moment exponent p is a finite number
-    at least 1, the range in which delta^(p) is defined."""
-    if not 1 <= float(p) < math.inf:
+    at least 1, the range in which delta^(p) is defined, that a float
+    holds."""
+    try:
+        x = float(p)
+    except OverflowError:
+        raise InvariantError(f"the moment exponent p = {p} is too large for a float") from None
+    if not 1 <= x < math.inf:
         raise InvariantError(f"the moment exponent p must be finite and at least 1, not {p}")
 
 
@@ -215,10 +222,11 @@ def S_p(si: SphericalInput, v, p, g: WeightFn | None = None) -> Num:
     the reported float from the true value.  Under an affine-power weight
     that does not expand, S at integer p is the quotient of two closed
     forms of its power, enclosed the same way; at non-integer p it is
-    refused (`InvariantError`).  Every enclosed S is kept in the input's
-    entry for the weight, by (v, l(v), p), so 1.5 and Fraction(3, 2) read
-    one enclosure.  `InvariantError` unless 1 <= p < inf, and a
-    ValueError for a weight that `quad.weighted_density` refuses."""
+    refused (`InvariantError`).  Every S, exact or enclosed, is kept in the
+    input's entry for the weight, by (v, l(v), p), so 2 and 2.0, or 1.5
+    and Fraction(3, 2), read one value.  `InvariantError` unless
+    1 <= p < inf, and a ValueError for a weight that
+    `quad.weighted_density` refuses."""
     _check_exponent(p)
     v = vec(v)
     record = _ray(si, v)
@@ -231,19 +239,21 @@ class WeightEntry:
     weighted density over the section polytope (`quad.weighted_density`,
     whose checks of the weight pass before the entry exists), the
     barycenter as `Num`s, its pairings shift + <bar, f> by (f, shift)
-    (`_pairing`), every enclosed S_p by (ray, l(v), p), and the per-ray
-    rows of `delta_g`.  The moments behind the barycenter stay in the
-    density (`quad.dh_moments`).  Each part is built on first use; a
-    failure is not kept, so every call raises it again."""
+    (`_pairing`), every S_p by (ray, l(v), p) (`_moment`), and the rows
+    of `delta_p`, `alpha` and `delta_g` by (kind, p) (`_rows`).  The
+    moments behind the barycenter stay in the density (`quad.dh_moments`).
+    Each part is built on first use; a failure is not kept, so every call
+    raises it again."""
 
-    __slots__ = ("g", "density", "barycenter", "pairings", "means", "delta_g_rows")
+    __slots__ = ("g", "density", "barycenter", "pairings", "means", "rows")
 
     def __init__(self, si: SphericalInput, g: WeightFn | None):
         self.g = g
         self.density = weighted_density(si.section_polytope, si.dh, g, si.projection)
-        self.barycenter = self.delta_g_rows = None
+        self.barycenter = None
         self.pairings: dict[tuple, Num] = {}
         self.means: dict[tuple, Num] = {}
+        self.rows: dict[tuple, tuple] = {}
 
 
 def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
@@ -255,28 +265,35 @@ def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
 
 def _moment(v, ray: RayRecord, p, entry: WeightEntry) -> Num:
     """`S_p` along v (rational or integer), whose record is ray, under the
-    entry's weight; p is checked by the caller.  Every S_p that is not an
-    exact Fraction is enclosed once and kept in the entry by (v, l(v), p),
-    p as given."""
-    density = entry.density
-    expands = isinstance(density, Expansion)
-    if expands and _is_integer(p):
-        return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
+    entry's weight; p is checked by the caller.  Every S_p, exact or
+    enclosed, is computed once and kept in the entry by (v, l(v), p), p as
+    given."""
     key = (v, ray.value, p)
     s = entry.means.get(key)
     if s is None:
-        if expands:
-            total = density.integral_power(ray.vertex_values, p)
-            mass = density.mass
-            mean = enclose(lambda prec: total.enclosure(prec) / mass, tight)
-        elif not _is_integer(p):
-            raise InvariantError(
-                f"S_p at the non-integer p = {p} under an affine-power weight of exponent "
-                f"{entry.g.exponent}: two powers of different affine forms have no closed form")
-        else:
-            mean = density.mean(((ray.vertex_values, int(p)),))
-        s = entry.means[key] = Num.from_float(*mean.float_with_error())
+        s = entry.means[key] = _mean(v, ray, p, entry)
     return s
+
+
+def _mean(v, ray: RayRecord, p, entry: WeightEntry) -> Num:
+    density = entry.density
+    expands = isinstance(density, Expansion)
+    if expands and _is_integer(p):
+        try:
+            return Num.from_fraction(density.power_mean(v, ray.value, int(p)))
+        except OverflowError as e:
+            raise InvariantError(f"the moment exponent p = {p} is too large: {e}") from None
+    if expands:
+        total = density.integral_power(ray.vertex_values, p)
+        mass = density.mass
+        mean = enclose(lambda prec: total.enclosure(prec) / mass, tight)
+    elif not _is_integer(p):
+        raise InvariantError(
+            f"S_p at the non-integer p = {p} under an affine-power weight of exponent "
+            f"{entry.g.exponent}: two powers of different affine forms have no closed form")
+    else:
+        mean = density.mean(((ray.vertex_values, int(p)),))
+    return Num.from_float(*mean.float_with_error())
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +362,36 @@ def _argmin_ratios(ratios: Sequence[tuple[Vec, Num, Fraction | None]]):
     return val, tuple(mins)
 
 
+def _rows(entry: WeightEntry, kind: str, p, build):
+    """The (table, minimum, minimizing rays, notes) of `kind` at p under
+    the entry's weight, kept in the entry by (kind, p): on first use build()
+    gives the per-ray table, the (ray, ratio, exact key) of each ray that
+    competes (`_argmin_ratios`) and the notes."""
+    key = (kind, p)
+    kept = entry.rows.get(key)
+    if kept is None:
+        table, ratios, notes = build()
+        kept = entry.rows[key] = (table, *_argmin_ratios(ratios), notes)
+    return kept
+
+
 def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport:
     """min over candidate rays of A(v) / S^(p)(v)^(1/p), with the per-ray
-    evaluation table.  `InvariantError` unless 1 <= p < inf."""
+    evaluation table, both kept in the weight's entry by p, so 2, 2.0 and
+    Fraction(2) read one table and each report keeps the p it was asked.
+    `InvariantError` unless 1 <= p < inf."""
     _check_exponent(p)
-    table = _candidate_rows(si)
+    candidates = _candidate_rows(si)
     entry = _weighted(si, g)
+    table, value, mins, _ = _rows(entry, "delta", p, lambda: _delta_rows(candidates, p, entry))
+    return InvariantReport(kind="delta", p=p, value=value, minimizing_rays=mins, table=table)
+
+
+def _delta_rows(candidates, p, entry: WeightEntry):
     n = int(p) if _is_integer(p) else None
     rows = []
     keys = []
-    for row in table:
+    for row in candidates:
         ray, a, t = row.ray, row.a, row.record.t_max
         s = _moment(row.ints, row.record, p, entry)
         # exact comparison key: A^p / S when S is exact and positive and p
@@ -365,17 +402,21 @@ def delta_p(si: SphericalInput, p, g: WeightFn | None = None) -> InvariantReport
         ratio = Num.from_fraction(key) if n == 1 and key is not None else _root_ratio(a, s, p)
         rows.append(RayEvaluation(ray, a, s, t, ratio, row.ratio_alpha))
         keys.append((ray, ratio, key))
-    value, mins = _argmin_ratios(keys)
-    return InvariantReport(kind="delta", p=p, value=value,
-                           minimizing_rays=mins, table=tuple(rows))
+    return tuple(rows), keys, ()
 
 
 def alpha(si: SphericalInput) -> InvariantReport:
     """min over candidate rays and over the polytope of A(v)/(<m,v>+l(v)),
-    exact rational."""
+    exact rational, with the per-ray table, both kept in the unit weight's
+    entry."""
+    entry = _weighted(si, None)
+    table, value, mins, _ = _rows(entry, "alpha", 1, lambda: _alpha_rows(si, entry))
+    return InvariantReport(kind="alpha", p=1, value=value, minimizing_rays=mins, table=table)
+
+
+def _alpha_rows(si: SphericalInput, entry: WeightEntry):
     rows = []
     ratios = []
-    entry = _weighted(si, None)
     _barycenter(si, entry)
     for row in _candidate_rows(si):
         ray, a, t = row.ray, row.a, row.record.t_max
@@ -384,9 +425,7 @@ def alpha(si: SphericalInput) -> InvariantReport:
         ratio = row.ratio_alpha
         rows.append(RayEvaluation(ray, a, s, t, _root_ratio(a, s, 1), ratio))
         ratios.append((ray, Num.from_fraction(ratio), ratio))
-    value, mins = _argmin_ratios(ratios)
-    return InvariantReport(kind="alpha", p=1, value=value,
-                           minimizing_rays=mins, table=tuple(rows))
+    return tuple(rows), ratios, ()
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +484,15 @@ def _pairing(entry: WeightEntry, f: Vec, shift: Fraction | int = 0) -> Num:
 def delta_g(si: SphericalInput, g: WeightFn | None = None) -> InvariantReport:
     """Weighted threshold min over rays of A / (A + <bar, v>), with bar the
     weighted barycenter of -K_X's section polytope (`si.anticanonical`).
-    The per-ray rows, ratios and notes depend only on the input, the
-    weight and the rays, so they are built once and kept in the weight's
-    entry."""
+    The per-ray table, the minimum and the notes depend only on the input,
+    the weight and the rays, so they are built once and kept in the
+    weight's entry."""
     si = si.anticanonical
     entry = _weighted(si, g)
     bary = _barycenter(si, entry)
-    if entry.delta_g_rows is None:
-        entry.delta_g_rows = _delta_g_rows(si, entry)
-    rows, ratios, notes = entry.delta_g_rows
-    value, mins = _argmin_ratios(ratios)
+    table, value, mins, notes = _rows(entry, "delta_g", 1, lambda: _delta_g_rows(si, entry))
     return InvariantReport(kind="delta_g", p=1, value=value, minimizing_rays=mins,
-                           table=rows, barycenter=bary, notes=notes)
+                           table=table, barycenter=bary, notes=notes)
 
 
 def _delta_g_rows(si: SphericalInput, entry: WeightEntry):

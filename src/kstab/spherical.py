@@ -215,9 +215,11 @@ class SphericalInput:
     """Validated combinatorial description of a polarized spherical variety.
 
     The valuation cone must be full-dimensional and the fan must cover it
-    without overlap (`_check_completeness`, an exact decision), and the two
+    without overlap (`_check_completeness`, an exact decision), the two
     sections must list the same B-stable prime divisors
-    (`_check_anticanonical`)."""
+    (`_check_anticanonical`), and the input of the anticanonical section
+    (`anticanonical`) is built and checked with the input, so that a
+    refusal of either section is a refusal of the document."""
 
     rank: int
     dim_x: int
@@ -235,6 +237,7 @@ class SphericalInput:
         self._validate_fan()
         self.dh.check_positive_on(self.section_polytope.vertices)
         self._pieces, self._walls = self._check_completeness()
+        self.anticanonical  # built and checked now, or refused
 
     # -- derived geometry ----------------------------------------------------
 
@@ -277,8 +280,8 @@ class SphericalInput:
         """The input of the anticanonical section, over the same fan and
         density: the input itself when both sections give every divisor
         the same coefficient, else the input whose ``divisors`` are the
-        ``anticanonical_divisors``, built and checked on first use; its
-        refusals name that list."""
+        ``anticanonical_divisors``, built and checked when the input is;
+        its refusals name that list."""
         coeff = {d.name: d.coeff for d in self.divisors}
         if all(d.coeff == coeff[d.name] for d in self.anticanonical_divisors):
             return self

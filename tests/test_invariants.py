@@ -581,6 +581,15 @@ def test_moment_exponent_outside_its_range_is_refused(pgl2, p):
         delta_p(pgl2, p)
 
 
+@pytest.mark.parametrize("p, cause", [(10 ** 400, "for a float"), (10 ** 300, "factorial")],
+                         ids=["10^400", "10^300"])
+def test_moment_exponent_too_large_is_refused(pgl2, p, cause):
+    # 10^400 overflows a float; 10^300 is a float, but (d + p)! is too large
+    for call in (lambda: S_p(pgl2, [-1], p), lambda: delta_p(pgl2, p)):
+        with pytest.raises(InvariantError, match=f"^the moment exponent p = {p} is too large.*{cause}"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the per-ray record
 
@@ -633,8 +642,11 @@ def _ray_calls(si):
     """Every invariant that reads the ray records or the entries of the
     weights, as (label, call): unweighted and under each of `_weights`;
     and the Reeb solve, which reads the section polytope's memo, on a
-    horospherical input."""
-    calls = [(("delta", p), lambda s, p=p: delta_p(s, p)) for p in (1, 2, 3, F(3, 2))]
+    horospherical input.  delta^(p) is asked at equal exponents of
+    different types, 2 and 2.0, 3/2 and 1.5, each labelled and answered
+    with the type of its report's p."""
+    calls = [(("delta", p, type(p)), lambda s, p=p: _with_type(delta_p(s, p)))
+             for p in (1, 2, 2.0, 3, F(3, 2), 1.5)]
     if si.is_horospherical:
         calls.append(("reeb", lambda s: solve_reeb(ReebProblem.from_spherical(s))))
     calls.append(("alpha", alpha))
@@ -648,6 +660,10 @@ def _ray_calls(si):
         for ray in si.candidates:
             calls.append((("beta", name, ray), lambda s, ray=ray, g=g: beta_g(s, ray, g)))
     return calls
+
+
+def _with_type(report):
+    return report, type(report.p)
 
 
 # builders of one input each: a builtin, a random toric surface or a random
@@ -758,6 +774,43 @@ def test_warm_delta_g_under_an_affine_power_pairs_nothing(monkeypatch):
     assert calls == []
     assert delta_g(_fresh("toric-bl1p2", 0), g) == first
     assert set(calls) == {"_pairing", "_root_ratio"}  # the spies see a fresh input's rows
+
+
+def test_warm_delta_alpha_and_beta_read_their_kept_rows(monkeypatch):
+    # every S_p and every row set is kept in the weight's entry, so a warm
+    # call neither integrates a moment nor takes a root
+    si = _fresh("toric-bl1p2", 0)
+    exponents = (1, 2, 3, F(3, 2))
+
+    def one_round(si):
+        reports = [delta_p(si, p) for p in exponents] + [alpha(si)]
+        return reports + [beta_g(si, v) for v in si.candidates]
+
+    first = one_round(si)
+    calls = []
+    power_mean = Expansion.power_mean
+    monkeypatch.setattr(Expansion, "power_mean",
+                        lambda self, *args: _spied(power_mean, calls, self, *args))
+    monkeypatch.setattr(kstab.invariants, "_root_ratio",
+                        partial(_spied, kstab.invariants._root_ratio, calls))
+    assert one_round(si) == first
+    assert calls == []
+    assert one_round(_fresh("toric-bl1p2", 0)) == first
+    assert set(calls) == {"power_mean", "_root_ratio"}  # the spies see a fresh input's calls
+    # equal exponents of three types read one row set, and each report
+    # keeps the p it was asked
+    entry = si.weight_entries[None]
+    kept = len(entry.rows)
+    reports = [delta_p(si, p) for p in (2, 2.0, F(2))]
+    assert len(entry.rows) == kept
+    assert all(r.table is reports[0].table for r in reports)
+    assert [type(r.p) for r in reports] == [int, float, F]
+    # a call that raised is not kept, so it raises again
+    g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2))
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="non-integer p"):
+            delta_p(si, F(3, 2), g)
+    assert si.weight_entries[g].rows == {}
 
 
 def test_warm_ding_and_beta_under_an_affine_power_pair_nothing_again(monkeypatch):
