@@ -35,7 +35,9 @@ rows of delta^(p), alpha and delta^g by (kind, p): the per-ray table, the
 minimum, the minimizing rays and delta^g's notes, which depend only on
 the input, the weight, the rays and p.  So a warm call builds only its
 report, whose p is the one asked, and an entry grows by one row set per
-distinct p asked.
+distinct p asked.  The entries of -K_X's input also keep the answers
+about X: one checked `BetaResult` per ray and one `DingVerdict` per
+weight, so a warm `beta_g` or `ding_check` computes nothing.
 The density is `quad.weighted_density`, which refuses with a ValueError,
 before the entry exists, a weight that does not read one coordinate per
 projection row, that is not positive at a vertex of the section polytope,
@@ -239,13 +241,15 @@ class WeightEntry:
     weighted density over the section polytope (`quad.weighted_density`,
     whose checks of the weight pass before the entry exists), the
     barycenter as `Num`s, its pairings shift + <bar, f> by (f, shift)
-    (`_pairing`), every S_p by (ray, l(v), p) (`_moment`), and the rows
-    of `delta_p`, `alpha` and `delta_g` by (kind, p) (`_rows`).  The
-    moments behind the barycenter stay in the density (`quad.dh_moments`).
-    Each part is built on first use; a failure is not kept, so every call
-    raises it again."""
+    (`_pairing`), every S_p by (ray, l(v), p) (`_moment`), the rows
+    of `delta_p`, `alpha` and `delta_g` by (kind, p) (`_rows`), one
+    checked `BetaResult` per ray (`beta_g`) and one `DingVerdict`
+    (`ding_check`); the last two are kept only in the entries of -K_X's
+    input, which they read.  The moments behind the barycenter stay in
+    the density (`quad.dh_moments`).  Each part is built on first use; a
+    failure is not kept, so every call raises it again."""
 
-    __slots__ = ("g", "density", "barycenter", "pairings", "means", "rows")
+    __slots__ = ("g", "density", "barycenter", "pairings", "means", "rows", "betas", "ding")
 
     def __init__(self, si: SphericalInput, g: WeightFn | None):
         self.g = g
@@ -254,6 +258,8 @@ class WeightEntry:
         self.pairings: dict[tuple, Num] = {}
         self.means: dict[tuple, Num] = {}
         self.rows: dict[tuple, tuple] = {}
+        self.betas: dict[Vec, BetaResult] = {}
+        self.ding: DingVerdict | None = None
 
 
 def _weighted(si: SphericalInput, g: WeightFn | None) -> WeightEntry:
@@ -536,12 +542,20 @@ BETA_CONSISTENCY_TOL = 1e-8
 def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
     """Ding slope A(v) - S^g(v) on -K_X's section polytope
     (`si.anticanonical`), computed along two independent routes which must
-    agree: direct integration, and pairing the weighted barycenter.
-    `InvariantError` for the zero vector, which is no valuation ray."""
+    agree: direct integration, and pairing the weighted barycenter.  The
+    checked result is kept in the weight's entry of -K_X's input by ray, so
+    a warm call reads it; a failure is not kept.  `InvariantError` for the
+    zero vector, which is no valuation ray."""
     v = vec(v)
+    si = si.anticanonical
+    entry = si.weight_entries.get(g)
+    beta = None if entry is None else entry.betas.get(v)
+    return _beta(si, v, g) if beta is None else beta
+
+
+def _beta(si: SphericalInput, v: Vec, g: WeightFn | None) -> BetaResult:
     if not any(v):
         raise InvariantError("beta: the zero vector is not a valuation ray")
-    si = si.anticanonical
     record = _ray(si, v)
     a = record.value
     entry = _weighted(si, g)
@@ -562,19 +576,33 @@ def beta_g(si: SphericalInput, v, g: WeightFn | None = None) -> BetaResult:
         if abs(direct.value - pairing.value) > tol:
             raise InternalInconsistencyError(
                 f"beta routes disagree: {direct.value} vs {pairing.value}")
-    return BetaResult(ray=v, from_integral=direct, from_barycenter=pairing)
+    beta = entry.betas[v] = BetaResult(ray=v, from_integral=direct, from_barycenter=pairing)
+    return beta
 
 
 # ---------------------------------------------------------------------------
 # Ding verdicts
 
 
+class Witness(dict):
+    """The dict of a Ding verdict's witness, which refuses every change
+    (`TypeError`): the verdict is kept, and every later call returns it."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a Ding witness is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
 @dataclass(frozen=True)
 class DingVerdict:
+    """A Ding verdict; the witness names the functional that decided it
+    or that touches a boundary."""
+
     barycenter: tuple[Num, ...]
     semistable: bool | None
     polystable: bool | None
-    witness: dict | None = None
+    witness: Witness | None = None
     exact: bool = True
 
     @property
@@ -597,10 +625,18 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
     weight that does not expand is only judged through the intervals its
     enclosures give, each pairing widened by the coordinates' error
     bounds and by its own rounding; if an interval touches a facet the
-    verdict is indeterminate rather than guessed.
+    verdict is indeterminate rather than guessed.  The verdict is kept in
+    the weight's entry of -K_X's input, so a warm call reads it; a failure
+    is not kept.
     """
     si = si.anticanonical
     entry = _weighted(si, g)
+    if entry.ding is None:
+        entry.ding = _ding(si, entry)
+    return entry.ding
+
+
+def _ding(si: SphericalInput, entry: WeightEntry) -> DingVerdict:
     bary = _barycenter(si, entry)
     exact = all(b.is_exact for b in bary)
     cone = si.valuation_cone
@@ -620,11 +656,11 @@ def ding_check(si: SphericalInput, g: WeightFn | None = None) -> DingVerdict:
         for f in functionals:
             lo, hi = enclosure(f)
             if hi < 0 or (kind == "equality" and lo > 0):
-                witness = {"kind": kind, "functional": f, "value": lo if exact else (lo + hi) / 2}
+                witness = Witness(kind=kind, functional=f, value=lo if exact else (lo + hi) / 2)
                 return DingVerdict(bary, False, False, witness, exact)
             if boundary is None and lo <= 0 and not (kind == "equality" and lo == hi == 0):
-                boundary = {"kind": "boundary-facet", "functional": f, "value": lo} if exact \
-                    else {"kind": kind, "functional": f, "enclosure": (lo, hi)}
+                boundary = Witness(kind="boundary-facet", functional=f, value=lo) if exact \
+                    else Witness(kind=kind, functional=f, enclosure=(lo, hi))
     if boundary is None:
         return DingVerdict(bary, True, True, None, exact)
     if exact:

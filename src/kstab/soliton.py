@@ -24,6 +24,9 @@ float pass per order (`quad.integral_inverse_power`) and a fresh problem
 on a warm input expands nothing.  That form needs deg P <= m - dim, which
 a horospherical density meets with equality (Brion, Duke Math. J. 58,
 1989), so `ReebProblem` refuses a density of higher degree (exit 3).
+The memo keeps the `ReebSolution` as well, one per (polytope, density,
+m), so a fresh problem on a warm input solves nothing; a failed solve is
+not kept, so it raises again.
 
 The Newton algebra is plain Python on floats, dim <= 8: cyclic Jacobi
 gives the Hessian's eigenpairs, whose least eigenvalue must be positive,
@@ -236,8 +239,19 @@ def solve_reeb(prob: ReebProblem) -> ReebSolution:
 
     Steps are shrunk until every vertex value <xi, x> + 1 keeps at least
     `BOUNDARY_FRACTION` of its pre-step value and the functional strictly
-    decreases.
+    decreases.  The solution is kept in the section polytope's memo by
+    (density, m), so a fresh problem of the same polytope solves nothing;
+    a failure is not kept.
     """
+    key = ("reeb", prob.dh, prob.m)
+    memo = prob.delta.memo
+    solution = memo.get(key)
+    if solution is None:
+        solution = memo[key] = _newton(prob)
+    return solution
+
+
+def _newton(prob: ReebProblem) -> ReebSolution:
     xi = (0.0,) * prob.dim
     value, grad, hess, err = reeb_functional(prob, xi)
     eigen = _checked_eigenpairs(hess)

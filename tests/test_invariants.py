@@ -175,13 +175,13 @@ def test_t_max_positive_homogeneity(pgl2, toric_bl1p2):
     assert T_max(toric_bl1p2, [2, 2]) == 2 * T_max(toric_bl1p2, v)
 
 
-def test_negative_values_guard():
-    # the cone of the ray 1 lists L, whose rho is -1, as its incident
-    # divisor: l(1) = -2 makes <x, 1> + l(1) negative on the section
-    # polytope [1, 2] of the input's own section
+def _negative_values_input():
+    """The cone of the ray 1 lists L, whose rho is -1, as its incident
+    divisor: l(1) = -2 makes <x, 1> + l(1) negative on the section
+    polytope [1, 2], which is also -K_X's."""
     recs = (DivisorRecord("R", vec([1]), F(-1), False),
             DivisorRecord("L", vec([-1]), F(2), False))
-    si = SphericalInput(
+    return SphericalInput(
         rank=1, dim_x=1,
         divisors=recs, anticanonical_divisors=recs,
         fan=(ColoredConeData((vec([1]),), ("L",)),),
@@ -189,6 +189,10 @@ def test_negative_values_guard():
         dh=DHDensity(1, ()),
         projection=(vec([1]),),
     )
+
+
+def test_negative_values_guard():
+    si = _negative_values_input()
     with pytest.raises(NegativeValuesError):
         S_p(si, [1], 1)
     # a failed check is not kept: the second call raises too
@@ -814,8 +818,8 @@ def test_warm_delta_alpha_and_beta_read_their_kept_rows(monkeypatch):
 
 
 def test_warm_ding_and_beta_under_an_affine_power_pair_nothing_again(monkeypatch):
-    # the pairings of the enclosed barycenter are kept in the weight's
-    # entry; beta's direct route, A - S, still sums on each call
+    # the verdict and the checked beta are kept in the weight's entry, so
+    # a warm call neither pairs the enclosed barycenter nor sums A - S
     si = _fresh("toric-bl1p2", 0)
     g = AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2))
     v = si.candidates[0]
@@ -827,7 +831,104 @@ def test_warm_ding_and_beta_under_an_affine_power_pair_nothing_again(monkeypatch
     assert ding_check(si, g) == ding
     assert calls == []
     assert beta_g(si, v, g) == beta
-    assert calls == ["_float_sum"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("g", [
+    None,
+    PolynomialWeight(Polynomial(2, {(1, 0): F(1), (0, 0): F(2)})),
+    AffinePowerWeight(vec([F(1, 3), F(0)]), F(1), F(1, 2)),
+], ids=["unweighted", "polynomial", "affine-1/2"])
+def test_warm_beta_and_ding_read_their_kept_answers(monkeypatch, g):
+    # one checked BetaResult per ray and one DingVerdict per weight are
+    # kept in the weight's entry, so a warm call reads no moment and pairs
+    # nothing, and returns the kept answer itself
+    si = _fresh("toric-bl1p2", 0)
+
+    def one_round(si):
+        return [ding_check(si, g)] + [beta_g(si, v, g) for v in si.candidates]
+
+    first = one_round(si)
+    calls = []
+    for name in ("_moment", "_pairing"):
+        monkeypatch.setattr(kstab.invariants, name,
+                            partial(_spied, getattr(kstab.invariants, name), calls))
+    warm = one_round(si)
+    assert calls == []
+    assert all(w is f for w, f in zip(warm, first))
+    # a ray given as a list of ints reads the entry of its vec
+    assert beta_g(si, [int(c) for c in si.candidates[0]], g) is first[1]
+    assert calls == []
+    assert one_round(_fresh("toric-bl1p2", 0)) == first
+    assert set(calls) == {"_moment", "_pairing"}  # the spies see a fresh input's calls
+
+
+@pytest.mark.parametrize("name, seed", [*((name, 0) for name in BUILTIN_NAMES),
+                                        ("random", 3), ("random-polarized", 5)])
+def test_kept_beta_ding_and_reeb_answers_equal_a_fresh_inputs(name, seed):
+    # beta along each candidate and the Ding verdict under every weight of
+    # `_weights`, affine powers included, and the Reeb solve of a fresh
+    # problem on a horospherical input
+    build = partial(_fresh, name, seed)
+    calls = [(label, call) for label, call in _ray_calls(build())
+             if label == "reeb" or label[0] in ("ding", "beta")]
+    fresh = {label: _outcome(call, build()) for label, call in calls}
+    warm = build()
+    kept = {label: _outcome(call, warm) for label, call in calls}
+    assert kept == fresh
+    for label, call in reversed(calls):
+        assert _outcome(call, warm) == fresh[label], label
+
+
+def test_refused_beta_and_ding_raise_on_every_call():
+    si = _fresh("toric-bl1p2", 0)
+    v = si.candidates[0]
+    beta_g(si, v)  # a kept ray under the unit weight
+    bad = AffinePowerWeight(vec([1, 0]), F(-1), 2)
+    cases = [
+        (lambda: beta_g(si, [0, 0]), InvariantError, "zero vector"),
+        (lambda: beta_g(si, [1]), InvariantError, "has 1 coordinate"),
+        # an invalid ray under an invalid weight is refused for the ray
+        (lambda: beta_g(si, [0, 0], bad), InvariantError, "zero vector"),
+        (lambda: beta_g(si, [1], bad), InvariantError, "has 1 coordinate"),
+        (lambda: beta_g(si, v, bad), ValueError, "base not positive"),
+        (lambda: ding_check(si, bad), ValueError, "base not positive"),
+        (lambda: beta_g(_negative_values_input(), [1]), NegativeValuesError, "negative"),
+    ]
+    for call, error, message in cases:
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                call()
+    assert list(si.weight_entries) == [None]
+    assert list(si.weight_entries[None].betas) == [v]
+
+
+def test_kept_beta_and_ding_sit_in_the_anticanonical_entry():
+    si = _fresh("random-polarized", 0)
+    anticanonical = si.anticanonical
+    assert anticanonical is not si
+    delta_p(si, 1)  # builds the section's own unit-weight entry
+    verdict = ding_check(si)
+    betas = {v: beta_g(si, v) for v in si.candidates}
+    entry = anticanonical.weight_entries[None]
+    assert entry.ding is verdict and entry.betas == betas
+    own = si.weight_entries[None]
+    assert own.ding is None and own.betas == {}
+
+
+def test_ding_witness_is_read_only():
+    verdict = ding_check(_fresh("toric-bl1p2", 0))
+    assert verdict.verdict == "unstable"
+    witness = verdict.witness
+    assert witness == {"kind": witness["kind"], "functional": witness["functional"],
+                       "value": witness["value"]}
+    with pytest.raises(TypeError, match="read-only"):
+        witness["kind"] = "equality"
+    for change in (lambda: witness.update(kind="equality"), lambda: witness.pop("kind"),
+                   witness.clear):
+        with pytest.raises(TypeError, match="read-only"):
+            change()
+    assert ding_check(_fresh("toric-bl1p2", 0)) == verdict
 
 
 def _spied(fn, calls, *args, **kwargs):

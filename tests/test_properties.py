@@ -201,6 +201,30 @@ def test_moving_the_section_changes_no_answer(seed):
     assert _answers(moved, weights) == _answers(base, weights)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", ["toric-p1", "toric-bl1p2"])
+def test_scaling_the_section_scales_delta_and_alpha(name, r):
+    # rL: the section polytope and l scale by r, so S^(p) scales by r^p
+    # and T by r, and delta^(p) and alpha by 1/r (P = 1 on these inputs);
+    # beta, the Ding verdict and xi read -K_X, which stays
+    base = builtin_spherical_input(name)[0]
+    scaled = dataclasses.replace(
+        base, divisors=tuple(dataclasses.replace(d, coeff=r * d.coeff) for d in base.divisors))
+    assert scaled.anticanonical is not scaled
+    assert alpha(scaled).value.exact == alpha(base).value.exact / r
+    assert delta_p(scaled, 1).value.exact == delta_p(base, 1).value.exact / r
+    want, got = delta_p(base, 2), delta_p(scaled, 2)
+    assert got.minimizing_rays == want.minimizing_rays
+    assert [row.s_p.exact for row in got.table] == [r ** 2 * row.s_p.exact for row in want.table]
+    assert abs(r * got.value.value - want.value.value) <= r * got.value.error + want.value.error
+    for _ in range(2):  # cold, then the kept answers
+        assert ding_check(scaled) == ding_check(base)
+        assert [beta_g(scaled, v) for v in base.candidates] == \
+            [beta_g(base, v) for v in base.candidates]
+        assert solve_reeb(ReebProblem.from_spherical(scaled)) == \
+            solve_reeb(ReebProblem.from_spherical(base))
+
+
 @settings(max_examples=15, deadline=None)
 @given(complete_fans(ranks=(3,)), st.integers(0, 10 ** 6))
 def test_beta_two_routes_on_rank3_fans(case, seed):

@@ -16,6 +16,7 @@ from kstab.quad import AffineForm, DHDensity, DHFactor, density_expansion, integ
 from kstab.schema import parse_input_document
 from kstab.soliton import (
     InfeasiblePointError,
+    MaxIterationsError,
     NonConvexDetectedError,
     NotHorosphericalError,
     ReebProblem,
@@ -384,12 +385,47 @@ def test_jacobi_eigenvalues_match_eigvalsh(n, definite):
             <= F(1e-12) * max(abs(e) for e in exact)
 
 
-def test_indefinite_hessian_is_refused(monkeypatch, bl1p2_problem):
-    value, grad, _hess, err = reeb_functional(bl1p2_problem, [0.0, 0.0])
+def test_indefinite_hessian_is_refused(monkeypatch):
+    # the problem of a freshly built input, whose solution nothing has
+    # kept; a refusal is not kept, so the second call raises too
+    prob = ReebProblem.from_spherical(builtin_spherical_input("toric-bl1p2")[0])
+    value, grad, _hess, err = reeb_functional(prob, [0.0, 0.0])
     monkeypatch.setattr(soliton, "reeb_functional",
                         lambda prob, xi: (value, grad, [[1.0, 2.0], [2.0, 1.0]], err))
-    with pytest.raises(NonConvexDetectedError, match="min eigenvalue -1"):
-        solve_reeb(bl1p2_problem)
+    for _ in range(2):
+        with pytest.raises(NonConvexDetectedError, match="min eigenvalue -1"):
+            solve_reeb(prob)
+
+
+def test_unconverged_solve_is_refused_on_every_call(monkeypatch):
+    prob = ReebProblem.from_spherical(builtin_spherical_input("toric-bl1p2")[0])
+    monkeypatch.setattr(soliton, "MAX_NEWTON_ITERATIONS", 1)
+    for _ in range(2):
+        with pytest.raises(MaxIterationsError, match="after 1 Newton steps") as refused:
+            solve_reeb(prob)
+        assert not refused.value.solution.converged
+    monkeypatch.undo()
+    assert solve_reeb(prob).converged
+
+
+def test_fresh_problem_on_a_warm_input_solves_nothing(monkeypatch):
+    # the solution is kept in the section polytope's memo by (density, m)
+    si = builtin_spherical_input("toric-bl1p2")[0]
+    first = solve_reeb(ReebProblem.from_spherical(si))
+    calls = []
+    functional = soliton.reeb_functional
+    monkeypatch.setattr(soliton, "reeb_functional",
+                        lambda prob, xi: calls.append(xi) or functional(prob, xi))
+    assert solve_reeb(ReebProblem.from_spherical(si)) is first
+    assert solve_reeb(ReebProblem.from_polytope(si.section_polytope, si.dh, si.dim_x)) is first
+    assert calls == []
+    # a freshly parsed input solves again, to the same solution
+    assert solve_reeb(ReebProblem.from_spherical(builtin_spherical_input("toric-bl1p2")[0])) == first
+    assert len(calls) > first.iterations  # one call at xi = 0 and per accepted step, at least
+    # another m is another problem
+    calls.clear()
+    solve_reeb(ReebProblem.from_polytope(si.section_polytope, si.dh, si.dim_x + 1))
+    assert calls
 
 
 def _seeded_polygon(seed):
